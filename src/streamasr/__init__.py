@@ -6,9 +6,8 @@ from .cache import (
     LayerCache,
     StreamState,
     attn_cache_update,
+    attn_keep_rows,
     conv_cache_apply_update,
-    rnnt_state_restore,
-    rnnt_state_save,
 )
 from .context import (
     AttentionContext,
@@ -60,7 +59,6 @@ from .numerics import (
     Rng,
     depthwise_conv1d_causal,
     layer_norm,
-    masked_softmax,
     matmul,
 )
 from .streaming import (
@@ -69,7 +67,6 @@ from .streaming import (
     StreamResult,
     Transcript,
     TranscriptToken,
-    count_macs,
     run_buffered,
     run_multi_lookahead,
     run_offline,

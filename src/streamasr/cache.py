@@ -1,97 +1,98 @@
 """Streaming caches: what a session carries between chunks.
 
 Per encoder layer:
-  attn      - inputs to self-attention (post-norm), last `left context` (plus
-              per-layer look-ahead, for the regular regime) settled steps.
-              Starts empty and grows until it saturates.
-  conv      - the last kernel-1 inputs of the causal depthwise convolution,
-              zero-filled at session start so the first chunk sees the same
-              operands as the left-padded single-pass computation.
+  attn      - inputs to self-attention (post-norm): every input whose output
+              is not yet settled, plus the settled inputs still within the
+              left context of the next query. Starts empty and grows until it
+              saturates.
+  conv      - the last kernel-1 settled inputs of the causal depthwise
+              convolution, zero-filled at session start so the first chunk
+              sees the same operands as the left-padded single-pass
+              computation.
   pending   - post-first-FFN values of inputs whose outputs are not yet
               settled (only non-empty for the regular look-ahead regime).
 
 Plus the downsampler mel residual, the RNNT prediction-net hidden states, and
-global token/frame offsets.
+global token/frame offsets. The update functions below are the only code that
+changes a layer's caches; encode_step applies them once per layer per step.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .container import load_container, save_container
+from .context import CHUNK, AttentionContext
 from .errors import StateError
 
 STATE_VERSION = 1
 
 
-def conv_cache_apply_update(
-    cache: np.ndarray, chunk: np.ndarray, kernel: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding-window update for a causal conv cache.
+def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int | None:
+    """Attention inputs a layer retains once its outputs before n_out are settled.
 
-    Returns (window, new_cache): the convolution input window cache||chunk and
-    the last kernel-1 rows of it, which seed the next step.
+    Every unsettled input stays, plus the settled inputs that queries from
+    n_out on can still reach: back to n_out - left_chunks*chunk for the chunk
+    regime, n_out - left_context otherwise. None means unlimited.
     """
-    if cache.shape[0] != kernel - 1:
-        raise StateError(f"conv cache must hold {kernel - 1} rows, has {cache.shape[0]}")
-    window = np.concatenate([cache, chunk], axis=0)
-    new_cache = window[window.shape[0] - (kernel - 1) :] if kernel > 1 else window[:0]
-    return window, new_cache.copy()
+    keep = ctx.left_chunks * ctx.chunk if ctx.regime == CHUNK else ctx.left_context
+    if keep is None:
+        return None
+    return n_in - max(0, n_out - keep)
 
 
 def attn_cache_update(
-    cache: np.ndarray, new_keys: np.ndarray, left_context: int | None
-) -> np.ndarray:
-    """Append new attention inputs, keep at most `left_context` newest rows."""
-    merged = np.concatenate([cache, new_keys], axis=0)
-    if left_context is None:
-        return merged
-    if cache.shape[0] > max(left_context, 0):
-        raise StateError(f"attn cache wider than bound: {cache.shape[0]} > {left_context}")
-    return merged[max(0, merged.shape[0] - left_context) :].copy()
+    cache: np.ndarray, new_keys: np.ndarray, n_keep: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append new attention inputs.
+
+    Returns (window, new_cache): this step's key array cache||new_keys and
+    its newest n_keep rows (all of them for None), which seed the next step.
+    """
+    window = np.concatenate([cache, new_keys], axis=0)
+    if n_keep is None:
+        return window, window
+    if not 0 <= n_keep <= window.shape[0]:
+        raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row attention window")
+    return window, window[window.shape[0] - n_keep :]
 
 
-def rnnt_state_save(states: list[np.ndarray]) -> bytes:
-    """Serialize prediction-net hidden states; restore is bit-exact."""
-    out = [struct.pack("<I", len(states))]
-    for h in states:
-        h = np.asarray(h, dtype=np.float32)
-        out.append(struct.pack("<I", h.shape[0]))
-        out.append(h.astype("<f4").tobytes())
-    return b"".join(out)
+def pending_update(
+    pending: np.ndarray, new_rows: np.ndarray, n_settle: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append post-FFN1 rows of new inputs.
+
+    Returns (window, new_pending): the rows of every unsettled input, which
+    this step's queries run over, and those still unsettled once the first
+    n_settle settle.
+    """
+    window = np.concatenate([pending, new_rows], axis=0)
+    return window, window[n_settle:]
 
 
-def rnnt_state_restore(blob: bytes, n_layers: int, width: int) -> list[np.ndarray]:
-    (count,) = struct.unpack("<I", blob[:4])
-    if count != n_layers:
-        raise StateError(f"state has {count} layers, decoder expects {n_layers}")
-    states = []
-    pos = 4
-    for _ in range(count):
-        (n,) = struct.unpack("<I", blob[pos : pos + 4])
-        pos += 4
-        if n != width:
-            raise StateError(f"state width {n}, decoder expects {width}")
-        states.append(np.frombuffer(blob[pos : pos + 4 * n], dtype="<f4").astype(np.float32))
-        pos += 4 * n
-    return states
+def conv_cache_apply_update(
+    cache: np.ndarray, settled: np.ndarray, kernel: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding-window update for a causal conv cache.
+
+    Returns (window, new_cache): the convolution input window cache||settled
+    and its last kernel-1 rows, which seed the next step.
+    """
+    if cache.shape[0] != kernel - 1:
+        raise StateError(f"conv cache must hold {kernel - 1} rows, has {cache.shape[0]}")
+    window = np.concatenate([cache, settled], axis=0)
+    return window, window[window.shape[0] - (kernel - 1) :]
 
 
 @dataclass
 class LayerCache:
-    attn: np.ndarray  # (w, d) settled attention inputs, w grows to its bound
+    attn: np.ndarray  # (w, d) attention inputs, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
     pending: np.ndarray  # (p, d) post-FFN1 values of not-yet-settled outputs
-    n_in: int = 0  # settled inputs seen
+    n_in: int = 0  # inputs seen
     n_out: int = 0  # settled outputs emitted
-
-    @property
-    def attn_base(self) -> int:
-        """Global position of the first cached attention input."""
-        return self.n_in - self.attn.shape[0]
 
     def float_count(self) -> int:
         return self.attn.size + self.conv.size + self.pending.size
@@ -110,12 +111,6 @@ class StreamState:
     def float_count(self) -> int:
         n = self.ds_residual.size + sum(lc.float_count() for lc in self.layers)
         return n + sum(h.size for h in self.rnnt_states)
-
-    def attn_widths(self) -> list[int]:
-        return [lc.attn.shape[0] for lc in self.layers]
-
-    def conv_widths(self) -> list[int]:
-        return [lc.conv.shape[0] for lc in self.layers]
 
     def save(self, path: str) -> None:
         header = {

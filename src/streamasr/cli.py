@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .context import AttentionContext, feasible_regular_latencies
 from .decoders import Vocab
@@ -170,14 +170,7 @@ def _resolve_context(args, model: HybridModel) -> HybridModel:
         left_context=a_dict.get("left_context"),
         chunk=a_dict.get("chunk", 1), left_chunks=a_dict.get("left_chunks", 0),
     )
-    from .encoder import EncoderWeights
-
-    enc_cfg = cfg.with_attention(ctx)
-    return replace(
-        model,
-        cfg=replace(model.cfg, encoder=enc_cfg),
-        encoder=EncoderWeights(enc_cfg, model.encoder.tensors),
-    )
+    return model.with_attention(ctx)
 
 
 def _run_mode(mode: str, audio, model, vocab, decoder: str, args):

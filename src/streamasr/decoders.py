@@ -9,14 +9,13 @@ token.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, FormatError
 from .ledger import ComputeLedger
-from .numerics import Rng, linear, log_softmax
+from .numerics import linear, log_softmax
 
 BLANK_TOKEN = "<blank>"
 
@@ -239,22 +238,3 @@ def rnnt_joint_log_probs(
         for u in range(u_len):
             grid[t, u] = log_softmax(rnnt_joint_logits(head, enc[t], gs[u]))
     return grid
-
-
-def init_ctc_head(hc: HeadConfig, rng: Rng) -> CtcHead:
-    tensors = _init_from_spec(ctc_weight_spec(hc), rng)
-    return CtcHead(hc, tensors["ctc.w"], tensors["ctc.b"])
-
-
-def init_rnnt_head(hc: HeadConfig, rng: Rng) -> RnntHead:
-    return RnntHead(hc, _init_from_spec(rnnt_weight_spec(hc), rng))
-
-
-def _init_from_spec(spec, rng: Rng) -> dict[str, np.ndarray]:
-    out = {}
-    for name, shape, init in spec:
-        if init is None:
-            out[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            out[name] = rng.uniform(shape, 1.0 / math.sqrt(int(init)))
-    return out

@@ -32,7 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import context as ctx_mod
-from .cache import LayerCache, StreamState
+from .cache import (
+    LayerCache,
+    StreamState,
+    attn_cache_update,
+    attn_keep_rows,
+    conv_cache_apply_update,
+    pending_update,
+)
 from .context import CHUNK, AttentionContext
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError
 from .features import MelFrames
@@ -44,20 +51,9 @@ from .numerics import (
     layer_norm,
     linear,
     matmul,
+    matmul64,
     swish,
 )
-
-
-def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """k-loop float64 product kept in float64 (for multi-part accumulations)."""
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    if a64.shape[1] != b64.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a64.shape} x {b64.shape}")
-    acc = np.zeros((a64.shape[0], b64.shape[1]), dtype=np.float64)
-    for k in range(a64.shape[1]):
-        acc += a64[:, k, None] * b64[None, k, :]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ def downsample_segment(
         for r in range(3):
             first = (2 * out_lo + r - 1) - cur_idx[0]
             rows = cur[first : first + 2 * n_out : 2]
-            acc += _matmul64(rows, ws[r])
+            acc += matmul64(rows, ws[r])
         acc += w.tensors[f"ds.stage{s}.b"].astype(np.float64)
         cur = swish(acc.astype(np.float32))
         cur_idx = np.arange(out_lo, out_hi + 1)
@@ -388,7 +384,7 @@ def _attend(
         pairs[r0 : r1 + 1] = hi - lo + 1
         for h in range(heads):
             qh = q[r0 : r1 + 1, h * dh : (h + 1) * dh]
-            s64 = _matmul64(qh, kl[:, h * dh : (h + 1) * dh].T) * scale + bias[h][idx]
+            s64 = matmul64(qh, kl[:, h * dh : (h + 1) * dh].T) * scale + bias[h][idx]
             m = s64.max(axis=1, keepdims=True)
             e = np.exp(s64 - m)
             wrow = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
@@ -417,19 +413,24 @@ def _layer_window(
     cfg: EncoderConfig,
     lw: dict,
     x1_win: np.ndarray,
-    ain_win: np.ndarray,
-    qpos: np.ndarray,
     key_ain: np.ndarray,
     key_base: int,
-    avail_hi: int,
     conv_hist: np.ndarray | None,
     n_settle: int,
     rec: ComputeLedger | None,
     full_context: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one block over a query window; rows beyond n_settle are speculative."""
-    groups = query_groups(None if full_context else cfg.attention, qpos, avail_hi)
-    attn_out, pairs = _attend(cfg, lw, ain_win, qpos, key_ain, key_base, groups)
+    """Run one block over a query window; rows beyond n_settle are speculative.
+
+    The queries are the newest len(x1_win) attention inputs in key_ain, whose
+    first row sits at global position key_base.
+    """
+    n_rows = x1_win.shape[0]
+    end = key_base + key_ain.shape[0]
+    qpos = np.arange(end - n_rows, end)
+    groups = query_groups(None if full_context else cfg.attention, qpos, end - 1)
+    q_ain = key_ain[key_ain.shape[0] - n_rows :]
+    attn_out, pairs = _attend(cfg, lw, q_ain, qpos, key_ain, key_base, groups)
     x2 = x1_win + attn_out
     c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
     g = glu(linear(c, lw["conv.pw1"], lw["conv.pw1_b"]))
@@ -441,7 +442,6 @@ def _layer_window(
     if rec is not None:
         d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
         ffn_row = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2
-        n_rows = x1_win.shape[0]
         rec.add("ffn", n_settle * ffn_row)
         rec.add("conv", n_settle * d * k)
         rec.add("attention", 2 * d * int(pairs[:n_settle].sum()))
@@ -480,13 +480,10 @@ def encode_full(
     x = downsample_segment(w, cfg, frames, 0, 0, t - 1)
     if rec is not None:
         rec.add("downsampler", t * downsampler_macs_per_token(cfg))
-    qpos = np.arange(t)
     for i in range(cfg.n_layers):
         lw = w.layer(i)
         x1, ain = _layer_arrival(cfg, lw, x, rec)
-        x, _ = _layer_window(
-            cfg, lw, x1, ain, qpos, ain, 0, t - 1, None, t, rec, full_context=full_context
-        )
+        x, _ = _layer_window(cfg, lw, x1, ain, 0, None, t, rec, full_context=full_context)
     return x
 
 
@@ -504,13 +501,6 @@ def init_state(cfg: EncoderConfig) -> StreamState:
         layers=layers,
         ds_residual=np.zeros((cfg.residual_frames, cfg.n_mels), dtype=np.float32),
     )
-
-
-def _keep_context(ctx: AttentionContext) -> int | None:
-    """Settled attention inputs a layer must retain for future queries."""
-    if ctx.regime == CHUNK:
-        return ctx.left_chunks * ctx.chunk
-    return ctx.left_context  # None means unlimited
 
 
 def encode_step(
@@ -559,42 +549,22 @@ def encode_step(
     state.tokens_in += n_new
 
     delay = ctx.settle_delay()
-    keep = _keep_context(ctx)
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
         x1n, ainn = _layer_arrival(cfg, lw, new_x, rec)
-        lc.pending = np.concatenate([lc.pending, x1n], axis=0)
-        lc.attn = np.concatenate([lc.attn, ainn], axis=0)
         lc.n_in += new_x.shape[0]
         settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
         n_settle = settle_to - lc.n_out
-        n_win = lc.n_in - lc.n_out
-        if n_win == 0:
+        x1_win, lc.pending = pending_update(lc.pending, x1n, n_settle)
+        keys, lc.attn = attn_cache_update(lc.attn, ainn, attn_keep_rows(ctx, lc.n_in, settle_to))
+        if x1_win.shape[0] == 0:
             new_x = np.zeros((0, cfg.d_model), dtype=np.float32)
             continue
-        qpos = np.arange(lc.n_out, lc.n_in)
-        ain_win = lc.attn[lc.attn.shape[0] - n_win :]
         out, g_settled = _layer_window(
-            cfg,
-            lw,
-            lc.pending,
-            ain_win,
-            qpos,
-            lc.attn,
-            lc.attn_base,
-            lc.n_in - 1,
-            lc.conv,
-            n_settle,
-            rec,
+            cfg, lw, x1_win, keys, lc.n_in - keys.shape[0], lc.conv, n_settle, rec
         )
-        if cfg.conv_kernel > 1 and n_settle > 0:
-            lc.conv = np.concatenate([lc.conv, g_settled], axis=0)[-(cfg.conv_kernel - 1) :]
-        lc.pending = lc.pending[n_settle:]
+        _, lc.conv = conv_cache_apply_update(lc.conv, g_settled, cfg.conv_kernel)
         lc.n_out = settle_to
-        if keep is not None:
-            start = max(0, (lc.n_out - keep) - lc.attn_base)
-            if start > 0:
-                lc.attn = lc.attn[start:]
         new_x = out[:n_settle]
     state.tokens_emitted += new_x.shape[0]
     return new_x, state

@@ -7,12 +7,12 @@ order; the same seed always produces a byte-identical file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .container import load_container, save_container
-from .context import LatencyModel
+from .context import AttentionContext, LatencyModel
 from .decoders import (
     CtcHead,
     HeadConfig,
@@ -88,6 +88,15 @@ class HybridModel:
     rnnt: RnntHead
     tensor_order: list[str] = field(default_factory=list)
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def with_attention(self, ctx: AttentionContext) -> "HybridModel":
+        """The same weights under another attention mask (bias spans kept)."""
+        enc_cfg = self.cfg.encoder.with_attention(ctx)
+        return replace(
+            self,
+            cfg=replace(self.cfg, encoder=enc_cfg),
+            encoder=EncoderWeights(enc_cfg, self.encoder.tensors),
+        )
 
 
 def _full_spec(cfg: ModelConfig):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMaskError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 # Log-domain zero. Large negative sentinel instead of -inf so that lattice
 # recursions never produce NaN via inf - inf; exp() of it underflows to 0.0.
@@ -24,11 +24,11 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise NumericsError(f"non-finite values produced by {where}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
-    Matches a naive triple loop bit for bit; output rows depend only on the
-    corresponding rows of `a`.
+    The result stays in float64, for sums of several products. Output rows
+    depend only on the corresponding rows of `a`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -41,7 +41,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
     for k in range(a.shape[1]):
         acc += a64[:, k, None] * b64[None, k, :]
-    out = acc.astype(np.float32)
+    return acc
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul64 rounded once to float32; matches a naive triple loop bit for bit."""
+    out = matmul64(a, b).astype(np.float32)
     _check_finite(out, "matmul")
     return out
 
@@ -54,23 +59,6 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         if b.shape != (w.shape[1],):
             raise ShapeError(f"bias shape {b.shape} does not match output dim {w.shape[1]}")
         out = out + b
-    return out
-
-
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the allowed entries; masked entries are exactly 0."""
-    scores = np.asarray(scores)
-    mask = np.asarray(mask, dtype=bool)
-    if scores.shape != mask.shape or scores.ndim != 2:
-        raise ShapeError(f"scores {scores.shape} and mask {mask.shape} must be equal 2-D shapes")
-    if not mask.any(axis=1).all():
-        rows = np.where(~mask.any(axis=1))[0]
-        raise DegenerateMaskError(f"fully masked rows: {rows.tolist()}")
-    s = scores.astype(np.float64)
-    m = np.max(np.where(mask, s, -np.inf), axis=1, keepdims=True)
-    e = np.where(mask, np.exp(s - m), 0.0)
-    out = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-    _check_finite(out, "masked_softmax")
     return out
 
 
@@ -216,3 +204,4 @@ class Rng:
         z = self._mix(n)
         u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return ((2.0 * u - 1.0) * bound).astype(np.float32).reshape(shape)
+

@@ -15,11 +15,12 @@ Three ways to run the same weights:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .context import CHUNK, REGULAR, ZERO, AttentionContext
+from .context import CHUNK, REGULAR, ZERO, AttentionContext, LatencyModel
 from .decoders import (
     CtcIncrementalDecoder,
     Vocab,
@@ -29,7 +30,6 @@ from .decoders import (
 )
 from .encoder import (
     EncoderConfig,
-    EncoderWeights,
     downsampler_macs_per_token,
     encode_full,
     encode_step,
@@ -104,6 +104,32 @@ def _emit_frame(ctx: AttentionContext, n_layers: int, frame: int, total: int) ->
         return min(frame + ctx.m * n_layers, total - 1)
     start = (frame // ctx.chunk) * ctx.chunk
     return min(start + ctx.chunk - 1, total - 1)
+
+
+def _result(
+    mode: str,
+    raw: dict[str, list[tuple[int, int]]],
+    vocab: Vocab,
+    ledger: ComputeLedger,
+    emit_frame: Callable[[int], int],
+    lm: LatencyModel | None,
+) -> StreamResult:
+    """Transcripts from (token, frame) pairs per decoder, built once all
+    decoding is done so every transcript's macs is the whole ledger.
+
+    emit_frame maps a token's frame to the frame completing its look-ahead;
+    lm=None leaves the average latency unset (offline).
+    """
+    transcripts = {}
+    for name, pairs in raw.items():
+        toks = [TranscriptToken(vocab.tokens[k], k, f, emit_frame(f)) for k, f in pairs]
+        avg = None if lm is None else eil(
+            [t.emit_frame for t in toks], [t.first_frame for t in toks], lm
+        )
+        transcripts[name] = Transcript(
+            decoder=name, mode=mode, tokens=toks, avg_latency_ms=avg, macs=ledger.to_dict()
+        )
+    return StreamResult(transcripts=transcripts, ledger=ledger)
 
 
 def _decoders_for(choice: str) -> list[str]:
@@ -204,31 +230,12 @@ class StreamingSession:
         self._step(self._mel, final=True)
         self._mel = self._mel[:0]
         self._finished = True
-        return self._assemble("streaming")
-
-    def _assemble(self, mode: str) -> StreamResult:
-        cfg = self.model.cfg
-        total = self.state.tokens_emitted
-        transcripts = {}
-        for name in self.decoders:
-            toks = [
-                TranscriptToken(
-                    text=self.vocab.tokens[k],
-                    token_id=k,
-                    first_frame=f,
-                    emit_frame=_emit_frame(cfg.encoder.attention, cfg.encoder.n_layers, f, total),
-                )
-                for k, f in self._raw_tokens[name]
-            ]
-            avg = eil(
-                [t.emit_frame for t in toks], [t.first_frame for t in toks],
-                cfg.latency_model(),
-            )
-            transcripts[name] = Transcript(
-                decoder=name, mode=mode, tokens=toks,
-                avg_latency_ms=avg, macs=self.ledger.to_dict(),
-            )
-        return StreamResult(transcripts=transcripts, ledger=self.ledger)
+        enc, total = self.model.cfg.encoder, self.state.tokens_emitted
+        return _result(
+            "streaming", self._raw_tokens, self.vocab, self.ledger,
+            lambda f: _emit_frame(enc.attention, enc.n_layers, f, total),
+            self.model.cfg.latency_model(),
+        )
 
 
 def run_streaming(
@@ -262,36 +269,23 @@ def run_offline(
     ledger = ComputeLedger()
     ledger.new_step()
     enc = encode_full(mel, model.encoder, cfg, rec=ledger)
-    transcripts = {}
+    raw = {}
     for name in _decoders_for(decoder):
         if name == "ctc":
             grid = ctc_logprobs(enc, model.ctc, ledger)
-            raw = CtcIncrementalDecoder(vocab.blank_id).push(grid)
+            raw[name] = CtcIncrementalDecoder(vocab.blank_id).push(grid)
         else:
-            raw, _ = rnnt_greedy_decode(
+            raw[name], _ = rnnt_greedy_decode(
                 enc, model.rnnt, None, blank_id=vocab.blank_id, rec=ledger
             )
-        toks = [
-            TranscriptToken(vocab.tokens[k], k, f, f) for k, f in raw
-        ]
-        transcripts[name] = Transcript(
-            decoder=name, mode="offline", tokens=toks,
-            avg_latency_ms=None, macs=ledger.to_dict(),
-        )
-    return StreamResult(transcripts=transcripts, ledger=ledger)
-
-
-def _per_token_ffn_macs(cfg: EncoderConfig) -> tuple[int, int]:
-    """(arrival, settle) per-token per-layer linear-layer MACs."""
-    d, f = cfg.d_model, cfg.d_ffn
-    return 2 * d * f + 2 * d * d, 2 * d * d + 3 * d * d + 2 * d * f
+    return _result("offline", raw, vocab, ledger, lambda f: f, None)
 
 
 def _central_window_macs(cfg: EncoderConfig, n_window: int, n_central: int) -> int:
     """What the central tokens of a full-context window cost on their own."""
-    arr, set_ = _per_token_ffn_macs(cfg)
-    d, k = cfg.d_model, cfg.conv_kernel
-    per_layer = n_central * (arr + set_ + d * k) + n_central * n_window * 2 * d
+    d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
+    per_token = 2 * (2 * d * f) + 7 * d * d + d * k  # two FFNs, QKVO + pointwise, conv
+    per_layer = n_central * per_token + n_central * n_window * 2 * d
     return n_central * downsampler_macs_per_token(cfg) + cfg.n_layers * per_layer
 
 
@@ -345,19 +339,10 @@ def run_buffered(
                 frame_offset=c0, rec=ledger,
             )
             raw["rnnt"] += toks
-    transcripts = {}
-    for name in names:
-        toks = []
-        for k, f in raw[name]:
-            bi = f // chunk_tok
-            emit = min(total - 1, bi * chunk_tok + chunk_tok - 1 + right)
-            toks.append(TranscriptToken(vocab.tokens[k], k, f, emit))
-        avg = eil([t.emit_frame for t in toks], [t.first_frame for t in toks], lm)
-        transcripts[name] = Transcript(
-            decoder=name, mode="buffered", tokens=toks,
-            avg_latency_ms=avg, macs=ledger.to_dict(),
-        )
-    return StreamResult(transcripts=transcripts, ledger=ledger)
+    return _result(
+        "buffered", raw, vocab, ledger,
+        lambda f: min(total - 1, (f // chunk_tok + 1) * chunk_tok - 1 + right), lm,
+    )
 
 
 def run_multi_lookahead(
@@ -387,93 +372,5 @@ def run_multi_lookahead(
                 f"bias table spans ({cfg.bias_past},{cfg.bias_future}) do not cover "
                 f"chunk={c}, left_chunks={lc}"
             )
-        enc_cfg = cfg.with_attention(ctx)
-        model_c = replace(
-            model,
-            cfg=replace(model.cfg, encoder=enc_cfg),
-            encoder=EncoderWeights(enc_cfg, model.encoder.tensors),
-        )
-        out[c] = run_streaming(audio, model_c, vocab, decoder=decoder)
+        out[c] = run_streaming(audio, model.with_attention(ctx), vocab, decoder=decoder)
     return out
-
-
-def count_macs(
-    cfg: EncoderConfig,
-    ctx: AttentionContext,
-    n_tokens: int,
-    mode: str = "offline",
-    step_tokens: int | None = None,
-) -> ComputeLedger:
-    """Closed-form MAC model for an encoder pass over n_tokens.
-
-    mode="offline" integrates the mask intervals directly; mode="streaming"
-    walks the same per-step schedule the session engine uses (including
-    regular-regime speculation), so engine ledgers must match this to the MAC.
-    """
-    if mode not in ("offline", "streaming"):
-        raise ArgumentError(f"unknown mode {mode!r}")
-    cfg = cfg.with_attention(ctx)
-    ledger = ComputeLedger()
-    if n_tokens == 0:
-        return ledger
-    arr, set_ = _per_token_ffn_macs(cfg)
-    d, k = cfg.d_model, cfg.conv_kernel
-    ds_tok = downsampler_macs_per_token(cfg)
-
-    def pairs(pos: int, avail_hi: int) -> int:
-        lo, hi = ctx.attend_interval(pos)
-        return min(hi, avail_hi) - lo + 1
-
-    if mode == "offline":
-        ledger.new_step()
-        ledger.add("downsampler", n_tokens * ds_tok)
-        att = sum(pairs(t, n_tokens - 1) for t in range(n_tokens))
-        for _ in range(cfg.n_layers):
-            ledger.add("ffn", n_tokens * (arr + set_))
-            ledger.add("conv", n_tokens * d * k)
-            ledger.add("attention", att * 2 * d)
-        return ledger
-
-    step = ctx.step_tokens(default=step_tokens or 1)
-    delay = ctx.settle_delay()
-    n_in = [0] * cfg.n_layers
-    n_out = [0] * cfg.n_layers
-    fed = 0
-    while True:
-        final = fed + step > n_tokens
-        arrive = n_tokens - fed if final else step
-        fed += arrive
-        ledger.new_step()
-        if arrive > 0:
-            ledger.add("downsampler", arrive * ds_tok)
-        new_x = arrive
-        for li in range(cfg.n_layers):
-            if new_x > 0:
-                ledger.add("ffn", new_x * arr)
-            n_in[li] += new_x
-            settle_to = n_in[li] if final else max(n_out[li], n_in[li] - delay)
-            n_settle = settle_to - n_out[li]
-            n_win = n_in[li] - n_out[li]
-            if n_win == 0:
-                new_x = 0
-                continue
-            avail = n_in[li] - 1
-            settled_rows = range(n_out[li], settle_to)
-            spec_rows = range(settle_to, n_in[li])
-            ledger.add("ffn", n_settle * set_)
-            ledger.add("conv", n_settle * d * k)
-            ledger.add("attention", sum(pairs(q, avail) for q in settled_rows) * 2 * d)
-            n_spec = len(spec_rows)
-            if n_spec:
-                ledger.add("ffn", n_spec * set_, duplicate=True)
-                ledger.add("conv", n_spec * d * k, duplicate=True)
-                ledger.add(
-                    "attention", sum(pairs(q, avail) for q in spec_rows) * 2 * d,
-                    duplicate=True,
-                )
-                ledger.add_speculative_tokens(n_spec)
-            n_out[li] = settle_to
-            new_x = n_settle
-        if final:
-            break
-    return ledger

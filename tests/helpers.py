@@ -16,12 +16,15 @@ import numpy as np
 from streamasr import (
     AttentionContext,
     AudioBuffer,
+    ComputeLedger,
     EncoderConfig,
     HeadConfig,
     ModelConfig,
     Vocab,
     init_model,
 )
+from streamasr.encoder import downsampler_macs_per_token
+from streamasr.errors import ArgumentError, DegenerateMaskError, ShapeError
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,6 +60,104 @@ def softmax_rational(scores: list[float], mask: list[bool], terms: int = 40) -> 
             exps.append(Fraction(0))
     denom = sum(exps)
     return [float(e / denom) for e in exps]
+
+
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the allowed entries; masked entries are exactly 0."""
+    scores = np.asarray(scores)
+    mask = np.asarray(mask, dtype=bool)
+    if scores.shape != mask.shape or scores.ndim != 2:
+        raise ShapeError(f"scores {scores.shape} and mask {mask.shape} must be equal 2-D shapes")
+    if not mask.any(axis=1).all():
+        rows = np.where(~mask.any(axis=1))[0]
+        raise DegenerateMaskError(f"fully masked rows: {rows.tolist()}")
+    s = scores.astype(np.float64)
+    m = np.max(np.where(mask, s, -np.inf), axis=1, keepdims=True)
+    e = np.where(mask, np.exp(s - m), 0.0)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def count_macs(
+    cfg: EncoderConfig,
+    ctx: AttentionContext,
+    n_tokens: int,
+    mode: str = "offline",
+    step_tokens: int | None = None,
+) -> ComputeLedger:
+    """Closed-form MAC model for an encoder pass over n_tokens.
+
+    mode="offline" integrates the mask intervals directly; mode="streaming"
+    walks the same per-step schedule the session engine uses (including
+    regular-regime speculation), so engine ledgers must match this to the MAC.
+    """
+    if mode not in ("offline", "streaming"):
+        raise ArgumentError(f"unknown mode {mode!r}")
+    cfg = cfg.with_attention(ctx)
+    ledger = ComputeLedger()
+    if n_tokens == 0:
+        return ledger
+    d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
+    arr = 2 * d * f + 2 * d * d  # FFN1 + K,V projections, once per arriving token
+    set_ = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2, per query row
+    ds_tok = downsampler_macs_per_token(cfg)
+
+    def pairs(pos: int, avail_hi: int) -> int:
+        lo, hi = ctx.attend_interval(pos)
+        return min(hi, avail_hi) - lo + 1
+
+    if mode == "offline":
+        ledger.new_step()
+        ledger.add("downsampler", n_tokens * ds_tok)
+        att = sum(pairs(t, n_tokens - 1) for t in range(n_tokens))
+        for _ in range(cfg.n_layers):
+            ledger.add("ffn", n_tokens * (arr + set_))
+            ledger.add("conv", n_tokens * d * k)
+            ledger.add("attention", att * 2 * d)
+        return ledger
+
+    step = ctx.step_tokens(default=step_tokens or 1)
+    delay = ctx.settle_delay()
+    n_in = [0] * cfg.n_layers
+    n_out = [0] * cfg.n_layers
+    fed = 0
+    while True:
+        final = fed + step > n_tokens
+        arrive = n_tokens - fed if final else step
+        fed += arrive
+        ledger.new_step()
+        if arrive > 0:
+            ledger.add("downsampler", arrive * ds_tok)
+        new_x = arrive
+        for li in range(cfg.n_layers):
+            if new_x > 0:
+                ledger.add("ffn", new_x * arr)
+            n_in[li] += new_x
+            settle_to = n_in[li] if final else max(n_out[li], n_in[li] - delay)
+            n_settle = settle_to - n_out[li]
+            n_win = n_in[li] - n_out[li]
+            if n_win == 0:
+                new_x = 0
+                continue
+            avail = n_in[li] - 1
+            settled_rows = range(n_out[li], settle_to)
+            spec_rows = range(settle_to, n_in[li])
+            ledger.add("ffn", n_settle * set_)
+            ledger.add("conv", n_settle * d * k)
+            ledger.add("attention", sum(pairs(q, avail) for q in settled_rows) * 2 * d)
+            n_spec = len(spec_rows)
+            if n_spec:
+                ledger.add("ffn", n_spec * set_, duplicate=True)
+                ledger.add("conv", n_spec * d * k, duplicate=True)
+                ledger.add(
+                    "attention", sum(pairs(q, avail) for q in spec_rows) * 2 * d,
+                    duplicate=True,
+                )
+                ledger.add_speculative_tokens(n_spec)
+            n_out[li] = settle_to
+            new_x = n_settle
+        if final:
+            break
+    return ledger
 
 
 def dft_power_oracle(window: np.ndarray) -> np.ndarray:
@@ -209,10 +310,13 @@ def tiny_model(ctx: AttentionContext | None = None, seed: int = 11, vocab: Vocab
 
 def random_head(seed: int = 3, d_model: int = 16, vocab_size: int = 5,
                 d_pred: int = 8, d_joint: int = 8, pred_layers: int = 1):
-    from streamasr.decoders import init_ctc_head, init_rnnt_head
+    from streamasr.decoders import CtcHead, RnntHead, ctc_weight_spec, rnnt_weight_spec
+    from streamasr.encoder import init_tensors
     from streamasr.numerics import Rng
 
     hc = HeadConfig(d_model=d_model, vocab_size=vocab_size, d_pred=d_pred,
                     pred_layers=pred_layers, d_joint=d_joint)
     rng = Rng(seed)
-    return init_ctc_head(hc, rng), init_rnnt_head(hc, rng)
+    ctc = init_tensors(ctc_weight_spec(hc), rng)
+    rnnt = init_tensors(rnnt_weight_spec(hc), rng)
+    return CtcHead(hc, ctc["ctc.w"], ctc["ctc.b"]), RnntHead(hc, rnnt)

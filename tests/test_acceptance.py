@@ -16,6 +16,7 @@ from streamasr import (
     LatencyModel,
     ModelConfig,
     attn_cache_update,
+    attn_keep_rows,
     conv_cache_apply_update,
     ctc_logprobs,
     ctc_loss,
@@ -200,12 +201,14 @@ class TestCriterion3LatencyArithmetic:
 class TestCriterion4CacheShapeLaws:
     def test_width_laws_and_memory(self):
         for kernel, chunk, left_chunks in ((3, 2, 1), (5, 3, 2), (3, 4, 0)):
+            ctx = AttentionContext.chunked(chunk, left_chunks)
             bound = left_chunks * chunk
             attn = np.zeros((0, 4), np.float32)
             conv = np.zeros((kernel - 1, 4), np.float32)
             for i in range(1, 1001):
                 block = np.ones((chunk, 4), np.float32)
-                attn = attn_cache_update(attn, block, bound)
+                # the engine's update: each chunk step settles all inputs so far
+                _, attn = attn_cache_update(attn, block, attn_keep_rows(ctx, i * chunk, i * chunk))
                 _, conv = conv_cache_apply_update(conv, block, kernel)
                 assert conv.shape[0] == kernel - 1
                 assert attn.shape[0] == min(bound, i * chunk)

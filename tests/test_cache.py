@@ -5,17 +5,18 @@ from streamasr import (
     AttentionContext,
     StreamState,
     attn_cache_update,
+    attn_keep_rows,
     conv_cache_apply_update,
     depthwise_conv1d_causal,
     encode_step,
     init_encoder_weights,
     init_state,
-    rnnt_state_restore,
-    rnnt_state_save,
+    rnnt_greedy_decode,
+    rnnt_init_state,
 )
 from streamasr.errors import StateError
 
-from helpers import random_mel, tiny_encoder_config
+from helpers import random_head, random_mel, tiny_encoder_config
 
 
 class TestConvCache:
@@ -57,35 +58,51 @@ class TestAttnCache:
     def test_fig_walkthrough_drop_two_oldest(self):
         cache = np.array([[-3.0], [-2.0], [-1.0]], np.float32)
         new = np.array([[0.0], [1.0], [2.0]], np.float32)
-        out = attn_cache_update(cache, new, left_context=4)
+        n_keep = attn_keep_rows(AttentionContext.zero(left_context=4), n_in=6, n_out=6)
+        window, out = attn_cache_update(cache, new, n_keep)
+        assert np.array_equal(window.ravel(), [-3, -2, -1, 0, 1, 2])
         assert np.array_equal(out.ravel(), [-1, 0, 1, 2])
 
     def test_first_step_from_empty(self):
-        out = attn_cache_update(np.zeros((0, 1), np.float32),
-                                np.array([[5.0], [6.0]], np.float32), left_context=4)
+        n_keep = attn_keep_rows(AttentionContext.zero(left_context=4), n_in=2, n_out=2)
+        _, out = attn_cache_update(np.zeros((0, 1), np.float32),
+                                   np.array([[5.0], [6.0]], np.float32), n_keep)
         assert np.array_equal(out.ravel(), [5, 6])
 
     def test_zero_left_context_stays_empty(self):
-        out = attn_cache_update(np.zeros((0, 1), np.float32),
-                                np.array([[5.0]], np.float32), left_context=0)
+        n_keep = attn_keep_rows(AttentionContext.zero(left_context=0), n_in=1, n_out=1)
+        _, out = attn_cache_update(np.zeros((0, 1), np.float32),
+                                   np.array([[5.0]], np.float32), n_keep)
         assert out.shape[0] == 0
 
     def test_unlimited_grows(self):
+        ctx = AttentionContext.zero()
         cache = np.zeros((0, 1), np.float32)
         for i in range(5):
-            cache = attn_cache_update(cache, np.full((2, 1), i, np.float32), None)
+            n_keep = attn_keep_rows(ctx, n_in=2 * (i + 1), n_out=2 * (i + 1))
+            _, cache = attn_cache_update(cache, np.full((2, 1), i, np.float32), n_keep)
         assert cache.shape[0] == 10
+
+    def test_width_guard(self):
+        with pytest.raises(StateError):
+            attn_cache_update(np.zeros((1, 2), np.float32), np.zeros((1, 2), np.float32), 3)
+
+
+def _layer_widths(state: StreamState) -> list[tuple[int, int, int]]:
+    return [(lc.attn.shape[0], lc.pending.shape[0], lc.conv.shape[0]) for lc in state.layers]
 
 
 class TestCacheWidthLaws:
     @pytest.mark.parametrize("chunk,left_chunks,kernel", [(2, 1, 3), (3, 2, 5), (4, 0, 3)])
     def test_thousand_step_simulation(self, chunk, left_chunks, kernel):
+        ctx = AttentionContext.chunked(chunk, left_chunks)
         lc_bound = left_chunks * chunk
         attn = np.zeros((0, 2), np.float32)
         conv = np.zeros((kernel - 1, 2), np.float32)
         for i in range(1, 1001):
             step = np.ones((chunk, 2), np.float32)
-            attn = attn_cache_update(attn, step, lc_bound)
+            n = i * chunk  # a chunk step settles every input it brings
+            _, attn = attn_cache_update(attn, step, attn_keep_rows(ctx, n, n))
             _, conv = conv_cache_apply_update(conv, step, kernel)
             assert conv.shape[0] == kernel - 1
             assert attn.shape[0] == min(lc_bound, i * chunk)
@@ -108,42 +125,65 @@ class TestCacheWidthLaws:
                 + cfg.residual_frames * cfg.n_mels
             )
             assert state.float_count() == expected
-            assert state.attn_widths() == [l_c] * n
-            assert state.conv_widths() == [k - 1] * n
+            assert _layer_widths(state) == [(l_c, 0, k - 1)] * n
+
+        # regular look-ahead: each layer also keeps its unsettled (speculative) rows
+        ctx = AttentionContext.regular(2, 3)
+        cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
+        w = init_encoder_weights(cfg, seed=1)
+        state = init_state(cfg)
+        step = cfg.downsampling_rate  # one token per step
+        d, k, lcx = cfg.d_model, cfg.conv_kernel, ctx.left_context
+        for t in range(1, 120 // step + 1):
+            encode_step(mel[(t - 1) * step : t * step], state, w, cfg)
+            # layer l has seen t - l*m inputs and settled m fewer
+            n_in = [max(0, t - layer * ctx.m) for layer in range(cfg.n_layers)]
+            n_out = [max(0, n - ctx.m) for n in n_in]
+            assert [(lc.n_in, lc.n_out) for lc in state.layers] == list(zip(n_in, n_out))
+            widths = [(min(lcx, o) + i - o, i - o, k - 1) for i, o in zip(n_in, n_out)]
+            assert _layer_widths(state) == widths
+            assert state.float_count() == (
+                d * sum(sum(lw) for lw in widths) + cfg.residual_frames * cfg.n_mels
+            )
+        encode_step(mel[:0], state, w, cfg, final=True)
+        assert _layer_widths(state) == [(lcx, 0, k - 1)] * cfg.n_layers
 
 
-class TestRnntStateSaveRestore:
-    def test_roundtrip_identity(self):
-        states = [np.random.default_rng(i).standard_normal(8).astype(np.float32)
-                  for i in range(2)]
-        back = rnnt_state_restore(rnnt_state_save(states), n_layers=2, width=8)
-        for a, b in zip(states, back):
-            assert np.array_equal(a, b)
-
-    def test_layer_count_mismatch(self):
-        blob = rnnt_state_save([np.zeros(4, np.float32)])
-        with pytest.raises(StateError):
-            rnnt_state_restore(blob, n_layers=2, width=4)
-
-    def test_width_mismatch(self):
-        blob = rnnt_state_save([np.zeros(4, np.float32)])
-        with pytest.raises(StateError):
-            rnnt_state_restore(blob, n_layers=1, width=8)
+ROUNDTRIP_CASES = {
+    "chunk": (AttentionContext.chunked(2, 1), False),
+    "regular_pending": (AttentionContext.regular(1, 3), False),
+    "rnnt_states": (AttentionContext.chunked(2, 1), True),
+}
 
 
 class TestStreamStateSerialization:
-    def test_bit_exact_roundtrip_and_resume(self, tmp_path):
-        ctx = AttentionContext.chunked(2, 1)
+    @pytest.mark.parametrize("case", list(ROUNDTRIP_CASES))
+    def test_bit_exact_roundtrip_and_resume(self, case, tmp_path):
+        ctx, with_rnnt = ROUNDTRIP_CASES[case]
         cfg = tiny_encoder_config(ctx)
         w = init_encoder_weights(cfg, seed=3)
+        _, head = random_head(seed=5, d_model=cfg.d_model)
         mel = random_mel(64, cfg.n_mels, seed=4)
-        step = ctx.chunk * cfg.downsampling_rate
+        step = ctx.step_tokens(default=1) * cfg.downsampling_rate
+
+        def run(state, lo, hi):
+            outs, toks = [], []
+            for i in range(lo, hi, step):
+                o, _ = encode_step(mel[i : i + step], state, w, cfg)
+                outs.append(o)
+                if with_rnnt:
+                    t, state.rnnt_states = rnnt_greedy_decode(o, head, state.rnnt_states)
+                    toks += t
+            return np.concatenate(outs), toks
 
         state = init_state(cfg)
-        outs_a = []
-        for i in range(0, 32, step):
-            o, state = encode_step(mel[i : i + step], state, w, cfg)
-            outs_a.append(o)
+        if with_rnnt:
+            state.rnnt_states = rnnt_init_state(head)
+        run(state, 0, 32)
+        if ctx.settle_delay() > 0:
+            assert all(lc.pending.shape[0] > 0 for lc in state.layers)
+        if with_rnnt:
+            assert any(np.any(h != 0) for h in state.rnnt_states)
         path = str(tmp_path / "state.bin")
         state.save(path)
         resumed = StreamState.load(path)
@@ -153,12 +193,9 @@ class TestStreamStateSerialization:
         resumed.save(path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
 
-        for st in (state, resumed):
-            outs = list(outs_a)
-            for i in range(32, 64, step):
-                o, _ = encode_step(mel[i : i + step], st, w, cfg)
-                outs.append(o)
-            if st is state:
-                reference = np.concatenate(outs)
-            else:
-                assert np.array_equal(np.concatenate(outs), reference)
+        ref_out, ref_toks = run(state, 32, 64)
+        got_out, got_toks = run(resumed, 32, 64)
+        assert np.array_equal(got_out, ref_out)
+        assert got_toks == ref_toks
+        for a, b in zip(resumed.rnnt_states, state.rnnt_states, strict=True):
+            assert np.array_equal(a, b)

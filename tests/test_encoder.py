@@ -8,7 +8,6 @@ from streamasr import (
     encode_step,
     init_encoder_weights,
     init_state,
-    masked_softmax,
 )
 from streamasr.encoder import (
     _attend,
@@ -20,7 +19,7 @@ from streamasr.errors import ChunkingError, ConfigError, SessionError
 from streamasr.ledger import ComputeLedger
 from streamasr.numerics import linear
 
-from helpers import random_mel, tiny_encoder_config
+from helpers import masked_softmax, random_mel, tiny_encoder_config
 
 REGIMES = [
     AttentionContext.zero(),
@@ -256,8 +255,8 @@ class TestEncodeStepContracts:
     def test_initial_caches(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), conv_kernel=5)
         state = init_state(cfg)
-        assert all(w == 0 for w in state.attn_widths())
-        assert all(w == 4 for w in state.conv_widths())
+        assert all(lc.attn.shape[0] == 0 for lc in state.layers)
+        assert all(lc.conv.shape[0] == 4 for lc in state.layers)
         assert all(np.all(lc.conv == 0.0) for lc in state.layers)
 
     def test_non_multiple_chunk_rejected(self):

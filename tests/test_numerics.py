@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from streamasr import Rng, depthwise_conv1d_causal, layer_norm, masked_softmax, matmul
+from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul
 from streamasr.errors import ConfigError, DegenerateMaskError, ShapeError
 from streamasr.numerics import glu, log_softmax, logsumexp, swish
 
-from helpers import matmul_triple_loop, softmax_rational
+from helpers import masked_softmax, matmul_triple_loop, softmax_rational
 
 
 class TestMatmul:

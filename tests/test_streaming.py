@@ -7,7 +7,6 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     StreamingSession,
-    count_macs,
     run_buffered,
     run_multi_lookahead,
     run_offline,
@@ -16,7 +15,7 @@ from streamasr import (
 from streamasr.errors import ConfigError, SessionError
 from streamasr.features import AudioBuffer
 
-from helpers import synth_audio, tiny_model
+from helpers import count_macs, synth_audio, tiny_model
 
 
 def transcripts_equal(a, b):
@@ -246,16 +245,7 @@ class TestMultiLookahead:
         audio = synth_audio(0.9, seed=63)
         results = run_multi_lookahead(audio, model, vocab, [2, 3, 6], decoder="ctc")
         for c, res in results.items():
-            enc_cfg = model.cfg.encoder.with_attention(AttentionContext.chunked(c, 1))
-            from dataclasses import replace
-
-            from streamasr.encoder import EncoderWeights
-
-            m2 = replace(
-                model,
-                cfg=replace(model.cfg, encoder=enc_cfg),
-                encoder=EncoderWeights(enc_cfg, model.encoder.tensors),
-            )
+            m2 = model.with_attention(AttentionContext.chunked(c, 1))
             off = run_offline(audio, m2, vocab, decoder="ctc")
             assert transcripts_equal(res.transcripts["ctc"], off.transcripts["ctc"])
 
@@ -288,6 +278,21 @@ class TestTranscriptFormat:
         waits = [t.emit_frame - t.first_frame for t in tr.tokens]
         if waits:
             assert tr.avg_latency_ms == sum(waits) / len(waits) * lm.token_ms
+
+    @pytest.mark.parametrize("mode", ["streaming", "offline", "buffered"])
+    def test_every_transcript_carries_the_whole_ledger(self, mode):
+        model, vocab = tiny_model(AttentionContext.chunked(3, 1), seed=70)
+        audio = synth_audio(2.0, seed=71)
+        if mode == "streaming":
+            res = run_streaming(audio, model, vocab, decoder="both")
+        elif mode == "offline":
+            res = run_offline(audio, model, vocab, decoder="both")
+        else:
+            res = run_buffered(audio, model, vocab, BufferedConfig(0.5, 1.0), decoder="both")
+        assert set(res.transcripts) == {"ctc", "rnnt"}
+        assert res.ledger.category_total("decoder") > 0
+        for tr in res.transcripts.values():
+            assert tr.macs == res.ledger.to_dict()
 
     def test_offline_latency_is_null(self):
         model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=68)

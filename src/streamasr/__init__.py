@@ -26,7 +26,6 @@ from .decoders import (
     HeadConfig,
     RnntHead,
     Vocab,
-    ctc_greedy_decode,
     ctc_logprobs,
     rnnt_greedy_decode,
     rnnt_init_state,
@@ -46,8 +45,6 @@ from .features import (
     FeatureConfig,
     MelFrames,
     StreamingFeatureExtractor,
-    dump_features,
-    load_features,
     log_mel,
     read_wav,
 )

@@ -24,36 +24,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import load_container, save_container
-from .context import CHUNK, AttentionContext
+from .context import AttentionContext
 from .errors import StateError
 
 STATE_VERSION = 1
 
 
-def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int | None:
+def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
     """Attention inputs a layer retains once its outputs before n_out are settled.
 
-    Every unsettled input stays, plus the settled inputs that queries from
-    n_out on can still reach: back to n_out - left_chunks*chunk for the chunk
-    regime, n_out - left_context otherwise. None means unlimited.
+    Every unsettled input stays, plus the settled inputs that a query from
+    n_out on can still reach: every key from the start of n_out's interval.
     """
-    keep = ctx.left_chunks * ctx.chunk if ctx.regime == CHUNK else ctx.left_context
-    if keep is None:
-        return None
-    return n_in - max(0, n_out - keep)
+    return n_in - ctx.attend_interval(n_out)[0]
 
 
 def attn_cache_update(
-    cache: np.ndarray, new_keys: np.ndarray, n_keep: int | None
+    cache: np.ndarray, new_keys: np.ndarray, n_keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append new attention inputs.
 
     Returns (window, new_cache): this step's key array cache||new_keys and
-    its newest n_keep rows (all of them for None), which seed the next step.
+    its newest n_keep rows, which seed the next step.
     """
     window = np.concatenate([cache, new_keys], axis=0)
-    if n_keep is None:
-        return window, window
     if not 0 <= n_keep <= window.shape[0]:
         raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row attention window")
     return window, window[window.shape[0] - n_keep :]

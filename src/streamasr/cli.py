@@ -156,7 +156,8 @@ def _resolve_context(args, model: HybridModel) -> HybridModel:
                     f"feasible: {[int(v) for v in feasible]}"
                 )
             a_dict["m"] = int(args.chunk_ms // per_m)
-            a_dict.setdefault("left_context", 16)
+            if a_dict.get("left_context") is None:
+                a_dict["left_context"] = 16
         elif a_dict["regime"] == "chunk":
             if args.chunk_ms % lm.token_ms != 0:
                 raise FeasibilityError(

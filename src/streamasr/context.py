@@ -7,7 +7,9 @@ Three regimes limit what a token may attend to:
   chunk    - everything in the token's own chunk of size `chunk` plus the
              previous `left_chunks` chunks; depth does not grow the look-ahead.
 
-All sizes are in post-downsampling tokens.
+All sizes are in post-downsampling tokens. This module is the only one that
+branches on the regime: the encoder, the caches and the session engine take
+every attention question to attend_interval or receptive_field_tokens.
 """
 
 from __future__ import annotations

@@ -138,11 +138,6 @@ class CtcIncrementalDecoder:
         return out
 
 
-def ctc_greedy_decode(logprobs: np.ndarray) -> list[int]:
-    """Collapse repeats, drop blanks."""
-    return [tok for tok, _ in CtcIncrementalDecoder().push(logprobs)]
-
-
 def rnnt_init_state(head: RnntHead) -> list[np.ndarray]:
     return [np.zeros(head.hc.d_pred, dtype=np.float32) for _ in range(head.hc.pred_layers)]
 

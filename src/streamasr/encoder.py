@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import context as ctx_mod
 from .cache import (
     LayerCache,
     StreamState,
@@ -40,7 +39,7 @@ from .cache import (
     conv_cache_apply_update,
     pending_update,
 )
-from .context import CHUNK, AttentionContext
+from .context import AttentionContext
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError
 from .features import MelFrames
 from .ledger import ComputeLedger
@@ -320,31 +319,21 @@ def _ffn_module(lw: dict, prefix: str, x: np.ndarray) -> np.ndarray:
 
 
 def query_groups(
-    ctx: AttentionContext | None, qpos: np.ndarray, avail_hi: int
+    ctx: AttentionContext, qpos: np.ndarray, avail_hi: int
 ) -> list[tuple[int, int, int, int]]:
-    """(row_lo, row_hi, key_lo, key_hi) runs of queries sharing one key interval.
+    """(row_lo, row_hi, key_lo, key_hi) runs of consecutive queries whose key
+    interval, clipped at avail_hi, is the same.
 
-    Chunk-regime queries in the same chunk share their interval; other regimes
-    get per-query intervals. ctx=None means unrestricted (full) attention.
+    Chunk-regime queries share an interval exactly when they share a chunk.
     """
-    n = qpos.shape[0]
-    if ctx is None:
-        return [(0, n - 1, 0, avail_hi)]
     groups: list[tuple[int, int, int, int]] = []
-    if ctx.regime == CHUNK:
-        r0 = 0
-        while r0 < n:
-            cid = qpos[r0] // ctx.chunk
-            r1 = r0
-            while r1 + 1 < n and qpos[r1 + 1] // ctx.chunk == cid:
-                r1 += 1
-            lo, hi = ctx.attend_interval(int(qpos[r0]))
-            groups.append((r0, r1, lo, min(hi, avail_hi)))
-            r0 = r1 + 1
-    else:
-        for r in range(n):
-            lo, hi = ctx.attend_interval(int(qpos[r]))
-            groups.append((r, r, lo, min(hi, avail_hi)))
+    for r in range(qpos.shape[0]):
+        lo, hi = ctx.attend_interval(int(qpos[r]))
+        hi = min(hi, avail_hi)
+        if groups and groups[-1][2:] == (lo, hi):
+            groups[-1] = (groups[-1][0], r, lo, hi)
+        else:
+            groups.append((r, r, lo, hi))
     return groups
 
 
@@ -418,7 +407,6 @@ def _layer_window(
     conv_hist: np.ndarray | None,
     n_settle: int,
     rec: ComputeLedger | None,
-    full_context: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one block over a query window; rows beyond n_settle are speculative.
 
@@ -428,7 +416,7 @@ def _layer_window(
     n_rows = x1_win.shape[0]
     end = key_base + key_ain.shape[0]
     qpos = np.arange(end - n_rows, end)
-    groups = query_groups(None if full_context else cfg.attention, qpos, end - 1)
+    groups = query_groups(cfg.attention, qpos, end - 1)
     q_ain = key_ain[key_ain.shape[0] - n_rows :]
     attn_out, pairs = _attend(cfg, lw, q_ain, qpos, key_ain, key_base, groups)
     x2 = x1_win + attn_out
@@ -468,7 +456,6 @@ def encode_full(
     w: EncoderWeights,
     cfg: EncoderConfig,
     rec: ComputeLedger | None = None,
-    full_context: bool = False,
 ) -> np.ndarray:
     """Whole-utterance forward pass; returns (n_tokens, d_model)."""
     frames = _as_frames(mel)
@@ -483,7 +470,7 @@ def encode_full(
     for i in range(cfg.n_layers):
         lw = w.layer(i)
         x1, ain = _layer_arrival(cfg, lw, x, rec)
-        x, _ = _layer_window(cfg, lw, x1, ain, 0, None, t, rec, full_context=full_context)
+        x, _ = _layer_window(cfg, lw, x1, ain, 0, None, t, rec)
     return x
 
 
@@ -514,9 +501,9 @@ def encode_step(
     """Consume one chunk of mel frames, return newly settled encoder tokens.
 
     Concatenating the outputs over a stream equals encode_full of the whole
-    input exactly. Non-final chunks must be whole downsampler groups, and for
-    the chunk regime whole attention chunks; the final chunk may be any
-    length (a trailing partial frame group yields no token).
+    input exactly. Non-final chunks must be whole downsampler groups, and a
+    multiple of the context's step_tokens() tokens; the final chunk may be
+    any length (a trailing partial frame group yields no token).
     """
     frames = _as_frames(chunk)
     if state.finished:
@@ -530,9 +517,10 @@ def encode_step(
         )
     n_new = (state.mel_seen + frames.shape[0]) // dr - state.tokens_in
     ctx = cfg.attention
-    if ctx.regime == CHUNK and not final and n_new % ctx.chunk != 0:
+    if not final and n_new % ctx.step_tokens() != 0:
         raise ChunkingError(
-            f"chunk regime expects multiples of {ctx.chunk} tokens per step, got {n_new}"
+            f"attention context expects multiples of {ctx.step_tokens()} tokens per step, "
+            f"got {n_new}"
         )
     if final:
         state.finished = True
@@ -568,15 +556,3 @@ def encode_step(
         new_x = out[:n_settle]
     state.tokens_emitted += new_x.shape[0]
     return new_x, state
-
-
-def receptive_field_frames(cfg: EncoderConfig, pos: int, total_tokens: int, total_frames: int):
-    return ctx_mod.receptive_field_frames(
-        cfg.attention,
-        cfg.n_layers,
-        cfg.conv_kernel,
-        cfg.downsampling_rate,
-        pos,
-        total_tokens,
-        total_frames,
-    )

@@ -8,7 +8,6 @@ between pushes) are bit-identical to features of the whole recording.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -175,9 +174,6 @@ class StreamingFeatureExtractor:
         self._pending = buf[n_frames * shift :]
         return out
 
-    def reset(self) -> None:
-        self._pending = np.zeros(0, dtype=np.int16)
-
 
 def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> MelFrames:
     """Log-mel energies of a whole recording; ln(power + 1e-10), no normalization."""
@@ -190,25 +186,3 @@ def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> MelFrames:
     frames = ext.push(audio.samples)
     return MelFrames(frame_shift_ms=cfg.frame_shift_ms, n_mels=cfg.n_mels, frames=frames)
 
-
-def dump_features(mel: MelFrames, path: str) -> None:
-    """Raw little-endian float32 dump, time-major, with a JSON sidecar."""
-    mel.frames.astype("<f4").tofile(path)
-    sidecar = {
-        "n_mels": mel.n_mels,
-        "frame_shift_ms": mel.frame_shift_ms,
-        "n_frames": mel.n_frames,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, sort_keys=True)
-
-
-def load_features(path: str) -> MelFrames:
-    with open(path + ".json", "r", encoding="utf-8") as f:
-        sidecar = json.load(f)
-    frames = np.fromfile(path, dtype="<f4").reshape(sidecar["n_frames"], sidecar["n_mels"])
-    return MelFrames(
-        frame_shift_ms=sidecar["frame_shift_ms"],
-        n_mels=sidecar["n_mels"],
-        frames=frames.astype(np.float32),
-    )

@@ -86,7 +86,6 @@ class HybridModel:
     encoder: EncoderWeights
     ctc: CtcHead
     rnnt: RnntHead
-    tensor_order: list[str] = field(default_factory=list)
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def with_attention(self, ctx: AttentionContext) -> "HybridModel":
@@ -108,7 +107,7 @@ def _full_spec(cfg: ModelConfig):
     )
 
 
-def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray], order: list[str]) -> HybridModel:
+def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> HybridModel:
     hc = cfg.head_config()
     enc_tensors = {n[len("enc.") :]: v for n, v in tensors.items() if n.startswith("enc.")}
     rnnt_tensors = {n: v for n, v in tensors.items() if n.startswith("rnnt.")}
@@ -117,21 +116,18 @@ def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray], order: list[str]
         encoder=EncoderWeights(cfg.encoder, enc_tensors),
         ctc=CtcHead(hc, tensors["ctc.w"], tensors["ctc.b"]),
         rnnt=RnntHead(hc, rnnt_tensors),
-        tensor_order=order,
         tensors=tensors,
     )
 
 
 def init_model(cfg: ModelConfig, seed: int) -> HybridModel:
     """Deterministic random initialization: one PRNG stream over all tensors."""
-    spec = _full_spec(cfg)
-    tensors = init_tensors(spec, Rng(seed))
-    return _assemble(cfg, tensors, [n for n, _, _ in spec])
+    return _assemble(cfg, init_tensors(_full_spec(cfg), Rng(seed)))
 
 
 def save_model(model: HybridModel, path: str) -> None:
     header = {"kind": "hybrid_model", "version": MODEL_VERSION, "config": model.cfg.to_dict()}
-    save_container(path, header, [(n, model.tensors[n]) for n in model.tensor_order])
+    save_container(path, header, [(n, model.tensors[n]) for n, _, _ in _full_spec(model.cfg)])
 
 
 def load_model(path: str) -> HybridModel:
@@ -141,5 +137,4 @@ def load_model(path: str) -> HybridModel:
     if header.get("version") != MODEL_VERSION:
         raise ConfigError(f"unsupported model version {header.get('version')}")
     cfg = ModelConfig.from_dict(header["config"])
-    order = [n for n, _, _ in _full_spec(cfg)]
-    return _assemble(cfg, tensors, order)
+    return _assemble(cfg, tensors)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .context import CHUNK, REGULAR, ZERO, AttentionContext, LatencyModel
+from .context import AttentionContext, LatencyModel, receptive_field_tokens
 from .decoders import (
     CtcIncrementalDecoder,
     Vocab,
@@ -97,15 +97,6 @@ class BufferedConfig:
             raise ConfigError("buffer must be at least as long as the chunk")
 
 
-def _emit_frame(ctx: AttentionContext, n_layers: int, frame: int, total: int) -> int:
-    if ctx.regime == ZERO:
-        return frame
-    if ctx.regime == REGULAR:
-        return min(frame + ctx.m * n_layers, total - 1)
-    start = (frame // ctx.chunk) * ctx.chunk
-    return min(start + ctx.chunk - 1, total - 1)
-
-
 def _result(
     mode: str,
     raw: dict[str, list[tuple[int, int]]],
@@ -177,10 +168,10 @@ class StreamingSession:
         else:
             if step_tokens < 1:
                 raise ConfigError("step_tokens must be >= 1")
-            if ctx.regime == CHUNK and step_tokens % ctx.chunk != 0:
+            if step_tokens % ctx.step_tokens() != 0:
                 raise ConfigError(
-                    f"step_tokens {step_tokens} must be a multiple of the chunk "
-                    f"size {ctx.chunk}"
+                    f"step_tokens {step_tokens} must be a multiple of the attention "
+                    f"context's step of {ctx.step_tokens()} tokens"
                 )
             self._step_tokens = step_tokens
         self._max_symbols = max_symbols_per_frame
@@ -233,7 +224,9 @@ class StreamingSession:
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
         return _result(
             "streaming", self._raw_tokens, self.vocab, self.ledger,
-            lambda f: _emit_frame(enc.attention, enc.n_layers, f, total),
+            lambda f: receptive_field_tokens(
+                enc.attention, enc.n_layers, enc.conv_kernel, f, total
+            )[1],
             self.model.cfg.latency_model(),
         )
 
@@ -327,7 +320,9 @@ def run_buffered(
         b1 = min(total - 1, c1 + right)
         step = ledger.new_step()
         window = mel.frames[b0 * dr : (b1 + 1) * dr]
-        enc = encode_full(window, model.encoder, cfg, rec=ledger, full_context=True)
+        # one chunk spanning the window: every query sees every key
+        full = cfg.with_attention(AttentionContext.chunked(b1 - b0 + 1, 0))
+        enc = encode_full(window, model.encoder, full, rec=ledger)
         step.duplicate += step.total - _central_window_macs(cfg, b1 - b0 + 1, c1 - c0 + 1)
         central = enc[c0 - b0 : c1 - b0 + 1]
         if "ctc" in names:
@@ -362,7 +357,7 @@ def run_multi_lookahead(
     cfg = model.cfg.encoder
     base = cfg.attention
     lc = left_chunks if left_chunks is not None else (
-        base.left_chunks if base.regime == CHUNK else 1
+        base.left_chunks if base.regime == "chunk" else 1
     )
     out = {}
     for c in chunk_sizes:

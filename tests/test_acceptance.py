@@ -27,6 +27,7 @@ from streamasr import (
     init_state,
     latency_ms,
     log_mel,
+    receptive_field_frames,
     rnnt_greedy_decode,
     rnnt_loss,
     rnnt_loss_fastemit,
@@ -34,7 +35,6 @@ from streamasr import (
     run_offline,
     run_streaming,
 )
-from streamasr.encoder import receptive_field_frames
 from streamasr.ledger import ComputeLedger
 from streamasr.numerics import log_softmax
 
@@ -330,7 +330,8 @@ class TestCriterion6ReceptiveFieldExactness:
         mel = rng.standard_normal((total_frames, cfg.n_mels)).astype(np.float32)
         base = encode_full(mel, w, cfg)
         fields = [
-            receptive_field_frames(cfg, t, total_tokens, total_frames)
+            receptive_field_frames(ctx, cfg.n_layers, cfg.conv_kernel, dr, t, total_tokens,
+                                   total_frames)
             for t in range(total_tokens)
         ]
         for f in range(total_frames):

@@ -156,6 +156,18 @@ class TestTranscribe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "streaming"
 
+    def test_regular_chunk_ms_defaults_left_context(self, workspace, capsys):
+        # a default model is chunk-regime, so it carries no left_context to reuse
+        tmp_path, _, vocab_path, wav_path = workspace
+        model_path = str(tmp_path / "default.bin")
+        assert main(["init-model", "--vocab", vocab_path, "--seed", "3",
+                     "--out", model_path]) == 0
+        capsys.readouterr()
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path, "--regime", "regular", "--chunk-ms", "80"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "streaming"
+
     def test_output_file_byte_stable(self, workspace):
         tmp_path, config_path, vocab_path, wav_path = workspace
         model_path = init_model_file(tmp_path, config_path, vocab_path)

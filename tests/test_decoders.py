@@ -4,7 +4,6 @@ import pytest
 from streamasr import (
     CtcIncrementalDecoder,
     Vocab,
-    ctc_greedy_decode,
     ctc_logprobs,
     rnnt_greedy_decode,
     rnnt_init_state,
@@ -63,12 +62,12 @@ class TestCtc:
         grid[0, 1] = grid[1, 1] = 0.0
         grid[2, 0] = 0.0
         grid[3, 2] = 0.0
-        assert ctc_greedy_decode(grid) == [1, 2]
+        assert [k for k, _ in CtcIncrementalDecoder().push(grid)] == [1, 2]
 
     def test_all_blank_empty(self):
         grid = np.zeros((6, 4))
         grid[:, 0] = 5.0
-        assert ctc_greedy_decode(grid) == []
+        assert CtcIncrementalDecoder().push(grid) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_best_path(self, seed):
@@ -81,7 +80,7 @@ class TestCtc:
             if p != prev and p != 0:
                 collapsed.append(p)
             prev = p
-        assert ctc_greedy_decode(grid) == collapsed
+        assert [k for k, _ in CtcIncrementalDecoder().push(grid)] == collapsed
 
     def test_incremental_equals_whole(self):
         rng = np.random.default_rng(7)

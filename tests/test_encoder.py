@@ -8,13 +8,9 @@ from streamasr import (
     encode_step,
     init_encoder_weights,
     init_state,
-)
-from streamasr.encoder import (
-    _attend,
-    downsample_segment,
-    query_groups,
     receptive_field_frames,
 )
+from streamasr.encoder import _attend, downsample_segment, query_groups
 from streamasr.errors import ChunkingError, ConfigError, SessionError
 from streamasr.ledger import ComputeLedger
 from streamasr.numerics import linear
@@ -155,7 +151,8 @@ class TestReceptiveField:
         mel = random_mel(total_frames, cfg.n_mels, seed=22)
         base = encode_full(mel, w, cfg)
         fields = [
-            receptive_field_frames(cfg, t, total_tokens, total_frames)
+            receptive_field_frames(ctx, cfg.n_layers, cfg.conv_kernel, cfg.downsampling_rate,
+                                   t, total_tokens, total_frames)
             for t in range(total_tokens)
         ]
         for f in range(total_frames):
@@ -170,7 +167,8 @@ class TestReceptiveField:
 
 
 class TestAttentionInternals:
-    @pytest.mark.parametrize("ctx", REGIMES)
+    # chunked(12, 0) over 12 tokens is one chunk: the buffered baseline's full context
+    @pytest.mark.parametrize("ctx", REGIMES + [AttentionContext.chunked(12, 0)])
     def test_attend_matches_masked_softmax_reference(self, ctx):
         cfg = tiny_encoder_config(ctx)
         w = init_encoder_weights(cfg, seed=23)
@@ -202,6 +200,20 @@ class TestAttentionInternals:
             ).astype(np.float32)
         ref = linear(ref_ctx, lw["attn.wo"], lw["attn.bo"])
         assert np.abs(out - ref).max() < 1e-4
+
+    @pytest.mark.parametrize("ctx", REGIMES)
+    @pytest.mark.parametrize("q0,n", [(0, 12), (5, 1), (5, 9), (11, 6)])
+    def test_query_groups_follow_the_mask(self, ctx, q0, n):
+        qpos = np.arange(q0, q0 + n)
+        groups = query_groups(ctx, qpos, q0 + n - 1)
+        rows = [r for r0, r1, _, _ in groups for r in range(r0, r1 + 1)]
+        assert rows == list(range(n))
+        mask = build_mask(ctx, n, query_offset=q0)
+        for r0, r1, lo, hi in groups:
+            for r in range(r0, r1 + 1):
+                assert np.array_equal(np.flatnonzero(mask[r]), np.arange(lo, hi + 1))
+        for a, b in zip(groups, groups[1:]):
+            assert a[2:] != b[2:]
 
     def test_cached_keys_reproduce_full_sequence_rows_exactly(self):
         # attention over cache||chunk with chunk queries equals full-sequence

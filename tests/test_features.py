@@ -7,8 +7,6 @@ from streamasr import (
     AudioBuffer,
     FeatureConfig,
     StreamingFeatureExtractor,
-    dump_features,
-    load_features,
     log_mel,
     read_wav,
 )
@@ -117,15 +115,3 @@ class TestLogMel:
         mel_a = log_mel(a)
         mel_loud = log_mel(loud)
         assert np.array_equal(mel_loud.frames[: mel_a.n_frames], mel_a.frames)
-
-
-def test_feature_dump_roundtrip(tmp_path):
-    mel = log_mel(synth_audio(0.4, seed=5))
-    path = str(tmp_path / "feats.f32")
-    dump_features(mel, path)
-    back = load_features(path)
-    assert back.n_mels == mel.n_mels
-    assert back.frame_shift_ms == mel.frame_shift_ms
-    assert np.array_equal(back.frames, mel.frames)
-    raw = np.fromfile(path, dtype="<f4")
-    assert raw.size == mel.n_frames * mel.n_mels

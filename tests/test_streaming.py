@@ -7,6 +7,7 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     StreamingSession,
+    log_mel,
     run_buffered,
     run_multi_lookahead,
     run_offline,
@@ -83,6 +84,14 @@ class TestStreamingVsOffline:
             s.finish()
         with pytest.raises(SessionError):
             s.feed(np.zeros(100, np.int16))
+
+    def test_step_tokens_must_be_a_context_step_multiple(self):
+        model, vocab = tiny_model(AttentionContext.chunked(3, 1), seed=38)
+        with pytest.raises(ConfigError):
+            StreamingSession(model, vocab, step_tokens=4)
+        StreamingSession(model, vocab, step_tokens=6)
+        model, vocab = tiny_model(AttentionContext.regular(1, 3), seed=38)
+        StreamingSession(model, vocab, step_tokens=4)
 
 
 class TestLedgerEquality:
@@ -263,21 +272,30 @@ class TestTranscriptFormat:
             assert set(tok) == {"text", "first_frame", "emit_frame"}
         assert isinstance(payload["avg_latency_ms"], float)
 
-    def test_chunk_emit_frames_and_latency(self):
-        ctx = AttentionContext.chunked(4, 1)
-        model, vocab = tiny_model(ctx, seed=66)
+    @pytest.mark.parametrize(
+        "ctx",
+        [AttentionContext.chunked(4, 1), AttentionContext.regular(2, 4), AttentionContext.zero()],
+        ids=["chunk", "regular", "zero"],
+    )
+    def test_emit_frames_and_latency(self, ctx):
+        model, vocab = tiny_model(ctx, seed=70)
         audio = synth_audio(1.0, seed=67)
         res = run_streaming(audio, model, vocab, decoder="ctc")
         tr = res.transcripts["ctc"]
-        total = model.cfg.encoder.downsampling_rate
+        assert tr.tokens
+        enc = model.cfg.encoder
+        total = log_mel(audio).n_frames // enc.downsampling_rate
         for tok in tr.tokens:
-            start = (tok.first_frame // 4) * 4
-            assert tok.emit_frame >= tok.first_frame
-            assert tok.emit_frame <= start + 3
+            f = tok.first_frame
+            if ctx.regime == "chunk":
+                assert f <= tok.emit_frame <= (f // 4) * 4 + 3
+            elif ctx.regime == "regular":
+                assert tok.emit_frame == min(f + ctx.m * enc.n_layers, total - 1)
+            else:
+                assert tok.emit_frame == f
         lm = model.cfg.latency_model()
         waits = [t.emit_frame - t.first_frame for t in tr.tokens]
-        if waits:
-            assert tr.avg_latency_ms == sum(waits) / len(waits) * lm.token_ms
+        assert tr.avg_latency_ms == sum(waits) / len(waits) * lm.token_ms
 
     @pytest.mark.parametrize("mode", ["streaming", "offline", "buffered"])
     def test_every_transcript_carries_the_whole_ledger(self, mode):

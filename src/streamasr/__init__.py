@@ -51,7 +51,7 @@ from .features import (
 from .ledger import ComputeLedger, StepMacs
 from .losses import ctc_loss, hybrid_loss, rnnt_loss, rnnt_loss_fastemit
 from .metrics import WerBreakdown, eil, wer
-from .model import HybridModel, ModelConfig, init_model, load_model, save_model
+from .model import HybridModel, ModelConfig, config_from_dict, init_model, load_model, save_model
 from .numerics import (
     Rng,
     depthwise_conv1d_causal,

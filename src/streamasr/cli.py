@@ -11,11 +11,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .context import AttentionContext, feasible_regular_latencies
+from .context import CHUNK, REGULAR, feasible_regular_latencies
 from .decoders import Vocab
-from .encoder import EncoderConfig
 from .errors import (
     ConfigError,
     FeasibilityError,
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .features import read_wav
 from .metrics import wer
-from .model import HybridModel, ModelConfig, init_model, load_model, save_model
+from .model import HybridModel, ModelConfig, config_from_dict, init_model, load_model, save_model
 from .streaming import (
     BufferedConfig,
     run_buffered,
@@ -33,145 +32,96 @@ from .streaming import (
 )
 
 
-@dataclass
-class RunManifest:
-    """Validated file inputs for a run."""
-
-    model_path: str
-    vocab_path: str
-    wav_path: str | None = None
-
-    def __post_init__(self):
-        for p in (self.model_path, self.vocab_path, self.wav_path):
-            if p is not None and not os.path.exists(p):
-                raise InputFileError(f"missing file: {p}")
-
-    def load(self) -> tuple[HybridModel, Vocab]:
-        model = load_model(self.model_path)
-        vocab = Vocab.load(self.vocab_path)
-        if vocab.size != model.cfg.vocab_size:
-            raise ConfigError(
-                f"vocab has {vocab.size} tokens, model expects {model.cfg.vocab_size}"
-            )
-        return model, vocab
+def _load_model_and_vocab(model_path: str, vocab_path: str) -> tuple[HybridModel, Vocab]:
+    model = load_model(model_path)
+    vocab = Vocab.load(vocab_path)
+    if vocab.size != model.cfg.vocab_size:
+        raise ConfigError(
+            f"vocab has {vocab.size} tokens, model expects {model.cfg.vocab_size}"
+        )
+    return model, vocab
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None) -> object:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise InputFileError(f"missing config: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-        except json.JSONDecodeError as ex:
-            raise ConfigError(f"config {path} is not valid JSON: {ex}") from ex
+    except OSError as ex:
+        raise InputFileError(f"cannot read config {path}: {ex}") from ex
+    except (UnicodeDecodeError, json.JSONDecodeError) as ex:
+        raise ConfigError(f"config {path} is not valid JSON: {ex}") from ex
 
 
-def _attention_from_args(args, base: dict | None) -> dict:
-    a = dict(base or {"regime": "chunk", "chunk": 4, "left_chunks": 1})
-    if args.regime:
-        a["regime"] = args.regime
-    if args.chunk_tokens is not None:
-        a["chunk"] = args.chunk_tokens
-    if args.left_chunks is not None:
-        a["left_chunks"] = args.left_chunks
-    if args.lookahead_m is not None:
-        a["m"] = args.lookahead_m
-    if args.left_context is not None:
-        a["left_context"] = args.left_context
-    return a
+def _overlay(what: str, raw, flags: dict, defaults: dict | None = None) -> dict:
+    """The given flags over the config object `raw`, over `defaults`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the {what} config must be a JSON object, got {raw!r}")
+    return {**(defaults or {}), **raw, **{k: v for k, v in flags.items() if v is not None}}
+
+
+def _context_flags(args) -> dict:
+    """The attention flags that were given, keyed by AttentionContext field."""
+    flags = {"regime": args.regime, "chunk": args.chunk_tokens, "left_chunks": args.left_chunks,
+             "m": args.lookahead_m, "left_context": args.left_context}
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+# init-model's defaults for the fields EncoderConfig requires, and for attention.
+_INIT_ENCODER = {"n_layers": 2, "d_model": 32, "n_heads": 4, "conv_kernel": 3,
+                 "downsampling_rate": 4}
+_INIT_ATTENTION = {"regime": CHUNK, "chunk": 4, "left_chunks": 1}
 
 
 def cmd_init_model(args) -> int:
-    raw = _load_config(args.config)
-    enc = dict(raw.get("encoder", {}))
-    for flag, key in (
-        ("n_layers", "n_layers"),
-        ("d_model", "d_model"),
-        ("n_heads", "n_heads"),
-        ("conv_kernel", "conv_kernel"),
-        ("downsampling_rate", "downsampling_rate"),
-    ):
-        v = getattr(args, flag)
-        if v is not None:
-            enc[key] = v
-    enc.setdefault("n_layers", 2)
-    enc.setdefault("d_model", 32)
-    enc.setdefault("n_heads", 4)
-    enc.setdefault("conv_kernel", 3)
-    enc.setdefault("downsampling_rate", 4)
-    enc["attention"] = _attention_from_args(args, enc.get("attention"))
-    if args.vocab:
-        vocab_size = Vocab.load(args.vocab).size
-    elif args.vocab_size:
-        vocab_size = args.vocab_size
-    elif "vocab_size" in raw:
-        vocab_size = raw["vocab_size"]
-    else:
-        raise ConfigError("provide --vocab, --vocab-size or a vocab_size config field")
-    cfg = ModelConfig(
-        encoder=EncoderConfig.from_dict(enc),
-        vocab_size=vocab_size,
-        d_pred=args.d_pred or raw.get("d_pred", 64),
-        pred_layers=raw.get("pred_layers", 1),
-        d_joint=raw.get("d_joint", 64),
-        hybrid_alpha=args.alpha if args.alpha is not None else raw.get("hybrid_alpha", 0.3),
-        fastemit_lambda=(
-            args.fastemit_lambda
-            if args.fastemit_lambda is not None
-            else raw.get("fastemit_lambda", 0.005)
-        ),
-        frame_shift_ms=raw.get("frame_shift_ms", 10.0),
-    )
-    model = init_model(cfg, args.seed)
+    vocab_size = Vocab.load(args.vocab).size if args.vocab else args.vocab_size
+    raw = _overlay("model", _load_config(args.config), {
+        "vocab_size": vocab_size, "d_pred": args.d_pred, "hybrid_alpha": args.alpha,
+        "fastemit_lambda": args.fastemit_lambda})
+    enc = raw["encoder"] = _overlay("encoder", raw.get("encoder", {}),
+                                    {k: getattr(args, k) for k in _INIT_ENCODER}, _INIT_ENCODER)
+    enc["attention"] = _overlay("attention", enc.get("attention", _INIT_ATTENTION),
+                                _context_flags(args))
+    model = init_model(config_from_dict(ModelConfig, raw), args.seed)
     save_model(model, args.out)
     print(args.out)
     return 0
 
 
-def _resolve_context(args, model: HybridModel) -> HybridModel:
-    cfg = model.cfg.encoder
-    override = any(
-        v is not None
-        for v in (args.regime, args.chunk_tokens, args.left_chunks, args.lookahead_m,
-                  args.left_context, args.chunk_ms)
-    )
-    if not override:
+def _resolve_context(model: HybridModel, flags: dict, chunk_ms: int | None) -> HybridModel:
+    """The model under its own attention context with the given fields replaced.
+
+    `chunk_ms` sets the regular look-ahead m or the chunk size, and a regular
+    context without a left_context gets 16.
+    """
+    if not flags and chunk_ms is None:
         return model
-    a = cfg.attention
-    base = {
-        "regime": a.regime, "m": a.m, "left_context": a.left_context,
-        "chunk": a.chunk, "left_chunks": a.left_chunks,
-    }
-    a_dict = _attention_from_args(args, base)
-    if args.chunk_ms is not None:
+    ctx = model.cfg.encoder.attention
+    flags = dict(flags)
+    regime = flags.get("regime", ctx.regime)
+    if chunk_ms is not None:
         lm = model.cfg.latency_model()
-        if a_dict["regime"] == "regular":
+        if regime == REGULAR:
             per_m = lm.n_layers * lm.token_ms
-            if args.chunk_ms % per_m != 0:
+            if chunk_ms % per_m != 0:
                 feasible = feasible_regular_latencies(lm, m_max=8)
                 raise FeasibilityError(
-                    f"{args.chunk_ms} ms is not reachable with regular look-ahead; "
+                    f"{chunk_ms} ms is not reachable with regular look-ahead; "
                     f"feasible: {[int(v) for v in feasible]}"
                 )
-            a_dict["m"] = int(args.chunk_ms // per_m)
-            if a_dict.get("left_context") is None:
-                a_dict["left_context"] = 16
-        elif a_dict["regime"] == "chunk":
-            if args.chunk_ms % lm.token_ms != 0:
+            flags["m"] = int(chunk_ms // per_m)
+        elif regime == CHUNK:
+            if chunk_ms % lm.token_ms != 0:
                 raise FeasibilityError(
-                    f"{args.chunk_ms} ms is not a multiple of the {lm.token_ms} ms token"
+                    f"{chunk_ms} ms is not a multiple of the {lm.token_ms} ms token"
                 )
-            a_dict["chunk"] = int(args.chunk_ms // lm.token_ms)
+            flags["chunk"] = int(chunk_ms // lm.token_ms)
         else:
             raise FeasibilityError("--chunk-ms applies to the regular and chunk regimes")
-    ctx = AttentionContext(
-        regime=a_dict["regime"], m=a_dict.get("m", 0),
-        left_context=a_dict.get("left_context"),
-        chunk=a_dict.get("chunk", 1), left_chunks=a_dict.get("left_chunks", 0),
-    )
-    return model.with_attention(ctx)
+    if regime == REGULAR and flags.get("left_context", ctx.left_context) is None:
+        flags["left_context"] = 16
+    return model.with_attention(replace(ctx, **flags))
 
 
 def _run_mode(mode: str, audio, model, vocab, decoder: str, args):
@@ -188,9 +138,8 @@ def _run_mode(mode: str, audio, model, vocab, decoder: str, args):
 
 
 def cmd_transcribe(args) -> int:
-    manifest = RunManifest(args.model, args.vocab, args.wav)
-    model, vocab = manifest.load()
-    model = _resolve_context(args, model)
+    model, vocab = _load_model_and_vocab(args.model, args.vocab)
+    model = _resolve_context(model, _context_flags(args), args.chunk_ms)
     audio = read_wav(args.wav)
     result = _run_mode(args.mode, audio, model, vocab, args.decoder, args)
     payload = result.transcripts[args.decoder].to_json()
@@ -207,8 +156,7 @@ _COMPARE_COLUMNS = ("mode", "decoder", "wer_percent", "avg_latency_ms",
 
 
 def cmd_compare(args) -> int:
-    manifest = RunManifest(args.model, args.vocab, args.wav)
-    model, vocab = manifest.load()
+    model, vocab = _load_model_and_vocab(args.model, args.vocab)
     audio = read_wav(args.wav)
     reference = args.reference
     if args.reference_file:
@@ -219,12 +167,8 @@ def cmd_compare(args) -> int:
     for mode in args.modes.split(","):
         mode = mode.strip()
         if mode in ("zero", "regular", "chunk"):
-            ns = argparse.Namespace(
-                regime=mode, chunk_tokens=args.chunk_tokens, left_chunks=args.left_chunks,
-                lookahead_m=args.lookahead_m, left_context=args.left_context,
-                chunk_ms=args.chunk_ms,
-            )
-            run_model = _resolve_context(ns, model)
+            flags = {**_context_flags(args), "regime": mode}
+            run_model = _resolve_context(model, flags, args.chunk_ms)
             result = run_streaming(audio, run_model, vocab, decoder=args.decoder)
         else:
             result = _run_mode(mode, audio, model, vocab, args.decoder, args)

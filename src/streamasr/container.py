@@ -62,14 +62,19 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as ex:
         raise FormatError(f"{path}: corrupt header: {ex}") from ex
+    if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
+        raise FormatError(f"{path}: header is not a JSON object with a tensor list")
     body = raw[12 + hlen :]
     tensors = {}
     for ent in header.pop("tensors", []):
-        dt = np.dtype(_DTYPES[ent["dtype"]])
-        n = int(np.prod(ent["shape"])) if ent["shape"] else 1
-        start = ent["offset"]
-        chunk = body[start : start + n * dt.itemsize]
-        if len(chunk) != n * dt.itemsize:
-            raise FormatError(f"{path}: truncated tensor {ent['name']}")
-        tensors[ent["name"]] = np.frombuffer(chunk, dtype=dt).reshape(ent["shape"]).copy()
+        try:
+            dt = np.dtype(_DTYPES[ent["dtype"]])
+            n = int(np.prod(ent["shape"])) if ent["shape"] else 1
+            start = ent["offset"]
+            chunk = body[start : start + n * dt.itemsize]
+            if len(chunk) != n * dt.itemsize:
+                raise FormatError(f"{path}: truncated tensor {ent['name']}")
+            tensors[ent["name"]] = np.frombuffer(chunk, dtype=dt).reshape(ent["shape"]).copy()
+        except (KeyError, TypeError, ValueError) as ex:
+            raise FormatError(f"{path}: bad tensor index entry {ent!r}: {ex!r}") from ex
     return header, tensors

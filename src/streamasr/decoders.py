@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, FormatError
+from .errors import ArgumentError, ConfigError, FormatError, InputFileError
 from .ledger import ComputeLedger
 from .numerics import linear, log_softmax
 
@@ -44,8 +44,13 @@ class Vocab:
 
     @staticmethod
     def load(path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n") != ""]
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                tokens = [line.rstrip("\n") for line in f if line.rstrip("\n") != ""]
+        except OSError as ex:
+            raise InputFileError(f"cannot read {path}: {ex}") from ex
+        except UnicodeDecodeError as ex:
+            raise FormatError(f"{path}: vocab is not UTF-8: {ex}") from ex
         return Vocab(tokens)
 
     @staticmethod

@@ -69,8 +69,8 @@ class EncoderConfig:
     bias_future: int | None = None
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
+        if min(self.n_layers, self.d_model, self.n_heads) < 1:
+            raise ConfigError("n_layers, d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.conv_kernel < 1:
@@ -86,6 +86,8 @@ class EncoderConfig:
             object.__setattr__(self, "bias_past", self.attention.past_span())
         if self.bias_future is None:
             object.__setattr__(self, "bias_future", self.attention.future_span())
+        if min(self.bias_past, self.bias_future) < 0:
+            raise ConfigError("bias_past and bias_future must be >= 0")
 
     @property
     def d_head(self) -> int:
@@ -108,52 +110,7 @@ class EncoderConfig:
 
     def with_attention(self, attention: AttentionContext) -> "EncoderConfig":
         """Same weights-compatible config under a different mask (bias spans kept)."""
-        return replace(
-            self, attention=attention, bias_past=self.bias_past, bias_future=self.bias_future
-        )
-
-    def to_dict(self) -> dict:
-        a = self.attention
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "conv_kernel": self.conv_kernel,
-            "downsampling_rate": self.downsampling_rate,
-            "ffn_expansion": self.ffn_expansion,
-            "n_mels": self.n_mels,
-            "bias_past": self.bias_past,
-            "bias_future": self.bias_future,
-            "attention": {
-                "regime": a.regime,
-                "m": a.m,
-                "left_context": a.left_context,
-                "chunk": a.chunk,
-                "left_chunks": a.left_chunks,
-            },
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderConfig":
-        a = d["attention"]
-        return EncoderConfig(
-            n_layers=d["n_layers"],
-            d_model=d["d_model"],
-            n_heads=d["n_heads"],
-            conv_kernel=d["conv_kernel"],
-            downsampling_rate=d["downsampling_rate"],
-            ffn_expansion=d.get("ffn_expansion", 4),
-            n_mels=d.get("n_mels", 80),
-            bias_past=d.get("bias_past"),
-            bias_future=d.get("bias_future"),
-            attention=AttentionContext(
-                regime=a["regime"],
-                m=a.get("m", 0),
-                left_context=a.get("left_context"),
-                chunk=a.get("chunk", 1),
-                left_chunks=a.get("left_chunks", 0),
-            ),
-        )
+        return replace(self, attention=attention)
 
 
 def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], object]]:
@@ -211,13 +168,6 @@ class EncoderWeights:
     def __init__(self, cfg: EncoderConfig, tensors: dict[str, np.ndarray]):
         self.cfg = cfg
         self.tensors = tensors
-        for name, shape, _ in encoder_weight_spec(cfg):
-            if name not in tensors:
-                raise ConfigError(f"missing tensor {name}")
-            if tuple(tensors[name].shape) != tuple(shape):
-                raise ConfigError(
-                    f"tensor {name} has shape {tensors[name].shape}, expected {shape}"
-                )
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
         p = f"layers.{i}."

@@ -7,7 +7,9 @@ order; the same seed always produces a byte-identical file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -54,31 +56,6 @@ class ModelConfig:
             n_layers=self.encoder.n_layers,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "vocab_size": self.vocab_size,
-            "d_pred": self.d_pred,
-            "pred_layers": self.pred_layers,
-            "d_joint": self.d_joint,
-            "hybrid_alpha": self.hybrid_alpha,
-            "fastemit_lambda": self.fastemit_lambda,
-            "frame_shift_ms": self.frame_shift_ms,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            encoder=EncoderConfig.from_dict(d["encoder"]),
-            vocab_size=d["vocab_size"],
-            d_pred=d.get("d_pred", 64),
-            pred_layers=d.get("pred_layers", 1),
-            d_joint=d.get("d_joint", 64),
-            hybrid_alpha=d.get("hybrid_alpha", 0.3),
-            fastemit_lambda=d.get("fastemit_lambda", 0.005),
-            frame_shift_ms=d.get("frame_shift_ms", 10.0),
-        )
-
 
 @dataclass
 class HybridModel:
@@ -89,13 +66,73 @@ class HybridModel:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def with_attention(self, ctx: AttentionContext) -> "HybridModel":
-        """The same weights under another attention mask (bias spans kept)."""
+        """The same weights under another attention mask (bias spans kept).
+
+        The bias table must reach the mask's furthest future offset; past
+        offsets beyond `bias_past` share the table's last past entry.
+        """
+        bias_future = self.cfg.encoder.bias_future
+        if ctx.future_span() > bias_future:
+            raise ConfigError(
+                f"the bias table reaches {bias_future} future tokens, the mask "
+                f"{ctx} needs {ctx.future_span()}"
+            )
         enc_cfg = self.cfg.encoder.with_attention(ctx)
         return replace(
             self,
             cfg=replace(self.cfg, encoder=enc_cfg),
             encoder=EncoderWeights(enc_cfg, self.encoder.tensors),
         )
+
+
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+@functools.cache
+def _config_fields(cls) -> dict[str, tuple[object, bool]]:
+    """Per field: its nested config class or its accepted types, and whether it is required."""
+    hints = typing.get_type_hints(cls)
+    spec = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        kind = tp if is_dataclass(tp) else typing.get_args(tp) or (tp,)
+        spec[f.name] = (kind, f.default is MISSING and f.default_factory is MISSING)
+    return spec
+
+
+def _accepts(tp: type, v) -> bool:
+    if isinstance(v, bool):
+        return tp is bool
+    return isinstance(v, (int, float) if tp is float else tp)
+
+
+def config_from_dict(cls, d):
+    """Decode the JSON object `d` into the config dataclass `cls`.
+
+    Nested config fields decode recursively, and an absent field takes its
+    dataclass default. Raises ConfigError on a non-object, an unknown key, a
+    missing required key or a value of the wrong JSON type (a bool is not an
+    int; an int is accepted for a float). The dataclass validates the rest.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {d!r}")
+    spec = _config_fields(cls)
+    unknown = sorted(set(d) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} config key(s): {', '.join(unknown)}")
+    missing = [name for name, (_, required) in spec.items() if required and name not in d]
+    if missing:
+        raise ConfigError(f"{cls.__name__} config is missing {', '.join(missing)}")
+    kwargs = {}
+    for name, v in d.items():
+        kind = spec[name][0]
+        if not isinstance(kind, tuple):
+            v = config_from_dict(kind, v)
+        elif not any(_accepts(tp, v) for tp in kind):
+            expected = " or ".join(_JSON_NAMES[tp] for tp in kind)
+            raise ConfigError(f"{cls.__name__}.{name} must be {expected}, got {v!r}")
+        kwargs[name] = v
+    return cls(**kwargs)
 
 
 def _full_spec(cfg: ModelConfig):
@@ -126,7 +163,7 @@ def init_model(cfg: ModelConfig, seed: int) -> HybridModel:
 
 
 def save_model(model: HybridModel, path: str) -> None:
-    header = {"kind": "hybrid_model", "version": MODEL_VERSION, "config": model.cfg.to_dict()}
+    header = {"kind": "hybrid_model", "version": MODEL_VERSION, "config": asdict(model.cfg)}
     save_container(path, header, [(n, model.tensors[n]) for n, _, _ in _full_spec(model.cfg)])
 
 
@@ -136,5 +173,8 @@ def load_model(path: str) -> HybridModel:
         raise FormatError(f"{path} is not a model file")
     if header.get("version") != MODEL_VERSION:
         raise ConfigError(f"unsupported model version {header.get('version')}")
-    cfg = ModelConfig.from_dict(header["config"])
+    cfg = config_from_dict(ModelConfig, header.get("config"))
+    for name, shape, _ in _full_spec(cfg):
+        if name not in tensors or tensors[name].shape != shape:
+            raise FormatError(f"{path}: tensor {name} missing or not of shape {shape}")
     return _assemble(cfg, tensors)

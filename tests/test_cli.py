@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import pytest
 
@@ -69,8 +70,6 @@ class TestInitModel:
         path = init_model_file(tmp_path, config_path, vocab_path)
         model = load_model(path)
         n_floats = sum(v.size for v in model.tensors.values())
-        import struct
-
         raw = open(path, "rb").read()
         (hlen,) = struct.unpack("<I", raw[8:12])
         assert len(raw) == 12 + hlen + 4 * n_floats
@@ -156,7 +155,9 @@ class TestTranscribe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "streaming"
 
-    def test_regular_chunk_ms_defaults_left_context(self, workspace, capsys):
+    @pytest.mark.parametrize("lookahead", [["--chunk-ms", "80"], ["--lookahead-m", "1"]],
+                             ids=["chunk-ms", "lookahead-m"])
+    def test_regular_chunk_ms_defaults_left_context(self, workspace, capsys, lookahead):
         # a default model is chunk-regime, so it carries no left_context to reuse
         tmp_path, _, vocab_path, wav_path = workspace
         model_path = str(tmp_path / "default.bin")
@@ -164,9 +165,21 @@ class TestTranscribe:
                      "--out", model_path]) == 0
         capsys.readouterr()
         rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
-                   "--wav", wav_path, "--regime", "regular", "--chunk-ms", "80"])
+                   "--wav", wav_path, "--regime", "regular", *lookahead])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "streaming"
+
+    def test_context_beyond_the_bias_table_is_config_error(self, workspace, capsys):
+        # a zero-regime model has no future bias entries for a chunk mask to use
+        tmp_path, _, vocab_path, wav_path = workspace
+        model_path = str(tmp_path / "zero.bin")
+        assert main(["init-model", "--vocab", vocab_path, "--seed", "3",
+                     "--regime", "zero", "--out", model_path]) == 0
+        capsys.readouterr()
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path, "--regime", "chunk"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:config:")
 
     def test_output_file_byte_stable(self, workspace):
         tmp_path, config_path, vocab_path, wav_path = workspace
@@ -199,3 +212,72 @@ class TestCompare:
         for r in lines[1:]:
             assert r.split("\t")[2] != "NA"  # reference given, wer computed
         out.encode("utf-8")  # valid utf-8
+
+
+def _set(keys, value):
+    def mutate(d):
+        for k in keys[:-1]:
+            d = d[k]
+        d[keys[-1]] = value
+    return mutate
+
+
+def _delete(keys):
+    def mutate(d):
+        for k in keys[:-1]:
+            d = d[k]
+        del d[keys[-1]]
+    return mutate
+
+
+class TestMalformedInputs:
+    """Every malformed model header or --config exits 1 with one error line."""
+
+    @pytest.mark.parametrize("mutate", [
+        _delete(["config"]),
+        _delete(["config", "encoder", "n_heads"]),
+        _set(["config", "encoder", "d_model"], "16"),
+        _set(["config", "encoder", "n_layers"], True),
+        _set(["config", "encoder", "attention"], "chunk"),
+        _set(["config", "encoder", "attention", "left_chunk"], 1),
+        _set(["config", "encoder", "n_heads"], 0),
+        _set(["tensors", 0, "dtype"], "f2"),
+        _delete(["tensors", -1]),
+        _set(["tensors"], 5),
+    ], ids=["no-config", "no-n_heads", "str-d_model", "bool-n_layers", "str-attention",
+            "typo-left_chunk", "zero-n_heads", "dtype-f2", "missing-tensor", "int-tensors"])
+    def test_model_header(self, workspace, capsys, mutate):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        raw = open(model_path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + hlen])
+        mutate(header)
+        hjson = json.dumps(header).encode("utf-8")
+        with open(model_path, "wb") as f:
+            f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(("error:config:", "error:format:"))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cfg: [cfg],
+        _set(["encoder", "d_model"], "16"),
+        _set(["encoder", "attention"], "chunk"),
+        _set(["encoder", "attention", "left_chunk"], 1),
+        _set(["d_joint"], 12.0),
+        _set(["encoder", "bias_past"], -1),
+    ], ids=["list", "str-d_model", "str-attention", "typo-left_chunk",
+            "float-d_joint", "negative-bias_past"])
+    def test_init_model_config(self, workspace, capsys, mutate):
+        tmp_path, config_path, vocab_path, _ = workspace
+        with open(config_path) as f:
+            cfg = json.load(f)
+        cfg = mutate(cfg) or cfg
+        with open(config_path, "w") as f:
+            json.dump(cfg, f)
+        rc = main(["init-model", "--config", config_path, "--vocab", vocab_path,
+                   "--out", str(tmp_path / "x.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:config:")

@@ -10,7 +10,7 @@ from streamasr import (
     rnnt_joint_log_probs,
 )
 from streamasr.decoders import rnnt_joint_logits, rnnt_pred_advance
-from streamasr.errors import ArgumentError, FormatError
+from streamasr.errors import ArgumentError, FormatError, InputFileError
 from streamasr.numerics import logsumexp
 
 from helpers import random_head
@@ -24,6 +24,16 @@ class TestVocab:
         back = Vocab.load(path)
         assert back.tokens == v.tokens
         assert back.blank_id == 0
+
+    def test_missing_file_is_file_error(self, tmp_path):
+        with pytest.raises(InputFileError):
+            Vocab.load(str(tmp_path / "missing.txt"))
+
+    def test_non_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<blank>\na\n\xff\n")
+        with pytest.raises(FormatError):
+            Vocab.load(str(path))
 
     def test_blank_must_lead(self):
         with pytest.raises(FormatError):

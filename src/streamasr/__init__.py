@@ -13,7 +13,6 @@ from .context import (
     AttentionContext,
     LatencyBounds,
     LatencyModel,
-    build_mask,
     effective_lookahead,
     feasible_regular_latencies,
     latency_ms,
@@ -37,13 +36,11 @@ from .encoder import (
     downsample_segment,
     encode_full,
     encode_step,
-    init_encoder_weights,
     init_state,
 )
 from .features import (
     AudioBuffer,
     FeatureConfig,
-    MelFrames,
     StreamingFeatureExtractor,
     log_mel,
     read_wav,

@@ -134,24 +134,42 @@ class StreamState:
             raise StateError(f"{path} is not a stream state file")
         if header.get("version") != STATE_VERSION:
             raise StateError(f"unsupported state version {header.get('version')}")
-        layers = []
-        for i in range(header["n_layers"]):
-            n_in, n_out = header["counters"][i]
-            layers.append(
+
+        def is_count(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+        def count(key: str) -> int:
+            if not is_count(header.get(key)):
+                raise StateError(f"{path}: {key} must be an integer >= 0, got {header.get(key)!r}")
+            return header[key]
+
+        def tensor(name: str) -> np.ndarray:
+            if name not in tensors:
+                raise StateError(f"{path}: missing tensor {name}")
+            return tensors[name]
+
+        counters = header.get("counters")
+        if not isinstance(counters, list) or len(counters) != count("n_layers") or not all(
+            isinstance(c, list) and len(c) == 2 and all(map(is_count, c)) for c in counters
+        ):
+            raise StateError(f"{path}: counters must be n_layers pairs of integers >= 0")
+        if not isinstance(header.get("finished"), bool):
+            raise StateError(f"{path}: finished must be true or false")
+        return StreamState(
+            layers=[
                 LayerCache(
-                    attn=tensors[f"layer{i}.attn"],
-                    conv=tensors[f"layer{i}.conv"],
-                    pending=tensors[f"layer{i}.pending"],
+                    attn=tensor(f"layer{i}.attn"),
+                    conv=tensor(f"layer{i}.conv"),
+                    pending=tensor(f"layer{i}.pending"),
                     n_in=n_in,
                     n_out=n_out,
                 )
-            )
-        return StreamState(
-            layers=layers,
-            ds_residual=tensors["ds_residual"],
-            mel_seen=header["mel_seen"],
-            tokens_in=header["tokens_in"],
-            tokens_emitted=header["tokens_emitted"],
+                for i, (n_in, n_out) in enumerate(counters)
+            ],
+            ds_residual=tensor("ds_residual"),
+            mel_seen=count("mel_seen"),
+            tokens_in=count("tokens_in"),
+            tokens_emitted=count("tokens_emitted"),
             finished=header["finished"],
-            rnnt_states=[tensors[f"rnnt{i}"] for i in range(header["n_rnnt"])],
+            rnnt_states=[tensor(f"rnnt{i}") for i in range(count("n_rnnt"))],
         )

@@ -194,6 +194,16 @@ def _add_context_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--left-chunks", type=int, dest="left_chunks")
     p.add_argument("--lookahead-m", type=int, dest="lookahead_m")
     p.add_argument("--left-context", type=int, dest="left_context")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run a model: inputs, buffered windows, context."""
+    p.add_argument("--model", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--wav", required=True)
+    p.add_argument("--chunk-seconds", type=float, default=2.0, dest="chunk_seconds")
+    p.add_argument("--buffer-seconds", type=float, default=4.0, dest="buffer_seconds")
+    _add_context_flags(p)
     p.add_argument("--chunk-ms", type=int, dest="chunk_ms")
 
 
@@ -219,28 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("transcribe", help="transcribe a wav file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--wav", required=True)
+    _add_run_flags(p)
     p.add_argument("--mode", choices=["offline", "streaming", "buffered"], default="streaming")
     p.add_argument("--decoder", choices=["ctc", "rnnt"], default="ctc")
-    p.add_argument("--chunk-seconds", type=float, default=2.0, dest="chunk_seconds")
-    p.add_argument("--buffer-seconds", type=float, default=4.0, dest="buffer_seconds")
     p.add_argument("--out")
-    _add_context_flags(p)
     p.set_defaults(func=cmd_transcribe)
 
     p = sub.add_parser("compare", help="run several modes, print a TSV report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--wav", required=True)
+    _add_run_flags(p)
     p.add_argument("--modes", default="offline,chunk,buffered")
     p.add_argument("--decoder", choices=["ctc", "rnnt", "both"], default="both")
     p.add_argument("--reference")
     p.add_argument("--reference-file", dest="reference_file")
-    p.add_argument("--chunk-seconds", type=float, default=2.0, dest="chunk_seconds")
-    p.add_argument("--buffer-seconds", type=float, default=4.0, dest="buffer_seconds")
-    _add_context_flags(p)
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -254,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except StreamAsrError as ex:
         print(f"error:{ex.code}: {ex}", file=sys.stderr)
+        return 1
+    except OSError as ex:  # a file the command reads or writes
+        print(f"error:{InputFileError.code}: {ex}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Attention look-ahead geometry: masks, effective look-ahead, latency math.
+"""Attention look-ahead geometry: key intervals, effective look-ahead, latency math.
 
 Three regimes limit what a token may attend to:
   zero     - only the past (optionally capped at `left_context` tokens back).
@@ -15,8 +15,6 @@ every attention question to attend_interval or receptive_field_tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -94,13 +92,9 @@ class AttentionContext:
         """Tokens of future input each layer needs before its output is final."""
         return self.m if self.regime == REGULAR else 0
 
-    def step_tokens(self, default: int = 1) -> int:
-        """Natural streaming step size in tokens."""
-        if self.regime == CHUNK:
-            return self.chunk
-        if self.regime == REGULAR:
-            return 1
-        return default
+    def step_tokens(self) -> int:
+        """Natural streaming step size in tokens: a chunk, or else one token."""
+        return self.chunk if self.regime == CHUNK else 1
 
 
 @dataclass(frozen=True)
@@ -116,26 +110,6 @@ class LatencyModel:
     @property
     def token_ms(self) -> float:
         return self.frame_shift_ms * self.downsampling_rate
-
-
-def build_mask(ctx: AttentionContext, t: int, query_offset: int = 0) -> np.ndarray:
-    """Boolean mask (t queries x query_offset+t keys): True where attention is allowed.
-
-    Row i is the query at global position query_offset+i; columns are global
-    key positions starting at 0. Building the whole utterance at offset 0 and
-    slicing out a chunk's rows gives the same mask as building that chunk with
-    its offset, which is the property streaming relies on.
-    """
-    if t < 1:
-        raise ConfigError("mask needs at least one query token")
-    if query_offset < 0:
-        raise ConfigError("query_offset must be >= 0")
-    n_keys = query_offset + t
-    mask = np.zeros((t, n_keys), dtype=bool)
-    for i in range(t):
-        lo, hi = ctx.attend_interval(query_offset + i)
-        mask[i, lo : min(hi, n_keys - 1) + 1] = True
-    return mask
 
 
 def effective_lookahead(ctx: AttentionContext, n_layers: int) -> int:

@@ -10,6 +10,7 @@ token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,10 +21,10 @@ from .numerics import linear, log_softmax
 BLANK_TOKEN = "<blank>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocab:
     tokens: list[str]
-    blank_id: int = 0
+    blank_id: ClassVar[int] = 0  # line 0 is always BLANK_TOKEN
 
     def __post_init__(self):
         if not self.tokens or self.tokens[0] != BLANK_TOKEN:
@@ -34,9 +35,6 @@ class Vocab:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def text(self, ids: list[int]) -> str:
-        return "".join(self.tokens[i] for i in ids)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

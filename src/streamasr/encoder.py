@@ -41,7 +41,6 @@ from .cache import (
 )
 from .context import AttentionContext
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError
-from .features import MelFrames
 from .ledger import ComputeLedger
 from .numerics import (
     Rng,
@@ -165,8 +164,7 @@ def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], 
 
 
 class EncoderWeights:
-    def __init__(self, cfg: EncoderConfig, tensors: dict[str, np.ndarray]):
-        self.cfg = cfg
+    def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
@@ -186,10 +184,6 @@ def init_tensors(
         else:
             out[name] = rng.uniform(shape, 1.0 / math.sqrt(int(init)))
     return out
-
-
-def init_encoder_weights(cfg: EncoderConfig, seed: int) -> EncoderWeights:
-    return EncoderWeights(cfg, init_tensors(encoder_weight_spec(cfg), Rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +390,12 @@ def _layer_window(
 # full-utterance and chunked entry points
 
 
-def _as_frames(mel: MelFrames | np.ndarray) -> np.ndarray:
-    frames = mel.frames if isinstance(mel, MelFrames) else np.asarray(mel)
-    return frames.astype(np.float32, copy=False)
+def _as_frames(mel: np.ndarray) -> np.ndarray:
+    return np.asarray(mel).astype(np.float32, copy=False)
 
 
 def encode_full(
-    mel: MelFrames | np.ndarray,
+    mel: np.ndarray,
     w: EncoderWeights,
     cfg: EncoderConfig,
     rec: ComputeLedger | None = None,
@@ -441,7 +434,7 @@ def init_state(cfg: EncoderConfig) -> StreamState:
 
 
 def encode_step(
-    chunk: MelFrames | np.ndarray,
+    chunk: np.ndarray,
     state: StreamState,
     w: EncoderWeights,
     cfg: EncoderConfig,

@@ -37,10 +37,6 @@ class ArgumentError(StreamAsrError):
     code = "argument"
 
 
-class DegenerateMaskError(StreamAsrError):
-    code = "mask"
-
-
 class FeasibilityError(StreamAsrError):
     code = "feasibility"
 

@@ -33,17 +33,6 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass
-class MelFrames:
-    frame_shift_ms: float
-    n_mels: int
-    frames: np.ndarray  # (n_frames, n_mels) float32
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     sample_rate: int = 16000
@@ -175,14 +164,13 @@ class StreamingFeatureExtractor:
         return out
 
 
-def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> MelFrames:
-    """Log-mel energies of a whole recording; ln(power + 1e-10), no normalization."""
+def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> np.ndarray:
+    """Log-mel energies of a whole recording, (n_frames, n_mels) float32;
+    ln(power + 1e-10), no normalization."""
     cfg = cfg or FeatureConfig()
     if audio.sample_rate != cfg.sample_rate:
         raise ConfigError(
             f"audio sample rate {audio.sample_rate} != configured {cfg.sample_rate}"
         )
-    ext = StreamingFeatureExtractor(cfg)
-    frames = ext.push(audio.samples)
-    return MelFrames(frame_shift_ms=cfg.frame_shift_ms, n_mels=cfg.n_mels, frames=frames)
+    return StreamingFeatureExtractor(cfg).push(audio.samples)
 

@@ -24,6 +24,7 @@ from .decoders import (
 )
 from .encoder import EncoderConfig, EncoderWeights, encoder_weight_spec, init_tensors
 from .errors import ConfigError, FormatError
+from .features import FeatureConfig
 from .numerics import Rng
 
 MODEL_VERSION = 1
@@ -48,6 +49,10 @@ class ModelConfig:
             pred_layers=self.pred_layers,
             d_joint=self.d_joint,
         )
+
+    def feature_config(self) -> FeatureConfig:
+        """The log-mel features this model's encoder reads."""
+        return FeatureConfig(n_mels=self.encoder.n_mels, frame_shift_ms=self.frame_shift_ms)
 
     def latency_model(self) -> LatencyModel:
         return LatencyModel(
@@ -77,12 +82,7 @@ class HybridModel:
                 f"the bias table reaches {bias_future} future tokens, the mask "
                 f"{ctx} needs {ctx.future_span()}"
             )
-        enc_cfg = self.cfg.encoder.with_attention(ctx)
-        return replace(
-            self,
-            cfg=replace(self.cfg, encoder=enc_cfg),
-            encoder=EncoderWeights(enc_cfg, self.encoder.tensors),
-        )
+        return replace(self, cfg=replace(self.cfg, encoder=self.cfg.encoder.with_attention(ctx)))
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
@@ -150,7 +150,7 @@ def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> HybridModel:
     rnnt_tensors = {n: v for n, v in tensors.items() if n.startswith("rnnt.")}
     return HybridModel(
         cfg=cfg,
-        encoder=EncoderWeights(cfg.encoder, enc_tensors),
+        encoder=EncoderWeights(enc_tensors),
         ctc=CtcHead(hc, tensors["ctc.w"], tensors["ctc.b"]),
         rnnt=RnntHead(hc, rnnt_tensors),
         tensors=tensors,

@@ -36,7 +36,7 @@ from .encoder import (
     init_state,
 )
 from .errors import ArgumentError, ConfigError, SessionError
-from .features import AudioBuffer, FeatureConfig, StreamingFeatureExtractor, log_mel
+from .features import AudioBuffer, StreamingFeatureExtractor, log_mel
 from .ledger import ComputeLedger
 from .metrics import eil
 from .model import HybridModel
@@ -143,9 +143,7 @@ class StreamingSession:
         model: HybridModel,
         vocab: Vocab,
         decoder: str = "both",
-        feature_cfg: FeatureConfig | None = None,
         step_tokens: int | None = None,
-        max_symbols_per_frame: int = 10,
     ):
         if vocab.size != model.cfg.vocab_size:
             raise ConfigError(f"vocab size {vocab.size} != model vocab {model.cfg.vocab_size}")
@@ -153,18 +151,13 @@ class StreamingSession:
         self.vocab = vocab
         self.decoders = _decoders_for(decoder)
         cfg = model.cfg.encoder
-        self.feature_cfg = feature_cfg or FeatureConfig(
-            n_mels=cfg.n_mels, frame_shift_ms=model.cfg.frame_shift_ms
-        )
-        if self.feature_cfg.n_mels != cfg.n_mels:
-            raise ConfigError("feature n_mels does not match the encoder")
-        self._extractor = StreamingFeatureExtractor(self.feature_cfg)
+        self._extractor = StreamingFeatureExtractor(model.cfg.feature_config())
         self._mel = np.zeros((0, cfg.n_mels), dtype=np.float32)
         self.state = init_state(cfg)
         self.ledger = ComputeLedger()
         ctx = cfg.attention
         if step_tokens is None:
-            self._step_tokens = ctx.step_tokens(default=1)
+            self._step_tokens = ctx.step_tokens()
         else:
             if step_tokens < 1:
                 raise ConfigError("step_tokens must be >= 1")
@@ -174,7 +167,6 @@ class StreamingSession:
                     f"context's step of {ctx.step_tokens()} tokens"
                 )
             self._step_tokens = step_tokens
-        self._max_symbols = max_symbols_per_frame
         self._raw_tokens: dict[str, list[tuple[int, int]]] = {d: [] for d in self.decoders}
         if "ctc" in self.decoders:
             self._ctc_dec = CtcIncrementalDecoder(vocab.blank_id)
@@ -208,8 +200,7 @@ class StreamingSession:
         if "rnnt" in self.decoders:
             toks, states = rnnt_greedy_decode(
                 enc_new, self.model.rnnt, self.state.rnnt_states,
-                blank_id=self.vocab.blank_id, max_symbols_per_frame=self._max_symbols,
-                frame_offset=offset, rec=self.ledger,
+                blank_id=self.vocab.blank_id, frame_offset=offset, rec=self.ledger,
             )
             self.state.rnnt_states = states
             self._raw_tokens["rnnt"] += toks
@@ -236,12 +227,9 @@ def run_streaming(
     model: HybridModel,
     vocab: Vocab,
     decoder: str = "both",
-    feature_cfg: FeatureConfig | None = None,
     step_tokens: int | None = None,
 ) -> StreamResult:
-    session = StreamingSession(
-        model, vocab, decoder=decoder, feature_cfg=feature_cfg, step_tokens=step_tokens
-    )
+    session = StreamingSession(model, vocab, decoder=decoder, step_tokens=step_tokens)
     session.feed(audio.samples)
     return session.finish()
 
@@ -251,17 +239,12 @@ def run_offline(
     model: HybridModel,
     vocab: Vocab,
     decoder: str = "both",
-    feature_cfg: FeatureConfig | None = None,
 ) -> StreamResult:
     """Single-pass inference with the same limited-context mask."""
-    cfg = model.cfg.encoder
-    feature_cfg = feature_cfg or FeatureConfig(
-        n_mels=cfg.n_mels, frame_shift_ms=model.cfg.frame_shift_ms
-    )
-    mel = log_mel(audio, feature_cfg)
+    mel = log_mel(audio, model.cfg.feature_config())
     ledger = ComputeLedger()
     ledger.new_step()
-    enc = encode_full(mel, model.encoder, cfg, rec=ledger)
+    enc = encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger)
     raw = {}
     for name in _decoders_for(decoder):
         if name == "ctc":
@@ -288,7 +271,6 @@ def run_buffered(
     vocab: Vocab,
     bcfg: BufferedConfig,
     decoder: str = "both",
-    feature_cfg: FeatureConfig | None = None,
 ) -> StreamResult:
     """Buffered baseline: full-context windows, only central chunks kept.
 
@@ -298,18 +280,15 @@ def run_buffered(
     the cost of the central chunks is recorded as duplicate work.
     """
     cfg = model.cfg.encoder
-    feature_cfg = feature_cfg or FeatureConfig(
-        n_mels=cfg.n_mels, frame_shift_ms=model.cfg.frame_shift_ms
-    )
     lm = model.cfg.latency_model()
     token_s = lm.token_ms / 1000.0
     chunk_tok = max(1, int(round(bcfg.chunk_seconds / token_s)))
     buffer_tok = max(chunk_tok, int(round(bcfg.buffer_seconds / token_s)))
     left = (buffer_tok - chunk_tok) // 2
     right = buffer_tok - chunk_tok - left
-    mel = log_mel(audio, feature_cfg)
+    mel = log_mel(audio, model.cfg.feature_config())
     dr = cfg.downsampling_rate
-    total = mel.n_frames // dr
+    total = mel.shape[0] // dr
     ledger = ComputeLedger()
     names = _decoders_for(decoder)
     raw: dict[str, list[tuple[int, int]]] = {n: [] for n in names}
@@ -319,7 +298,7 @@ def run_buffered(
         b0 = max(0, c0 - left)
         b1 = min(total - 1, c1 + right)
         step = ledger.new_step()
-        window = mel.frames[b0 * dr : (b1 + 1) * dr]
+        window = mel[b0 * dr : (b1 + 1) * dr]
         # one chunk spanning the window: every query sees every key
         full = cfg.with_attention(AttentionContext.chunked(b1 - b0 + 1, 0))
         enc = encode_full(window, model.encoder, full, rec=ledger)

@@ -18,13 +18,40 @@ from streamasr import (
     AudioBuffer,
     ComputeLedger,
     EncoderConfig,
+    EncoderWeights,
     HeadConfig,
     ModelConfig,
     Vocab,
     init_model,
 )
-from streamasr.encoder import downsampler_macs_per_token
-from streamasr.errors import ArgumentError, DegenerateMaskError, ShapeError
+from streamasr.context import ZERO
+from streamasr.encoder import downsampler_macs_per_token, encoder_weight_spec, init_tensors
+from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
+from streamasr.numerics import Rng
+
+
+class DegenerateMaskError(StreamAsrError):
+    code = "mask"
+
+
+def build_mask(ctx: AttentionContext, t: int, query_offset: int = 0) -> np.ndarray:
+    """Boolean mask (t queries x query_offset+t keys): True where attention is allowed.
+
+    Row i is the query at global position query_offset+i; columns are global
+    key positions starting at 0. Building the whole utterance at offset 0 and
+    slicing out a chunk's rows gives the same mask as building that chunk with
+    its offset, which is the property streaming relies on.
+    """
+    if t < 1:
+        raise ConfigError("mask needs at least one query token")
+    if query_offset < 0:
+        raise ConfigError("query_offset must be >= 0")
+    n_keys = query_offset + t
+    mask = np.zeros((t, n_keys), dtype=bool)
+    for i in range(t):
+        lo, hi = ctx.attend_interval(query_offset + i)
+        mask[i, lo : min(hi, n_keys - 1) + 1] = True
+    return mask
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,7 +142,7 @@ def count_macs(
             ledger.add("attention", att * 2 * d)
         return ledger
 
-    step = ctx.step_tokens(default=step_tokens or 1)
+    step = (step_tokens or 1) if ctx.regime == ZERO else ctx.step_tokens()
     delay = ctx.settle_delay()
     n_in = [0] * cfg.n_layers
     n_out = [0] * cfg.n_layers
@@ -294,6 +321,10 @@ def tiny_encoder_config(
         n_mels=n_mels,
         **kw,
     )
+
+
+def init_encoder_weights(cfg: EncoderConfig, seed: int) -> EncoderWeights:
+    return EncoderWeights(init_tensors(encoder_weight_spec(cfg), Rng(seed)))
 
 
 def tiny_model(ctx: AttentionContext | None = None, seed: int = 11, vocab: Vocab | None = None,

@@ -40,6 +40,7 @@ from streamasr.numerics import log_softmax
 
 from helpers import (
     ctc_loss_enumeration,
+    init_encoder_weights,
     rnnt_loss_enumeration,
     synth_audio,
     tiny_encoder_config,
@@ -87,14 +88,14 @@ def _stream_encode_and_decode(mel, model, rec):
         emitted += enc_new.shape[0]
 
     pos = 0
-    while pos + step <= mel.frames.shape[0]:
+    while pos + step <= mel.shape[0]:
         rec.new_step()
-        o, state = encode_step(mel.frames[pos : pos + step], state, model.encoder, cfg, rec=rec)
+        o, state = encode_step(mel[pos : pos + step], state, model.encoder, cfg, rec=rec)
         outs.append(o)
         consume(o)
         pos += step
     rec.new_step()
-    o, state = encode_step(mel.frames[pos:], state, model.encoder, cfg, rec=rec, final=True)
+    o, state = encode_step(mel[pos:], state, model.encoder, cfg, rec=rec, final=True)
     outs.append(o)
     consume(o)
     return np.concatenate(outs, axis=0), ctc_toks, rnnt_toks
@@ -215,8 +216,6 @@ class TestCriterion4CacheShapeLaws:
 
         ctx = AttentionContext.chunked(3, 2)
         cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
-        from streamasr import init_encoder_weights
-
         w = init_encoder_weights(cfg, seed=4)
         state = init_state(cfg)
         rng = np.random.default_rng(5)
@@ -321,8 +320,6 @@ class TestCriterion6ReceptiveFieldExactness:
     )
     def test_exact_fields(self, ctx):
         cfg = tiny_encoder_config(ctx, n_layers=2, downsampling_rate=2, n_mels=8)
-        from streamasr import init_encoder_weights
-
         w = init_encoder_weights(cfg, seed=8)
         total_frames, dr = 32, cfg.downsampling_rate
         total_tokens = total_frames // dr  # 16 tokens, exhaustive

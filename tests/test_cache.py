@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,14 +12,13 @@ from streamasr import (
     conv_cache_apply_update,
     depthwise_conv1d_causal,
     encode_step,
-    init_encoder_weights,
     init_state,
     rnnt_greedy_decode,
     rnnt_init_state,
 )
 from streamasr.errors import StateError
 
-from helpers import random_head, random_mel, tiny_encoder_config
+from helpers import init_encoder_weights, random_head, random_mel, tiny_encoder_config
 
 
 class TestConvCache:
@@ -164,7 +166,7 @@ class TestStreamStateSerialization:
         w = init_encoder_weights(cfg, seed=3)
         _, head = random_head(seed=5, d_model=cfg.d_model)
         mel = random_mel(64, cfg.n_mels, seed=4)
-        step = ctx.step_tokens(default=1) * cfg.downsampling_rate
+        step = ctx.step_tokens() * cfg.downsampling_rate
 
         def run(state, lo, hi):
             outs, toks = [], []
@@ -199,3 +201,46 @@ class TestStreamStateSerialization:
         assert got_toks == ref_toks
         for a, b in zip(resumed.rnnt_states, state.rnnt_states, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.pop("n_layers"),
+        lambda h: h.pop("counters"),
+        lambda h: h.pop("mel_seen"),
+        lambda h: h.pop("finished"),
+        lambda h: h.pop("n_rnnt"),
+        lambda h: h.update(n_layers="2"),
+        lambda h: h.update(n_layers=-1),
+        lambda h: h.update(tokens_in=1.5),
+        lambda h: h.update(tokens_emitted=True),
+        lambda h: h.update(finished=0),
+        lambda h: h.update(counters=5),
+        lambda h: h.update(counters=[4, 4]),
+        lambda h: h.update(counters=[[4, 4, 4], [4, 4]]),
+        lambda h: h.update(counters=[[4, 4]]),
+        lambda h: h.update(counters=[["4", 4], [4, 4]]),
+        lambda h: h.update(counters=[[4, None], [4, 4]]),
+        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer0.attn"]),
+        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer1.pending"]),
+        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "ds_residual"]),
+        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "rnnt0"]),
+    ], ids=["no-n_layers", "no-counters", "no-mel_seen", "no-finished", "no-n_rnnt",
+            "str-n_layers", "negative-n_layers", "float-tokens_in", "bool-tokens_emitted",
+            "int-finished", "int-counters", "flat-counters", "triple-counter",
+            "short-counters", "str-counter", "null-counter", "no-layer0.attn",
+            "no-layer1.pending", "no-ds_residual", "no-rnnt0"])
+    def test_malformed_file_is_state_error(self, mutate, tmp_path):
+        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
+        _, head = random_head(seed=5, d_model=cfg.d_model)
+        state = init_state(cfg)
+        state.rnnt_states = rnnt_init_state(head)
+        path = str(tmp_path / "state.bin")
+        state.save(path)
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + hlen])
+        mutate(header)
+        hjson = json.dumps(header).encode("utf-8")
+        with open(path, "wb") as f:
+            f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+        with pytest.raises(StateError):
+            StreamState.load(path)

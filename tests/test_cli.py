@@ -65,6 +65,15 @@ class TestInitModel:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:config:")
 
+    def test_chunk_ms_is_not_a_flag(self, workspace, capsys):
+        # init-model sets the chunk size with --chunk-tokens
+        tmp_path, _, vocab_path, _ = workspace
+        with pytest.raises(SystemExit) as ex:
+            main(["init-model", "--vocab", vocab_path, "--seed", "1", "--chunk-ms", "80",
+                  "--out", str(tmp_path / "x.bin")])
+        assert ex.value.code == 2
+        assert "--chunk-ms" in capsys.readouterr().err
+
     def test_file_size_matches_tensor_arithmetic(self, workspace):
         tmp_path, config_path, vocab_path, _ = workspace
         path = init_model_file(tmp_path, config_path, vocab_path)
@@ -281,3 +290,22 @@ class TestMalformedInputs:
                    "--out", str(tmp_path / "x.bin")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:config:")
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["compare", "transcribe", "init-model"])
+    def test_unusable_path_is_file_error(self, workspace, capsys, command):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        missing = str(tmp_path / "no-such-dir" / "x")
+        run = ["--model", model_path, "--vocab", vocab_path, "--wav", wav_path]
+        argv = {
+            "compare": ["compare", *run, "--reference-file", missing],
+            "transcribe": ["transcribe", *run, "--out", missing],
+            "init-model": ["init-model", "--config", config_path, "--vocab", vocab_path,
+                           "--out", missing],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:file:")
+        assert err.count("\n") == 1

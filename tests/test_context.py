@@ -4,12 +4,13 @@ import pytest
 from streamasr import (
     AttentionContext,
     LatencyModel,
-    build_mask,
     effective_lookahead,
     feasible_regular_latencies,
     latency_ms,
 )
 from streamasr.errors import ConfigError
+
+from helpers import build_mask
 
 
 class TestBuildMask:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ class TestVocab:
     def test_duplicates_rejected(self):
         with pytest.raises(FormatError):
             Vocab(["<blank>", "a", "a"])
+
+    def test_blank_id_is_line_zero_and_read_only(self):
+        # line 0 is <blank>, so any other blank_id would make decoders drop a label
+        with pytest.raises(TypeError):
+            Vocab(["<blank>", "a", "b"], blank_id=2)
+        v = Vocab.chars("ab")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.blank_id = 2
+        assert v.blank_id == Vocab.blank_id == 0
 
 
 class TestCtc:

@@ -3,19 +3,24 @@ import pytest
 
 from streamasr import (
     AttentionContext,
-    build_mask,
     encode_full,
     encode_step,
-    init_encoder_weights,
     init_state,
     receptive_field_frames,
 )
+from streamasr.context import ZERO
 from streamasr.encoder import _attend, downsample_segment, query_groups
 from streamasr.errors import ChunkingError, ConfigError, SessionError
 from streamasr.ledger import ComputeLedger
 from streamasr.numerics import linear
 
-from helpers import masked_softmax, random_mel, tiny_encoder_config
+from helpers import (
+    build_mask,
+    init_encoder_weights,
+    masked_softmax,
+    random_mel,
+    tiny_encoder_config,
+)
 
 REGIMES = [
     AttentionContext.zero(),
@@ -31,7 +36,8 @@ REGIMES = [
 def stream_encode(mel, w, cfg, step_tokens=None, rec=None):
     """Drive encode_step over fixed-size steps plus a final flush."""
     ctx = cfg.attention
-    step = ctx.step_tokens(step_tokens or 1) * cfg.downsampling_rate
+    step = (step_tokens or 1) if ctx.regime == ZERO else ctx.step_tokens()
+    step *= cfg.downsampling_rate
     state = init_state(cfg)
     outs = []
     pos = 0

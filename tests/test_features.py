@@ -61,13 +61,13 @@ class TestLogMel:
     def test_silence_hits_log_floor(self):
         buf = AudioBuffer(16000, np.zeros(16000, np.int16))
         mel = log_mel(buf)
-        assert mel.n_frames > 0
-        assert np.allclose(mel.frames, math.log(LOG_FLOOR))
+        assert mel.shape[0] > 0
+        assert np.allclose(mel, math.log(LOG_FLOOR))
 
     def test_too_short_yields_empty(self):
         buf = AudioBuffer(16000, np.zeros(100, np.int16))
         mel = log_mel(buf)
-        assert mel.n_frames == 0
+        assert mel.shape[0] == 0
 
     def test_concatenation_locality(self):
         a = synth_audio(0.7, seed=1)
@@ -75,7 +75,7 @@ class TestLogMel:
         both = AudioBuffer(16000, np.concatenate([a.samples, b.samples]))
         mel_a = log_mel(a)
         mel_both = log_mel(both)
-        assert np.array_equal(mel_both.frames[: mel_a.n_frames], mel_a.frames)
+        assert np.array_equal(mel_both[: mel_a.shape[0]], mel_a)
 
     def test_tone_concentrates_energy_in_matching_bin(self):
         cfg = FeatureConfig()
@@ -89,7 +89,7 @@ class TestLogMel:
         power = dft_power_oracle(x * hann_window(win))
         fb = mel_filterbank(cfg.n_mels, win // 2 + 1, 16000, win)
         expected_bin = int(np.argmax(power @ fb))
-        assert int(np.argmax(mel.frames[5])) == expected_bin
+        assert int(np.argmax(mel[5])) == expected_bin
 
     def test_streaming_extractor_equals_whole(self):
         audio = synth_audio(1.3, seed=3)
@@ -104,7 +104,7 @@ class TestLogMel:
             parts.append(ext.push(audio.samples[pos : pos + n]))
             pos += n
         got = np.concatenate(parts, axis=0)
-        assert np.array_equal(got, whole.frames)
+        assert np.array_equal(got, whole)
 
     def test_no_utterance_statistics(self):
         # appending audio never changes already-computed frames
@@ -114,4 +114,4 @@ class TestLogMel:
         ]))
         mel_a = log_mel(a)
         mel_loud = log_mel(loud)
-        assert np.array_equal(mel_loud.frames[: mel_a.n_frames], mel_a.frames)
+        assert np.array_equal(mel_loud[: mel_a.shape[0]], mel_a)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul
-from streamasr.errors import ConfigError, DegenerateMaskError, ShapeError
+from streamasr.errors import ConfigError, ShapeError
 from streamasr.numerics import glu, log_softmax, logsumexp, swish
 
-from helpers import masked_softmax, matmul_triple_loop, softmax_rational
+from helpers import DegenerateMaskError, masked_softmax, matmul_triple_loop, softmax_rational
 
 
 class TestMatmul:

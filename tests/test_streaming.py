@@ -133,7 +133,7 @@ class TestLedgerEquality:
         st = run_streaming(audio, model, vocab, decoder="ctc")
         from streamasr.features import log_mel
 
-        n_tokens = log_mel(audio).n_frames // cfg.downsampling_rate
+        n_tokens = log_mel(audio).shape[0] // cfg.downsampling_rate
         enc_cats = ("attention", "conv", "ffn", "downsampler")
 
         walk = count_macs(cfg, ctx, n_tokens, mode="streaming")
@@ -284,7 +284,7 @@ class TestTranscriptFormat:
         tr = res.transcripts["ctc"]
         assert tr.tokens
         enc = model.cfg.encoder
-        total = log_mel(audio).n_frames // enc.downsampling_rate
+        total = log_mel(audio).shape[0] // enc.downsampling_rate
         for tok in tr.tokens:
             f = tok.first_frame
             if ctx.regime == "chunk":

@@ -163,15 +163,18 @@ def cmd_compare(args) -> int:
         with open(args.reference_file, "r", encoding="utf-8") as f:
             reference = f.read().strip()
     decoders = ["ctc", "rnnt"] if args.decoder == "both" else [args.decoder]
+    flags = _context_flags(args)
+    resolved = None  # the model under the flags, for the offline/buffered/streaming rows
     rows = []
     for mode in args.modes.split(","):
         mode = mode.strip()
         if mode in ("zero", "regular", "chunk"):
-            flags = {**_context_flags(args), "regime": mode}
-            run_model = _resolve_context(model, flags, args.chunk_ms)
+            run_model = _resolve_context(model, {**flags, "regime": mode}, args.chunk_ms)
             result = run_streaming(audio, run_model, vocab, decoder=args.decoder)
         else:
-            result = _run_mode(mode, audio, model, vocab, args.decoder, args)
+            if resolved is None:
+                resolved = _resolve_context(model, flags, args.chunk_ms)
+            result = _run_mode(mode, audio, resolved, vocab, args.decoder, args)
         for dec in decoders:
             tr = result.transcripts[dec]
             wer_cell = "NA"

@@ -40,7 +40,7 @@ from .cache import (
     pending_update,
 )
 from .context import AttentionContext
-from .errors import ChunkingError, ConfigError, SessionError, ShapeError
+from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateError
 from .ledger import ComputeLedger
 from .numerics import (
     Rng,
@@ -433,6 +433,24 @@ def init_state(cfg: EncoderConfig) -> StreamState:
     )
 
 
+def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
+    """Raise StateError unless every cached tensor is float32 in the shape cfg's encoder needs."""
+    d = cfg.d_model
+    if len(state.layers) != cfg.n_layers:
+        raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
+    shapes = [("ds_residual", state.ds_residual, cfg.residual_frames, cfg.n_mels)]
+    for i, lc in enumerate(state.layers):
+        shapes += [(f"layer{i}.attn", lc.attn, None, d),
+                   (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d),
+                   (f"layer{i}.pending", lc.pending, None, d)]
+    for name, arr, rows, cols in shapes:
+        bad_shape = arr.ndim != 2 or arr.shape[1] != cols or rows not in (None, arr.shape[0])
+        if bad_shape or arr.dtype != np.float32:
+            want = "any number of" if rows is None else rows
+            raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {want} "
+                             f"float32 rows of {cols}")
+
+
 def encode_step(
     chunk: np.ndarray,
     state: StreamState,
@@ -451,6 +469,7 @@ def encode_step(
     frames = _as_frames(chunk)
     if state.finished:
         raise SessionError("stream already finalized")
+    _check_state(state, cfg)
     if frames.shape[0] > 0 and frames.shape[1] != cfg.n_mels:
         raise ShapeError(f"mel has {frames.shape[1]} bins, config says {cfg.n_mels}")
     dr = cfg.downsampling_rate

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputFileError
+from .numerics import matmul64
 
 LOG_FLOOR = 1e-10
 
@@ -153,12 +154,12 @@ class StreamingFeatureExtractor:
         x = buf.astype(np.float64) / 32768.0
         idx = np.arange(win)[None, :] + shift * np.arange(n_frames)[:, None]
         frames = x[idx] * self._hann[None, :]
-        # np.einsum contracts sequentially per output element, so rows are
+        # matmul64 sums each output element sequentially over k, so rows are
         # independent of how many frames are in the batch.
-        re = np.einsum("tw,wb->tb", frames, self._cos)
-        im = np.einsum("tw,wb->tb", frames, self._sin)
+        re = matmul64(frames, self._cos)
+        im = matmul64(frames, self._sin)
         power = re * re + im * im
-        mel = np.einsum("tb,bm->tm", power, self._fb)
+        mel = matmul64(power, self._fb)
         out = np.log(mel + LOG_FLOOR).astype(np.float32)
         self._pending = buf[n_frames * shift :]
         return out

@@ -6,6 +6,17 @@ fixed sequential order, then round once to float32. Because each output
 element depends only on its own operand sequence, a computation produces
 bit-identical results whether it runs over a whole sequence or over chunks of
 it, which is what the streaming equivalence tests rely on.
+
+Every float64 contraction in the package goes through `matmul64`, one
+`np.einsum("ik,kj->ij")` call. einsum sums each output element in ascending
+k with one accumulator only under conditions the kernel enforces itself:
+both operands C-contiguous float64 (einsum picks its loop order from the
+operands' strides, so a transposed or strided view can change the sum), no
+`optimize` argument and no BLAS (`@`, `np.dot` and `optimize=True` block and
+vectorize the k-sum), and at least two output columns (a one-column output
+makes einsum reduce k with several SIMD accumulators). The tests hold the
+kernel to a k-loop oracle bit for bit over random shapes and layouts, and
+fail if another module calls a numpy contraction or uses `@`.
 """
 
 from __future__ import annotations
@@ -28,7 +39,20 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
     The result stays in float64, for sums of several products. Output rows
-    depend only on the corresponding rows of `a`.
+    depend only on the corresponding rows of `a`. Each element equals the
+    sequential sum a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ..., each product
+    rounded to float64 before it is added, whatever the operands' dtype,
+    layout or batch size. That needs:
+
+    - C-contiguous float64 copies of both operands: einsum orders its loops
+      by the operands' strides, and an F-order or transposed `b` makes it
+      sum in another order. `a` is copied the same way so that no operand's
+      layout is left to choose the order.
+    - no `optimize` argument and no float64 BLAS, which reorder the k-sum.
+    - a second column when `b` has one: with a one-column output einsum
+      reduces k with several SIMD accumulators (errors near 1e-13 on
+      unit-scale operands), so `b` gets a zero column and the result is
+      sliced back.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -36,12 +60,12 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    a64 = a.astype(np.float64)
-    b64 = b.astype(np.float64)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        acc += a64[:, k, None] * b64[None, k, :]
-    return acc
+    a64 = np.ascontiguousarray(a, dtype=np.float64)
+    n = b.shape[1]
+    if n == 1:
+        b = np.concatenate([b, np.zeros_like(b)], axis=1)
+    b64 = np.ascontiguousarray(b, dtype=np.float64)
+    return np.einsum("ik,kj->ij", a64, b64)[:, :n]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -67,6 +67,18 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def matmul64_kloop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul64's oracle: each element summed over k in ascending order, each
+    product rounded to float64 before it is added. Element-wise numpy
+    operations only, so no operand layout can change the order."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    acc = np.zeros((a64.shape[0], b64.shape[1]), dtype=np.float64)
+    for k in range(a64.shape[1]):
+        acc += a64[:, k, None] * b64[None, k, :]
+    return acc
+
+
 def softmax_rational(scores: list[float], mask: list[bool], terms: int = 40) -> list[float]:
     """Softmax via rational-arithmetic exp series on the max-shifted scores."""
     m = max(s for s, keep in zip(scores, mask) if keep)

@@ -244,3 +244,33 @@ class TestStreamStateSerialization:
             f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
         with pytest.raises(StateError):
             StreamState.load(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda st: setattr(st.layers[0], "attn", np.zeros((st.layers[0].attn.shape[0], 5),
+                                                          np.float32)),
+        lambda st: setattr(st.layers[1], "pending", np.zeros((2, 17), np.float32)),
+        lambda st: setattr(st.layers[1], "pending", np.zeros(16, np.float32)),
+        lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
+        lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
+        lambda st: setattr(st, "ds_residual", np.zeros((st.ds_residual.shape[0], 9),
+                                                       np.float32)),
+        lambda st: setattr(st, "ds_residual", st.ds_residual[1:]),
+        lambda st: st.layers.pop(),
+        lambda st: setattr(st.layers[0], "attn", st.layers[0].attn.astype(np.int64)),
+        lambda st: setattr(st.layers[1], "pending", st.layers[1].pending.astype(np.float64)),
+    ], ids=["attn-columns", "pending-columns", "pending-1d", "conv-rows", "conv-columns",
+            "ds_residual-columns", "ds_residual-rows", "layer-count", "attn-int64",
+            "pending-float64"])
+    def test_tensors_that_do_not_fit_the_encoder_are_state_error(self, mutate, tmp_path):
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+        w = init_encoder_weights(cfg, seed=3)
+        mel = random_mel(32, cfg.n_mels, seed=4)
+        state = init_state(cfg)
+        for i in range(0, 16, 4):
+            encode_step(mel[i : i + 4], state, w, cfg)
+        mutate(state)
+        path = str(tmp_path / "state.bin")
+        state.save(path)
+        resumed = StreamState.load(path)
+        with pytest.raises(StateError):
+            encode_step(mel[16:20], resumed, w, cfg)

@@ -223,6 +223,24 @@ class TestCompare:
         out.encode("utf-8")  # valid utf-8
 
 
+    @pytest.mark.parametrize("flags", [["--chunk-ms", "40"], ["--chunk-tokens", "1"]],
+                             ids=["chunk-ms", "chunk-tokens"])
+    def test_offline_row_runs_the_context_flags(self, workspace, capsys, flags):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        run = ["--model", model_path, "--vocab", vocab_path, "--wav", wav_path,
+               "--decoder", "ctc"]
+        macs = {}
+        for given in ([], flags):
+            assert main(["transcribe", *run, "--mode", "offline", *given]) == 0
+            transcribed = json.loads(capsys.readouterr().out)["macs"]["total"]
+            assert main(["compare", *run, "--modes", "offline", *given]) == 0
+            row = capsys.readouterr().out.strip().split("\n")[1].split("\t")
+            assert int(row[4]) == transcribed
+            macs[len(given)] = transcribed
+        assert macs[0] != macs[2]  # the flags change the mask
+
+
 def _set(keys, value):
     def mutate(d):
         for k in keys[:-1]:

@@ -1,11 +1,24 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul
 from streamasr.errors import ConfigError, ShapeError
-from streamasr.numerics import glu, log_softmax, logsumexp, swish
+from streamasr.numerics import glu, log_softmax, logsumexp, matmul64, swish
 
-from helpers import DegenerateMaskError, masked_softmax, matmul_triple_loop, softmax_rational
+from helpers import (
+    DegenerateMaskError,
+    masked_softmax,
+    matmul64_kloop,
+    matmul_triple_loop,
+    softmax_rational,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "streamasr"
 
 
 class TestMatmul:
@@ -50,6 +63,104 @@ class TestMatmul:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32))
+
+
+LAYOUTS = ("C", "F", "transposed", "strided", "reversed")
+
+
+def _operand(rng: np.random.Generator, shape: tuple[int, int], layout: str, dtype) -> np.ndarray:
+    """A (rows, cols) operand in the given memory layout, values spread over 2**±10."""
+    def values(r, c):
+        x = rng.standard_normal((r, c)) * 2.0 ** rng.integers(-10, 11, size=(r, c))
+        return x.astype(dtype)
+
+    r, c = shape
+    if layout == "F":
+        return np.asfortranarray(values(r, c))
+    if layout == "transposed":
+        return values(c, r).T
+    if layout == "strided":
+        return values(2 * r + 1, 3 * c + 2)[1::2, 2::3]
+    if layout == "reversed":
+        return values(r, c)[::-1, ::-1]
+    return values(r, c)
+
+
+class TestMatmul64:
+    """matmul64 is one einsum whose summation order depends on its operands'
+    layout and on the output width; these tests pin it to the k-loop oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 8) | st.integers(9, 48),
+        k=st.integers(1, 8) | st.integers(513, 2048),
+        n=st.integers(1, 8) | st.integers(9, 48),
+        layout_a=st.sampled_from(LAYOUTS),
+        layout_b=st.sampled_from(LAYOUTS),
+        dtype_a=st.sampled_from([np.float32, np.float64]),
+        dtype_b=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_kloop_bit_for_bit(self, m, k, n, layout_a, layout_b, dtype_a, dtype_b,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        a = _operand(rng, (m, k), layout_a, dtype_a)
+        b = _operand(rng, (k, n), layout_b, dtype_b)
+        got = matmul64(a, b)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, matmul64_kloop(a, b))
+
+    def test_one_column_long_k(self):
+        # unpadded, einsum reduces a one-column output with several accumulators
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((7, 2048))
+        b = rng.standard_normal((2048, 1))
+        assert np.array_equal(matmul64(a, b), matmul64_kloop(a, b))
+
+    def test_transposed_b(self):
+        # the attention scores: a head's query columns times its keys transposed
+        rng = np.random.default_rng(1)
+        q = rng.standard_normal((12, 32)).astype(np.float32)
+        keys = rng.standard_normal((40, 32)).astype(np.float32)
+        a, b = q[:, 8:16], keys[:, 8:16].T
+        assert np.array_equal(matmul64(a, b), matmul64_kloop(a, b))
+
+
+# Contractions that pick their own summation order (BLAS or einsum).
+CONTRACTIONS = {"einsum", "dot", "matmul", "tensordot", "inner"}
+
+
+def _contractions(path: Path) -> list[str]:
+    """Every use of a numpy contraction or of the @ operator in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{path.name}:{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in CONTRACTIONS and (
+            node.attr == "dot"  # ndarray.dot as well as np.dot
+            or isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        ):
+            found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+            alias.name in CONTRACTIONS for alias in node.names
+        ):
+            found.append(f"{path.name}:{node.lineno}: from numpy import")
+    return found
+
+
+class TestOneKernel:
+    def test_only_numerics_contracts(self):
+        # every float64 contraction goes through numerics.matmul64
+        found = [u for p in sorted(SRC.glob("*.py")) if p.name != "numerics.py"
+                 for u in _contractions(p)]
+        assert found == []
+
+    def test_scanner_sees_every_form(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("import numpy as np\nfrom numpy import einsum\nc = a @ b\nc @= b\n"
+                          "np.tensordot(a, b)\nnumpy.inner(a, b)\na.dot(b)\n")
+        assert len(_contractions(module)) == 6
+        assert any(u.endswith(".einsum") for u in _contractions(SRC / "numerics.py"))
 
 
 class TestMaskedSoftmax:

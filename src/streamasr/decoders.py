@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError
 from .ledger import ComputeLedger
-from .numerics import linear, log_softmax
+from .numerics import check_finite, linear, log_softmax
 
 BLANK_TOKEN = "<blank>"
 
@@ -119,6 +119,7 @@ def ctc_logprobs(enc: np.ndarray, head: CtcHead, rec: ComputeLedger | None = Non
     if enc.shape[0] == 0:
         return np.zeros((0, head.hc.vocab_size), dtype=np.float64)
     logits = linear(enc, head.w, head.b)
+    check_finite(logits, "CTC head")
     if rec is not None:
         rec.add("decoder", enc.shape[0] * head.hc.d_model * head.hc.vocab_size)
     return log_softmax(logits, axis=-1)
@@ -158,6 +159,7 @@ def rnnt_pred_advance(
             + np.asarray(linear(states[i][None, :], w_h), dtype=np.float64)[0]
             + b.astype(np.float64)
         )
+        check_finite(z, "RNNT prediction cell")  # tanh maps an infinity to +-1
         h = np.tanh(z).astype(np.float32)
         new_states.append(h)
         x = h
@@ -173,6 +175,7 @@ def rnnt_joint_logits(
     z = linear(enc_t[None, :], t["rnnt.joint_enc.w"], t["rnnt.joint_enc.b"]).astype(
         np.float64
     ) + linear(g[None, :], t["rnnt.joint_pred.w"], t["rnnt.joint_pred.b"]).astype(np.float64)
+    check_finite(z, "RNNT joint hidden layer")  # tanh maps an infinity to +-1
     h = np.tanh(z).astype(np.float32)
     if rec is not None:
         hc = head.hc
@@ -180,7 +183,9 @@ def rnnt_joint_logits(
             "decoder",
             hc.d_model * hc.d_joint + hc.d_pred * hc.d_joint + hc.d_joint * hc.vocab_size,
         )
-    return linear(h, t["rnnt.joint_out.w"], t["rnnt.joint_out.b"])[0]
+    logits = linear(h, t["rnnt.joint_out.w"], t["rnnt.joint_out.b"])[0]
+    check_finite(logits, "RNNT joint logits")
+    return logits
 
 
 def rnnt_greedy_decode(

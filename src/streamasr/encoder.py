@@ -44,11 +44,11 @@ from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateE
 from .ledger import ComputeLedger
 from .numerics import (
     Rng,
+    check_finite,
     depthwise_conv1d_causal,
     glu,
     layer_norm,
     linear,
-    matmul,
     matmul64,
     swish,
 )
@@ -164,12 +164,23 @@ def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], 
 
 
 class EncoderWeights:
+    """The encoder's tensors, and per layer a dict built once: the layer's
+    tensors without their `layers.{i}.` prefix, plus the K and V projections
+    side by side as one (d, 2d) weight `attn.wkv` and bias `attn.bkv`."""
+
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
+        self._layers: dict[int, dict[str, np.ndarray]] = {}
+        for name, v in tensors.items():
+            if name.startswith("layers."):
+                i, rest = name[len("layers.") :].split(".", 1)
+                self._layers.setdefault(int(i), {})[rest] = v
+        for lw in self._layers.values():
+            lw["attn.wkv"] = np.concatenate([lw["attn.wk"], lw["attn.wv"]], axis=1)
+            lw["attn.bkv"] = np.concatenate([lw["attn.bk"], lw["attn.bv"]])
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
-        p = f"layers.{i}."
-        return {k[len(p) :]: v for k, v in self.tensors.items() if k.startswith(p)}
+        return self._layers[i]
 
 
 def init_tensors(
@@ -294,37 +305,38 @@ def _attend(
 
     Keys are addressed globally; each group's scores, softmax and value sums
     run over exactly the slice [key_lo, key_hi], so results do not depend on
-    what else happens to be in the key array.
+    what else happens to be in the key array. All heads go through one
+    batched matmul64 per product, each head summing as it would alone.
     """
+    d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
     q = linear(q_ain, lw["attn.wq"], lw["attn.bq"])
-    k = linear(key_ain, lw["attn.wk"], lw["attn.bk"])
-    v = linear(key_ain, lw["attn.wv"], lw["attn.bv"])
-    heads, dh = cfg.n_heads, cfg.d_head
+    kv = linear(key_ain, lw["attn.wkv"], lw["attn.bkv"])
+    # a -inf score gets softmax weight 0, which would hide a non-finite key
+    check_finite(kv, "attention K|V projection")
+    # per-head views: q and v (heads, rows, dh), k transposed (heads, dh, keys)
+    qh = q.reshape(-1, heads, dh).transpose(1, 0, 2)
+    kh = kv[:, :d].reshape(-1, heads, dh).transpose(1, 2, 0)
+    vh = kv[:, d:].reshape(-1, heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
     bias = lw["attn.bias"].astype(np.float64)
     sp, sf = cfg.bias_past, cfg.bias_future
-    ctx_out = np.zeros_like(q)
+    ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
     pairs = np.zeros(q.shape[0], dtype=np.int64)
     for r0, r1, lo, hi in groups:
-        if lo < key_base or hi - key_base + 1 > k.shape[0]:
+        if lo < key_base or hi - key_base + 1 > kv.shape[0]:
             raise SessionError(
                 f"attention cache does not cover keys [{lo},{hi}] (base {key_base})"
             )
-        kl = k[lo - key_base : hi - key_base + 1]
-        vl = v[lo - key_base : hi - key_base + 1]
+        keys = slice(lo - key_base, hi - key_base + 1)
         offs = qpos[r0 : r1 + 1, None] - np.arange(lo, hi + 1)[None, :]
         idx = np.clip(offs, -sf, sp) + sf
         pairs[r0 : r1 + 1] = hi - lo + 1
-        for h in range(heads):
-            qh = q[r0 : r1 + 1, h * dh : (h + 1) * dh]
-            s64 = matmul64(qh, kl[:, h * dh : (h + 1) * dh].T) * scale + bias[h][idx]
-            m = s64.max(axis=1, keepdims=True)
-            e = np.exp(s64 - m)
-            wrow = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-            ctx_out[r0 : r1 + 1, h * dh : (h + 1) * dh] = matmul(
-                wrow, vl[:, h * dh : (h + 1) * dh]
-            )
-    return linear(ctx_out, lw["attn.wo"], lw["attn.bo"]), pairs
+        s64 = matmul64(qh[:, r0 : r1 + 1], kh[:, :, keys]) * scale + bias[:, idx]
+        m = s64.max(axis=2, keepdims=True)
+        e = np.exp(s64 - m)
+        wrow = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
+        ctx_out[r0 : r1 + 1] = matmul64(wrow, vh[:, keys]).astype(np.float32).transpose(1, 0, 2)
+    return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"]), pairs
 
 
 def _layer_arrival(
@@ -365,12 +377,15 @@ def _layer_window(
     attn_out, pairs = _attend(cfg, lw, q_ain, qpos, key_ain, key_base, groups)
     x2 = x1_win + attn_out
     c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
-    g = glu(linear(c, lw["conv.pw1"], lw["conv.pw1_b"]))
+    pw = linear(c, lw["conv.pw1"], lw["conv.pw1_b"])
+    check_finite(pw, "conv pointwise")  # the GLU's sigmoid maps an infinite gate to 0 or 1
+    g = glu(pw)
     cv = depthwise_conv1d_causal(g, lw["conv.dw"], lw["conv.dw_b"], conv_hist)
     cv = swish(layer_norm(cv, lw["conv.ln2_g"], lw["conv.ln2_b"]))
     x3 = x2 + linear(cv, lw["conv.pw2"], lw["conv.pw2_b"])
     out = x3 + np.float32(0.5) * _ffn_module(lw, "ffn2", x3)
     out = layer_norm(out, lw["out.ln_g"], lw["out.ln_b"])
+    check_finite(out, "encoder layer")
     if rec is not None:
         d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
         ffn_row = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2

@@ -120,15 +120,20 @@ def mel_filterbank(n_mels: int, n_bins: int, sample_rate: int, window_samples: i
     return fb
 
 
-_DFT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_DFT_CACHE: dict[int, np.ndarray] = {}
 
 
-def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _dft_matrix(n: int) -> np.ndarray:
+    """(n, 2 * (n // 2 + 1)): the real DFT's cos columns, then its sin columns."""
     if n not in _DFT_CACHE:
         k = np.arange(n)[:, None]
         b = np.arange(n // 2 + 1)[None, :]
         ang = -2.0 * np.pi * k * b / n
-        _DFT_CACHE[n] = (np.cos(ang), np.sin(ang))
+        # written in place: a concatenate would hold a third n x n_bins array
+        dft = np.empty((n, 2 * b.shape[1]))
+        np.cos(ang, out=dft[:, : b.shape[1]])
+        np.sin(ang, out=dft[:, b.shape[1] :])
+        _DFT_CACHE[n] = dft
     return _DFT_CACHE[n]
 
 
@@ -140,7 +145,7 @@ class StreamingFeatureExtractor:
         self._pending = np.zeros(0, dtype=np.int16)
         win = cfg.window_samples
         self._hann = hann_window(win)
-        self._cos, self._sin = _dft_matrices(win)
+        self._dft = _dft_matrix(win)
         self._fb = mel_filterbank(cfg.n_mels, win // 2 + 1, cfg.sample_rate, win)
 
     def push(self, samples: np.ndarray) -> np.ndarray:
@@ -155,9 +160,11 @@ class StreamingFeatureExtractor:
         idx = np.arange(win)[None, :] + shift * np.arange(n_frames)[:, None]
         frames = x[idx] * self._hann[None, :]
         # matmul64 sums each output element sequentially over k, so rows are
-        # independent of how many frames are in the batch.
-        re = matmul64(frames, self._cos)
-        im = matmul64(frames, self._sin)
+        # independent of how many frames are in the batch, and each column of
+        # the cos|sin product equals that column computed alone.
+        spec = matmul64(frames, self._dft)
+        n_bins = win // 2 + 1
+        re, im = spec[:, :n_bins], spec[:, n_bins:]
         power = re * re + im * im
         mel = matmul64(power, self._fb)
         out = np.log(mel + LOG_FLOOR).astype(np.float32)

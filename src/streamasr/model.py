@@ -177,4 +177,6 @@ def load_model(path: str) -> HybridModel:
     for name, shape, _ in _full_spec(cfg):
         if name not in tensors or tensors[name].shape != shape:
             raise FormatError(f"{path}: tensor {name} missing or not of shape {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"{path}: tensor {name} holds NaN or infinite values")
     return _assemble(cfg, tensors)

@@ -8,15 +8,23 @@ bit-identical results whether it runs over a whole sequence or over chunks of
 it, which is what the streaming equivalence tests rely on.
 
 Every float64 contraction in the package goes through `matmul64`, one
-`np.einsum("ik,kj->ij")` call. einsum sums each output element in ascending
+`np.einsum("ik,kj->ij")` call, or `np.einsum("hik,hkj->hij")` for a batch of
+matrices (the attention heads). einsum sums each output element in ascending
 k with one accumulator only under conditions the kernel enforces itself:
 both operands C-contiguous float64 (einsum picks its loop order from the
 operands' strides, so a transposed or strided view can change the sum), no
 `optimize` argument and no BLAS (`@`, `np.dot` and `optimize=True` block and
 vectorize the k-sum), and at least two output columns (a one-column output
-makes einsum reduce k with several SIMD accumulators). The tests hold the
-kernel to a k-loop oracle bit for bit over random shapes and layouts, and
-fail if another module calls a numpy contraction or uses `@`.
+makes einsum reduce k with several SIMD accumulators). A batch axis only
+adds an outer loop: each matrix of a batch sums exactly as it would alone.
+The tests hold the kernel to a k-loop oracle bit for bit over random shapes,
+batch sizes and layouts, and fail if another module calls a numpy
+contraction or uses `@`.
+
+The kernels do not check their outputs for NaN or inf. Callers check once
+per encoder layer output and at each decoder's logits, with `check_finite`,
+and also wherever a saturating function (a sigmoid gate, a softmax, a tanh)
+would turn a non-finite input into a finite output.
 """
 
 from __future__ import annotations
@@ -30,19 +38,22 @@ from .errors import ConfigError, NumericsError, ShapeError
 LOG_ZERO = -1.0e30
 
 
-def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def check_finite(arr: np.ndarray, where: str) -> None:
+    """Raise NumericsError if `arr` holds a NaN or an infinity."""
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by {where}")
 
 
 def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
-    The result stays in float64, for sums of several products. Output rows
-    depend only on the corresponding rows of `a`. Each element equals the
-    sequential sum a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ..., each product
-    rounded to float64 before it is added, whatever the operands' dtype,
-    layout or batch size. That needs:
+    `a` (m, k) and `b` (k, n) give (m, n); a batch `a` (h, m, k) and `b`
+    (h, k, n) gives (h, m, n), matrix by matrix. The result stays in
+    float64, for sums of several products. Output rows depend only on the
+    corresponding rows of `a`. Each element equals the sequential sum
+    a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ..., each product rounded to
+    float64 before it is added, whatever the operands' dtype, layout, batch
+    size or number of rows. That needs:
 
     - C-contiguous float64 copies of both operands: einsum orders its loops
       by the operands' strides, and an F-order or transposed `b` makes it
@@ -56,23 +67,22 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two 2-D or two 3-D operands, got {a.shape} and "
+                         f"{b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul dims disagree: {a.shape} x {b.shape}")
     a64 = np.ascontiguousarray(a, dtype=np.float64)
-    n = b.shape[1]
+    n = b.shape[-1]
     if n == 1:
-        b = np.concatenate([b, np.zeros_like(b)], axis=1)
+        b = np.concatenate([b, np.zeros_like(b)], axis=-1)
     b64 = np.ascontiguousarray(b, dtype=np.float64)
-    return np.einsum("ik,kj->ij", a64, b64)[:, :n]
+    return np.einsum("ik,kj->ij" if a.ndim == 2 else "hik,hkj->hij", a64, b64)[..., :n]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """matmul64 rounded once to float32; matches a naive triple loop bit for bit."""
-    out = matmul64(a, b).astype(np.float32)
-    _check_finite(out, "matmul")
-    return out
+    return matmul64(a, b).astype(np.float32)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -103,12 +113,11 @@ def layer_norm(
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
     x64 = x.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
+    # sum / d is what np.mean computes, without its per-call overhead
+    mu = x64.sum(axis=-1, keepdims=True) / d
+    var = ((x64 - mu) ** 2).sum(axis=-1, keepdims=True) / d
     y = (x64 - mu) / np.sqrt(var + eps)
-    out = (y * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
-    _check_finite(out, "layer_norm")
-    return out
+    return (y * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
 
 
 def depthwise_conv1d_causal(
@@ -144,19 +153,17 @@ def depthwise_conv1d_causal(
         acc += xp[i : i + t, :] * w64[None, :, i]
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)[None, :]
-    out = acc.astype(np.float32)
-    _check_finite(out, "depthwise_conv1d_causal")
-    return out
+    return acc.astype(np.float32)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, so exp
+    never overflows."""
     x64 = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x64)
     pos = x64 >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x64[pos]))
-    ez = np.exp(x64[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out.astype(np.float32)
+    e = np.exp(np.where(pos, -x64, x64))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d).astype(np.float32)
 
 
 def swish(x: np.ndarray) -> np.ndarray:

@@ -68,15 +68,55 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul64_kloop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul64's oracle: each element summed over k in ascending order, each
-    product rounded to float64 before it is added. Element-wise numpy
-    operations only, so no operand layout can change the order."""
+    """matmul64's oracle, for (m, k) x (k, n) or batched (h, m, k) x (h, k, n):
+    each element summed over k in ascending order, each product rounded to
+    float64 before it is added. Element-wise numpy operations only, so no
+    operand layout can change the order."""
     a64 = np.asarray(a, dtype=np.float64)
     b64 = np.asarray(b, dtype=np.float64)
-    acc = np.zeros((a64.shape[0], b64.shape[1]), dtype=np.float64)
-    for k in range(a64.shape[1]):
-        acc += a64[:, k, None] * b64[None, k, :]
+    acc = np.zeros(a64.shape[:-1] + b64.shape[-1:], dtype=np.float64)
+    for k in range(a64.shape[-1]):
+        acc += a64[..., :, k, None] * b64[..., None, k, :]
     return acc
+
+
+def sigmoid_mask(x: np.ndarray) -> np.ndarray:
+    """sigmoid's oracle: each formula applied only to its own elements by a
+    boolean-mask gather and scatter."""
+    x64 = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x64)
+    pos = x64 >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x64[pos]))
+    ez = np.exp(x64[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out.astype(np.float32)
+
+
+def attend_per_head(cfg: EncoderConfig, lw: dict, q_ain: np.ndarray, qpos: np.ndarray,
+                    key_ain: np.ndarray, key_base: int, groups) -> np.ndarray:
+    """encoder._attend's oracle: separate Q, K and V projections, then one
+    head at a time, every product a k-loop."""
+    def lin(x, w, b):
+        return matmul64_kloop(x, w).astype(np.float32) + b
+
+    q = lin(q_ain, lw["attn.wq"], lw["attn.bq"])
+    k = lin(key_ain, lw["attn.wk"], lw["attn.bk"])
+    v = lin(key_ain, lw["attn.wv"], lw["attn.bv"])
+    dh = cfg.d_head
+    bias = lw["attn.bias"].astype(np.float64)
+    ctx = np.zeros_like(q)
+    for r0, r1, lo, hi in groups:
+        keys = slice(lo - key_base, hi - key_base + 1)
+        offs = qpos[r0 : r1 + 1, None] - np.arange(lo, hi + 1)[None, :]
+        idx = np.clip(offs, -cfg.bias_future, cfg.bias_past) + cfg.bias_future
+        for h in range(cfg.n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s64 = (matmul64_kloop(q[r0 : r1 + 1, cols], k[keys, cols].T) * (1.0 / math.sqrt(dh))
+                   + bias[h][idx])
+            e = np.exp(s64 - s64.max(axis=1, keepdims=True))
+            wts = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+            ctx[r0 : r1 + 1, cols] = matmul64_kloop(wts, v[keys, cols]).astype(np.float32)
+    return lin(ctx, lw["attn.wo"], lw["attn.bo"])
 
 
 def softmax_rational(scores: list[float], mask: list[bool], terms: int = 40) -> list[float]:

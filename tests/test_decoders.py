@@ -12,7 +12,7 @@ from streamasr import (
     rnnt_joint_log_probs,
 )
 from streamasr.decoders import rnnt_joint_logits, rnnt_pred_advance
-from streamasr.errors import ArgumentError, FormatError, InputFileError
+from streamasr.errors import ArgumentError, FormatError, InputFileError, NumericsError
 from streamasr.numerics import logsumexp
 
 from helpers import random_head
@@ -209,3 +209,38 @@ class TestJointGrid:
         _, head = random_head(seed=12)
         with pytest.raises(ArgumentError):
             rnnt_joint_log_probs(np.zeros((2, 16), np.float32), [0], head)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestRnntNonFinite:
+    # tanh maps an infinite cell or joint input to +-1, so its input is checked
+    @staticmethod
+    def _huge_signs(rng, shape):
+        return np.where(rng.random(shape) < 0.5, np.float32(-3e37), np.float32(3e37))
+
+    def test_prediction_cell(self):
+        _, head = random_head(d_pred=64)
+        rng = np.random.default_rng(0)
+        head.tensors["rnnt.embed"] = np.where(
+            rng.random(head.tensors["rnnt.embed"].shape) < 0.5, -1.0, 1.0
+        ).astype(np.float32)
+        head.tensors["rnnt.cell0.w_in"] = self._huge_signs(rng, (64, 64))
+        with pytest.raises(NumericsError):
+            rnnt_pred_advance(head, rnnt_init_state(head), 1)
+
+    def test_joint(self):
+        _, head = random_head(d_model=64)
+        rng = np.random.default_rng(0)
+        head.tensors["rnnt.joint_enc.w"] = self._huge_signs(rng, (64, 8))
+        enc_t = np.where(rng.random(64) < 0.5, -1.0, 1.0).astype(np.float32)
+        with pytest.raises(NumericsError):
+            rnnt_joint_logits(head, enc_t, rnnt_init_state(head)[-1])
+
+    def test_joint_logits(self):
+        _, head = random_head(vocab_size=40, d_joint=64)
+        rng = np.random.default_rng(0)
+        head.tensors["rnnt.joint_enc.w"] = np.full((16, 64), 100.0, np.float32)  # tanh at +-1
+        head.tensors["rnnt.joint_out.w"] = self._huge_signs(rng, (64, 40))
+        enc_t = np.ones(16, np.float32)
+        with pytest.raises(NumericsError):
+            rnnt_joint_logits(head, enc_t, rnnt_init_state(head)[-1])

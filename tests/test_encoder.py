@@ -3,18 +3,28 @@ import pytest
 
 from streamasr import (
     AttentionContext,
+    EncoderWeights,
+    Rng,
     encode_full,
     encode_step,
     init_state,
     receptive_field_frames,
 )
+from streamasr import encoder, numerics
 from streamasr.context import ZERO
-from streamasr.encoder import _attend, downsample_segment, query_groups
-from streamasr.errors import ChunkingError, ConfigError, SessionError
+from streamasr.encoder import (
+    _attend,
+    downsample_segment,
+    encoder_weight_spec,
+    init_tensors,
+    query_groups,
+)
+from streamasr.errors import ChunkingError, ConfigError, NumericsError, SessionError
 from streamasr.ledger import ComputeLedger
 from streamasr.numerics import linear
 
 from helpers import (
+    attend_per_head,
     build_mask,
     init_encoder_weights,
     masked_softmax,
@@ -207,6 +217,40 @@ class TestAttentionInternals:
         ref = linear(ref_ctx, lw["attn.wo"], lw["attn.bo"])
         assert np.abs(out - ref).max() < 1e-4
 
+    @pytest.mark.parametrize("d_model,n_heads", [(16, 1), (16, 2), (16, 4), (4, 4)])
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_attend_equals_per_head_kloop_bit_for_bit(self, ctx, d_model, n_heads):
+        # d_model 4 over 4 heads gives one-column value products
+        cfg = tiny_encoder_config(ctx, d_model=d_model, n_heads=n_heads)
+        lw = init_encoder_weights(cfg, seed=23).layer(0)
+        t = 12
+        ain = np.random.default_rng(24).standard_normal((t, d_model)).astype(np.float32)
+        for n_q in (12, 5, 1):  # queries are the newest n_q of the t keys
+            qpos = np.arange(t - n_q, t)
+            groups = query_groups(ctx, qpos, t - 1)
+            out, _ = _attend(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
+            want = attend_per_head(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
+            assert np.array_equal(out, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_key_that_softmax_hides_raises(self):
+        # every query's first component is -1 and one key's is +inf: that key
+        # scores -inf, gets weight 0, and the output would stay finite
+        ctx = AttentionContext.chunked(12, 0)
+        cfg = tiny_encoder_config(ctx)
+        tensors = init_tensors(encoder_weight_spec(cfg), Rng(23))
+        tensors["layers.0.attn.wq"][:, 0] = 0.0
+        tensors["layers.0.attn.bq"][0] = -1.0
+        tensors["layers.0.attn.wk"][:, 0] = 0.0
+        tensors["layers.0.attn.wk"][0, 0] = 3e38
+        lw = EncoderWeights(tensors).layer(0)
+        ain = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
+        ain[:, 0] = 0.0
+        ain[4, 0] = 2.0  # key 4's first component overflows to +inf
+        qpos = np.arange(12)
+        with pytest.raises(NumericsError):
+            _attend(cfg, lw, ain, qpos, ain, 0, query_groups(ctx, qpos, 11))
+
     @pytest.mark.parametrize("ctx", REGIMES)
     @pytest.mark.parametrize("q0,n", [(0, 12), (5, 1), (5, 9), (11, 6)])
     def test_query_groups_follow_the_mask(self, ctx, q0, n):
@@ -327,3 +371,35 @@ class TestConfigValidation:
         cfg = tiny_encoder_config(AttentionContext.chunked(4, 2))
         assert cfg.bias_past == 3 * 4 - 1
         assert cfg.bias_future == 3
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_matmul_calls_per_step_do_not_depend_on_heads(self, ctx, monkeypatch):
+        # one batched product per query group covers every head
+        per_heads = {}
+        for n_heads in (1, 2, 4):
+            cfg = tiny_encoder_config(ctx, n_heads=n_heads)
+            w = init_encoder_weights(cfg, seed=5)
+            mel = random_mel(40, cfg.n_mels, seed=6)
+            calls = []
+            real = numerics.matmul64
+
+            def counting(a, b):
+                calls.append(1)
+                return real(a, b)
+
+            monkeypatch.setattr(numerics, "matmul64", counting)
+            monkeypatch.setattr(encoder, "matmul64", counting)
+            step = (1 if ctx.regime == ZERO else ctx.step_tokens()) * cfg.downsampling_rate
+            state = init_state(cfg)
+            counts = []
+            for pos in range(0, mel.shape[0], step):
+                before = len(calls)
+                final = pos + step >= mel.shape[0]
+                encode_step(mel[pos : pos + step], state, w, cfg, final=final)
+                counts.append(len(calls) - before)
+            monkeypatch.undo()
+            per_heads[n_heads] = counts
+        assert per_heads[1] == per_heads[2] == per_heads[4]
+        assert min(per_heads[1]) > 0

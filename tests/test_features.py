@@ -11,6 +11,7 @@ from streamasr import (
     read_wav,
 )
 from streamasr.errors import FormatError, InputFileError
+from streamasr import features
 from streamasr.features import LOG_FLOOR, hann_window, mel_filterbank
 
 from helpers import dft_power_oracle, synth_audio, write_wav
@@ -115,3 +116,24 @@ class TestLogMel:
         mel_a = log_mel(a)
         mel_loud = log_mel(loud)
         assert np.array_equal(mel_loud[: mel_a.shape[0]], mel_a)
+
+
+def test_push_makes_two_kernel_calls(monkeypatch):
+    # one cos|sin DFT product and one mel product per push that yields frames
+    calls = []
+    real = features.matmul64
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(features, "matmul64", counting)
+    audio = synth_audio(0.5, seed=8)
+    fe = StreamingFeatureExtractor(FeatureConfig())
+    yielded = 0
+    for n in (100, 200, 500, 160, 1, 3000, 4039):
+        before = len(calls)
+        frames = fe.push(audio.samples[:n])
+        yielded += frames.shape[0] > 0
+        assert len(calls) - before == (2 if frames.shape[0] > 0 else 0)
+    assert 0 < yielded < 7

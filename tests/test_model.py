@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,9 @@ from streamasr import (
     load_model,
     save_model,
 )
-from streamasr.errors import ConfigError
+from streamasr.errors import ConfigError, FormatError
+
+from helpers import tiny_model
 
 contexts = st.one_of(
     st.builds(AttentionContext.zero, st.none() | st.integers(0, 12)),
@@ -86,3 +89,17 @@ class TestConfigFromDict:
     def test_rejects(self, d):
         with pytest.raises(ConfigError):
             config_from_dict(AttentionContext, d)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("name", ["enc.layers.1.attn.wv", "ctc.b", "rnnt.joint_out.w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_rejects(self, tmp_path, name, bad):
+        model, _ = tiny_model()
+        t = model.tensors[name].copy()
+        t.flat[t.size // 2] = bad
+        model.tensors[name] = t
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        with pytest.raises(FormatError, match=name):
+            load_model(path)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul
 from streamasr.errors import ConfigError, ShapeError
-from streamasr.numerics import glu, log_softmax, logsumexp, matmul64, swish
+from streamasr.numerics import glu, log_softmax, logsumexp, matmul64, sigmoid, swish
 
 from helpers import (
     DegenerateMaskError,
     masked_softmax,
     matmul64_kloop,
     matmul_triple_loop,
+    sigmoid_mask,
     softmax_rational,
 )
 
@@ -68,30 +69,33 @@ class TestMatmul:
 LAYOUTS = ("C", "F", "transposed", "strided", "reversed")
 
 
-def _operand(rng: np.random.Generator, shape: tuple[int, int], layout: str, dtype) -> np.ndarray:
-    """A (rows, cols) operand in the given memory layout, values spread over 2**±10."""
-    def values(r, c):
-        x = rng.standard_normal((r, c)) * 2.0 ** rng.integers(-10, 11, size=(r, c))
+def _operand(rng: np.random.Generator, shape: tuple[int, ...], layout: str, dtype) -> np.ndarray:
+    """A (rows, cols) or (batch, rows, cols) operand in the given memory layout,
+    values spread over 2**±10."""
+    def values(*dims):
+        x = rng.standard_normal(dims) * 2.0 ** rng.integers(-10, 11, size=dims)
         return x.astype(dtype)
 
-    r, c = shape
+    *batch, r, c = shape
     if layout == "F":
-        return np.asfortranarray(values(r, c))
+        return np.asfortranarray(values(*shape))
     if layout == "transposed":
-        return values(c, r).T
+        return np.swapaxes(values(*batch, c, r), -1, -2)
     if layout == "strided":
-        return values(2 * r + 1, 3 * c + 2)[1::2, 2::3]
+        big = values(*(2 * n for n in batch), 2 * r + 1, 3 * c + 2)
+        return big[(slice(None, None, 2),) * len(batch) + (slice(1, None, 2), slice(2, None, 3))]
     if layout == "reversed":
-        return values(r, c)[::-1, ::-1]
-    return values(r, c)
+        return values(*shape)[(slice(None, None, -1),) * len(shape)]
+    return values(*shape)
 
 
 class TestMatmul64:
     """matmul64 is one einsum whose summation order depends on its operands'
     layout and on the output width; these tests pin it to the k-loop oracle."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
+        batch=st.none() | st.integers(1, 8),
         m=st.integers(1, 8) | st.integers(9, 48),
         k=st.integers(1, 8) | st.integers(513, 2048),
         n=st.integers(1, 8) | st.integers(9, 48),
@@ -101,13 +105,16 @@ class TestMatmul64:
         dtype_b=st.sampled_from([np.float32, np.float64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_kloop_bit_for_bit(self, m, k, n, layout_a, layout_b, dtype_a, dtype_b,
-                                       seed):
+    def test_matches_kloop_bit_for_bit(self, batch, m, k, n, layout_a, layout_b, dtype_a,
+                                       dtype_b, seed):
+        # batch None: (m, k) x (k, n); otherwise (batch, m, k) x (batch, k, n)
         rng = np.random.default_rng(seed)
-        a = _operand(rng, (m, k), layout_a, dtype_a)
-        b = _operand(rng, (k, n), layout_b, dtype_b)
+        lead = () if batch is None else (batch,)
+        a = _operand(rng, lead + (m, k), layout_a, dtype_a)
+        b = _operand(rng, lead + (k, n), layout_b, dtype_b)
         got = matmul64(a, b)
         assert got.dtype == np.float64
+        assert got.shape == lead + (m, n)
         assert np.array_equal(got, matmul64_kloop(a, b))
 
     def test_one_column_long_k(self):
@@ -124,6 +131,20 @@ class TestMatmul64:
         keys = rng.standard_normal((40, 32)).astype(np.float32)
         a, b = q[:, 8:16], keys[:, 8:16].T
         assert np.array_equal(matmul64(a, b), matmul64_kloop(a, b))
+
+    def test_batched_one_column_long_k(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((3, 5, 2048))
+        b = rng.standard_normal((3, 2048, 1))
+        assert np.array_equal(matmul64(a, b), matmul64_kloop(a, b))
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (4, 5)), ((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)), ((3,), (3,)),
+        ((1, 2, 3, 4), (1, 2, 4, 5)),
+    ])
+    def test_shape_error(self, shapes):
+        with pytest.raises(ShapeError):
+            matmul64(np.zeros(shapes[0]), np.zeros(shapes[1]))
 
 
 # Contractions that pick their own summation order (BLAS or einsum).
@@ -163,6 +184,37 @@ class TestOneKernel:
         assert any(u.endswith(".einsum") for u in _contractions(SRC / "numerics.py"))
 
 
+SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, -1e-310, 709.0, -709.0, 709.78, -709.78, 745.0,
+                    -745.0, 745.2, -745.2, 746.0, -746.0, 1e300, -1e300]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.floats(-750.0, 750.0) | st.sampled_from(SIGMOID_SPECIALS),
+        min_size=0, max_size=40,
+    ), st.sampled_from([np.float64, np.float32]))
+    def test_matches_mask_oracle_bit_for_bit(self, xs, dtype):
+        with np.errstate(over="ignore"):  # values past float32's range become inf
+            x = np.array(xs, dtype=np.float64).astype(dtype)
+        got = sigmoid(x)
+        want = sigmoid_mask(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_specials(self):
+        x = np.array(SIGMOID_SPECIALS, dtype=np.float64)
+        assert np.array_equal(sigmoid(x).view(np.uint32), sigmoid_mask(x).view(np.uint32))
+        with np.errstate(over="raise"):  # neither branch overflows exp
+            sigmoid(np.array([-1e300, 1e300, 745.2, -745.2]))
+
+    def test_two_dimensional(self):
+        x = np.random.default_rng(4).standard_normal((6, 7)) * 40
+        assert np.array_equal(sigmoid(x), sigmoid_mask(x))
+
+
 class TestMaskedSoftmax:
     def test_uniform(self):
         out = masked_softmax(np.zeros((1, 3), np.float32), np.ones((1, 3), bool))
@@ -199,6 +251,19 @@ class TestMaskedSoftmax:
 
 
 class TestLayerNorm:
+    @pytest.mark.parametrize("d", [1, 2, 7, 16, 64, 80, 257])
+    def test_statistics_are_np_mean_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((500, d)) * 2.0 ** rng.integers(-8, 9, size=(500, d))
+        x = x.astype(np.float32)
+        gamma = rng.standard_normal(d).astype(np.float32)
+        beta = rng.standard_normal(d).astype(np.float32)
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=-1, keepdims=True)
+        y = (x64 - mu) / np.sqrt(((x64 - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        want = (y * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
+        assert np.array_equal(layer_norm(x, gamma, beta), want)
+
     def test_constant_vector_zeroed_by_eps(self):
         out = layer_norm(np.full(8, 3.5, np.float32), np.ones(8, np.float32),
                          np.zeros(8, np.float32))

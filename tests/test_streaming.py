@@ -7,13 +7,16 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     StreamingSession,
+    encode_full,
+    load_model,
     log_mel,
     run_buffered,
     run_multi_lookahead,
     run_offline,
     run_streaming,
+    save_model,
 )
-from streamasr.errors import ConfigError, SessionError
+from streamasr.errors import ConfigError, NumericsError, SessionError
 from streamasr.features import AudioBuffer
 
 from helpers import count_macs, synth_audio, tiny_model
@@ -316,3 +319,61 @@ class TestTranscriptFormat:
         model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=68)
         res = run_offline(synth_audio(0.5, seed=69), model, vocab, decoder="ctc")
         assert res.transcripts["ctc"].avg_latency_ms is None
+
+
+# Weights of random sign and magnitude 3e37 in a d_model-64 model: each output
+# of the projection they feed sums 64 such products, and many of those sums
+# overflow float32. Each case names the decoder to run, and the tensors and
+# columns that get the huge weights.
+HUGE = np.float32(3e37)
+OVERFLOWS = {
+    "ffn1": ("ctc", [(f"enc.layers.{i}.ffn1.w1", slice(None)) for i in range(2)]),
+    # the last layer's: reaches nothing but the encoder output
+    "ffn2": ("ctc", [("enc.layers.1.ffn2.w1", slice(None))]),
+    # a sigmoid maps an infinite gate to 0 or 1: the layer output stays finite
+    "conv-gate": ("ctc", [(f"enc.layers.{i}.conv.pw1", slice(64, None)) for i in range(2)]),
+    "attention-keys": ("ctc", [(f"enc.layers.{i}.attn.wk", slice(None)) for i in range(2)]),
+    "ctc-head": ("ctc", [("ctc.w", slice(None))]),
+    # tanh maps an infinity to +-1
+    "rnnt-joint": ("rnnt", [("rnnt.joint_enc.w", slice(None))]),
+}
+
+
+def overflowing_model(tmp_path, case):
+    """The tiny d_model-64 model with the case's huge weights, through a model file."""
+    model, vocab = tiny_model(AttentionContext.chunked(3, 1), d_model=64, n_heads=4)
+    rng = np.random.default_rng(0)
+    for name, cols in OVERFLOWS[case][1]:
+        t = model.tensors[name].copy()
+        t[:, cols] = np.where(rng.random(t[:, cols].shape) < 0.5, -HUGE, HUGE)
+        model.tensors[name] = t
+    path = str(tmp_path / "huge.bin")
+    save_model(model, path)
+    return load_model(path), vocab, OVERFLOWS[case][0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNumericsError:
+    @pytest.mark.parametrize("case", ["ffn1", "ffn2", "conv-gate", "attention-keys"])
+    def test_encode_full(self, tmp_path, case):
+        model, _, _ = overflowing_model(tmp_path, case)
+        mel = log_mel(synth_audio(2.0, seed=1), model.cfg.feature_config())
+        with pytest.raises(NumericsError):
+            encode_full(mel, model.encoder, model.cfg.encoder)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_streaming_session(self, tmp_path, case):
+        model, vocab, decoder = overflowing_model(tmp_path, case)
+        samples = synth_audio(2.0, seed=1).samples
+        session = StreamingSession(model, vocab, decoder=decoder)
+        with pytest.raises(NumericsError):
+            for i in range(0, len(samples), 320):
+                session.feed(samples[i : i + 320])
+            session.finish()
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_run_offline(self, tmp_path, case):
+        model, vocab, decoder = overflowing_model(tmp_path, case)
+        with pytest.raises(NumericsError):
+            run_offline(synth_audio(2.0, seed=1), model, vocab, decoder=decoder)

@@ -1,16 +1,18 @@
 """Streaming caches: what a session carries between chunks.
 
 Per encoder layer:
-  attn      - inputs to self-attention (post-norm): every input whose output
-              is not yet settled, plus the settled inputs still within the
-              left context of the next query. Starts empty and grows until it
-              saturates.
+  attn      - projected keys and values (K|V, 2 * d_model wide) of every
+              input whose output is not yet settled, plus those of the
+              settled inputs still within the left context of the next
+              query. Each row is projected once, when its input arrives.
+              Starts empty and grows until it saturates.
   conv      - the last kernel-1 settled inputs of the causal depthwise
               convolution, zero-filled at session start so the first chunk
               sees the same operands as the left-padded single-pass
               computation.
   pending   - post-first-FFN values of inputs whose outputs are not yet
               settled (only non-empty for the regular look-ahead regime).
+              Their queries are projected again each step.
 
 Plus the downsampler mel residual, the RNNT prediction-net hidden states, and
 global token/frame offsets. The update functions below are the only code that
@@ -27,11 +29,11 @@ from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
-    """Attention inputs a layer retains once its outputs before n_out are settled.
+    """Attention cache rows a layer retains once its outputs before n_out are settled.
 
     Every unsettled input stays, plus the settled inputs that a query from
     n_out on can still reach: every key from the start of n_out's interval.
@@ -42,7 +44,7 @@ def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
 def attn_cache_update(
     cache: np.ndarray, new_keys: np.ndarray, n_keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Append new attention inputs.
+    """Append the K|V rows of new inputs.
 
     Returns (window, new_cache): this step's key array cache||new_keys and
     its newest n_keep rows, which seed the next step.
@@ -82,7 +84,7 @@ def conv_cache_apply_update(
 
 @dataclass
 class LayerCache:
-    attn: np.ndarray  # (w, d) attention inputs, see attn_keep_rows
+    attn: np.ndarray  # (w, 2d) projected K|V rows, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
     pending: np.ndarray  # (p, d) post-FFN1 values of not-yet-settled outputs
     n_in: int = 0  # inputs seen
@@ -146,6 +148,9 @@ class StreamState:
         def tensor(name: str) -> np.ndarray:
             if name not in tensors:
                 raise StateError(f"{path}: missing tensor {name}")
+            # cached K|V rows were checked when projected; a softmax would hide an inf
+            if not np.isfinite(tensors[name]).all():
+                raise StateError(f"{path}: tensor {name} holds NaN or infinity")
             return tensors[name]
 
         counters = header.get("counters")

@@ -166,7 +166,8 @@ def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], 
 class EncoderWeights:
     """The encoder's tensors, and per layer a dict built once: the layer's
     tensors without their `layers.{i}.` prefix, plus the K and V projections
-    side by side as one (d, 2d) weight `attn.wkv` and bias `attn.bkv`."""
+    side by side as one (d, 2d) weight `attn.wkv` and bias `attn.bkv`, and
+    the relative-position bias in float64 as `attn.bias64`."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
@@ -178,6 +179,7 @@ class EncoderWeights:
         for lw in self._layers.values():
             lw["attn.wkv"] = np.concatenate([lw["attn.wk"], lw["attn.wv"]], axis=1)
             lw["attn.bkv"] = np.concatenate([lw["attn.bk"], lw["attn.bv"]])
+            lw["attn.bias64"] = lw["attn.bias"].astype(np.float64)
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
         return self._layers[i]
@@ -292,73 +294,112 @@ def query_groups(
     return groups
 
 
+def _softmax_values(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray, scale: float
+) -> np.ndarray:
+    """Attention of a batch of same-shape query groups: q (b, rows, dh),
+    k (b, dh, keys), v (b, keys, dh) and bias (b, rows, keys) give the
+    float32 value sums (b, rows, dh). Each row's max, exp and sum run over
+    its own keys only, along the contiguous last axis."""
+    s64 = matmul64(q, k) * scale + bias
+    m = s64.max(axis=2, keepdims=True)
+    e = np.exp(s64 - m)
+    w = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
+    return matmul64(w, v).astype(np.float32)
+
+
 def _attend(
     cfg: EncoderConfig,
     lw: dict,
     q_ain: np.ndarray,
     qpos: np.ndarray,
-    key_ain: np.ndarray,
+    kv: np.ndarray,
     key_base: int,
     groups: list[tuple[int, int, int, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masked multi-head attention over precomputed intervals.
 
-    Keys are addressed globally; each group's scores, softmax and value sums
-    run over exactly the slice [key_lo, key_hi], so results do not depend on
-    what else happens to be in the key array. All heads go through one
-    batched matmul64 per product, each head summing as it would alone.
+    `kv` holds the projected K|V rows (keys, 2d) of every key from global
+    position key_base on. Keys are addressed globally; each group's scores,
+    softmax and value sums run over exactly the keys [key_lo, key_hi], so
+    results do not depend on what else happens to be in the key array. All
+    heads of a group go through one batched matmul64 per product, and so do
+    all groups of one (rows, keys) shape: each head and group sums as it
+    would alone. A shape held by one group takes plain slices of q and kv;
+    a shape shared by several gathers their rows with one index array.
     """
     d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
     q = linear(q_ain, lw["attn.wq"], lw["attn.bq"])
-    kv = linear(key_ain, lw["attn.wkv"], lw["attn.bkv"])
-    # a -inf score gets softmax weight 0, which would hide a non-finite key
-    check_finite(kv, "attention K|V projection")
     # per-head views: q and v (heads, rows, dh), k transposed (heads, dh, keys)
     qh = q.reshape(-1, heads, dh).transpose(1, 0, 2)
     kh = kv[:, :d].reshape(-1, heads, dh).transpose(1, 2, 0)
     vh = kv[:, d:].reshape(-1, heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
-    bias = lw["attn.bias"].astype(np.float64)
+    bias = lw["attn.bias64"]
     sp, sf = cfg.bias_past, cfg.bias_future
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
     pairs = np.zeros(q.shape[0], dtype=np.int64)
+    by_shape: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
     for r0, r1, lo, hi in groups:
         if lo < key_base or hi - key_base + 1 > kv.shape[0]:
             raise SessionError(
                 f"attention cache does not cover keys [{lo},{hi}] (base {key_base})"
             )
-        keys = slice(lo - key_base, hi - key_base + 1)
-        offs = qpos[r0 : r1 + 1, None] - np.arange(lo, hi + 1)[None, :]
-        idx = np.clip(offs, -sf, sp) + sf
         pairs[r0 : r1 + 1] = hi - lo + 1
-        s64 = matmul64(qh[:, r0 : r1 + 1], kh[:, :, keys]) * scale + bias[:, idx]
-        m = s64.max(axis=2, keepdims=True)
-        e = np.exp(s64 - m)
-        wrow = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
-        ctx_out[r0 : r1 + 1] = matmul64(wrow, vh[:, keys]).astype(np.float32).transpose(1, 0, 2)
+        by_shape.setdefault((r1 - r0 + 1, hi - lo + 1), []).append((r0, r1, lo, hi))
+    for (n_r, n_k), same in by_shape.items():
+        if len(same) == 1:
+            r0, r1, lo, hi = same[0]
+            rows = slice(r0, r1 + 1)
+            keys = slice(lo - key_base, hi - key_base + 1)
+            offs = qpos[rows, None] - np.arange(lo, hi + 1)[None, :]
+            out = _softmax_values(qh[:, rows], kh[:, :, keys], vh[:, keys],
+                                  bias[:, np.clip(offs, -sf, sp) + sf], scale)
+            ctx_out[rows] = out.transpose(1, 0, 2)
+            continue
+        # batch axis: head-major, then group; each operand is one gather
+        n = heads * len(same)
+        rows = np.array([g[0] for g in same])[:, None] + np.arange(n_r)  # (groups, n_r)
+        kpos = np.array([g[2] for g in same])[:, None] + np.arange(n_k)  # (groups, n_k) global
+        offs = qpos[rows][:, :, None] - kpos[:, None, :]
+        kidx = kpos - key_base
+        k_cols = np.arange(d).reshape(heads, 1, dh, 1)
+        out = _softmax_values(
+            qh[:, rows].reshape(n, n_r, dh),
+            kv[kidx[:, None, :], k_cols].reshape(n, dh, n_k),  # (heads, groups, dh, n_k)
+            vh[:, kidx].reshape(n, n_k, dh),
+            bias[:, np.clip(offs, -sf, sp) + sf].reshape(n, n_r, n_k),
+            scale,
+        )
+        ctx_out[rows] = out.reshape(heads, len(same), n_r, dh).transpose(1, 2, 0, 3)
     return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"]), pairs
 
 
 def _layer_arrival(
     cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token work done once when an input token reaches this layer."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token work done once when an input token reaches this layer:
+    its post-FFN1 row, its attention input and its projected K|V row."""
+    d = cfg.d_model
     if x_new.shape[0] == 0:
-        e = np.zeros((0, cfg.d_model), dtype=np.float32)
-        return e, e
+        e = np.zeros((0, d), dtype=np.float32)
+        return e, e, np.zeros((0, 2 * d), dtype=np.float32)
     x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
     a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
+    kv = linear(a_in, lw["attn.wkv"], lw["attn.bkv"])
+    # a -inf score gets softmax weight 0, which would hide a non-finite key
+    check_finite(kv, "attention K|V projection")
     if rec is not None:
-        d, f = cfg.d_model, cfg.d_ffn
-        rec.add("ffn", x_new.shape[0] * (2 * d * f + 2 * d * d))  # FFN1 + K,V projections
-    return x1, a_in
+        rec.add("ffn", x_new.shape[0] * (2 * d * cfg.d_ffn + 2 * d * d))  # FFN1 + K,V projections
+    return x1, a_in, kv
 
 
 def _layer_window(
     cfg: EncoderConfig,
     lw: dict,
     x1_win: np.ndarray,
-    key_ain: np.ndarray,
+    q_ain: np.ndarray,
+    kv: np.ndarray,
     key_base: int,
     conv_hist: np.ndarray | None,
     n_settle: int,
@@ -366,15 +407,15 @@ def _layer_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one block over a query window; rows beyond n_settle are speculative.
 
-    The queries are the newest len(x1_win) attention inputs in key_ain, whose
-    first row sits at global position key_base.
+    The queries, with post-FFN1 rows x1_win and attention inputs q_ain, are
+    the newest len(x1_win) of the keys in kv, whose first row sits at global
+    position key_base.
     """
     n_rows = x1_win.shape[0]
-    end = key_base + key_ain.shape[0]
+    end = key_base + kv.shape[0]
     qpos = np.arange(end - n_rows, end)
     groups = query_groups(cfg.attention, qpos, end - 1)
-    q_ain = key_ain[key_ain.shape[0] - n_rows :]
-    attn_out, pairs = _attend(cfg, lw, q_ain, qpos, key_ain, key_base, groups)
+    attn_out, pairs = _attend(cfg, lw, q_ain, qpos, kv, key_base, groups)
     x2 = x1_win + attn_out
     c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
     pw = linear(c, lw["conv.pw1"], lw["conv.pw1_b"])
@@ -427,8 +468,8 @@ def encode_full(
         rec.add("downsampler", t * downsampler_macs_per_token(cfg))
     for i in range(cfg.n_layers):
         lw = w.layer(i)
-        x1, ain = _layer_arrival(cfg, lw, x, rec)
-        x, _ = _layer_window(cfg, lw, x1, ain, 0, None, t, rec)
+        x1, ain, kv = _layer_arrival(cfg, lw, x, rec)
+        x, _ = _layer_window(cfg, lw, x1, ain, kv, 0, None, t, rec)
     return x
 
 
@@ -436,7 +477,7 @@ def init_state(cfg: EncoderConfig) -> StreamState:
     d = cfg.d_model
     layers = [
         LayerCache(
-            attn=np.zeros((0, d), dtype=np.float32),
+            attn=np.zeros((0, 2 * d), dtype=np.float32),
             conv=np.zeros((cfg.conv_kernel - 1, d), dtype=np.float32),
             pending=np.zeros((0, d), dtype=np.float32),
         )
@@ -449,20 +490,31 @@ def init_state(cfg: EncoderConfig) -> StreamState:
 
 
 def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
-    """Raise StateError unless every cached tensor is float32 in the shape cfg's encoder needs."""
-    d = cfg.d_model
+    """Raise StateError unless every cached tensor is float32 in the shape
+    cfg's encoder needs, and the counters agree with each other and with the
+    cached rows."""
+    d, ctx = cfg.d_model, cfg.attention
     if len(state.layers) != cfg.n_layers:
         raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
     shapes = [("ds_residual", state.ds_residual, cfg.residual_frames, cfg.n_mels)]
+    # an unfinished stream has taken whole downsampler frame groups only
+    counts = [("mel_seen", state.mel_seen, state.tokens_in * cfg.downsampling_rate),
+              ("tokens_emitted", state.tokens_emitted, state.layers[-1].n_out)]
+    n_in = state.tokens_in
     for i, lc in enumerate(state.layers):
-        shapes += [(f"layer{i}.attn", lc.attn, None, d),
+        if lc.n_out > lc.n_in:
+            raise StateError(f"layer{i} has settled {lc.n_out} of {lc.n_in} inputs")
+        counts.append((f"layer{i}.n_in", lc.n_in, n_in))
+        n_in = lc.n_out
+        shapes += [(f"layer{i}.attn", lc.attn, attn_keep_rows(ctx, lc.n_in, lc.n_out), 2 * d),
                    (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d),
-                   (f"layer{i}.pending", lc.pending, None, d)]
+                   (f"layer{i}.pending", lc.pending, lc.n_in - lc.n_out, d)]
+    for name, got, want in counts:
+        if got != want:
+            raise StateError(f"{name} is {got}, the other counters say {want}")
     for name, arr, rows, cols in shapes:
-        bad_shape = arr.ndim != 2 or arr.shape[1] != cols or rows not in (None, arr.shape[0])
-        if bad_shape or arr.dtype != np.float32:
-            want = "any number of" if rows is None else rows
-            raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {want} "
+        if arr.shape != (rows, cols) or arr.dtype != np.float32:
+            raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {rows} "
                              f"float32 rows of {cols}")
 
 
@@ -516,17 +568,21 @@ def encode_step(
     delay = ctx.settle_delay()
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
-        x1n, ainn = _layer_arrival(cfg, lw, new_x, rec)
+        x1n, ainn, kvn = _layer_arrival(cfg, lw, new_x, rec)
         lc.n_in += new_x.shape[0]
         settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
         n_settle = settle_to - lc.n_out
+        n_old = lc.pending.shape[0]
         x1_win, lc.pending = pending_update(lc.pending, x1n, n_settle)
-        keys, lc.attn = attn_cache_update(lc.attn, ainn, attn_keep_rows(ctx, lc.n_in, settle_to))
+        kv, lc.attn = attn_cache_update(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
         if x1_win.shape[0] == 0:
             new_x = np.zeros((0, cfg.d_model), dtype=np.float32)
             continue
+        # rows pending since an earlier step are normalized again, bit for bit as then
+        q_ain = ainn if n_old == 0 else np.concatenate(
+            [layer_norm(x1_win[:n_old], lw["attn.ln_g"], lw["attn.ln_b"]), ainn])
         out, g_settled = _layer_window(
-            cfg, lw, x1_win, keys, lc.n_in - keys.shape[0], lc.conv, n_settle, rec
+            cfg, lw, x1_win, q_ain, kv, lc.n_in - kv.shape[0], lc.conv, n_settle, rec
         )
         _, lc.conv = conv_cache_apply_update(lc.conv, g_settled, cfg.conv_kernel)
         lc.n_out = settle_to

@@ -19,6 +19,21 @@ from .numerics import matmul64
 LOG_FLOOR = 1e-10
 
 
+def pcm16(samples) -> np.ndarray:
+    """`samples` as an int16 array. FormatError unless they are a 1-D array
+    (or sequence) of integers within int16's range: a float or an integer
+    out of range would be truncated or wrapped without a word."""
+    try:
+        a = np.asarray(samples)
+    except (TypeError, ValueError) as ex:  # ragged nesting
+        raise FormatError(f"samples are not a 1-D integer array: {ex}") from ex
+    if a.ndim != 1 or (a.size > 0 and a.dtype.kind not in "iu"):
+        raise FormatError(f"samples must be a 1-D integer array, got {a.dtype} {a.shape}")
+    if a.dtype != np.int16 and a.size > 0 and (a.min() < -32768 or a.max() > 32767):
+        raise FormatError(f"samples span [{a.min()}, {a.max()}], beyond int16")
+    return a.astype(np.int16, copy=False)
+
+
 @dataclass
 class AudioBuffer:
     sample_rate: int
@@ -27,7 +42,7 @@ class AudioBuffer:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise FormatError(f"sample_rate={self.sample_rate} (must be > 0)")
-        self.samples = np.asarray(self.samples, dtype=np.int16)
+        self.samples = pcm16(self.samples)
 
     @property
     def duration_s(self) -> float:
@@ -149,8 +164,9 @@ class StreamingFeatureExtractor:
         self._fb = mel_filterbank(cfg.n_mels, win // 2 + 1, cfg.sample_rate, win)
 
     def push(self, samples: np.ndarray) -> np.ndarray:
-        """Consume samples, return all newly complete frames (n, n_mels) float32."""
-        buf = np.concatenate([self._pending, np.asarray(samples, dtype=np.int16)])
+        """Consume samples (see pcm16), return all newly complete frames
+        (n, n_mels) float32."""
+        buf = np.concatenate([self._pending, pcm16(samples)])
         win, shift = self.cfg.window_samples, self.cfg.shift_samples
         if len(buf) < win:
             self._pending = buf

@@ -8,10 +8,10 @@ The MAC model is token-level and deliberately coarse:
   ffn         - per-token linear layers: the two macaron FFN modules
                 (2 * d * d_ffn each), the QKVO projections (4 * d^2) and the
                 conv-module pointwise layers (3 * d^2). Each token is counted
-                once, at the step where it is first computed; re-projection of
-                cached attention inputs is an implementation detail of the
-                input-value cache and is not a token recomputation, so it is
-                not charged.
+                once, at the step where it is first computed. K and V are
+                projected once per token, when it reaches a layer, and the
+                attention cache keeps the projected rows, so the K,V charge is
+                what runs.
   downsampler - stride-2 stage outputs inside the dependency cone of emitted
                 tokens, charged once each; the small per-step overlap the
                 mel-residual scheme recomputes is not charged.

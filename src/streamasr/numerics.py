@@ -114,10 +114,10 @@ def layer_norm(
         raise ConfigError("layer_norm eps must be positive")
     x64 = x.astype(np.float64)
     # sum / d is what np.mean computes, without its per-call overhead
-    mu = x64.sum(axis=-1, keepdims=True) / d
-    var = ((x64 - mu) ** 2).sum(axis=-1, keepdims=True) / d
-    y = (x64 - mu) / np.sqrt(var + eps)
-    return (y * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
+    xc = x64 - x64.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    # float32 gamma and beta promote exactly to float64
+    return (xc / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
 
 
 def depthwise_conv1d_causal(
@@ -162,14 +162,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x64 = np.asarray(x, dtype=np.float64)
     pos = x64 >= 0
     e = np.exp(np.where(pos, -x64, x64))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d).astype(np.float32)
+    return (np.where(pos, 1.0, e) / (1.0 + e)).astype(np.float32)
 
 
 def swish(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x), smooth everywhere (no dead regions)."""
-    x64 = np.asarray(x, dtype=np.float64)
-    return (x64 * sigmoid(x).astype(np.float64)).astype(np.float32)
+    # the float32 sigmoid promotes exactly to float64
+    return (np.asarray(x, dtype=np.float64) * sigmoid(x)).astype(np.float32)
 
 
 def glu(x: np.ndarray) -> np.ndarray:
@@ -179,9 +178,7 @@ def glu(x: np.ndarray) -> np.ndarray:
     if d2 % 2 != 0:
         raise ShapeError(f"glu needs an even last axis, got {d2}")
     h = d2 // 2
-    a = x[..., :h].astype(np.float64)
-    g = sigmoid(x[..., h:]).astype(np.float64)
-    return (a * g).astype(np.float32)
+    return (x[..., :h].astype(np.float64) * sigmoid(x[..., h:])).astype(np.float32)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -177,7 +177,7 @@ class StreamingSession:
     def feed(self, samples: np.ndarray) -> None:
         if self._finished:
             raise SessionError("session already finished")
-        mel_new = self._extractor.push(np.asarray(samples, dtype=np.int16))
+        mel_new = self._extractor.push(samples)
         if mel_new.shape[0]:
             self._mel = np.concatenate([self._mel, mel_new], axis=0)
         step_frames = self._step_tokens * self.model.cfg.encoder.downsampling_rate

@@ -123,7 +123,7 @@ class TestCacheWidthLaws:
             d, k, n = cfg.d_model, cfg.conv_kernel, cfg.n_layers
             expected = (
                 n * d * (k - 1)
-                + n * l_c * d
+                + n * l_c * 2 * d  # projected K|V rows
                 + cfg.residual_frames * cfg.n_mels
             )
             assert state.float_count() == expected
@@ -145,7 +145,7 @@ class TestCacheWidthLaws:
             widths = [(min(lcx, o) + i - o, i - o, k - 1) for i, o in zip(n_in, n_out)]
             assert _layer_widths(state) == widths
             assert state.float_count() == (
-                d * sum(sum(lw) for lw in widths) + cfg.residual_frames * cfg.n_mels
+                d * sum(2 * a + p + c for a, p, c in widths) + cfg.residual_frames * cfg.n_mels
             )
         encode_step(mel[:0], state, w, cfg, final=True)
         assert _layer_widths(state) == [(lcx, 0, k - 1)] * cfg.n_layers
@@ -274,3 +274,90 @@ class TestStreamStateSerialization:
         resumed = StreamState.load(path)
         with pytest.raises(StateError):
             encode_step(mel[16:20], resumed, w, cfg)
+
+
+def _rewrite_header(path: str, mutate) -> None:
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    mutate(header)
+    hjson = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+
+
+def test_version_one_state_file_is_state_error(tmp_path):
+    # version 1 cached attention inputs, d wide; version 2 caches K|V rows, 2d wide
+    cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
+    state = init_state(cfg)
+    state.layers[0].attn = np.zeros((0, cfg.d_model), np.float32)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    _rewrite_header(path, lambda h: h.update(version=1))
+    with pytest.raises(StateError, match="version 1"):
+        StreamState.load(path)
+
+
+@pytest.mark.parametrize("pick", [
+    lambda st: st.layers[0].attn, lambda st: st.layers[1].conv, lambda st: st.ds_residual,
+], ids=["layer0.attn", "layer1.conv", "ds_residual"])
+def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
+    cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
+    w = init_encoder_weights(cfg, seed=3)
+    state = init_state(cfg)
+    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
+    pick(state)[0, 0] = -np.inf
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    with pytest.raises(StateError, match="NaN or infinity"):
+        StreamState.load(path)
+
+
+def _bump(field: str, by: int, layer: int | None = None):
+    def mutate(st):
+        owner = st if layer is None else st.layers[layer]
+        setattr(owner, field, getattr(owner, field) + by)
+    return mutate
+
+
+def _extra_row(field: str, layer: int):
+    def mutate(st):
+        arr = getattr(st.layers[layer], field)
+        setattr(st.layers[layer], field,
+                np.concatenate([arr, np.zeros((1, arr.shape[1]), np.float32)]))
+    return mutate
+
+
+COUNTER_MUTATIONS = {
+    "n_in+5": _bump("n_in", 5, layer=0),
+    "last-n_in+5": _bump("n_in", 5, layer=-1),
+    "n_out+1": _bump("n_out", 1, layer=0),
+    "n_out-past-n_in": lambda st: setattr(st.layers[1], "n_out", st.layers[1].n_in + 1),
+    "mel_seen+1": _bump("mel_seen", 1),
+    "tokens_in+1": _bump("tokens_in", 1),
+    "tokens_emitted+2": _bump("tokens_emitted", 2),
+    "attn-extra-row": _extra_row("attn", 1),
+    "pending-extra-row": _extra_row("pending", 0),
+}
+
+
+@pytest.mark.parametrize("mutation", list(COUNTER_MUTATIONS))
+@pytest.mark.parametrize("ctx", [AttentionContext.chunked(2, 1), AttentionContext.regular(1, 3)],
+                         ids=["chunk", "regular"])
+def test_counters_that_disagree_are_state_error(ctx, mutation, tmp_path):
+    # each mutation leaves every tensor shape plausible on its own; only the
+    # counters, read against each other and the cached rows, expose it
+    cfg = tiny_encoder_config(ctx)
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(32, cfg.n_mels, seed=4)
+    step = ctx.step_tokens() * cfg.downsampling_rate
+    state = init_state(cfg)
+    for i in range(0, 16, step):
+        encode_step(mel[i : i + step], state, w, cfg)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)  # the saved state resumes
+    COUNTER_MUTATIONS[mutation](state)
+    state.save(path)
+    with pytest.raises(StateError):
+        encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)

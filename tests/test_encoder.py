@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
@@ -14,6 +16,7 @@ from streamasr import encoder, numerics
 from streamasr.context import ZERO
 from streamasr.encoder import (
     _attend,
+    _layer_arrival,
     downsample_segment,
     encoder_weight_spec,
     init_tensors,
@@ -32,6 +35,12 @@ from helpers import (
     tiny_encoder_config,
 )
 
+
+def kv_rows(lw, ain):
+    """The projected K|V rows _attend takes, as _layer_arrival makes them."""
+    return linear(ain, lw["attn.wkv"], lw["attn.bkv"])
+
+
 REGIMES = [
     AttentionContext.zero(),
     AttentionContext.zero(left_context=3),
@@ -41,6 +50,28 @@ REGIMES = [
     AttentionContext.chunked(3, 1),
     AttentionContext.chunked(4, 0),
 ]
+
+
+CONTEXTS = st.one_of(
+    st.builds(AttentionContext.zero, st.none() | st.integers(0, 6)),
+    st.builds(AttentionContext.regular, st.integers(0, 3), st.integers(0, 6)),
+    st.builds(AttentionContext.chunked, st.integers(1, 5), st.integers(0, 2)),
+)
+
+
+def counting_matmul64(monkeypatch) -> list:
+    """Patch matmul64 where the encoder and the kernels look it up; the
+    returned list grows by one per call."""
+    calls = []
+    real = numerics.matmul64
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(numerics, "matmul64", counting)
+    monkeypatch.setattr(encoder, "matmul64", counting)
+    return calls
 
 
 def stream_encode(mel, w, cfg, step_tokens=None, rec=None):
@@ -194,7 +225,7 @@ class TestAttentionInternals:
         ain = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
         qpos = np.arange(t)
         groups = query_groups(ctx, qpos, t - 1)
-        out, _ = _attend(cfg, lw, ain, qpos, ain, 0, groups)
+        out, _ = _attend(cfg, lw, ain, qpos, kv_rows(lw, ain), 0, groups)
 
         # reference path: full score matrices + masked softmax
         mask = build_mask(ctx, t)
@@ -228,28 +259,49 @@ class TestAttentionInternals:
         for n_q in (12, 5, 1):  # queries are the newest n_q of the t keys
             qpos = np.arange(t - n_q, t)
             groups = query_groups(ctx, qpos, t - 1)
-            out, _ = _attend(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
+            out, _ = _attend(cfg, lw, ain[t - n_q :], qpos, kv_rows(lw, ain), 0, groups)
             want = attend_per_head(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
             assert np.array_equal(out, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ctx=CONTEXTS, d_head=st.integers(1, 16), n_heads=st.integers(1, 3),
+           t=st.integers(1, 40), data=st.data())
+    def test_batched_groups_equal_per_head_oracle(self, ctx, d_head, n_heads, t, data):
+        # a whole window (n_q == t) in the zero and regular regimes, or any
+        # chunk-regime window over several chunks, has many groups of one
+        # (rows, keys) shape, which _attend runs through one call per product
+        n_q = data.draw(st.just(t) | st.integers(1, t), label="n_q")
+        cfg = tiny_encoder_config(ctx, n_layers=1, d_model=d_head * n_heads, n_heads=n_heads)
+        lw = init_encoder_weights(cfg, seed=data.draw(st.integers(0, 99), label="seed")).layer(0)
+        ain = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
+        qpos = np.arange(t - n_q, t)
+        groups = query_groups(ctx, qpos, t - 1)
+        base = min(lo for _, _, lo, _ in groups)  # the keys start where the queries' reach does
+        q_ain = ain[t - n_q :]
+        out, _ = _attend(cfg, lw, q_ain, qpos, kv_rows(lw, ain[base:]), base, groups)
+        assert np.array_equal(out, attend_per_head(cfg, lw, q_ain, qpos, ain[base:], base, groups))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_key_that_softmax_hides_raises(self):
         # every query's first component is -1 and one key's is +inf: that key
-        # scores -inf, gets weight 0, and the output would stay finite
+        # scores -inf, gets weight 0, and the output would stay finite. K|V
+        # rows are projected, and checked, once, when a token reaches the layer.
         ctx = AttentionContext.chunked(12, 0)
         cfg = tiny_encoder_config(ctx)
         tensors = init_tensors(encoder_weight_spec(cfg), Rng(23))
+        tensors["layers.0.ffn1.w2"][:] = 0.0  # FFN1 adds 0: the attention input is LN(x)
         tensors["layers.0.attn.wq"][:, 0] = 0.0
         tensors["layers.0.attn.bq"][0] = -1.0
         tensors["layers.0.attn.wk"][:, 0] = 0.0
         tensors["layers.0.attn.wk"][0, 0] = 3e38
         lw = EncoderWeights(tensors).layer(0)
-        ain = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
-        ain[:, 0] = 0.0
-        ain[4, 0] = 2.0  # key 4's first component overflows to +inf
-        qpos = np.arange(12)
+        x = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
+        x[:, 0] = 0.0
+        x[4, 0] = 8.0  # token 4's normalized first component is > 2: its key overflows
+        _, ain, _ = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
+        assert np.abs(ain[:, 0]).max() < 1.0  # the other keys' first components stay finite
         with pytest.raises(NumericsError):
-            _attend(cfg, lw, ain, qpos, ain, 0, query_groups(ctx, qpos, 11))
+            _layer_arrival(cfg, lw, x, None)
 
     @pytest.mark.parametrize("ctx", REGIMES)
     @pytest.mark.parametrize("q0,n", [(0, 12), (5, 1), (5, 9), (11, 6)])
@@ -276,10 +328,11 @@ class TestAttentionInternals:
         t, c = 16, ctx.chunk
         ain = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
         qpos = np.arange(t)
-        full_out, _ = _attend(cfg, lw, ain, qpos, ain, 0, query_groups(ctx, qpos, t - 1))
+        kv = kv_rows(lw, ain)
+        full_out, _ = _attend(cfg, lw, ain, qpos, kv, 0, query_groups(ctx, qpos, t - 1))
         q0 = 8  # third chunk; cache holds the previous left_chunks * c inputs
         cache_lo = q0 - ctx.left_chunks * c
-        key_slice = ain[cache_lo : q0 + c]
+        key_slice = kv[cache_lo : q0 + c]
         chunk_q = qpos[q0 : q0 + c]
         part_out, _ = _attend(
             cfg, lw, ain[q0 : q0 + c], chunk_q, key_slice, cache_lo,
@@ -307,6 +360,7 @@ class TestAttentionInternals:
             lc.n_out += shift
         state_b.mel_seen += shift * cfg.downsampling_rate
         state_b.tokens_in += shift
+        state_b.tokens_emitted += shift
         nxt = mel[24 : 24 + step]
         out_a, _ = encode_step(nxt, state_a, w, cfg)
         out_b, _ = encode_step(nxt, state_b, w, cfg)
@@ -382,15 +436,7 @@ class TestKernelCalls:
             cfg = tiny_encoder_config(ctx, n_heads=n_heads)
             w = init_encoder_weights(cfg, seed=5)
             mel = random_mel(40, cfg.n_mels, seed=6)
-            calls = []
-            real = numerics.matmul64
-
-            def counting(a, b):
-                calls.append(1)
-                return real(a, b)
-
-            monkeypatch.setattr(numerics, "matmul64", counting)
-            monkeypatch.setattr(encoder, "matmul64", counting)
+            calls = counting_matmul64(monkeypatch)
             step = (1 if ctx.regime == ZERO else ctx.step_tokens()) * cfg.downsampling_rate
             state = init_state(cfg)
             counts = []
@@ -403,3 +449,35 @@ class TestKernelCalls:
             per_heads[n_heads] = counts
         assert per_heads[1] == per_heads[2] == per_heads[4]
         assert min(per_heads[1]) > 0
+
+    def test_offline_calls_do_not_grow_with_regular_tokens(self, monkeypatch):
+        # every regular-regime query has its own key interval, but away from
+        # the sequence ends the intervals share one shape and so one call
+        cfg = tiny_encoder_config(AttentionContext.regular(2, 5))
+        w = init_encoder_weights(cfg, seed=5)
+        counts = []
+        for tokens in (40, 80):
+            calls = counting_matmul64(monkeypatch)
+            encode_full(random_mel(tokens * cfg.downsampling_rate, cfg.n_mels, seed=6), w, cfg)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_each_token_is_projected_to_kv_once_per_layer(self, ctx, monkeypatch):
+        cfg = tiny_encoder_config(ctx)
+        w = init_encoder_weights(cfg, seed=5)
+        wkv = {id(w.layer(i)["attn.wkv"]) for i in range(cfg.n_layers)}
+        rows = []
+        real = encoder.linear
+
+        def counting(x, wt, b=None):
+            if id(wt) in wkv:
+                rows.append(x.shape[0])
+            return real(x, wt, b)
+
+        monkeypatch.setattr(encoder, "linear", counting)
+        mel = random_mel(44, cfg.n_mels, seed=6)
+        out, _ = stream_encode(mel, w, cfg)
+        assert out.shape[0] == 44 // cfg.downsampling_rate
+        assert sum(rows) == cfg.n_layers * out.shape[0]

@@ -16,7 +16,7 @@ from streamasr import (
     run_streaming,
     save_model,
 )
-from streamasr.errors import ConfigError, NumericsError, SessionError
+from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError
 from streamasr.features import AudioBuffer
 
 from helpers import count_macs, synth_audio, tiny_model
@@ -87,6 +87,33 @@ class TestStreamingVsOffline:
             s.finish()
         with pytest.raises(SessionError):
             s.feed(np.zeros(100, np.int16))
+
+    @pytest.mark.parametrize("samples", [
+        np.array([0.5, 1e9]), np.array([1.0, 2.0]), np.array([40000], np.int32),
+        np.array([-32769], np.int64), np.array([70000], np.uint32), np.zeros((2, 160), np.int16),
+        np.array([True, False]), "abc", None, 7, [[1, 2], [3]],
+    ], ids=["float-huge", "float-whole", "int32-over", "int64-under", "uint32-over", "2-D",
+            "bool", "str", "None", "scalar", "ragged"])
+    def test_feed_rejects_what_int16_cannot_hold(self, samples):
+        # a cast would truncate floats and wrap integers out of range
+        model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=38)
+        s = StreamingSession(model, vocab)
+        with pytest.raises(FormatError):
+            s.feed(samples)
+        with pytest.raises(FormatError):
+            AudioBuffer(16000, samples)
+
+    def test_feed_takes_any_integer_array_within_int16(self):
+        model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=38)
+        audio = synth_audio(0.3, seed=39)
+        want = run_streaming(audio, model, vocab).transcripts["ctc"].to_json()
+        for cast in (lambda a: a.astype(np.int64), lambda a: a.astype(np.int32).tolist()):
+            s = StreamingSession(model, vocab)
+            s.feed([])
+            s.feed(cast(audio.samples))
+            assert s.finish().transcripts["ctc"].to_json() == want
+        edges = np.array([-32768, 32767], np.int64)
+        assert AudioBuffer(16000, edges).samples.dtype == np.int16
 
     def test_step_tokens_must_be_a_context_step_multiple(self):
         model, vocab = tiny_model(AttentionContext.chunked(3, 1), seed=38)

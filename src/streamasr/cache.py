@@ -1,11 +1,11 @@
 """Streaming caches: what a session carries between chunks.
 
-Per encoder layer:
+Per encoder layer, each cache holds the newest rows of one operand:
   attn      - projected keys and values (K|V, 2 * d_model wide) of every
               input whose output is not yet settled, plus those of the
               settled inputs still within the left context of the next
-              query. Each row is projected once, when its input arrives.
-              Starts empty and grows until it saturates.
+              query: attn_keep_rows. Each row is projected once, when its
+              input arrives. Starts empty and grows until it saturates.
   conv      - the last kernel-1 settled inputs of the causal depthwise
               convolution, zero-filled at session start so the first chunk
               sees the same operands as the left-padded single-pass
@@ -15,8 +15,11 @@ Per encoder layer:
               Their queries are projected again each step.
 
 Plus the downsampler mel residual, the RNNT prediction-net hidden states, and
-global token/frame offsets. The update functions below are the only code that
-changes a layer's caches; encode_step applies them once per layer per step.
+global token/frame offsets. The layer caches and the mel residual change by
+one rule, cache_append: this step's window is the cache followed by the new
+rows, and the cache keeps the window's newest rows. encode_step applies it
+to each of them once per step; an offline pass is one final step from
+init_state.
 """
 
 from __future__ import annotations
@@ -41,45 +44,19 @@ def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
     return n_in - ctx.attend_interval(n_out)[0]
 
 
-def attn_cache_update(
-    cache: np.ndarray, new_keys: np.ndarray, n_keep: int
+def cache_append(
+    cache: np.ndarray, new_rows: np.ndarray, n_keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Append the K|V rows of new inputs.
+    """Append new rows to a cache.
 
-    Returns (window, new_cache): this step's key array cache||new_keys and
-    its newest n_keep rows, which seed the next step.
+    Returns (window, kept): the step's operand window cache||new_rows and a
+    copy of its newest n_keep rows, which seed the next step. The copy keeps
+    a state from pinning the whole window.
     """
-    window = np.concatenate([cache, new_keys], axis=0)
+    window = np.concatenate([cache, new_rows], axis=0)
     if not 0 <= n_keep <= window.shape[0]:
-        raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row attention window")
-    return window, window[window.shape[0] - n_keep :]
-
-
-def pending_update(
-    pending: np.ndarray, new_rows: np.ndarray, n_settle: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append post-FFN1 rows of new inputs.
-
-    Returns (window, new_pending): the rows of every unsettled input, which
-    this step's queries run over, and those still unsettled once the first
-    n_settle settle.
-    """
-    window = np.concatenate([pending, new_rows], axis=0)
-    return window, window[n_settle:]
-
-
-def conv_cache_apply_update(
-    cache: np.ndarray, settled: np.ndarray, kernel: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding-window update for a causal conv cache.
-
-    Returns (window, new_cache): the convolution input window cache||settled
-    and its last kernel-1 rows, which seed the next step.
-    """
-    if cache.shape[0] != kernel - 1:
-        raise StateError(f"conv cache must hold {kernel - 1} rows, has {cache.shape[0]}")
-    window = np.concatenate([cache, settled], axis=0)
-    return window, window[window.shape[0] - (kernel - 1) :]
+        raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row window")
+    return window, window[window.shape[0] - n_keep :].copy()
 
 
 @dataclass

@@ -31,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import (
-    LayerCache,
-    StreamState,
-    attn_cache_update,
-    attn_keep_rows,
-    conv_cache_apply_update,
-    pending_update,
-)
+from .cache import LayerCache, StreamState, attn_keep_rows, cache_append
 from .context import AttentionContext
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateError
 from .ledger import ComputeLedger
@@ -446,31 +439,15 @@ def _layer_window(
 # full-utterance and chunked entry points
 
 
-def _as_frames(mel: np.ndarray) -> np.ndarray:
-    return np.asarray(mel).astype(np.float32, copy=False)
-
-
 def encode_full(
     mel: np.ndarray,
     w: EncoderWeights,
     cfg: EncoderConfig,
     rec: ComputeLedger | None = None,
 ) -> np.ndarray:
-    """Whole-utterance forward pass; returns (n_tokens, d_model)."""
-    frames = _as_frames(mel)
-    if frames.shape[0] > 0 and frames.shape[1] != cfg.n_mels:
-        raise ShapeError(f"mel has {frames.shape[1]} bins, config says {cfg.n_mels}")
-    t = frames.shape[0] // cfg.downsampling_rate
-    if t == 0:
-        return np.zeros((0, cfg.d_model), dtype=np.float32)
-    x = downsample_segment(w, cfg, frames, 0, 0, t - 1)
-    if rec is not None:
-        rec.add("downsampler", t * downsampler_macs_per_token(cfg))
-    for i in range(cfg.n_layers):
-        lw = w.layer(i)
-        x1, ain, kv = _layer_arrival(cfg, lw, x, rec)
-        x, _ = _layer_window(cfg, lw, x1, ain, kv, 0, None, t, rec)
-    return x
+    """Whole-utterance forward pass, (n_tokens, d_model): one final
+    encode_step from a fresh state."""
+    return encode_step(mel, init_state(cfg), w, cfg, rec, final=True)[0]
 
 
 def init_state(cfg: EncoderConfig) -> StreamState:
@@ -528,17 +505,18 @@ def encode_step(
 ) -> tuple[np.ndarray, StreamState]:
     """Consume one chunk of mel frames, return newly settled encoder tokens.
 
-    Concatenating the outputs over a stream equals encode_full of the whole
-    input exactly. Non-final chunks must be whole downsampler groups, and a
-    multiple of the context's step_tokens() tokens; the final chunk may be
-    any length (a trailing partial frame group yields no token).
+    Concatenating the outputs over a stream equals one final step over the
+    whole input (encode_full) exactly. Non-final chunks must be whole
+    downsampler groups, and a multiple of the context's step_tokens() tokens;
+    the final chunk may be any length (a trailing partial frame group yields
+    no token).
     """
-    frames = _as_frames(chunk)
+    frames = np.asarray(chunk).astype(np.float32, copy=False)
     if state.finished:
         raise SessionError("stream already finalized")
     _check_state(state, cfg)
-    if frames.shape[0] > 0 and frames.shape[1] != cfg.n_mels:
-        raise ShapeError(f"mel has {frames.shape[1]} bins, config says {cfg.n_mels}")
+    if frames.ndim != 2 or frames.shape[1] != cfg.n_mels:
+        raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
     dr = cfg.downsampling_rate
     if not final and frames.shape[0] % dr != 0:
         raise ChunkingError(
@@ -554,14 +532,12 @@ def encode_step(
     if final:
         state.finished = True
 
-    seg = np.concatenate([state.ds_residual, frames], axis=0)
     seg_start = state.mel_seen - state.ds_residual.shape[0]
+    seg, state.ds_residual = cache_append(state.ds_residual, frames, cfg.residual_frames)
     j_lo, j_hi = state.tokens_in, state.tokens_in + n_new - 1
     new_x = downsample_segment(w, cfg, seg, seg_start, j_lo, j_hi)
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
-    r = cfg.residual_frames
-    state.ds_residual = seg[seg.shape[0] - r :].copy() if r > 0 else seg[:0]
     state.mel_seen += frames.shape[0]
     state.tokens_in += n_new
 
@@ -573,8 +549,8 @@ def encode_step(
         settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
         n_settle = settle_to - lc.n_out
         n_old = lc.pending.shape[0]
-        x1_win, lc.pending = pending_update(lc.pending, x1n, n_settle)
-        kv, lc.attn = attn_cache_update(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
+        x1_win, lc.pending = cache_append(lc.pending, x1n, lc.n_in - settle_to)
+        kv, lc.attn = cache_append(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
         if x1_win.shape[0] == 0:
             new_x = np.zeros((0, cfg.d_model), dtype=np.float32)
             continue
@@ -584,7 +560,7 @@ def encode_step(
         out, g_settled = _layer_window(
             cfg, lw, x1_win, q_ain, kv, lc.n_in - kv.shape[0], lc.conv, n_settle, rec
         )
-        _, lc.conv = conv_cache_apply_update(lc.conv, g_settled, cfg.conv_kernel)
+        _, lc.conv = cache_append(lc.conv, g_settled, cfg.conv_kernel - 1)
         lc.n_out = settle_to
         new_x = out[:n_settle]
     state.tokens_emitted += new_x.shape[0]

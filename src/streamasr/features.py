@@ -8,6 +8,7 @@ between pushes) are bit-identical to features of the whole recording.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -57,6 +58,10 @@ class FeatureConfig:
     n_mels: int = 80
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sample_rate, self.window_ms, self.frame_shift_ms))):
+            raise ConfigError(f"feature config fields must be finite: {self}")
+        if self.shift_samples < 1:
+            raise ConfigError(f"a frame shift of {self.frame_shift_ms} ms is under one sample")
         if self.window_ms < self.frame_shift_ms:
             raise ConfigError("window_ms must be >= frame_shift_ms")
         if self.n_mels < 1:

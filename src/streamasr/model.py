@@ -41,6 +41,11 @@ class ModelConfig:
     fastemit_lambda: float = 0.005
     frame_shift_ms: float = 10.0
 
+    def __post_init__(self):
+        # a frame shift the features or the latency arithmetic cannot use fails here
+        self.feature_config()
+        self.latency_model()
+
     def head_config(self) -> HeadConfig:
         return HeadConfig(
             d_model=self.encoder.d_model,

@@ -5,16 +5,25 @@ Three ways to run the same weights:
   streaming - chunked cache-aware inference (the real thing). For the chunk
               regime the transcript and the encoder outputs equal the
               offline run exactly, and the ledger shows zero duplicate MACs.
-  offline   - one forward pass with the same limited-context mask.
+  offline   - one forward pass with the same limited-context mask: the
+              streaming step taken once, final, over the whole utterance.
   buffered  - the conventional baseline: overlapping windows through an
               unrestricted-mask pass, keeping only each window's central
               chunk. Context regions are recomputed every window, which the
               duplicate counter makes visible.
+
+All three decode through one _Decoders: the chosen heads, CTC's collapse
+state and the emitted tokens. The session carries the RNNT prediction-net
+state from step to step; offline has one step, and buffered restarts the
+prediction net in every window. With STREAMASR_LOG=debug (or this module's
+logger at DEBUG) a session logs one line per step.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +49,8 @@ from .features import AudioBuffer, StreamingFeatureExtractor, log_mel
 from .ledger import ComputeLedger
 from .metrics import eil
 from .model import HybridModel
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -91,42 +102,65 @@ class BufferedConfig:
     buffer_seconds: float = 4.0
 
     def __post_init__(self):
-        if self.chunk_seconds <= 0:
-            raise ConfigError("chunk_seconds must be > 0")
-        if self.buffer_seconds < self.chunk_seconds:
-            raise ConfigError("buffer must be at least as long as the chunk")
+        if not 0 < self.chunk_seconds <= self.buffer_seconds < math.inf:
+            raise ConfigError(
+                f"buffered windows need 0 < chunk_seconds <= buffer_seconds < inf, got "
+                f"{self.chunk_seconds} and {self.buffer_seconds}"
+            )
 
 
-def _result(
-    mode: str,
-    raw: dict[str, list[tuple[int, int]]],
-    vocab: Vocab,
-    ledger: ComputeLedger,
-    emit_frame: Callable[[int], int],
-    lm: LatencyModel | None,
-) -> StreamResult:
-    """Transcripts from (token, frame) pairs per decoder, built once all
-    decoding is done so every transcript's macs is the whole ledger.
+class _Decoders:
+    """The heads one run decodes with, and what they have emitted: CTC's
+    collapse state and the (token, frame) pairs per decoder."""
 
-    emit_frame maps a token's frame to the frame completing its look-ahead;
-    lm=None leaves the average latency unset (offline).
-    """
-    transcripts = {}
-    for name, pairs in raw.items():
-        toks = [TranscriptToken(vocab.tokens[k], k, f, emit_frame(f)) for k, f in pairs]
-        avg = None if lm is None else eil(
-            [t.emit_frame for t in toks], [t.first_frame for t in toks], lm
-        )
-        transcripts[name] = Transcript(
-            decoder=name, mode=mode, tokens=toks, avg_latency_ms=avg, macs=ledger.to_dict()
-        )
-    return StreamResult(transcripts=transcripts, ledger=ledger)
+    def __init__(self, model: HybridModel, vocab: Vocab, choice: str):
+        if vocab.size != model.cfg.vocab_size:
+            raise ConfigError(f"vocab size {vocab.size} != model vocab {model.cfg.vocab_size}")
+        if choice not in ("ctc", "rnnt", "both"):
+            raise ArgumentError(f"decoder must be ctc, rnnt or both, got {choice!r}")
+        self.model, self.vocab = model, vocab
+        self.raw: dict[str, list[tuple[int, int]]] = {
+            d: [] for d in (["ctc", "rnnt"] if choice == "both" else [choice])}
+        self._ctc = CtcIncrementalDecoder(vocab.blank_id)
 
+    def push(
+        self, enc: np.ndarray, offset: int, ledger: ComputeLedger,
+        rnnt_states: list[np.ndarray] | None = None,
+    ) -> list[np.ndarray] | None:
+        """Decode encoder rows whose first is frame `offset`; returns the RNNT
+        states to continue from (None starts the prediction net afresh)."""
+        if enc.shape[0] == 0:
+            return rnnt_states
+        if "ctc" in self.raw:
+            self.raw["ctc"] += self._ctc.push(ctc_logprobs(enc, self.model.ctc, ledger), offset)
+        if "rnnt" in self.raw:
+            toks, rnnt_states = rnnt_greedy_decode(
+                enc, self.model.rnnt, rnnt_states, blank_id=self.vocab.blank_id,
+                frame_offset=offset, rec=ledger,
+            )
+            self.raw["rnnt"] += toks
+        return rnnt_states
 
-def _decoders_for(choice: str) -> list[str]:
-    if choice not in ("ctc", "rnnt", "both"):
-        raise ArgumentError(f"decoder must be ctc, rnnt or both, got {choice!r}")
-    return ["ctc", "rnnt"] if choice == "both" else [choice]
+    def result(
+        self, mode: str, ledger: ComputeLedger, emit_frame: Callable[[int], int],
+        lm: LatencyModel | None,
+    ) -> StreamResult:
+        """Transcripts, built once all decoding is done so every transcript's
+        macs is the whole ledger.
+
+        emit_frame maps a token's frame to the frame completing its look-ahead;
+        lm=None leaves the average latency unset (offline).
+        """
+        transcripts = {}
+        for name, pairs in self.raw.items():
+            toks = [TranscriptToken(self.vocab.tokens[k], k, f, emit_frame(f)) for k, f in pairs]
+            avg = None if lm is None else eil(
+                [t.emit_frame for t in toks], [t.first_frame for t in toks], lm
+            )
+            transcripts[name] = Transcript(
+                decoder=name, mode=mode, tokens=toks, avg_latency_ms=avg, macs=ledger.to_dict()
+            )
+        return StreamResult(transcripts=transcripts, ledger=ledger)
 
 
 class StreamingSession:
@@ -135,42 +169,19 @@ class StreamingSession:
     Owns all mutable state (feature remainder, encoder caches, decoder
     states); identical audio fed in different piece sizes produces identical
     transcripts and ledgers because steps are cut from an internal mel buffer
-    at a fixed token granularity.
+    every step_tokens() tokens of the attention context.
     """
 
-    def __init__(
-        self,
-        model: HybridModel,
-        vocab: Vocab,
-        decoder: str = "both",
-        step_tokens: int | None = None,
-    ):
-        if vocab.size != model.cfg.vocab_size:
-            raise ConfigError(f"vocab size {vocab.size} != model vocab {model.cfg.vocab_size}")
+    def __init__(self, model: HybridModel, vocab: Vocab, decoder: str = "both"):
         self.model = model
-        self.vocab = vocab
-        self.decoders = _decoders_for(decoder)
+        self._dec = _Decoders(model, vocab, decoder)
         cfg = model.cfg.encoder
         self._extractor = StreamingFeatureExtractor(model.cfg.feature_config())
         self._mel = np.zeros((0, cfg.n_mels), dtype=np.float32)
+        self._step_frames = cfg.attention.step_tokens() * cfg.downsampling_rate
         self.state = init_state(cfg)
         self.ledger = ComputeLedger()
-        ctx = cfg.attention
-        if step_tokens is None:
-            self._step_tokens = ctx.step_tokens()
-        else:
-            if step_tokens < 1:
-                raise ConfigError("step_tokens must be >= 1")
-            if step_tokens % ctx.step_tokens() != 0:
-                raise ConfigError(
-                    f"step_tokens {step_tokens} must be a multiple of the attention "
-                    f"context's step of {ctx.step_tokens()} tokens"
-                )
-            self._step_tokens = step_tokens
-        self._raw_tokens: dict[str, list[tuple[int, int]]] = {d: [] for d in self.decoders}
-        if "ctc" in self.decoders:
-            self._ctc_dec = CtcIncrementalDecoder(vocab.blank_id)
-        if "rnnt" in self.decoders:
+        if "rnnt" in self._dec.raw:
             self.state.rnnt_states = rnnt_init_state(model.rnnt)
         self._finished = False
 
@@ -180,30 +191,21 @@ class StreamingSession:
         mel_new = self._extractor.push(samples)
         if mel_new.shape[0]:
             self._mel = np.concatenate([self._mel, mel_new], axis=0)
-        step_frames = self._step_tokens * self.model.cfg.encoder.downsampling_rate
-        while self._mel.shape[0] >= step_frames:
-            self._step(self._mel[:step_frames], final=False)
-            self._mel = self._mel[step_frames:]
+        while self._mel.shape[0] >= self._step_frames:
+            self._step(self._mel[: self._step_frames], final=False)
+            self._mel = self._mel[self._step_frames :]
 
     def _step(self, frames: np.ndarray, final: bool) -> None:
-        self.ledger.new_step()
+        step = self.ledger.new_step()
         offset = self.state.tokens_emitted
         enc_new, _ = encode_step(
             frames, self.state, self.model.encoder, self.model.cfg.encoder,
             rec=self.ledger, final=final,
         )
-        if enc_new.shape[0] == 0:
-            return
-        if "ctc" in self.decoders:
-            grid = ctc_logprobs(enc_new, self.model.ctc, self.ledger)
-            self._raw_tokens["ctc"] += self._ctc_dec.push(grid, offset)
-        if "rnnt" in self.decoders:
-            toks, states = rnnt_greedy_decode(
-                enc_new, self.model.rnnt, self.state.rnnt_states,
-                blank_id=self.vocab.blank_id, frame_offset=offset, rec=self.ledger,
-            )
-            self.state.rnnt_states = states
-            self._raw_tokens["rnnt"] += toks
+        self.state.rnnt_states = self._dec.push(enc_new, offset, self.ledger,
+                                                self.state.rnnt_states)
+        _log.debug("step %d: %d tokens settled, %d MACs",
+                   len(self.ledger.steps) - 1, enc_new.shape[0], step.total)
 
     def finish(self) -> StreamResult:
         """Process whatever remains (a short final chunk is fine) and assemble."""
@@ -213,8 +215,8 @@ class StreamingSession:
         self._mel = self._mel[:0]
         self._finished = True
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
-        return _result(
-            "streaming", self._raw_tokens, self.vocab, self.ledger,
+        return self._dec.result(
+            "streaming", self.ledger,
             lambda f: receptive_field_tokens(
                 enc.attention, enc.n_layers, enc.conv_kernel, f, total
             )[1],
@@ -227,9 +229,8 @@ def run_streaming(
     model: HybridModel,
     vocab: Vocab,
     decoder: str = "both",
-    step_tokens: int | None = None,
 ) -> StreamResult:
-    session = StreamingSession(model, vocab, decoder=decoder, step_tokens=step_tokens)
+    session = StreamingSession(model, vocab, decoder=decoder)
     session.feed(audio.samples)
     return session.finish()
 
@@ -240,21 +241,14 @@ def run_offline(
     vocab: Vocab,
     decoder: str = "both",
 ) -> StreamResult:
-    """Single-pass inference with the same limited-context mask."""
+    """Single-pass inference with the same limited-context mask: the
+    streaming step, taken once over the whole utterance."""
+    dec = _Decoders(model, vocab, decoder)
     mel = log_mel(audio, model.cfg.feature_config())
     ledger = ComputeLedger()
     ledger.new_step()
-    enc = encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger)
-    raw = {}
-    for name in _decoders_for(decoder):
-        if name == "ctc":
-            grid = ctc_logprobs(enc, model.ctc, ledger)
-            raw[name] = CtcIncrementalDecoder(vocab.blank_id).push(grid)
-        else:
-            raw[name], _ = rnnt_greedy_decode(
-                enc, model.rnnt, None, blank_id=vocab.blank_id, rec=ledger
-            )
-    return _result("offline", raw, vocab, ledger, lambda f: f, None)
+    dec.push(encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger), 0, ledger)
+    return dec.result("offline", ledger, lambda f: f, None)
 
 
 def _central_window_macs(cfg: EncoderConfig, n_window: int, n_central: int) -> int:
@@ -290,9 +284,7 @@ def run_buffered(
     dr = cfg.downsampling_rate
     total = mel.shape[0] // dr
     ledger = ComputeLedger()
-    names = _decoders_for(decoder)
-    raw: dict[str, list[tuple[int, int]]] = {n: [] for n in names}
-    ctc_dec = CtcIncrementalDecoder(vocab.blank_id) if "ctc" in names else None
+    dec = _Decoders(model, vocab, decoder)
     for c0 in range(0, total, chunk_tok):
         c1 = min(c0 + chunk_tok - 1, total - 1)
         b0 = max(0, c0 - left)
@@ -303,18 +295,9 @@ def run_buffered(
         full = cfg.with_attention(AttentionContext.chunked(b1 - b0 + 1, 0))
         enc = encode_full(window, model.encoder, full, rec=ledger)
         step.duplicate += step.total - _central_window_macs(cfg, b1 - b0 + 1, c1 - c0 + 1)
-        central = enc[c0 - b0 : c1 - b0 + 1]
-        if "ctc" in names:
-            grid = ctc_logprobs(central, model.ctc, ledger)
-            raw["ctc"] += ctc_dec.push(grid, c0)
-        if "rnnt" in names:
-            toks, _ = rnnt_greedy_decode(
-                central, model.rnnt, None, blank_id=vocab.blank_id,
-                frame_offset=c0, rec=ledger,
-            )
-            raw["rnnt"] += toks
-    return _result(
-        "buffered", raw, vocab, ledger,
+        dec.push(enc[c0 - b0 : c1 - b0 + 1], c0, ledger)  # no RNNT state: restart per buffer
+    return dec.result(
+        "buffered", ledger,
         lambda f: min(total - 1, (f // chunk_tok + 1) * chunk_tok - 1 + right), lm,
     )
 

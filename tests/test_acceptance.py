@@ -15,9 +15,8 @@ from streamasr import (
     CtcIncrementalDecoder,
     LatencyModel,
     ModelConfig,
-    attn_cache_update,
     attn_keep_rows,
-    conv_cache_apply_update,
+    cache_append,
     ctc_logprobs,
     ctc_loss,
     encode_full,
@@ -209,8 +208,8 @@ class TestCriterion4CacheShapeLaws:
             for i in range(1, 1001):
                 block = np.ones((chunk, 4), np.float32)
                 # the engine's update: each chunk step settles all inputs so far
-                _, attn = attn_cache_update(attn, block, attn_keep_rows(ctx, i * chunk, i * chunk))
-                _, conv = conv_cache_apply_update(conv, block, kernel)
+                _, attn = cache_append(attn, block, attn_keep_rows(ctx, i * chunk, i * chunk))
+                _, conv = cache_append(conv, block, kernel - 1)
                 assert conv.shape[0] == kernel - 1
                 assert attn.shape[0] == min(bound, i * chunk)
 

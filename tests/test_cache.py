@@ -7,9 +7,8 @@ import pytest
 from streamasr import (
     AttentionContext,
     StreamState,
-    attn_cache_update,
     attn_keep_rows,
-    conv_cache_apply_update,
+    cache_append,
     depthwise_conv1d_causal,
     encode_step,
     init_state,
@@ -27,14 +26,14 @@ class TestConvCache:
         # the last two entries of the joined window
         cache = np.array([[-2.0], [-1.0]], np.float32)
         chunk = np.array([[0.0], [1.0], [2.0]], np.float32)
-        window, new_cache = conv_cache_apply_update(cache, chunk, kernel=3)
+        window, new_cache = cache_append(cache, chunk, 2)
         assert np.array_equal(window.ravel(), [-2, -1, 0, 1, 2])
         assert np.array_equal(new_cache.ravel(), [1, 2])
 
     def test_short_chunk_retains_old_entries(self):
         cache = np.array([[1.0], [2.0], [3.0]], np.float32)
         chunk = np.array([[4.0]], np.float32)
-        _, new_cache = conv_cache_apply_update(cache, chunk, kernel=4)
+        _, new_cache = cache_append(cache, chunk, 3)
         assert np.array_equal(new_cache.ravel(), [2, 3, 4])
 
     def test_cached_conv_equals_full_history(self):
@@ -46,14 +45,18 @@ class TestConvCache:
         cache = np.zeros((k - 1, d), np.float32)
         outs = []
         for lo in range(0, t, 5):
-            window, cache = conv_cache_apply_update(cache, x[lo : lo + 5], k)
+            window, cache = cache_append(cache, x[lo : lo + 5], k - 1)
             outs.append(depthwise_conv1d_causal(x[lo : lo + 5], w, history=window[: k - 1]))
         assert np.array_equal(np.concatenate(outs), full)
 
     def test_width_guard(self):
+        # a conv cache that is not kernel-1 rows wide never reaches cache_append
+        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), conv_kernel=4)
+        w = init_encoder_weights(cfg, seed=3)
+        state = init_state(cfg)
+        state.layers[1].conv = state.layers[1].conv[1:]
         with pytest.raises(StateError):
-            conv_cache_apply_update(np.zeros((1, 2), np.float32),
-                                    np.zeros((3, 2), np.float32), kernel=4)
+            encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
 
 
 class TestAttnCache:
@@ -61,20 +64,20 @@ class TestAttnCache:
         cache = np.array([[-3.0], [-2.0], [-1.0]], np.float32)
         new = np.array([[0.0], [1.0], [2.0]], np.float32)
         n_keep = attn_keep_rows(AttentionContext.zero(left_context=4), n_in=6, n_out=6)
-        window, out = attn_cache_update(cache, new, n_keep)
+        window, out = cache_append(cache, new, n_keep)
         assert np.array_equal(window.ravel(), [-3, -2, -1, 0, 1, 2])
         assert np.array_equal(out.ravel(), [-1, 0, 1, 2])
 
     def test_first_step_from_empty(self):
         n_keep = attn_keep_rows(AttentionContext.zero(left_context=4), n_in=2, n_out=2)
-        _, out = attn_cache_update(np.zeros((0, 1), np.float32),
-                                   np.array([[5.0], [6.0]], np.float32), n_keep)
+        _, out = cache_append(np.zeros((0, 1), np.float32),
+                              np.array([[5.0], [6.0]], np.float32), n_keep)
         assert np.array_equal(out.ravel(), [5, 6])
 
     def test_zero_left_context_stays_empty(self):
         n_keep = attn_keep_rows(AttentionContext.zero(left_context=0), n_in=1, n_out=1)
-        _, out = attn_cache_update(np.zeros((0, 1), np.float32),
-                                   np.array([[5.0]], np.float32), n_keep)
+        _, out = cache_append(np.zeros((0, 1), np.float32),
+                              np.array([[5.0]], np.float32), n_keep)
         assert out.shape[0] == 0
 
     def test_unlimited_grows(self):
@@ -82,12 +85,16 @@ class TestAttnCache:
         cache = np.zeros((0, 1), np.float32)
         for i in range(5):
             n_keep = attn_keep_rows(ctx, n_in=2 * (i + 1), n_out=2 * (i + 1))
-            _, cache = attn_cache_update(cache, np.full((2, 1), i, np.float32), n_keep)
+            _, cache = cache_append(cache, np.full((2, 1), i, np.float32), n_keep)
         assert cache.shape[0] == 10
 
     def test_width_guard(self):
         with pytest.raises(StateError):
-            attn_cache_update(np.zeros((1, 2), np.float32), np.zeros((1, 2), np.float32), 3)
+            cache_append(np.zeros((1, 2), np.float32), np.zeros((1, 2), np.float32), 3)
+
+    def test_kept_rows_do_not_pin_the_window(self):
+        window, kept = cache_append(np.ones((3, 2), np.float32), np.ones((5, 2), np.float32), 2)
+        assert kept.base is None and not np.shares_memory(window, kept)
 
 
 def _layer_widths(state: StreamState) -> list[tuple[int, int, int]]:
@@ -104,8 +111,8 @@ class TestCacheWidthLaws:
         for i in range(1, 1001):
             step = np.ones((chunk, 2), np.float32)
             n = i * chunk  # a chunk step settles every input it brings
-            _, attn = attn_cache_update(attn, step, attn_keep_rows(ctx, n, n))
-            _, conv = conv_cache_apply_update(conv, step, kernel)
+            _, attn = cache_append(attn, step, attn_keep_rows(ctx, n, n))
+            _, conv = cache_append(conv, step, kernel - 1)
             assert conv.shape[0] == kernel - 1
             assert attn.shape[0] == min(lc_bound, i * chunk)
 

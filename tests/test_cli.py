@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 
 import pytest
 
-from streamasr import Vocab, load_model
+import streamasr
+from streamasr import StreamingSession, Vocab, load_model, read_wav
 from streamasr.cli import main
 
 from helpers import synth_audio, write_wav
@@ -123,6 +128,42 @@ class TestTranscribe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "buffered"
         assert payload["macs"]["duplicate"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--chunk-seconds", "nan"],
+        ["transcribe", "--mode", "buffered", "--buffer-seconds", "inf"],
+    ], ids=["compare-nan-chunk", "transcribe-inf-buffer"])
+    def test_non_finite_buffer_seconds_are_config_error(self, workspace, capsys, argv):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        rc = main([*argv, "--model", model_path, "--vocab", vocab_path, "--wav", wav_path])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_debug_log_has_one_line_per_step(self, workspace, capsys):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        argv = [sys.executable, "-m", "streamasr.cli", "transcribe", "--model", model_path,
+                "--vocab", vocab_path, "--wav", wav_path]
+        src = os.path.dirname(os.path.dirname(streamasr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("STREAMASR_LOG", None)
+        quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        debug = subprocess.run(argv, env={**env, "STREAMASR_LOG": "debug"},
+                               capture_output=True, text=True, check=True)
+        assert debug.stdout == quiet.stdout and quiet.stderr == ""
+        session = StreamingSession(load_model(model_path), Vocab.load(vocab_path), decoder="ctc")
+        session.feed(read_wav(wav_path).samples)
+        steps = session.finish().ledger.steps
+        lines = debug.stderr.splitlines()
+        assert len(lines) == len(steps)
+        settled = 0
+        for i, (line, step) in enumerate(zip(lines, steps)):
+            m = re.fullmatch(r"DEBUG:streamasr\.streaming:step (\d+): (\d+) tokens settled, "
+                             r"(\d+) MACs", line)
+            assert m and int(m[1]) == i and int(m[3]) == step.total
+            settled += int(m[2])
+        assert settled == session.state.tokens_emitted > 0
 
     def test_buffered_defaults_two_and_four_seconds(self):
         from streamasr.cli import build_parser
@@ -271,8 +312,12 @@ class TestMalformedInputs:
         _set(["tensors", 0, "dtype"], "f2"),
         _delete(["tensors", -1]),
         _set(["tensors"], 5),
+        _set(["config", "frame_shift_ms"], 0),
+        _set(["config", "frame_shift_ms"], 0.01),
+        _set(["config", "frame_shift_ms"], float("nan")),
     ], ids=["no-config", "no-n_heads", "str-d_model", "bool-n_layers", "str-attention",
-            "typo-left_chunk", "zero-n_heads", "dtype-f2", "missing-tensor", "int-tensors"])
+            "typo-left_chunk", "zero-n_heads", "dtype-f2", "missing-tensor", "int-tensors",
+            "zero-frame_shift_ms", "sub-sample-frame_shift_ms", "nan-frame_shift_ms"])
     def test_model_header(self, workspace, capsys, mutate):
         tmp_path, config_path, vocab_path, wav_path = workspace
         model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
@@ -295,8 +340,13 @@ class TestMalformedInputs:
         _set(["encoder", "attention", "left_chunk"], 1),
         _set(["d_joint"], 12.0),
         _set(["encoder", "bias_past"], -1),
+        _set(["frame_shift_ms"], 0),
+        _set(["frame_shift_ms"], 0.01),
+        _set(["frame_shift_ms"], float("nan")),
+        _set(["frame_shift_ms"], float("inf")),
     ], ids=["list", "str-d_model", "str-attention", "typo-left_chunk",
-            "float-d_joint", "negative-bias_past"])
+            "float-d_joint", "negative-bias_past", "zero-frame_shift_ms",
+            "sub-sample-frame_shift_ms", "nan-frame_shift_ms", "inf-frame_shift_ms"])
     def test_init_model_config(self, workspace, capsys, mutate):
         tmp_path, config_path, vocab_path, _ = workspace
         with open(config_path) as f:

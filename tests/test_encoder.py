@@ -116,15 +116,6 @@ class TestStreamingOfflineEquivalence:
         got, _ = stream_encode(mel, w, cfg)
         assert np.array_equal(got, full)
 
-    def test_single_step_equals_full(self):
-        ctx = AttentionContext.regular(2, 4)
-        cfg = tiny_encoder_config(ctx)
-        w = init_encoder_weights(cfg, seed=9)
-        mel = random_mel(48, cfg.n_mels, seed=10)
-        state = init_state(cfg)
-        out, _ = encode_step(mel, state, w, cfg, final=True)
-        assert np.array_equal(out, encode_full(mel, w, cfg))
-
     def test_zero_equals_chunk_of_one(self):
         lc = 4
         za = tiny_encoder_config(AttentionContext.zero(left_context=lc))

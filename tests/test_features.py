@@ -10,7 +10,7 @@ from streamasr import (
     log_mel,
     read_wav,
 )
-from streamasr.errors import FormatError, InputFileError
+from streamasr.errors import ConfigError, FormatError, InputFileError
 from streamasr import features
 from streamasr.features import LOG_FLOOR, hann_window, mel_filterbank
 
@@ -56,6 +56,21 @@ class TestReadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFileError):
             read_wav(str(tmp_path / "nope.wav"))
+
+
+class TestFeatureConfig:
+    @pytest.mark.parametrize("kw", [
+        {"frame_shift_ms": 0.0}, {"frame_shift_ms": 0.01}, {"frame_shift_ms": -10.0},
+        {"frame_shift_ms": float("nan")}, {"frame_shift_ms": float("inf")},
+        {"window_ms": float("nan")}, {"window_ms": float("inf")}, {"sample_rate": 0},
+    ], ids=["shift-0", "shift-0.01", "shift-negative", "shift-nan", "shift-inf", "window-nan",
+            "window-inf", "rate-0"])
+    def test_a_shift_the_extractor_cannot_step_by_is_config_error(self, kw):
+        with pytest.raises(ConfigError):
+            FeatureConfig(**kw)
+
+    def test_one_sample_shift_is_taken(self):
+        assert FeatureConfig(frame_shift_ms=0.0625).shift_samples == 1
 
 
 class TestLogMel:

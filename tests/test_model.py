@@ -50,7 +50,8 @@ def model_configs(draw):
         d_joint=draw(st.integers(1, 6)),
         hybrid_alpha=draw(number),
         fastemit_lambda=draw(number),
-        frame_shift_ms=draw(number.filter(lambda v: v > 0)),
+        # the features need a shift of one sample (1/16 ms) up to their 25 ms window
+        frame_shift_ms=draw(st.floats(0.0625, 25.0) | st.integers(1, 25)),
     )
 
 
@@ -89,6 +90,14 @@ class TestConfigFromDict:
     def test_rejects(self, d):
         with pytest.raises(ConfigError):
             config_from_dict(AttentionContext, d)
+
+
+@pytest.mark.parametrize("shift", [0, 0.01, -1.0, float("nan"), float("inf"), 26.0])
+def test_frame_shift_the_features_cannot_use_is_config_error(shift):
+    enc = {"n_layers": 1, "d_model": 4, "n_heads": 1, "conv_kernel": 1, "downsampling_rate": 1,
+           "attention": {"regime": "zero"}}
+    with pytest.raises(ConfigError):
+        config_from_dict(ModelConfig, {"encoder": enc, "vocab_size": 3, "frame_shift_ms": shift})
 
 
 class TestNonFiniteWeights:

@@ -11,15 +11,21 @@ Per encoder layer, each cache holds the newest rows of one operand:
               sees the same operands as the left-padded single-pass
               computation.
   pending   - post-first-FFN values of inputs whose outputs are not yet
-              settled (only non-empty for the regular look-ahead regime).
-              Their queries are projected again each step.
+              settled, each beside its projected query (x1|q, 2 * d_model
+              wide; only non-empty for the regular look-ahead regime). A
+              pending row's input is final, so its query is projected once,
+              when it arrives.
 
-Plus the downsampler mel residual, the RNNT prediction-net hidden states, and
-global token/frame offsets. The layer caches and the mel residual change by
-one rule, cache_append: this step's window is the cache followed by the new
-rows, and the cache keeps the window's newest rows. encode_step applies it
-to each of them once per step; an offline pass is one final step from
-init_state.
+Plus one carried input row per downsampler stage (the last row the stage
+has read, a zero row at the start of a stream), the RNNT prediction-net
+hidden states, and global token/frame offsets. The layer caches and the
+downsampler rows change by one rule, cache_append: this step's window is the
+cache followed by the new rows, and the cache keeps the window's newest
+rows. encode_step applies it to each of them once per step; an offline pass
+is one final step from init_state.
+
+A layer cache also holds the attention plan of the last non-final step. It
+is derived data: it is not saved, and a resumed state rebuilds it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -63,9 +69,10 @@ def cache_append(
 class LayerCache:
     attn: np.ndarray  # (w, 2d) projected K|V rows, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
-    pending: np.ndarray  # (p, d) post-FFN1 values of not-yet-settled outputs
+    pending: np.ndarray  # (p, 2d) post-FFN1 values|queries of not-yet-settled outputs
     n_in: int = 0  # inputs seen
     n_out: int = 0  # settled outputs emitted
+    plan: object = field(default=None, repr=False, compare=False)  # encoder.AttentionPlan
 
     def float_count(self) -> int:
         return self.attn.size + self.conv.size + self.pending.size
@@ -74,7 +81,7 @@ class LayerCache:
 @dataclass
 class StreamState:
     layers: list[LayerCache]
-    ds_residual: np.ndarray  # (residual_frames, n_mels)
+    ds_carry: list[np.ndarray]  # per downsampler stage, its last input row (1, width)
     mel_seen: int = 0
     tokens_in: int = 0  # downsampler tokens produced
     tokens_emitted: int = 0  # encoder tokens settled at the top
@@ -82,7 +89,7 @@ class StreamState:
     rnnt_states: list[np.ndarray] = field(default_factory=list)
 
     def float_count(self) -> int:
-        n = self.ds_residual.size + sum(lc.float_count() for lc in self.layers)
+        n = sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
         return n + sum(h.size for h in self.rnnt_states)
 
     def save(self, path: str) -> None:
@@ -95,9 +102,10 @@ class StreamState:
             "finished": self.finished,
             "n_layers": len(self.layers),
             "counters": [[lc.n_in, lc.n_out] for lc in self.layers],
+            "n_ds_carry": len(self.ds_carry),
             "n_rnnt": len(self.rnnt_states),
         }
-        arrays: list[tuple[str, np.ndarray]] = [("ds_residual", self.ds_residual)]
+        arrays = [(f"ds_carry{s}", c) for s, c in enumerate(self.ds_carry)]
         for i, lc in enumerate(self.layers):
             arrays.append((f"layer{i}.attn", lc.attn))
             arrays.append((f"layer{i}.conv", lc.conv))
@@ -112,6 +120,8 @@ class StreamState:
         if header.get("kind") != "stream_state":
             raise StateError(f"{path} is not a stream state file")
         if header.get("version") != STATE_VERSION:
+            # version 1 cached d-wide attention inputs, version 2 d-wide pending
+            # rows and 2*log2(rate)+1 mel frames for the downsampler
             raise StateError(f"unsupported state version {header.get('version')}")
 
         def is_count(v) -> bool:
@@ -148,7 +158,7 @@ class StreamState:
                 )
                 for i, (n_in, n_out) in enumerate(counters)
             ],
-            ds_residual=tensor("ds_residual"),
+            ds_carry=[tensor(f"ds_carry{s}") for s in range(count("n_ds_carry"))],
             mel_seen=count("mel_seen"),
             tokens_in=count("tokens_in"),
             tokens_emitted=count("tokens_emitted"),

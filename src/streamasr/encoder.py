@@ -18,16 +18,18 @@ bit: every output element is reduced from the same operand sequence in the
 same order in both modes.
 
 The downsampler is a stack of log2(rate) stride-2 kernel-3 convolutions, each
-aligned so token j reads inputs 2j-1 .. 2j+1 (zero at index -1). A token
+aligned so output j reads inputs 2j-1 .. 2j+1 (zero at index -1). A token
 therefore depends on its own frame group plus rate-1 past frames and never on
-later groups, and carrying 2*log2(rate)+1 trailing mel frames between chunks
-is enough to reproduce the single-pass output exactly.
+later groups. Each stage carries the last input row it has read between
+chunks, so every stage row is computed once per stream, from the operands of
+the single-pass computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +96,9 @@ class EncoderConfig:
         return int(math.log2(self.downsampling_rate))
 
     @property
-    def residual_frames(self) -> int:
-        """Mel frames carried between chunks for the downsampler."""
-        if self.downsampling_rate == 1:
-            return 0
-        return 2 * self.n_stages + 1
+    def ds_carry_widths(self) -> list[int]:
+        """Per downsampler stage, the width of the input row it carries between chunks."""
+        return ([self.n_mels] + [self.d_model] * self.n_stages)[: self.n_stages]
 
     def with_attention(self, attention: AttentionContext) -> "EncoderConfig":
         """Same weights-compatible config under a different mask (bias spans kept)."""
@@ -158,9 +158,9 @@ def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], 
 
 class EncoderWeights:
     """The encoder's tensors, and per layer a dict built once: the layer's
-    tensors without their `layers.{i}.` prefix, plus the K and V projections
-    side by side as one (d, 2d) weight `attn.wkv` and bias `attn.bkv`, and
-    the relative-position bias in float64 as `attn.bias64`."""
+    tensors without their `layers.{i}.` prefix, plus the Q, K and V
+    projections side by side as one (d, 3d) weight `attn.wqkv` and bias
+    `attn.bqkv`, and the relative-position bias in float64 as `attn.bias64`."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
@@ -170,8 +170,8 @@ class EncoderWeights:
                 i, rest = name[len("layers.") :].split(".", 1)
                 self._layers.setdefault(int(i), {})[rest] = v
         for lw in self._layers.values():
-            lw["attn.wkv"] = np.concatenate([lw["attn.wk"], lw["attn.wv"]], axis=1)
-            lw["attn.bkv"] = np.concatenate([lw["attn.bk"], lw["attn.bv"]])
+            lw["attn.wqkv"] = np.concatenate([lw[f"attn.w{p}"] for p in "qkv"], axis=1)
+            lw["attn.bqkv"] = np.concatenate([lw[f"attn.b{p}"] for p in "qkv"])
             lw["attn.bias64"] = lw["attn.bias"].astype(np.float64)
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
@@ -199,53 +199,34 @@ def init_tensors(
 def downsample_segment(
     w: EncoderWeights,
     cfg: EncoderConfig,
-    segment: np.ndarray,
-    seg_start: int,
-    j_lo: int,
-    j_hi: int,
-) -> np.ndarray:
-    """Downsampler outputs for global token indices j_lo..j_hi.
+    frames: np.ndarray,
+    carry: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Downsampler outputs for the whole frame groups in `frames`, and the
+    rows to carry into the next call.
 
-    `segment` holds mel frames starting at global frame index seg_start; it
-    must cover every frame the requested tokens depend on. Indexing is kept
-    global throughout, so a token computed from a chunk-plus-residual segment
-    uses exactly the operands of the whole-utterance computation.
+    carry[s] is the last input row stage s has read: a zero row at the start
+    of a stream, where index -1 is padding. Stage output i reads inputs
+    2i-1 .. 2i+1, so the carried row and the new inputs are exactly the
+    operands of the new outputs, and every stage row is computed once per
+    stream. A trailing partial frame group is not read.
     """
-    d = cfg.d_model
-    if j_hi < j_lo:
-        return np.zeros((0, d), dtype=np.float32)
-    ranges = [(j_lo, j_hi)]
-    for _ in range(cfg.n_stages):
-        lo, hi = ranges[-1]
-        ranges.append((2 * lo - 1, 2 * hi + 1))
-    ranges.reverse()
-    flo, fhi = ranges[0]
-    if fhi > seg_start + segment.shape[0] - 1:
-        raise ChunkingError(
-            f"segment ends at frame {seg_start + segment.shape[0] - 1}, token {j_hi} "
-            f"needs frame {fhi}"
-        )
-    if flo >= 0 and flo < seg_start:
-        raise ChunkingError(f"segment starts at frame {seg_start}, token {j_lo} needs {flo}")
-    idx = np.arange(flo, fhi + 1)
-    cur = np.zeros((idx.size, segment.shape[1]), dtype=np.float32)
-    valid = idx >= 0
-    cur[valid] = segment[idx[valid] - seg_start]
-    cur_idx = idx
-    for s in range(cfg.n_stages):
-        out_lo, out_hi = ranges[s + 1]
-        n_out = out_hi - out_lo + 1
+    n_tokens = frames.shape[0] // cfg.downsampling_rate
+    if n_tokens == 0:
+        return np.zeros((0, cfg.d_model), dtype=np.float32), carry
+    cur = frames[: n_tokens * cfg.downsampling_rate]
+    kept = []
+    for s, row in enumerate(carry):
+        window, last = cache_append(row, cur, 1)
+        kept.append(last)
+        n_out = cur.shape[0] // 2
         ws = w.tensors[f"ds.stage{s}.w"]
-        acc = np.zeros((n_out, d), dtype=np.float64)
+        acc = np.zeros((n_out, cfg.d_model), dtype=np.float64)
         for r in range(3):
-            first = (2 * out_lo + r - 1) - cur_idx[0]
-            rows = cur[first : first + 2 * n_out : 2]
-            acc += matmul64(rows, ws[r])
+            acc += matmul64(window[r : r + 2 * n_out : 2], ws[r])
         acc += w.tensors[f"ds.stage{s}.b"].astype(np.float64)
         cur = swish(acc.astype(np.float32))
-        cur_idx = np.arange(out_lo, out_hi + 1)
-        cur[cur_idx < 0] = 0.0  # stage outputs left of the sequence are padding
-    return linear(cur, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"])
+    return linear(cur, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"]), kept
 
 
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
@@ -301,115 +282,148 @@ def _softmax_values(
     return matmul64(w, v).astype(np.float32)
 
 
-def _attend(
+class AttentionPlan(NamedTuple):
+    """What one attention step needs besides its operands, built from its
+    geometry: per (rows, keys) shape of query group, the query rows, the key
+    rows (relative to the first key) and the gathered float64 bias
+    (heads * groups, rows, keys); and each query row's key count.
+
+    A shape held by one group takes plain slices; a shape shared by several
+    gathers their rows with index arrays, and its K rows with `k_index`.
+    `key` is the geometry relative to the first key, and `table` the bias
+    table the gathers read: a step with the same key and table reuses the
+    plan. (A NamedTuple: a dataclass would add about a millisecond to
+    every import of the package.)
+    """
+
+    key: tuple | None
+    table: np.ndarray
+    batches: list[tuple[object, object, object, np.ndarray]]  # rows, keys, k_index, bias
+    pairs: np.ndarray
+
+
+def attention_plan(
     cfg: EncoderConfig,
-    lw: dict,
-    q_ain: np.ndarray,
+    table: np.ndarray,
     qpos: np.ndarray,
-    kv: np.ndarray,
+    n_keys: int,
     key_base: int,
     groups: list[tuple[int, int, int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked multi-head attention over precomputed intervals.
+    prev: AttentionPlan | None = None,
+) -> AttentionPlan:
+    """The plan for queries at consecutive global positions qpos over n_keys
+    keys from global position key_base on; `prev` when its geometry and bias
+    table are this step's.
 
-    `kv` holds the projected K|V rows (keys, 2d) of every key from global
-    position key_base on. Keys are addressed globally; each group's scores,
-    softmax and value sums run over exactly the keys [key_lo, key_hi], so
-    results do not depend on what else happens to be in the key array. All
+    Without a previous plan the key is not worked out (an offline pass is
+    one step), and the plan's key None matches no later step.
+    """
+    key = None if prev is None else (
+        int(qpos[0]) - key_base, n_keys, cfg.bias_past, cfg.bias_future,
+        tuple((r0, r1, lo - key_base, hi - key_base) for r0, r1, lo, hi in groups))
+    if key is not None and prev.key == key and prev.table is table:
+        return prev
+    d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
+    sp, sf = cfg.bias_past, cfg.bias_future
+    pairs = np.zeros(qpos.shape[0], dtype=np.int64)
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for r0, r1, lo, hi in groups:
+        if lo < key_base or hi - key_base + 1 > n_keys:
+            raise SessionError(
+                f"attention cache does not cover keys [{lo},{hi}] (base {key_base})"
+            )
+        pairs[r0 : r1 + 1] = hi - lo + 1
+        by_shape.setdefault((r1 - r0 + 1, hi - lo + 1), []).append((r0, lo - key_base))
+    batches = []
+    for (n_r, n_k), same in by_shape.items():
+        rows = np.array([g[0] for g in same])[:, None] + np.arange(n_r)  # (groups, n_r)
+        keys = np.array([g[1] for g in same])[:, None] + np.arange(n_k)  # (groups, n_k)
+        offs = qpos[rows][:, :, None] - (keys + key_base)[:, None, :]
+        # batch axis: head-major, then group
+        bias = table[:, np.clip(offs, -sf, sp) + sf].reshape(-1, n_r, n_k)
+        if len(same) == 1:
+            r0, k0 = same[0]
+            batches.append((slice(r0, r0 + n_r), slice(k0, k0 + n_k), None, bias))
+        else:
+            k_index = (keys[:, None, :], np.arange(d).reshape(heads, 1, dh, 1))
+            batches.append((rows, keys, k_index, bias))
+    return AttentionPlan(key, table, batches, pairs)
+
+
+def _attend(
+    cfg: EncoderConfig, lw: dict, q: np.ndarray, kv: np.ndarray, plan: AttentionPlan
+) -> np.ndarray:
+    """Masked multi-head attention of the projected queries q over the
+    projected K|V rows kv (keys, 2d), in the geometry `plan` gives.
+
+    Each group's scores, softmax and value sums run over exactly its own
+    keys, so results do not depend on what else is in the key array. All
     heads of a group go through one batched matmul64 per product, and so do
     all groups of one (rows, keys) shape: each head and group sums as it
-    would alone. A shape held by one group takes plain slices of q and kv;
-    a shape shared by several gathers their rows with one index array.
+    would alone.
     """
     d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
-    q = linear(q_ain, lw["attn.wq"], lw["attn.bq"])
     # per-head views: q and v (heads, rows, dh), k transposed (heads, dh, keys)
     qh = q.reshape(-1, heads, dh).transpose(1, 0, 2)
     kh = kv[:, :d].reshape(-1, heads, dh).transpose(1, 2, 0)
     vh = kv[:, d:].reshape(-1, heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
-    bias = lw["attn.bias64"]
-    sp, sf = cfg.bias_past, cfg.bias_future
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
-    pairs = np.zeros(q.shape[0], dtype=np.int64)
-    by_shape: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for r0, r1, lo, hi in groups:
-        if lo < key_base or hi - key_base + 1 > kv.shape[0]:
-            raise SessionError(
-                f"attention cache does not cover keys [{lo},{hi}] (base {key_base})"
-            )
-        pairs[r0 : r1 + 1] = hi - lo + 1
-        by_shape.setdefault((r1 - r0 + 1, hi - lo + 1), []).append((r0, r1, lo, hi))
-    for (n_r, n_k), same in by_shape.items():
-        if len(same) == 1:
-            r0, r1, lo, hi = same[0]
-            rows = slice(r0, r1 + 1)
-            keys = slice(lo - key_base, hi - key_base + 1)
-            offs = qpos[rows, None] - np.arange(lo, hi + 1)[None, :]
-            out = _softmax_values(qh[:, rows], kh[:, :, keys], vh[:, keys],
-                                  bias[:, np.clip(offs, -sf, sp) + sf], scale)
+    for rows, keys, k_index, bias in plan.batches:
+        if k_index is None:
+            out = _softmax_values(qh[:, rows], kh[:, :, keys], vh[:, keys], bias, scale)
             ctx_out[rows] = out.transpose(1, 0, 2)
             continue
-        # batch axis: head-major, then group; each operand is one gather
-        n = heads * len(same)
-        rows = np.array([g[0] for g in same])[:, None] + np.arange(n_r)  # (groups, n_r)
-        kpos = np.array([g[2] for g in same])[:, None] + np.arange(n_k)  # (groups, n_k) global
-        offs = qpos[rows][:, :, None] - kpos[:, None, :]
-        kidx = kpos - key_base
-        k_cols = np.arange(d).reshape(heads, 1, dh, 1)
+        (n_g, n_r), n_k, n = rows.shape, keys.shape[1], bias.shape[0]
         out = _softmax_values(
             qh[:, rows].reshape(n, n_r, dh),
-            kv[kidx[:, None, :], k_cols].reshape(n, dh, n_k),  # (heads, groups, dh, n_k)
-            vh[:, kidx].reshape(n, n_k, dh),
-            bias[:, np.clip(offs, -sf, sp) + sf].reshape(n, n_r, n_k),
+            kv[k_index].reshape(n, dh, n_k),  # (heads, groups, dh, n_k)
+            vh[:, keys].reshape(n, n_k, dh),
+            bias,
             scale,
         )
-        ctx_out[rows] = out.reshape(heads, len(same), n_r, dh).transpose(1, 2, 0, 3)
-    return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"]), pairs
+        ctx_out[rows] = out.reshape(heads, n_g, n_r, dh).transpose(1, 2, 0, 3)
+    return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"])
 
 
 def _layer_arrival(
     cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token work done once when an input token reaches this layer:
-    its post-FFN1 row, its attention input and its projected K|V row."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token work done once when an input token reaches this layer: its
+    post-FFN1 row beside its query (x1|q, 2d wide) and its K|V row (2d)."""
     d = cfg.d_model
     if x_new.shape[0] == 0:
-        e = np.zeros((0, d), dtype=np.float32)
-        return e, e, np.zeros((0, 2 * d), dtype=np.float32)
+        e = np.zeros((0, 2 * d), dtype=np.float32)
+        return e, e
     x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
     a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
-    kv = linear(a_in, lw["attn.wkv"], lw["attn.bkv"])
+    qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
     # a -inf score gets softmax weight 0, which would hide a non-finite key
-    check_finite(kv, "attention K|V projection")
+    check_finite(qkv, "attention Q|K|V projection")
     if rec is not None:
-        rec.add("ffn", x_new.shape[0] * (2 * d * cfg.d_ffn + 2 * d * d))  # FFN1 + K,V projections
-    return x1, a_in, kv
+        # FFN1 + K,V; the ledger books Q with O, per query row of the window
+        rec.add("ffn", x_new.shape[0] * (2 * d * cfg.d_ffn + 2 * d * d))
+    return np.concatenate([x1, qkv[:, :d]], axis=1), qkv[:, d:]
 
 
 def _layer_window(
     cfg: EncoderConfig,
     lw: dict,
-    x1_win: np.ndarray,
-    q_ain: np.ndarray,
+    x1q_win: np.ndarray,
     kv: np.ndarray,
-    key_base: int,
+    plan: AttentionPlan,
     conv_hist: np.ndarray | None,
     n_settle: int,
     rec: ComputeLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run one block over a query window; rows beyond n_settle are speculative.
 
-    The queries, with post-FFN1 rows x1_win and attention inputs q_ain, are
-    the newest len(x1_win) of the keys in kv, whose first row sits at global
-    position key_base.
+    The queries, with post-FFN1 rows and projected queries x1q_win (x1|q),
+    are the newest len(x1q_win) of the keys in kv.
     """
-    n_rows = x1_win.shape[0]
-    end = key_base + kv.shape[0]
-    qpos = np.arange(end - n_rows, end)
-    groups = query_groups(cfg.attention, qpos, end - 1)
-    attn_out, pairs = _attend(cfg, lw, q_ain, qpos, kv, key_base, groups)
-    x2 = x1_win + attn_out
+    d = cfg.d_model
+    n_rows = x1q_win.shape[0]
+    x2 = x1q_win[:, :d] + _attend(cfg, lw, x1q_win[:, d:], kv, plan)
     c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
     pw = linear(c, lw["conv.pw1"], lw["conv.pw1_b"])
     check_finite(pw, "conv pointwise")  # the GLU's sigmoid maps an infinite gate to 0 or 1
@@ -421,16 +435,16 @@ def _layer_window(
     out = layer_norm(out, lw["out.ln_g"], lw["out.ln_b"])
     check_finite(out, "encoder layer")
     if rec is not None:
-        d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
+        f, k = cfg.d_ffn, cfg.conv_kernel
         ffn_row = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2
         rec.add("ffn", n_settle * ffn_row)
         rec.add("conv", n_settle * d * k)
-        rec.add("attention", 2 * d * int(pairs[:n_settle].sum()))
+        rec.add("attention", 2 * d * int(plan.pairs[:n_settle].sum()))
         n_spec = n_rows - n_settle
         if n_spec > 0:
             rec.add("ffn", n_spec * ffn_row, duplicate=True)
             rec.add("conv", n_spec * d * k, duplicate=True)
-            rec.add("attention", 2 * d * int(pairs[n_settle:].sum()), duplicate=True)
+            rec.add("attention", 2 * d * int(plan.pairs[n_settle:].sum()), duplicate=True)
             rec.add_speculative_tokens(n_spec)
     return out, g[:n_settle]
 
@@ -456,13 +470,13 @@ def init_state(cfg: EncoderConfig) -> StreamState:
         LayerCache(
             attn=np.zeros((0, 2 * d), dtype=np.float32),
             conv=np.zeros((cfg.conv_kernel - 1, d), dtype=np.float32),
-            pending=np.zeros((0, d), dtype=np.float32),
+            pending=np.zeros((0, 2 * d), dtype=np.float32),
         )
         for _ in range(cfg.n_layers)
     ]
     return StreamState(
         layers=layers,
-        ds_residual=np.zeros((cfg.residual_frames, cfg.n_mels), dtype=np.float32),
+        ds_carry=[np.zeros((1, width), dtype=np.float32) for width in cfg.ds_carry_widths],
     )
 
 
@@ -473,7 +487,11 @@ def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
     d, ctx = cfg.d_model, cfg.attention
     if len(state.layers) != cfg.n_layers:
         raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
-    shapes = [("ds_residual", state.ds_residual, cfg.residual_frames, cfg.n_mels)]
+    if len(state.ds_carry) != cfg.n_stages:
+        raise StateError(f"state carries {len(state.ds_carry)} downsampler rows, the encoder "
+                         f"has {cfg.n_stages} stages")
+    shapes = [(f"ds_carry{s}", row, 1, width)
+              for s, (row, width) in enumerate(zip(state.ds_carry, cfg.ds_carry_widths))]
     # an unfinished stream has taken whole downsampler frame groups only
     counts = [("mel_seen", state.mel_seen, state.tokens_in * cfg.downsampling_rate),
               ("tokens_emitted", state.tokens_emitted, state.layers[-1].n_out)]
@@ -485,7 +503,7 @@ def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
         n_in = lc.n_out
         shapes += [(f"layer{i}.attn", lc.attn, attn_keep_rows(ctx, lc.n_in, lc.n_out), 2 * d),
                    (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d),
-                   (f"layer{i}.pending", lc.pending, lc.n_in - lc.n_out, d)]
+                   (f"layer{i}.pending", lc.pending, lc.n_in - lc.n_out, 2 * d)]
     for name, got, want in counts:
         if got != want:
             raise StateError(f"{name} is {got}, the other counters say {want}")
@@ -532,10 +550,7 @@ def encode_step(
     if final:
         state.finished = True
 
-    seg_start = state.mel_seen - state.ds_residual.shape[0]
-    seg, state.ds_residual = cache_append(state.ds_residual, frames, cfg.residual_frames)
-    j_lo, j_hi = state.tokens_in, state.tokens_in + n_new - 1
-    new_x = downsample_segment(w, cfg, seg, seg_start, j_lo, j_hi)
+    new_x, state.ds_carry = downsample_segment(w, cfg, frames, state.ds_carry)
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
     state.mel_seen += frames.shape[0]
@@ -544,22 +559,21 @@ def encode_step(
     delay = ctx.settle_delay()
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
-        x1n, ainn, kvn = _layer_arrival(cfg, lw, new_x, rec)
+        x1qn, kvn = _layer_arrival(cfg, lw, new_x, rec)
         lc.n_in += new_x.shape[0]
         settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
         n_settle = settle_to - lc.n_out
-        n_old = lc.pending.shape[0]
-        x1_win, lc.pending = cache_append(lc.pending, x1n, lc.n_in - settle_to)
+        x1q_win, lc.pending = cache_append(lc.pending, x1qn, lc.n_in - settle_to)
         kv, lc.attn = cache_append(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
-        if x1_win.shape[0] == 0:
+        if x1q_win.shape[0] == 0:
             new_x = np.zeros((0, cfg.d_model), dtype=np.float32)
             continue
-        # rows pending since an earlier step are normalized again, bit for bit as then
-        q_ain = ainn if n_old == 0 else np.concatenate(
-            [layer_norm(x1_win[:n_old], lw["attn.ln_g"], lw["attn.ln_b"]), ainn])
-        out, g_settled = _layer_window(
-            cfg, lw, x1_win, q_ain, kv, lc.n_in - kv.shape[0], lc.conv, n_settle, rec
-        )
+        qpos = np.arange(lc.n_in - x1q_win.shape[0], lc.n_in)
+        plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], lc.n_in - kv.shape[0],
+                              query_groups(ctx, qpos, lc.n_in - 1), lc.plan)
+        if not final:  # a final step's plan is never reused
+            lc.plan = plan
+        out, g_settled = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, n_settle, rec)
         _, lc.conv = cache_append(lc.conv, g_settled, cfg.conv_kernel - 1)
         lc.n_out = settle_to
         new_x = out[:n_settle]

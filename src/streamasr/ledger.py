@@ -8,13 +8,15 @@ The MAC model is token-level and deliberately coarse:
   ffn         - per-token linear layers: the two macaron FFN modules
                 (2 * d * d_ffn each), the QKVO projections (4 * d^2) and the
                 conv-module pointwise layers (3 * d^2). Each token is counted
-                once, at the step where it is first computed. K and V are
+                once, at the step where it is first computed. Q, K and V are
                 projected once per token, when it reaches a layer, and the
-                attention cache keeps the projected rows, so the K,V charge is
-                what runs.
-  downsampler - stride-2 stage outputs inside the dependency cone of emitted
-                tokens, charged once each; the small per-step overlap the
-                mel-residual scheme recomputes is not charged.
+                caches keep the projected rows, so the K,V charge is what
+                runs. Q is charged with O, per query row, so a speculative
+                row's duplicate charge includes a Q projection that is no
+                longer repeated.
+  downsampler - stride-2 stage outputs of the emitted tokens, charged once
+                each: each stage carries its last input row between steps,
+                so the charge is what runs.
   decoder     - projection and joint/prediction-net evaluations as executed.
 
 Normalizations and elementwise activations carry no MACs. The duplicate

@@ -8,6 +8,7 @@ order; the same seed always produces a byte-identical file.
 from __future__ import annotations
 
 import functools
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -42,6 +43,9 @@ class ModelConfig:
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.hybrid_alpha, self.fastemit_lambda))):
+            raise ConfigError(f"loss weights must be finite, got hybrid_alpha "
+                              f"{self.hybrid_alpha} and fastemit_lambda {self.fastemit_lambda}")
         # a frame shift the features or the latency arithmetic cannot use fails here
         self.feature_config()
         self.latency_model()

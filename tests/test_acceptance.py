@@ -226,13 +226,15 @@ class TestCriterion4CacheShapeLaws:
             )
             l_c = min(ctx.left_chunks * ctx.chunk, i * ctx.chunk)
             d, k, n = cfg.d_model, cfg.conv_kernel, cfg.n_layers
-            # the attention cache holds each key's projected K|V row, 2 * d wide
-            expected = n * d * (k - 1) + n * l_c * 2 * d + cfg.residual_frames * cfg.n_mels
+            # the attention cache holds each key's projected K|V row, 2 * d wide, and
+            # each downsampler stage carries one input row: n_mels wide, then d
+            expected = (n * d * (k - 1) + n * l_c * 2 * d
+                        + cfg.n_mels + d * (cfg.n_stages - 1))
             assert state.float_count() == expected
         print(
             "\n[criterion 4] PASS: 1000-step simulations keep conv cache width == K-1 and "
             "attention cache width == min(L_c, i*C); live-session memory matches "
-            "L*D*(K-1) + 2*L*C_mha*D + residual exactly"
+            "L*D*(K-1) + 2*L*C_mha*D + one carried row per downsampler stage exactly"
         )
 
 

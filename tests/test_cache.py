@@ -131,12 +131,13 @@ class TestCacheWidthLaws:
             expected = (
                 n * d * (k - 1)
                 + n * l_c * 2 * d  # projected K|V rows
-                + cfg.residual_frames * cfg.n_mels
+                + sum(cfg.ds_carry_widths)  # one carried row per downsampler stage
             )
             assert state.float_count() == expected
             assert _layer_widths(state) == [(l_c, 0, k - 1)] * n
 
-        # regular look-ahead: each layer also keeps its unsettled (speculative) rows
+        # regular look-ahead: each layer also keeps its unsettled (speculative)
+        # rows, each post-FFN1 row beside its query
         ctx = AttentionContext.regular(2, 3)
         cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
         w = init_encoder_weights(cfg, seed=1)
@@ -152,7 +153,7 @@ class TestCacheWidthLaws:
             widths = [(min(lcx, o) + i - o, i - o, k - 1) for i, o in zip(n_in, n_out)]
             assert _layer_widths(state) == widths
             assert state.float_count() == (
-                d * sum(2 * a + p + c for a, p, c in widths) + cfg.residual_frames * cfg.n_mels
+                d * sum(2 * a + 2 * p + c for a, p, c in widths) + sum(cfg.ds_carry_widths)
             )
         encode_step(mel[:0], state, w, cfg, final=True)
         assert _layer_widths(state) == [(lcx, 0, k - 1)] * cfg.n_layers
@@ -215,6 +216,7 @@ class TestStreamStateSerialization:
         lambda h: h.pop("mel_seen"),
         lambda h: h.pop("finished"),
         lambda h: h.pop("n_rnnt"),
+        lambda h: h.pop("n_ds_carry"),
         lambda h: h.update(n_layers="2"),
         lambda h: h.update(n_layers=-1),
         lambda h: h.update(tokens_in=1.5),
@@ -228,13 +230,14 @@ class TestStreamStateSerialization:
         lambda h: h.update(counters=[[4, None], [4, 4]]),
         lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer0.attn"]),
         lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer1.pending"]),
-        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "ds_residual"]),
+        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "ds_carry1"]),
         lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "rnnt0"]),
     ], ids=["no-n_layers", "no-counters", "no-mel_seen", "no-finished", "no-n_rnnt",
+            "no-n_ds_carry",
             "str-n_layers", "negative-n_layers", "float-tokens_in", "bool-tokens_emitted",
             "int-finished", "int-counters", "flat-counters", "triple-counter",
             "short-counters", "str-counter", "null-counter", "no-layer0.attn",
-            "no-layer1.pending", "no-ds_residual", "no-rnnt0"])
+            "no-layer1.pending", "no-ds_carry1", "no-rnnt0"])
     def test_malformed_file_is_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
         _, head = random_head(seed=5, d_model=cfg.d_model)
@@ -257,16 +260,19 @@ class TestStreamStateSerialization:
                                                           np.float32)),
         lambda st: setattr(st.layers[1], "pending", np.zeros((2, 17), np.float32)),
         lambda st: setattr(st.layers[1], "pending", np.zeros(16, np.float32)),
+        lambda st: setattr(st.layers[1], "pending", st.layers[1].pending[:, :16].copy()),
         lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
         lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
-        lambda st: setattr(st, "ds_residual", np.zeros((st.ds_residual.shape[0], 9),
-                                                       np.float32)),
-        lambda st: setattr(st, "ds_residual", st.ds_residual[1:]),
+        lambda st: st.ds_carry.__setitem__(0, np.zeros((1, 9), np.float32)),
+        lambda st: st.ds_carry.__setitem__(1, np.zeros((2, 16), np.float32)),
+        lambda st: st.ds_carry.__setitem__(1, np.zeros((0, 16), np.float32)),
+        lambda st: st.ds_carry.pop(),
         lambda st: st.layers.pop(),
         lambda st: setattr(st.layers[0], "attn", st.layers[0].attn.astype(np.int64)),
         lambda st: setattr(st.layers[1], "pending", st.layers[1].pending.astype(np.float64)),
-    ], ids=["attn-columns", "pending-columns", "pending-1d", "conv-rows", "conv-columns",
-            "ds_residual-columns", "ds_residual-rows", "layer-count", "attn-int64",
+    ], ids=["attn-columns", "pending-columns", "pending-1d", "pending-without-query",
+            "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
+            "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "attn-int64",
             "pending-float64"])
     def test_tensors_that_do_not_fit_the_encoder_are_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
@@ -305,9 +311,25 @@ def test_version_one_state_file_is_state_error(tmp_path):
         StreamState.load(path)
 
 
+def test_version_two_state_file_is_state_error(tmp_path):
+    # version 2 cached d-wide pending rows without their queries, and
+    # 2*log2(rate)+1 mel frames for the downsampler
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    state = init_state(cfg)
+    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
+    for lc in state.layers:
+        lc.pending = lc.pending[:, : cfg.d_model].copy()
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    _rewrite_header(path, lambda h: h.update(version=2))
+    with pytest.raises(StateError, match="version 2"):
+        StreamState.load(path)
+
+
 @pytest.mark.parametrize("pick", [
-    lambda st: st.layers[0].attn, lambda st: st.layers[1].conv, lambda st: st.ds_residual,
-], ids=["layer0.attn", "layer1.conv", "ds_residual"])
+    lambda st: st.layers[0].attn, lambda st: st.layers[1].conv, lambda st: st.ds_carry[0],
+], ids=["layer0.attn", "layer1.conv", "ds_carry0"])
 def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
     cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
     w = init_encoder_weights(cfg, seed=3)

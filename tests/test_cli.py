@@ -360,6 +360,18 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith("error:config:")
 
 
+    @pytest.mark.parametrize("flag,value", [("--fastemit-lambda", "inf"), ("--alpha", "nan")])
+    def test_non_finite_loss_weight_flag(self, workspace, capsys, flag, value):
+        tmp_path, config_path, vocab_path, _ = workspace
+        out = tmp_path / "x.bin"
+        rc = main(["init-model", "--config", config_path, "--vocab", vocab_path,
+                   "--out", str(out), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("command", ["compare", "transcribe", "init-model"])
     def test_unusable_path_is_file_error(self, workspace, capsys, command):

@@ -15,8 +15,10 @@ from streamasr import (
 from streamasr import encoder, numerics
 from streamasr.context import ZERO
 from streamasr.encoder import (
+    AttentionPlan,
     _attend,
     _layer_arrival,
+    attention_plan,
     downsample_segment,
     encoder_weight_spec,
     init_tensors,
@@ -36,9 +38,14 @@ from helpers import (
 )
 
 
-def kv_rows(lw, ain):
-    """The projected K|V rows _attend takes, as _layer_arrival makes them."""
-    return linear(ain, lw["attn.wkv"], lw["attn.bkv"])
+def attend(cfg, lw, q_ain, qpos, key_ain, key_base, groups):
+    """_attend as a layer step runs it: the queries and the K|V rows are
+    projected from their attention inputs as _layer_arrival projects them."""
+    d = cfg.d_model
+    q = linear(q_ain, lw["attn.wqkv"], lw["attn.bqkv"])[:, :d]
+    kv = linear(key_ain, lw["attn.wqkv"], lw["attn.bqkv"])[:, d:]
+    return _attend(cfg, lw, q, kv,
+                   attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], key_base, groups))
 
 
 REGIMES = [
@@ -137,39 +144,78 @@ class TestStreamingOfflineEquivalence:
 
 
 class TestDownsampler:
-    @pytest.mark.parametrize("dr,expected", [(1, 0), (2, 3), (4, 5), (8, 7)])
-    def test_residual_frame_counts(self, dr, expected):
+    @pytest.mark.parametrize("dr,expected", [(1, []), (2, [8]), (4, [8, 16]), (8, [8, 16, 16])])
+    def test_carried_row_widths(self, dr, expected):
+        # each stage carries one input row: a mel frame, then a stage output
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=dr)
-        assert cfg.residual_frames == expected
-        assert init_state(cfg).ds_residual.shape == (expected, cfg.n_mels)
+        assert cfg.ds_carry_widths == expected
+        assert [c.shape for c in init_state(cfg).ds_carry] == [(1, n) for n in expected]
+        assert all(np.all(c == 0.0) for c in init_state(cfg).ds_carry)
 
     def test_rate_one_is_projection(self):
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=1)
         w = init_encoder_weights(cfg, seed=15)
         mel = random_mel(10, cfg.n_mels, seed=16)
-        tokens = downsample_segment(w, cfg, mel, 0, 0, 9)
+        tokens, carry = downsample_segment(w, cfg, mel, [])
+        assert carry == []
         assert np.array_equal(
             tokens, linear(mel, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"])
         )
 
-    def test_chunked_slices_match_whole(self):
-        cfg = tiny_encoder_config(AttentionContext.chunked(4, 1), downsampling_rate=4)
+    @pytest.mark.parametrize("dr", [2, 4, 8])
+    def test_chunked_slices_match_whole(self, dr):
+        cfg = tiny_encoder_config(AttentionContext.chunked(4, 1), downsampling_rate=dr)
         w = init_encoder_weights(cfg, seed=17)
-        mel = random_mel(32, cfg.n_mels, seed=18)
-        whole = downsample_segment(w, cfg, mel, 0, 0, 7)
-        r = cfg.residual_frames
-        first = downsample_segment(
-            w, cfg, np.concatenate([np.zeros((r, cfg.n_mels), np.float32), mel[:16]]),
-            -r, 0, 3,
-        )
-        second = downsample_segment(w, cfg, mel[16 - r : 32], 16 - r, 4, 7)
-        assert np.array_equal(np.concatenate([first, second]), whole)
+        mel = random_mel(8 * dr, cfg.n_mels, seed=18)
+        whole, _ = downsample_segment(w, cfg, mel, init_state(cfg).ds_carry)
+        carry, parts = init_state(cfg).ds_carry, []
+        for lo, hi in ((0, dr), (dr, 4 * dr), (4 * dr, 4 * dr), (4 * dr, 8 * dr)):
+            part, carry = downsample_segment(w, cfg, mel[lo:hi], carry)
+            parts.append(part)
+        assert np.array_equal(np.concatenate(parts), whole)
 
-    def test_segment_too_short_raises(self):
+    def test_partial_group_is_not_read(self):
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=4)
         w = init_encoder_weights(cfg, seed=19)
-        with pytest.raises(ChunkingError):
-            downsample_segment(w, cfg, random_mel(4, cfg.n_mels, 0), 8, 2, 2)
+        mel = random_mel(11, cfg.n_mels, seed=0)
+        carry = init_state(cfg).ds_carry
+        tokens, kept = downsample_segment(w, cfg, mel, carry)
+        whole, whole_kept = downsample_segment(w, cfg, mel[:8], carry)
+        assert tokens.shape[0] == 2 and np.array_equal(tokens, whole)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, whole_kept, strict=True))
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.zero(left_context=3),
+                                     AttentionContext.regular(1, 4),
+                                     AttentionContext.chunked(2, 1)],
+                             ids=["zero", "regular", "chunk"])
+    @pytest.mark.parametrize("dr", [2, 4, 8])
+    def test_ledger_books_the_rows_that_run(self, ctx, dr, monkeypatch):
+        # every matmul64 row through a downsampler weight, against the ledger
+        cfg = tiny_encoder_config(ctx, downsampling_rate=dr)
+        w = init_encoder_weights(cfg, seed=20)
+        ds_weights = [t for name, t in w.tensors.items() if name.startswith("ds.")]
+        macs = []
+        real = numerics.matmul64
+
+        def counting(a, b):
+            if any(np.shares_memory(b, t) for t in ds_weights):
+                macs.append(a.shape[0] * a.shape[1] * b.shape[-1])
+            return real(a, b)
+
+        monkeypatch.setattr(numerics, "matmul64", counting)
+        monkeypatch.setattr(encoder, "matmul64", counting)
+        mel = random_mel(13 * dr + dr // 2, cfg.n_mels, seed=21)  # a partial last group
+        for mode in ("streaming", "offline"):
+            macs.clear()
+            rec = ComputeLedger()
+            if mode == "streaming":
+                stream_encode(mel, w, cfg, rec=rec)
+            else:
+                rec.new_step()
+                encode_full(mel, w, cfg, rec=rec)
+            assert sum(macs) == rec.category_total("downsampler") > 0, mode
+            if ctx.regime == "chunk":
+                assert rec.duplicate_macs == 0
 
 
 class TestReceptiveField:
@@ -216,7 +262,7 @@ class TestAttentionInternals:
         ain = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
         qpos = np.arange(t)
         groups = query_groups(ctx, qpos, t - 1)
-        out, _ = _attend(cfg, lw, ain, qpos, kv_rows(lw, ain), 0, groups)
+        out = attend(cfg, lw, ain, qpos, ain, 0, groups)
 
         # reference path: full score matrices + masked softmax
         mask = build_mask(ctx, t)
@@ -250,7 +296,7 @@ class TestAttentionInternals:
         for n_q in (12, 5, 1):  # queries are the newest n_q of the t keys
             qpos = np.arange(t - n_q, t)
             groups = query_groups(ctx, qpos, t - 1)
-            out, _ = _attend(cfg, lw, ain[t - n_q :], qpos, kv_rows(lw, ain), 0, groups)
+            out = attend(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
             want = attend_per_head(cfg, lw, ain[t - n_q :], qpos, ain, 0, groups)
             assert np.array_equal(out, want)
 
@@ -269,13 +315,13 @@ class TestAttentionInternals:
         groups = query_groups(ctx, qpos, t - 1)
         base = min(lo for _, _, lo, _ in groups)  # the keys start where the queries' reach does
         q_ain = ain[t - n_q :]
-        out, _ = _attend(cfg, lw, q_ain, qpos, kv_rows(lw, ain[base:]), base, groups)
+        out = attend(cfg, lw, q_ain, qpos, ain[base:], base, groups)
         assert np.array_equal(out, attend_per_head(cfg, lw, q_ain, qpos, ain[base:], base, groups))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_key_that_softmax_hides_raises(self):
         # every query's first component is -1 and one key's is +inf: that key
-        # scores -inf, gets weight 0, and the output would stay finite. K|V
+        # scores -inf, gets weight 0, and the output would stay finite. Q|K|V
         # rows are projected, and checked, once, when a token reaches the layer.
         ctx = AttentionContext.chunked(12, 0)
         cfg = tiny_encoder_config(ctx)
@@ -289,8 +335,8 @@ class TestAttentionInternals:
         x = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
         x[:, 0] = 0.0
         x[4, 0] = 8.0  # token 4's normalized first component is > 2: its key overflows
-        _, ain, _ = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
-        assert np.abs(ain[:, 0]).max() < 1.0  # the other keys' first components stay finite
+        _, kv = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
+        assert np.isfinite(kv).all()  # the other keys stay finite
         with pytest.raises(NumericsError):
             _layer_arrival(cfg, lw, x, None)
 
@@ -319,14 +365,12 @@ class TestAttentionInternals:
         t, c = 16, ctx.chunk
         ain = rng.standard_normal((t, cfg.d_model)).astype(np.float32)
         qpos = np.arange(t)
-        kv = kv_rows(lw, ain)
-        full_out, _ = _attend(cfg, lw, ain, qpos, kv, 0, query_groups(ctx, qpos, t - 1))
+        full_out = attend(cfg, lw, ain, qpos, ain, 0, query_groups(ctx, qpos, t - 1))
         q0 = 8  # third chunk; cache holds the previous left_chunks * c inputs
         cache_lo = q0 - ctx.left_chunks * c
-        key_slice = kv[cache_lo : q0 + c]
         chunk_q = qpos[q0 : q0 + c]
-        part_out, _ = _attend(
-            cfg, lw, ain[q0 : q0 + c], chunk_q, key_slice, cache_lo,
+        part_out = attend(
+            cfg, lw, ain[q0 : q0 + c], chunk_q, ain[cache_lo : q0 + c], cache_lo,
             query_groups(ctx, chunk_q, q0 + c - 1),
         )
         assert np.array_equal(part_out, full_out[q0 : q0 + c])
@@ -455,20 +499,147 @@ class TestKernelCalls:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("ctx", REGIMES)
-    def test_each_token_is_projected_to_kv_once_per_layer(self, ctx, monkeypatch):
+    def test_each_token_is_projected_to_qkv_once_per_layer(self, ctx, monkeypatch):
         cfg = tiny_encoder_config(ctx)
         w = init_encoder_weights(cfg, seed=5)
-        wkv = {id(w.layer(i)["attn.wkv"]) for i in range(cfg.n_layers)}
-        rows = []
+        layers = [w.layer(i) for i in range(cfg.n_layers)]
+        fused = {id(lw["attn.wqkv"]) for lw in layers}
+        apart = {id(lw[f"attn.w{p}"]) for lw in layers for p in "qkv"}
+        rows, rows_apart = [], []
         real = encoder.linear
 
         def counting(x, wt, b=None):
-            if id(wt) in wkv:
+            if id(wt) in fused:
                 rows.append(x.shape[0])
+            if id(wt) in apart:
+                rows_apart.append(x.shape[0])
             return real(x, wt, b)
 
         monkeypatch.setattr(encoder, "linear", counting)
-        mel = random_mel(44, cfg.n_mels, seed=6)
-        out, _ = stream_encode(mel, w, cfg)
+        out, _ = stream_encode(random_mel(44, cfg.n_mels, seed=6), w, cfg)
         assert out.shape[0] == 44 // cfg.downsampling_rate
         assert sum(rows) == cfg.n_layers * out.shape[0]
+        assert rows_apart == []
+
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_no_step_layer_norms_a_pending_row(self, ctx, monkeypatch):
+        # a pending row's query is cached beside it: its attention input is
+        # normalized once, when the token reaches the layer
+        cfg = tiny_encoder_config(ctx)
+        w = init_encoder_weights(cfg, seed=5)
+        gammas = {id(w.layer(i)["attn.ln_g"]) for i in range(cfg.n_layers)}
+        rows = []
+        real = encoder.layer_norm
+
+        def counting(x, g, b, *args):
+            if id(g) in gammas:
+                rows.append(x.shape[0])
+            return real(x, g, b, *args)
+
+        monkeypatch.setattr(encoder, "layer_norm", counting)
+        out, _ = stream_encode(random_mel(44, cfg.n_mels, seed=6), w, cfg)
+        assert sum(rows) == cfg.n_layers * out.shape[0]
+
+    @staticmethod
+    def _steady_layer_step(ctx, monkeypatch, patch) -> int:
+        """What `patch` counts in one steady layer-step: step 20 of a two-layer
+        encoder less step 20 of a one-layer encoder."""
+        counts = []
+        for n_layers in (1, 2):
+            cfg = tiny_encoder_config(ctx, n_layers=n_layers)
+            w = init_encoder_weights(cfg, seed=5)
+            step = ctx.step_tokens() * cfg.downsampling_rate
+            mel = random_mel(21 * step, cfg.n_mels, seed=6)
+            state = init_state(cfg)
+            for i in range(20):
+                encode_step(mel[i * step : (i + 1) * step], state, w, cfg)
+            calls = patch(monkeypatch)
+            encode_step(mel[20 * step :], state, w, cfg)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        return counts[1] - counts[0]
+
+    @pytest.mark.parametrize("ctx,want", [(AttentionContext.chunked(2, 1), 10),
+                                          (AttentionContext.regular(1, 4), 12)],
+                             ids=["chunk", "regular"])
+    def test_steady_layer_step_matmul_calls(self, ctx, want, monkeypatch):
+        # FFN1 (2), Q|K|V (1), scores and values per query shape (2 each; a
+        # regular window's pending and new rows reach different key counts),
+        # O (1), the two pointwise convs (2) and FFN2 (2)
+        assert self._steady_layer_step(ctx, monkeypatch, counting_matmul64) == want
+
+    def test_steady_regular_layer_step_layer_norms(self, monkeypatch):
+        # FFN1, attention input, conv, conv's second, FFN2 and output
+        def counting_layer_norm(mp):
+            calls = []
+            real = encoder.layer_norm
+
+            def counting(*args):
+                calls.append(1)
+                return real(*args)
+
+            mp.setattr(encoder, "layer_norm", counting)
+            return calls
+
+        ctx = AttentionContext.regular(1, 4)
+        assert self._steady_layer_step(ctx, monkeypatch, counting_layer_norm) == 6
+
+
+class TestAttentionPlans:
+    @staticmethod
+    def counting_plans(monkeypatch) -> list:
+        built = []
+
+        class Counted(AttentionPlan):
+            def __new__(cls, *args):
+                built.append(1)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(encoder, "AttentionPlan", Counted)
+        return built
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 4),
+                                     AttentionContext.chunked(1, 3)], ids=["regular", "chunk"])
+    def test_a_long_stream_keeps_one_plan_per_layer(self, ctx, monkeypatch):
+        cfg = tiny_encoder_config(ctx, n_layers=2, downsampling_rate=1)
+        w = init_encoder_weights(cfg, seed=5)
+        mel = random_mel(1000, cfg.n_mels, seed=6)
+        built = self.counting_plans(monkeypatch)
+        state = init_state(cfg)
+        for i in range(1000):  # one token per step
+            encode_step(mel[i : i + 1], state, w, cfg)
+            if i == 100:
+                warm = len(built)
+            assert all(isinstance(lc.plan, AttentionPlan) for lc in state.layers[: i + 1])
+        assert warm <= 2 * 10 and len(built) == warm  # steady steps reuse their layer's plan
+
+    def test_changed_geometry_or_table_builds_a_new_plan(self):
+        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
+        lw = init_encoder_weights(cfg, seed=5).layer(0)
+        qpos = np.arange(6, 8)
+        groups = query_groups(cfg.attention, qpos, 7)
+        first = attention_plan(cfg, lw["attn.bias64"], qpos, 4, 4, groups)
+        plan = attention_plan(cfg, lw["attn.bias64"], qpos, 4, 4, groups, first)
+        assert plan is not first  # a plan built with no previous one is never reused
+        shifted = qpos + 10  # the same geometry, ten keys on
+        assert attention_plan(cfg, lw["attn.bias64"], shifted, 4, 14,
+                              query_groups(cfg.attention, shifted, 17), plan) is plan
+        assert attention_plan(cfg, lw["attn.bias64"], qpos, 5, 3,
+                              query_groups(cfg.attention, qpos, 7), plan) is not plan
+        assert attention_plan(cfg, lw["attn.bias64"].copy(), qpos, 4, 4, groups, plan) is not plan
+
+    def test_final_steps_store_no_plan(self, monkeypatch):
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 4))
+        w = init_encoder_weights(cfg, seed=5)
+        built = self.counting_plans(monkeypatch)
+        states = []
+        real = encoder.init_state
+
+        def recording(c):
+            states.append(real(c))
+            return states[-1]
+
+        monkeypatch.setattr(encoder, "init_state", recording)
+        encode_full(random_mel(40, cfg.n_mels, seed=6), w, cfg)
+        assert len(states) == 1 and len(built) == cfg.n_layers
+        assert all(lc.plan is None for lc in states[0].layers)

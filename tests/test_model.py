@@ -100,6 +100,15 @@ def test_frame_shift_the_features_cannot_use_is_config_error(shift):
         config_from_dict(ModelConfig, {"encoder": enc, "vocab_size": 3, "frame_shift_ms": shift})
 
 
+@pytest.mark.parametrize("field", ["hybrid_alpha", "fastemit_lambda"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_loss_weight_is_config_error(field, value):
+    enc = {"n_layers": 1, "d_model": 4, "n_heads": 1, "conv_kernel": 1, "downsampling_rate": 1,
+           "attention": {"regime": "zero"}}
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(ModelConfig, {"encoder": enc, "vocab_size": 3, field: value})
+
+
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("name", ["enc.layers.1.attn.wv", "ctc.b", "rnnt.joint_out.w"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

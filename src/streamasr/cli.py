@@ -16,6 +16,7 @@ from dataclasses import replace
 from .context import CHUNK, REGULAR, feasible_regular_latencies
 from .decoders import Vocab
 from .errors import (
+    ArgumentError,
     ConfigError,
     FeasibilityError,
     InputFileError,
@@ -30,16 +31,6 @@ from .streaming import (
     run_offline,
     run_streaming,
 )
-
-
-def _load_model_and_vocab(model_path: str, vocab_path: str) -> tuple[HybridModel, Vocab]:
-    model = load_model(model_path)
-    vocab = Vocab.load(vocab_path)
-    if vocab.size != model.cfg.vocab_size:
-        raise ConfigError(
-            f"vocab has {vocab.size} tokens, model expects {model.cfg.vocab_size}"
-        )
-    return model, vocab
 
 
 def _load_config(path: str | None) -> object:
@@ -138,7 +129,7 @@ def _run_mode(mode: str, audio, model, vocab, decoder: str, args):
 
 
 def cmd_transcribe(args) -> int:
-    model, vocab = _load_model_and_vocab(args.model, args.vocab)
+    model, vocab = load_model(args.model), Vocab.load(args.vocab)
     model = _resolve_context(model, _context_flags(args), args.chunk_ms)
     audio = read_wav(args.wav)
     result = _run_mode(args.mode, audio, model, vocab, args.decoder, args)
@@ -156,7 +147,7 @@ _COMPARE_COLUMNS = ("mode", "decoder", "wer_percent", "avg_latency_ms",
 
 
 def cmd_compare(args) -> int:
-    model, vocab = _load_model_and_vocab(args.model, args.vocab)
+    model, vocab = load_model(args.model), Vocab.load(args.vocab)
     audio = read_wav(args.wav)
     reference = args.reference
     if args.reference_file:
@@ -210,8 +201,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-ms", type=int, dest="chunk_ms")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError where argparse would print its usage and exit 2;
+    subcommand parsers are made of the same class."""
+
+    def error(self, message: str):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="streamasr")
+    parser = _Parser(prog="streamasr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init-model", help="write deterministically initialized weights")
@@ -252,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("STREAMASR_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StreamAsrError as ex:
         print(f"error:{ex.code}: {ex}", file=sys.stderr)

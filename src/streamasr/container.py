@@ -1,14 +1,17 @@
-"""Single-file binary container: JSON header plus packed little-endian blobs.
+"""Single-file binary container: JSON header plus packed float32 tensors.
 
-Layout: 8-byte magic, uint32 header length, UTF-8 JSON header, raw payload.
-The header carries a tensor index (name, shape, dtype, element offset), so
-reads and writes round-trip bit-exactly and files are byte-stable for
-identical inputs.
+Layout: 8-byte magic, uint32 header length, UTF-8 JSON header, payload. The
+header carries a tensor index (name, shape, dtype "f4", byte offset). The
+payload is the little-endian float32 tensors back to back from offset 0, in
+index order, with nothing after the last one, so reads and writes
+round-trip bit-exactly and files are byte-stable for identical inputs.
+load_container accepts exactly that layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -17,25 +20,18 @@ from .errors import FormatError, InputFileError
 
 MAGIC = b"SASR0001"
 
-_DTYPES = {"f4": "<f4", "f8": "<f8", "i8": "<i8"}
-
 
 def save_container(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     index = []
     blobs = []
     offset = 0
     for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype == np.float32:
-            code = "f4"
-        elif arr.dtype == np.float64:
-            code = "f8"
-        elif arr.dtype == np.int64:
-            code = "i8"
-        else:
-            raise FormatError(f"unsupported dtype {arr.dtype} for tensor {name}")
-        blob = arr.astype(_DTYPES[code]).tobytes()
-        index.append({"name": name, "shape": list(arr.shape), "dtype": code, "offset": offset})
+        if arr.dtype != np.float32:
+            raise FormatError(f"tensor {name} is {arr.dtype}; containers hold float32 only")
+        if any(e["name"] == name for e in index):
+            raise FormatError(f"tensor {name} is listed twice")
+        blob = arr.astype("<f4").tobytes()
+        index.append({"name": name, "shape": list(arr.shape), "dtype": "f4", "offset": offset})
         blobs.append(blob)
         offset += len(blob)
     full_header = dict(header)
@@ -58,23 +54,31 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if len(raw) < 12 or raw[:8] != MAGIC:
         raise FormatError(f"{path}: not a streamasr container (bad magic)")
     (hlen,) = struct.unpack("<I", raw[8:12])
+    if 12 + hlen > len(raw):
+        raise FormatError(f"{path}: header of {hlen} bytes runs past the end of the file")
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as ex:
         raise FormatError(f"{path}: corrupt header: {ex}") from ex
-    if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: header is not a JSON object with a tensor list")
     body = raw[12 + hlen :]
     tensors = {}
-    for ent in header.pop("tensors", []):
-        try:
-            dt = np.dtype(_DTYPES[ent["dtype"]])
-            n = int(np.prod(ent["shape"])) if ent["shape"] else 1
-            start = ent["offset"]
-            chunk = body[start : start + n * dt.itemsize]
-            if len(chunk) != n * dt.itemsize:
-                raise FormatError(f"{path}: truncated tensor {ent['name']}")
-            tensors[ent["name"]] = np.frombuffer(chunk, dtype=dt).reshape(ent["shape"]).copy()
-        except (KeyError, TypeError, ValueError) as ex:
-            raise FormatError(f"{path}: bad tensor index entry {ent!r}: {ex!r}") from ex
+    pos = 0
+    for ent in header.pop("tensors"):
+        # exactly what save_container writes: a new name, float32, the running offset
+        if not (isinstance(ent, dict) and isinstance(ent.get("name"), str)
+                and ent["name"] not in tensors and ent.get("dtype") == "f4"
+                and type(ent.get("offset")) is int and ent["offset"] == pos
+                and isinstance(ent.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in ent["shape"])):
+            raise FormatError(f"{path}: tensor index entry {ent!r} is not a new float32 "
+                              f"tensor at offset {pos}")
+        n = math.prod(ent["shape"])
+        if pos + 4 * n > len(body):
+            raise FormatError(f"{path}: truncated tensor {ent['name']}")
+        tensors[ent["name"]] = np.frombuffer(body, "<f4", n, pos).reshape(ent["shape"]).copy()
+        pos += 4 * n
+    if pos != len(body):
+        raise FormatError(f"{path}: {len(body) - pos} bytes after the last tensor")
     return header, tensors

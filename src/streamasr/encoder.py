@@ -211,10 +211,7 @@ def downsample_segment(
     operands of the new outputs, and every stage row is computed once per
     stream. A trailing partial frame group is not read.
     """
-    n_tokens = frames.shape[0] // cfg.downsampling_rate
-    if n_tokens == 0:
-        return np.zeros((0, cfg.d_model), dtype=np.float32), carry
-    cur = frames[: n_tokens * cfg.downsampling_rate]
+    cur = frames[: frames.shape[0] // cfg.downsampling_rate * cfg.downsampling_rate]
     kept = []
     for s, row in enumerate(carry):
         window, last = cache_append(row, cur, 1)
@@ -237,6 +234,15 @@ def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
         total += (2 ** (n - 1 - s)) * 3 * c_in * cfg.d_model
         c_in = cfg.d_model
     return total + c_in * cfg.d_model
+
+
+def layer_macs_per_token(cfg: EncoderConfig) -> tuple[int, int, int]:
+    """A token's MACs in one encoder layer, where they run: on arrival (FFN1
+    and the Q|K|V projection), per query row (O, the conv module's pointwise
+    layers and FFN2) and in the depthwise convolution. Attention adds
+    2 * d_model per query-key pair."""
+    d, f = cfg.d_model, cfg.d_ffn
+    return 2 * d * f + 3 * d * d, 4 * d * d + 2 * d * f, d * cfg.conv_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +274,23 @@ def query_groups(
     return groups
 
 
-def _softmax_values(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray, scale: float
-) -> np.ndarray:
-    """Attention of a batch of same-shape query groups: q (b, rows, dh),
-    k (b, dh, keys), v (b, keys, dh) and bias (b, rows, keys) give the
-    float32 value sums (b, rows, dh). Each row's max, exp and sum run over
-    its own keys only, along the contiguous last axis."""
-    s64 = matmul64(q, k) * scale + bias
-    m = s64.max(axis=2, keepdims=True)
-    e = np.exp(s64 - m)
-    w = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
-    return matmul64(w, v).astype(np.float32)
-
-
 class AttentionPlan(NamedTuple):
     """What one attention step needs besides its operands, built from its
     geometry: per (rows, keys) shape of query group, the query rows, the key
     rows (relative to the first key) and the gathered float64 bias
     (heads * groups, rows, keys); and each query row's key count.
 
-    A shape held by one group takes plain slices; a shape shared by several
-    gathers their rows with index arrays, and its K rows with `k_index`.
-    `key` is the geometry relative to the first key, and `table` the bias
-    table the gathers read: a step with the same key and table reuses the
-    plan. (A NamedTuple: a dataclass would add about a millisecond to
-    every import of the package.)
+    Rows and keys are index arrays (groups, rows) and (groups, keys), or
+    slices for a shape held by one group, which then reads views. `key` is
+    the geometry relative to the first key, and `table` the bias table the
+    gathers read: a step with the same key and table reuses the plan. (A
+    NamedTuple: a dataclass would add about a millisecond to every import of
+    the package.)
     """
 
     key: tuple | None
     table: np.ndarray
-    batches: list[tuple[object, object, object, np.ndarray]]  # rows, keys, k_index, bias
+    batches: list[tuple[object, object, np.ndarray]]  # rows, keys, bias
     pairs: np.ndarray
 
 
@@ -323,7 +315,6 @@ def attention_plan(
         tuple((r0, r1, lo - key_base, hi - key_base) for r0, r1, lo, hi in groups))
     if key is not None and prev.key == key and prev.table is table:
         return prev
-    d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
     sp, sf = cfg.bias_past, cfg.bias_future
     pairs = np.zeros(qpos.shape[0], dtype=np.int64)
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -342,11 +333,9 @@ def attention_plan(
         # batch axis: head-major, then group
         bias = table[:, np.clip(offs, -sf, sp) + sf].reshape(-1, n_r, n_k)
         if len(same) == 1:
-            r0, k0 = same[0]
-            batches.append((slice(r0, r0 + n_r), slice(k0, k0 + n_k), None, bias))
-        else:
-            k_index = (keys[:, None, :], np.arange(d).reshape(heads, 1, dh, 1))
-            batches.append((rows, keys, k_index, bias))
+            [(r0, k0)] = same
+            rows, keys = slice(r0, r0 + n_r), slice(k0, k0 + n_k)
+        batches.append((rows, keys, bias))
     return AttentionPlan(key, table, batches, pairs)
 
 
@@ -363,26 +352,21 @@ def _attend(
     would alone.
     """
     d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
-    # per-head views: q and v (heads, rows, dh), k transposed (heads, dh, keys)
-    qh = q.reshape(-1, heads, dh).transpose(1, 0, 2)
-    kh = kv[:, :d].reshape(-1, heads, dh).transpose(1, 2, 0)
-    vh = kv[:, d:].reshape(-1, heads, dh).transpose(1, 0, 2)
+    # per-head views (heads, rows, dh) of the queries, keys and values
+    qh, kh, vh = (x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+                  for x in (q, kv[:, :d], kv[:, d:]))
     scale = 1.0 / math.sqrt(dh)
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
-    for rows, keys, k_index, bias in plan.batches:
-        if k_index is None:
-            out = _softmax_values(qh[:, rows], kh[:, :, keys], vh[:, keys], bias, scale)
-            ctx_out[rows] = out.transpose(1, 0, 2)
-            continue
-        (n_g, n_r), n_k, n = rows.shape, keys.shape[1], bias.shape[0]
-        out = _softmax_values(
-            qh[:, rows].reshape(n, n_r, dh),
-            kv[k_index].reshape(n, dh, n_k),  # (heads, groups, dh, n_k)
-            vh[:, keys].reshape(n, n_k, dh),
-            bias,
-            scale,
-        )
-        ctx_out[rows] = out.reshape(heads, n_g, n_r, dh).transpose(1, 2, 0, 3)
+    for rows, keys, bias in plan.batches:
+        n, n_r, n_k = bias.shape  # batch axis: head-major, then group
+        s64 = matmul64(qh[:, rows].reshape(n, n_r, dh),
+                       kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1)) * scale + bias
+        # each row's max, exp and sum run over its own keys, along the last axis
+        e = np.exp(s64 - s64.max(axis=2, keepdims=True))
+        w = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
+        out = matmul64(w, vh[:, keys].reshape(n, n_k, dh)).astype(np.float32)
+        # (groups, rows, heads, dh); a slice's target drops the leading 1
+        ctx_out[rows] = out.reshape(heads, -1, n_r, dh).transpose(1, 2, 0, 3)
     return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"])
 
 
@@ -392,17 +376,13 @@ def _layer_arrival(
     """Per-token work done once when an input token reaches this layer: its
     post-FFN1 row beside its query (x1|q, 2d wide) and its K|V row (2d)."""
     d = cfg.d_model
-    if x_new.shape[0] == 0:
-        e = np.zeros((0, 2 * d), dtype=np.float32)
-        return e, e
     x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
     a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
     qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
     # a -inf score gets softmax weight 0, which would hide a non-finite key
     check_finite(qkv, "attention Q|K|V projection")
     if rec is not None:
-        # FFN1 + K,V; the ledger books Q with O, per query row of the window
-        rec.add("ffn", x_new.shape[0] * (2 * d * cfg.d_ffn + 2 * d * d))
+        rec.add("ffn", x_new.shape[0] * layer_macs_per_token(cfg)[0])
     return np.concatenate([x1, qkv[:, :d]], axis=1), qkv[:, d:]
 
 
@@ -435,17 +415,12 @@ def _layer_window(
     out = layer_norm(out, lw["out.ln_g"], lw["out.ln_b"])
     check_finite(out, "encoder layer")
     if rec is not None:
-        f, k = cfg.d_ffn, cfg.conv_kernel
-        ffn_row = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2
-        rec.add("ffn", n_settle * ffn_row)
-        rec.add("conv", n_settle * d * k)
-        rec.add("attention", 2 * d * int(plan.pairs[:n_settle].sum()))
-        n_spec = n_rows - n_settle
-        if n_spec > 0:
-            rec.add("ffn", n_spec * ffn_row, duplicate=True)
-            rec.add("conv", n_spec * d * k, duplicate=True)
-            rec.add("attention", 2 * d * int(plan.pairs[n_settle:].sum()), duplicate=True)
-            rec.add_speculative_tokens(n_spec)
+        _, per_row, conv = layer_macs_per_token(cfg)
+        for pairs, speculative in ((plan.pairs[:n_settle], False), (plan.pairs[n_settle:], True)):
+            rec.add("ffn", pairs.size * per_row, duplicate=speculative)
+            rec.add("conv", pairs.size * conv, duplicate=speculative)
+            rec.add("attention", 2 * d * int(pairs.sum()), duplicate=speculative)
+        rec.add_speculative_tokens(n_rows - n_settle)
     return out, g[:n_settle]
 
 

@@ -8,6 +8,7 @@ between pushes) are bit-identical to features of the whole recording.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -140,21 +141,23 @@ def mel_filterbank(n_mels: int, n_bins: int, sample_rate: int, window_samples: i
     return fb
 
 
-_DFT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _dft_matrix(n: int) -> np.ndarray:
-    """(n, 2 * (n // 2 + 1)): the real DFT's cos columns, then its sin columns."""
-    if n not in _DFT_CACHE:
-        k = np.arange(n)[:, None]
-        b = np.arange(n // 2 + 1)[None, :]
-        ang = -2.0 * np.pi * k * b / n
-        # written in place: a concatenate would hold a third n x n_bins array
-        dft = np.empty((n, 2 * b.shape[1]))
-        np.cos(ang, out=dft[:, : b.shape[1]])
-        np.sin(ang, out=dft[:, b.shape[1] :])
-        _DFT_CACHE[n] = dft
-    return _DFT_CACHE[n]
+@functools.cache
+def _extractor_matrices(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hann window, the real DFT matrix (window, 2 * n_bins: its cos
+    columns, then its sin columns) and the mel filterbank of `cfg`, built
+    once per config."""
+    n = cfg.window_samples
+    k = np.arange(n)[:, None]
+    b = np.arange(n // 2 + 1)[None, :]
+    ang = -2.0 * np.pi * k * b / n
+    # written in place: a concatenate would hold a third n x n_bins array
+    dft = np.empty((n, 2 * b.shape[1]))
+    np.cos(ang, out=dft[:, : b.shape[1]])
+    np.sin(ang, out=dft[:, b.shape[1] :])
+    out = hann_window(n), dft, mel_filterbank(cfg.n_mels, b.shape[1], cfg.sample_rate, n)
+    for m in out:
+        m.flags.writeable = False  # every extractor of cfg shares them
+    return out
 
 
 class StreamingFeatureExtractor:
@@ -163,10 +166,7 @@ class StreamingFeatureExtractor:
     def __init__(self, cfg: FeatureConfig):
         self.cfg = cfg
         self._pending = np.zeros(0, dtype=np.int16)
-        win = cfg.window_samples
-        self._hann = hann_window(win)
-        self._dft = _dft_matrix(win)
-        self._fb = mel_filterbank(cfg.n_mels, win // 2 + 1, cfg.sample_rate, win)
+        self._hann, self._dft, self._fb = _extractor_matrices(cfg)
 
     def push(self, samples: np.ndarray) -> np.ndarray:
         """Consume samples (see pcm16), return all newly complete frames

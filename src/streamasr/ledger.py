@@ -1,29 +1,24 @@
 """Multiply-accumulate accounting for inference runs.
 
-The MAC model is token-level and deliberately coarse:
+The MAC model is token-level and counts the products that run:
 
   attention   - 2 * d_model per unmasked query-key pair (score dot product
                 plus value aggregation).
   conv        - d_model * kernel per token per depthwise convolution.
   ffn         - per-token linear layers: the two macaron FFN modules
                 (2 * d * d_ffn each), the QKVO projections (4 * d^2) and the
-                conv-module pointwise layers (3 * d^2). Each token is counted
-                once, at the step where it is first computed. Q, K and V are
-                projected once per token, when it reaches a layer, and the
-                caches keep the projected rows, so the K,V charge is what
-                runs. Q is charged with O, per query row, so a speculative
-                row's duplicate charge includes a Q projection that is no
-                longer repeated.
-  downsampler - stride-2 stage outputs of the emitted tokens, charged once
-                each: each stage carries its last input row between steps,
-                so the charge is what runs.
+                conv-module pointwise layers (3 * d^2).
+  downsampler - stride-2 stage outputs and the projection of each token.
   decoder     - projection and joint/prediction-net evaluations as executed.
 
-Normalizations and elementwise activations carry no MACs. The duplicate
-counter tracks MACs spent on tokens whose outputs are discarded and computed
-again later (regular look-ahead speculation, buffered-mode context regions);
-for chunked streaming it stays at zero, and per-step totals sum to exactly the
-single-pass total.
+Each product is booked once, at the step where it runs
+(encoder.layer_macs_per_token): FFN1 and Q, K, V when a token reaches a
+layer, the rest per query row, and each downsampler stage row once per
+stream. Normalizations and elementwise activations carry no MACs. The
+duplicate counter tracks MACs spent on tokens whose outputs are discarded and
+computed again later (regular look-ahead speculation, buffered-mode context
+regions); for chunked streaming it stays at zero, and per-step totals sum to
+exactly the single-pass total.
 """
 
 from __future__ import annotations

@@ -38,11 +38,11 @@ from .decoders import (
     rnnt_init_state,
 )
 from .encoder import (
-    EncoderConfig,
     downsampler_macs_per_token,
     encode_full,
     encode_step,
     init_state,
+    layer_macs_per_token,
 )
 from .errors import ArgumentError, ConfigError, SessionError
 from .features import AudioBuffer, StreamingFeatureExtractor, log_mel
@@ -183,10 +183,9 @@ class StreamingSession:
         self.ledger = ComputeLedger()
         if "rnnt" in self._dec.raw:
             self.state.rnnt_states = rnnt_init_state(model.rnnt)
-        self._finished = False
 
     def feed(self, samples: np.ndarray) -> None:
-        if self._finished:
+        if self.state.finished:
             raise SessionError("session already finished")
         mel_new = self._extractor.push(samples)
         if mel_new.shape[0]:
@@ -209,11 +208,10 @@ class StreamingSession:
 
     def finish(self) -> StreamResult:
         """Process whatever remains (a short final chunk is fine) and assemble."""
-        if self._finished:
+        if self.state.finished:
             raise SessionError("session already finished")
         self._step(self._mel, final=True)
         self._mel = self._mel[:0]
-        self._finished = True
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
         return self._dec.result(
             "streaming", self.ledger,
@@ -251,14 +249,6 @@ def run_offline(
     return dec.result("offline", ledger, lambda f: f, None)
 
 
-def _central_window_macs(cfg: EncoderConfig, n_window: int, n_central: int) -> int:
-    """What the central tokens of a full-context window cost on their own."""
-    d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
-    per_token = 2 * (2 * d * f) + 7 * d * d + d * k  # two FFNs, QKVO + pointwise, conv
-    per_layer = n_central * per_token + n_central * n_window * 2 * d
-    return n_central * downsampler_macs_per_token(cfg) + cfg.n_layers * per_layer
-
-
 def run_buffered(
     audio: AudioBuffer,
     model: HybridModel,
@@ -294,7 +284,11 @@ def run_buffered(
         # one chunk spanning the window: every query sees every key
         full = cfg.with_attention(AttentionContext.chunked(b1 - b0 + 1, 0))
         enc = encode_full(window, model.encoder, full, rec=ledger)
-        step.duplicate += step.total - _central_window_macs(cfg, b1 - b0 + 1, c1 - c0 + 1)
+        # the central tokens on their own: each layer's per-token MACs and a
+        # full-window attention row per token
+        per_layer = sum(layer_macs_per_token(cfg)) + 2 * cfg.d_model * (b1 - b0 + 1)
+        central = (c1 - c0 + 1) * (downsampler_macs_per_token(cfg) + cfg.n_layers * per_layer)
+        step.duplicate += step.total - central
         dec.push(enc[c0 - b0 : c1 - b0 + 1], c0, ledger)  # no RNNT state: restart per buffer
     return dec.result(
         "buffered", ledger,

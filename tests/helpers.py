@@ -25,7 +25,7 @@ from streamasr import (
     init_model,
 )
 from streamasr.context import ZERO
-from streamasr.encoder import downsampler_macs_per_token, encoder_weight_spec, init_tensors
+from streamasr.encoder import encoder_weight_spec, init_tensors
 from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
 from streamasr.numerics import Rng
 
@@ -176,9 +176,11 @@ def count_macs(
     if n_tokens == 0:
         return ledger
     d, f, k = cfg.d_model, cfg.d_ffn, cfg.conv_kernel
-    arr = 2 * d * f + 2 * d * d  # FFN1 + K,V projections, once per arriving token
-    set_ = 2 * d * d + 3 * d * d + 2 * d * f  # Q,O + pointwise convs + FFN2, per query row
-    ds_tok = downsampler_macs_per_token(cfg)
+    arr = 2 * d * f + 3 * d * d  # FFN1 + Q,K,V projections, once per arriving token
+    set_ = d * d + 3 * d * d + 2 * d * f  # O + pointwise convs + FFN2, per query row
+    # per token: stage s of n makes 2^(n-1-s) rows of 3 taps, then the projection
+    n, widths = cfg.n_stages, [cfg.n_mels] + [d] * cfg.n_stages
+    ds_tok = sum(2 ** (n - 1 - s) * 3 * widths[s] * d for s in range(n)) + widths[n] * d
 
     def pairs(pos: int, avail_hi: int) -> int:
         lo, hi = ctx.attend_interval(pos)

@@ -15,7 +15,8 @@ from streamasr import (
     rnnt_greedy_decode,
     rnnt_init_state,
 )
-from streamasr.errors import StateError
+from streamasr.container import load_container, save_container
+from streamasr.errors import FormatError, StateError
 
 from helpers import init_encoder_weights, random_head, random_mel, tiny_encoder_config
 
@@ -211,27 +212,27 @@ class TestStreamStateSerialization:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mutate", [
-        lambda h: h.pop("n_layers"),
-        lambda h: h.pop("counters"),
-        lambda h: h.pop("mel_seen"),
-        lambda h: h.pop("finished"),
-        lambda h: h.pop("n_rnnt"),
-        lambda h: h.pop("n_ds_carry"),
-        lambda h: h.update(n_layers="2"),
-        lambda h: h.update(n_layers=-1),
-        lambda h: h.update(tokens_in=1.5),
-        lambda h: h.update(tokens_emitted=True),
-        lambda h: h.update(finished=0),
-        lambda h: h.update(counters=5),
-        lambda h: h.update(counters=[4, 4]),
-        lambda h: h.update(counters=[[4, 4, 4], [4, 4]]),
-        lambda h: h.update(counters=[[4, 4]]),
-        lambda h: h.update(counters=[["4", 4], [4, 4]]),
-        lambda h: h.update(counters=[[4, None], [4, 4]]),
-        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer0.attn"]),
-        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "layer1.pending"]),
-        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "ds_carry1"]),
-        lambda h: h.update(tensors=[t for t in h["tensors"] if t["name"] != "rnnt0"]),
+        lambda h, t: h.pop("n_layers"),
+        lambda h, t: h.pop("counters"),
+        lambda h, t: h.pop("mel_seen"),
+        lambda h, t: h.pop("finished"),
+        lambda h, t: h.pop("n_rnnt"),
+        lambda h, t: h.pop("n_ds_carry"),
+        lambda h, t: h.update(n_layers="2"),
+        lambda h, t: h.update(n_layers=-1),
+        lambda h, t: h.update(tokens_in=1.5),
+        lambda h, t: h.update(tokens_emitted=True),
+        lambda h, t: h.update(finished=0),
+        lambda h, t: h.update(counters=5),
+        lambda h, t: h.update(counters=[4, 4]),
+        lambda h, t: h.update(counters=[[4, 4, 4], [4, 4]]),
+        lambda h, t: h.update(counters=[[4, 4]]),
+        lambda h, t: h.update(counters=[["4", 4], [4, 4]]),
+        lambda h, t: h.update(counters=[[4, None], [4, 4]]),
+        lambda h, t: t.pop("layer0.attn"),
+        lambda h, t: t.pop("layer1.pending"),
+        lambda h, t: t.pop("ds_carry1"),
+        lambda h, t: t.pop("rnnt0"),
     ], ids=["no-n_layers", "no-counters", "no-mel_seen", "no-finished", "no-n_rnnt",
             "no-n_ds_carry",
             "str-n_layers", "negative-n_layers", "float-tokens_in", "bool-tokens_emitted",
@@ -245,13 +246,10 @@ class TestStreamStateSerialization:
         state.rnnt_states = rnnt_init_state(head)
         path = str(tmp_path / "state.bin")
         state.save(path)
-        raw = open(path, "rb").read()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12 : 12 + hlen])
-        mutate(header)
-        hjson = json.dumps(header).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+        # a well-formed container whose header or tensors the state cannot use
+        header, tensors = load_container(path)
+        mutate(header, tensors)
+        save_container(path, header, list(tensors.items()))
         with pytest.raises(StateError):
             StreamState.load(path)
 
@@ -283,10 +281,16 @@ class TestStreamStateSerialization:
             encode_step(mel[i : i + 4], state, w, cfg)
         mutate(state)
         path = str(tmp_path / "state.bin")
-        state.save(path)
-        resumed = StreamState.load(path)
+        tensors = [*state.ds_carry, *(a for lc in state.layers for a in (lc.attn, lc.conv,
+                                                                         lc.pending))]
+        if all(a.dtype == np.float32 for a in tensors):
+            state.save(path)
+            state = StreamState.load(path)
+        else:  # attn-int64, pending-float64: files hold float32 only
+            with pytest.raises(FormatError):
+                state.save(path)
         with pytest.raises(StateError):
-            encode_step(mel[16:20], resumed, w, cfg)
+            encode_step(mel[16:20], state, w, cfg)
 
 
 def _rewrite_header(path: str, mutate) -> None:

@@ -73,11 +73,12 @@ class TestInitModel:
     def test_chunk_ms_is_not_a_flag(self, workspace, capsys):
         # init-model sets the chunk size with --chunk-tokens
         tmp_path, _, vocab_path, _ = workspace
-        with pytest.raises(SystemExit) as ex:
-            main(["init-model", "--vocab", vocab_path, "--seed", "1", "--chunk-ms", "80",
-                  "--out", str(tmp_path / "x.bin")])
-        assert ex.value.code == 2
-        assert "--chunk-ms" in capsys.readouterr().err
+        rc = main(["init-model", "--vocab", vocab_path, "--seed", "1", "--chunk-ms", "80",
+                   "--out", str(tmp_path / "x.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:argument:") and err.count("\n") == 1
+        assert "--chunk-ms" in err
 
     def test_file_size_matches_tensor_arithmetic(self, workspace):
         tmp_path, config_path, vocab_path, _ = workspace
@@ -174,6 +175,16 @@ class TestTranscribe:
         )
         assert args.chunk_seconds == 2.0
         assert args.buffer_seconds == 4.0
+
+    def test_vocab_that_does_not_fit_the_model_is_config_error(self, workspace, capsys):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        Vocab.chars("ab").save(str(tmp_path / "short.txt"))
+        rc = main(["transcribe", "--model", model_path, "--vocab", str(tmp_path / "short.txt"),
+                   "--wav", wav_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
 
     def test_missing_wav_is_file_error(self, workspace, capsys):
         tmp_path, config_path, vocab_path, _ = workspace
@@ -370,6 +381,31 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:config:") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestArgumentErrors:
+    """argparse's own errors are one error:argument: line too, not a usage block."""
+
+    @pytest.mark.parametrize("argv", [
+        ["init-model", "--out", "x.bin", "--alpha", "-inf"],
+        ["init-model", "--out", "x.bin", "--no-such-flag"],
+        ["transcribe", "--model", "m.bin", "--vocab", "v.txt"],
+        ["transcribe", "--model", "m.bin", "--vocab", "v.txt", "--wav", "a.wav",
+         "--mode", "live"],
+        [],
+    ], ids=["alpha-minus-inf", "unknown-flag", "missing-wav", "bad-mode", "no-command"])
+    def test_one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:argument:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["transcribe", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: streamasr")
 
 
 class TestFileErrors:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,46 @@ class TestDownsampler:
             assert sum(macs) == rec.category_total("downsampler") > 0, mode
             if ctx.regime == "chunk":
                 assert rec.duplicate_macs == 0
+
+
+@pytest.mark.parametrize("ctx", [AttentionContext.zero(left_context=3),
+                                 AttentionContext.regular(1, 4),
+                                 AttentionContext.chunked(2, 1)],
+                         ids=["zero", "regular", "chunk"])
+def test_each_step_books_the_products_it_runs(ctx, monkeypatch):
+    # every encoder product but the depthwise convolution runs through
+    # matmul64: per encode_step, and for encode_full, the m*k*n MACs of its
+    # calls equal the booked attention, ffn and downsampler MACs
+    cfg = tiny_encoder_config(ctx)
+    w = init_encoder_weights(cfg, seed=22)
+    ran = []
+    real = numerics.matmul64
+
+    def counting(a, b):
+        ran.append(math.prod(a.shape) * b.shape[-1])
+        return real(a, b)
+
+    monkeypatch.setattr(numerics, "matmul64", counting)
+    monkeypatch.setattr(encoder, "matmul64", counting)
+    step = (1 if ctx.regime == ZERO else ctx.step_tokens()) * cfg.downsampling_rate
+    mel = random_mel(40 * cfg.downsampling_rate + 3, cfg.n_mels, seed=23)
+    cuts = [(pos, pos + step, False) for pos in range(0, 40 * cfg.downsampling_rate, step)]
+    state, runs = init_state(cfg), []
+    for lo, hi, final in cuts + [(cuts[-1][1], mel.shape[0], True)]:
+        ran.clear()
+        rec = ComputeLedger()
+        rec.new_step()
+        encode_step(mel[lo:hi], state, w, cfg, rec=rec, final=final)
+        runs.append((sum(ran), rec))
+    ran.clear()
+    rec = ComputeLedger()
+    rec.new_step()
+    encode_full(mel, w, cfg, rec=rec)
+    runs.append((sum(ran), rec))
+    booked = [sum(rec.category_total(c) for c in ("attention", "ffn", "downsampler"))
+              for _, rec in runs]
+    assert [macs for macs, _ in runs] == booked
+    assert runs[-1][1].duplicate_macs == 0
 
 
 class TestReceptiveField:

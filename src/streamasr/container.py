@@ -62,7 +62,7 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: corrupt header: {ex}") from ex
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: header is not a JSON object with a tensor list")
-    body = raw[12 + hlen :]
+    body = memoryview(raw)[12 + hlen :]  # a view: a bytes slice would copy the payload
     tensors = {}
     pos = 0
     for ent in header.pop("tensors"):

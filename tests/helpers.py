@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,25 @@ def dft_power_oracle(window: np.ndarray) -> np.ndarray:
         im = sum(window[k] * math.sin(-2 * math.pi * k * b / n) for k in range(n))
         out[b] = re * re + im * im
     return out
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw allocated while it
+    ran, above what was live when it started. numpy reports its buffers to
+    tracemalloc, so the figure counts array memory exactly and, unlike the
+    process's RSS, does not move with the allocator or other processes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak
 
 
 def ctc_loss_enumeration(grid: np.ndarray, target: list[int], blank: int = 0) -> float:

@@ -1,7 +1,11 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from streamasr import (
     AudioBuffer,
@@ -14,7 +18,9 @@ from streamasr.errors import ConfigError, FormatError, InputFileError
 from streamasr import features
 from streamasr.features import LOG_FLOOR, hann_window, mel_filterbank
 
-from helpers import dft_power_oracle, synth_audio, write_wav
+from helpers import dft_power_oracle, synth_audio, traced_peak, write_wav
+
+BLOCK = features._BLOCK_FRAMES
 
 
 class TestReadWav:
@@ -56,6 +62,25 @@ class TestReadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFileError):
             read_wav(str(tmp_path / "nope.wav"))
+
+    def test_truncated_chunk_is_named(self, tmp_path):
+        path = str(tmp_path / "cut.wav")
+        write_wav(path, np.zeros(100, np.int16))
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - 10)
+        with pytest.raises(FormatError, match="truncated chunk b'data'"):
+            read_wav(path)
+
+    def test_peak_is_the_file_and_its_samples(self, tmp_path):
+        # the file's bytes plus one copy of its samples; a sliced chunk body
+        # would add a third
+        path = str(tmp_path / "long.wav")
+        write_wav(path, np.random.default_rng(0).integers(-3000, 3000, 16000 * 120))
+        read_wav(path)  # first-call allocations are not the reader's
+        buf, peak = traced_peak(lambda: read_wav(path))
+        assert len(buf.samples) == 16000 * 120
+        assert buf.samples.base is None and buf.samples.flags.writeable  # not the file buffer
+        assert peak <= 2.2 * os.path.getsize(path)
 
 
 class TestFeatureConfig:
@@ -152,3 +177,60 @@ def test_push_makes_two_kernel_calls(monkeypatch):
         yielded += frames.shape[0] > 0
         assert len(calls) - before == (2 if frames.shape[0] > 0 else 0)
     assert 0 < yielded < 7
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5])
+def test_push_makes_two_kernel_calls_per_block(monkeypatch, n):
+    calls = []
+    real = features.matmul64
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(features, "matmul64", counting)
+    cfg = FeatureConfig()
+    length = cfg.window_samples + (n - 1) * cfg.shift_samples if n else cfg.window_samples - 1
+    frames = StreamingFeatureExtractor(cfg).push(synth_audio(4.0, seed=9).samples[:length])
+    assert frames.shape[0] == n
+    assert len(calls) == 2 * math.ceil(n / BLOCK)
+
+
+@functools.cache
+def _block_reference():
+    """4 s of audio (398 frames, six block edges) and its log_mel."""
+    audio = synth_audio(4.0, seed=6)
+    return audio, log_mel(audio)
+
+
+class TestBlocks:
+    def test_each_frame_is_the_push_of_its_own_window(self):
+        audio, whole = _block_reference()
+        cfg = FeatureConfig()
+        win, shift = cfg.window_samples, cfg.shift_samples
+        alone = [StreamingFeatureExtractor(cfg).push(audio.samples[i * shift : i * shift + win])
+                 for i in range(whole.shape[0])]
+        assert whole.shape[0] > 3 * BLOCK
+        assert np.array_equal(np.concatenate(alone), whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 320), st.integers(1, 4 * BLOCK * 160)),
+                    min_size=1, max_size=10))
+    def test_any_split_equals_the_whole_push(self, sizes):
+        # the last push takes what the drawn ones left
+        audio, whole = _block_reference()
+        ext = StreamingFeatureExtractor(FeatureConfig())
+        parts, pos = [], 0
+        for n in sizes + [len(audio.samples)]:
+            parts.append(ext.push(audio.samples[pos : pos + n]))
+            pos += n
+        assume(sum(-(-len(p) // BLOCK) - 1 for p in parts if len(p)) >= 3)  # edges inside pushes
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_log_mel_holds_one_block_plus_its_output(self):
+        # whole-push float64 buffers took about 46x the output
+        audio = synth_audio(60.0, seed=5)
+        log_mel(synth_audio(0.1, seed=5))  # the cached DFT and filterbank are not the call's
+        mel, peak = traced_peak(lambda: log_mel(audio))
+        assert mel.shape == (5998, 80)
+        assert peak < 3 * mel.nbytes + 2 * 2**20

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,7 @@ from streamasr import (
 )
 from streamasr.errors import ConfigError, FormatError
 
-from helpers import tiny_model
+from helpers import tiny_model, traced_peak
 
 contexts = st.one_of(
     st.builds(AttentionContext.zero, st.none() | st.integers(0, 12)),
@@ -121,3 +122,19 @@ class TestNonFiniteWeights:
         save_model(model, path)
         with pytest.raises(FormatError, match=name):
             load_model(path)
+
+
+def test_load_model_peak_is_the_file_and_its_tensors(tmp_path):
+    # the file's bytes plus one copy of its tensors; slicing the payload out
+    # of the file would add a third
+    cfg = ModelConfig(
+        encoder=EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
+                              downsampling_rate=4, attention=AttentionContext.chunked(4, 4)),
+        vocab_size=29,
+    )
+    path = str(tmp_path / "m.bin")
+    save_model(init_model(cfg, 7), path)
+    load_model(path)  # first-call allocations are not the loader's
+    model, peak = traced_peak(lambda: load_model(path))
+    assert all(t.base is None and t.flags.writeable for t in model.tensors.values())
+    assert peak <= 2.2 * os.path.getsize(path)

@@ -48,6 +48,8 @@ from .numerics import (
     swish,
 )
 
+_BLOCK_TOKENS = 128  # rows per block of a long step: 5.12 s at 40 ms tokens
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -226,6 +228,16 @@ def downsample_segment(
     return linear(cur, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"]), kept
 
 
+def _row_blocks(n: int, stop: int | None = None) -> list[slice]:
+    """max(1, ceil(n / _BLOCK_TOKENS)) near-equal slices covering rows 0 .. n-1;
+    the last runs on to `stop` when that is given."""
+    if n <= _BLOCK_TOKENS:  # every streaming step: one block, found cheaply
+        return [slice(0, n if stop is None else stop)]
+    k = -(-n // _BLOCK_TOKENS)
+    cuts = [n * i // k for i in range(k)] + [n if stop is None else stop]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
     n = cfg.n_stages
     total = 0
@@ -374,16 +386,20 @@ def _layer_arrival(
     cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-token work done once when an input token reaches this layer: its
-    post-FFN1 row beside its query (x1|q, 2d wide) and its K|V row (2d)."""
+    post-FFN1 row beside its query (x1|q, 2d wide) and its K|V row (2d),
+    computed in row blocks into one float32 array."""
     d = cfg.d_model
-    x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
-    a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
-    qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
-    # a -inf score gets softmax weight 0, which would hide a non-finite key
-    check_finite(qkv, "attention Q|K|V projection")
+    rows = np.empty((x_new.shape[0], 4 * d), dtype=np.float32)  # x1|q|k|v
+    for b in _row_blocks(x_new.shape[0]):
+        x1 = x_new[b] + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new[b])
+        a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
+        qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
+        # a -inf score gets softmax weight 0, which would hide a non-finite key
+        check_finite(qkv, "attention Q|K|V projection")
+        rows[b, :d], rows[b, d:] = x1, qkv
     if rec is not None:
         rec.add("ffn", x_new.shape[0] * layer_macs_per_token(cfg)[0])
-    return np.concatenate([x1, qkv[:, :d]], axis=1), qkv[:, d:]
+    return rows[:, : 2 * d], rows[:, 2 * d :]
 
 
 def _layer_window(
@@ -396,10 +412,10 @@ def _layer_window(
     n_settle: int,
     rec: ComputeLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one block over a query window; rows beyond n_settle are speculative.
-
-    The queries, with post-FFN1 rows and projected queries x1q_win (x1|q),
-    are the newest len(x1q_win) of the keys in kv.
+    """The rest of the layer for query rows x1q_win (post-FFN1 rows beside
+    their projected queries, x1|q), which are consecutive keys of kv; rows
+    beyond n_settle are speculative. Returns the settled rows' outputs and
+    GLU outputs, the conv cache's next rows.
     """
     d = cfg.d_model
     n_rows = x1q_win.shape[0]
@@ -421,7 +437,7 @@ def _layer_window(
             rec.add("conv", pairs.size * conv, duplicate=speculative)
             rec.add("attention", 2 * d * int(pairs.sum()), duplicate=speculative)
         rec.add_speculative_tokens(n_rows - n_settle)
-    return out, g[:n_settle]
+    return out[:n_settle], g[:n_settle]
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +519,11 @@ def encode_step(
     downsampler groups, and a multiple of the context's step_tokens() tokens;
     the final chunk may be any length (a trailing partial frame group yields
     no token).
+
+    A step of more than _BLOCK_TOKENS tokens (encode_full, a long buffered
+    window) runs in near-equal row blocks, so its float64 temporaries are
+    one block's. Every row reads the same operands in the same order in any
+    block, so the split changes no bit.
     """
     frames = np.asarray(chunk).astype(np.float32, copy=False)
     if state.finished:
@@ -525,7 +546,10 @@ def encode_step(
     if final:
         state.finished = True
 
-    new_x, state.ds_carry = downsample_segment(w, cfg, frames, state.ds_carry)
+    new_x = np.empty((n_new, cfg.d_model), dtype=np.float32)
+    for b in _row_blocks(n_new):
+        new_x[b], state.ds_carry = downsample_segment(
+            w, cfg, frames[b.start * dr : b.stop * dr], state.ds_carry)
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
     state.mel_seen += frames.shape[0]
@@ -540,17 +564,21 @@ def encode_step(
         n_settle = settle_to - lc.n_out
         x1q_win, lc.pending = cache_append(lc.pending, x1qn, lc.n_in - settle_to)
         kv, lc.attn = cache_append(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
+        new_x = np.empty((n_settle, cfg.d_model), dtype=np.float32)
         if x1q_win.shape[0] == 0:
-            new_x = np.zeros((0, cfg.d_model), dtype=np.float32)
             continue
-        qpos = np.arange(lc.n_in - x1q_win.shape[0], lc.n_in)
-        plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], lc.n_in - kv.shape[0],
-                              query_groups(ctx, qpos, lc.n_in - 1), lc.plan)
+        q0, k0 = lc.n_in - x1q_win.shape[0], lc.n_in - kv.shape[0]  # first query, first key
+        # blocks of settled rows, the speculative ones (at most the settle
+        # delay) riding in the last: the conv cache carries settled rows only
+        for b in _row_blocks(n_settle, x1q_win.shape[0]):
+            qpos = np.arange(q0 + b.start, q0 + b.stop)
+            groups = query_groups(ctx, qpos, lc.n_in - 1)
+            plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0, groups, lc.plan)
+            n_set = min(b.stop, n_settle) - b.start  # new_x[b] stops at n_settle too
+            new_x[b], g = _layer_window(cfg, lw, x1q_win[b], kv, plan, lc.conv, n_set, rec)
+            _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
         if not final:  # a final step's plan is never reused
             lc.plan = plan
-        out, g_settled = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, n_settle, rec)
-        _, lc.conv = cache_append(lc.conv, g_settled, cfg.conv_kernel - 1)
         lc.n_out = settle_to
-        new_x = out[:n_settle]
     state.tokens_emitted += new_x.shape[0]
     return new_x, state

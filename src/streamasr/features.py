@@ -197,7 +197,7 @@ class StreamingFeatureExtractor:
             re, im = spec[:, :n_bins], spec[:, n_bins:]
             mel = matmul64(re * re + im * im, self._fb)
             out[f0 : f0 + n] = np.log(mel + LOG_FLOOR)
-        self._pending = buf[n_frames * shift :]
+        self._pending = buf[n_frames * shift :].copy()  # a view would pin the whole push
         return out
 
 

@@ -190,9 +190,12 @@ class StreamingSession:
         mel_new = self._extractor.push(samples)
         if mel_new.shape[0]:
             self._mel = np.concatenate([self._mel, mel_new], axis=0)
-        while self._mel.shape[0] >= self._step_frames:
-            self._step(self._mel[: self._step_frames], final=False)
-            self._mel = self._mel[self._step_frames :]
+        pos = 0
+        while self._mel.shape[0] - pos >= self._step_frames:
+            self._step(self._mel[pos : pos + self._step_frames], final=False)
+            pos += self._step_frames
+        if pos:  # a view of the rest would pin every row of this feed
+            self._mel = self._mel[pos:].copy()
 
     def _step(self, frames: np.ndarray, final: bool) -> None:
         step = self.ledger.new_step()
@@ -211,7 +214,7 @@ class StreamingSession:
         if self.state.finished:
             raise SessionError("session already finished")
         self._step(self._mel, final=True)
-        self._mel = self._mel[:0]
+        self._mel = self._mel[:0].copy()
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
         return self._dec.result(
             "streaming", self.ledger,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,53 @@ class TestStreamingOfflineEquivalence:
         assert out.shape == (1, cfg.d_model)
         got, _ = stream_encode(mel, w, cfg)
         assert np.array_equal(got, out)
+
+
+class TestRowBlocks:
+    """A step of more than encoder._BLOCK_TOKENS tokens runs in row blocks."""
+
+    @staticmethod
+    def run(mel, w, cfg, sizes):
+        """encode_full of mel, and encode_step over non-final steps of `sizes`
+        tokens plus a final flush; each output with its ledger."""
+        dr = cfg.downsampling_rate
+        full_rec = ComputeLedger()
+        full = encode_full(mel, w, cfg, rec=full_rec)
+        state, rec, outs, pos = init_state(cfg), ComputeLedger(), [], 0
+        for n in sizes + [None]:
+            rec.new_step()
+            chunk = mel[pos:] if n is None else mel[pos : pos + n * dr]
+            outs.append(encode_step(chunk, state, w, cfg, rec=rec, final=n is None)[0])
+            pos += chunk.shape[0]
+        return full, full_rec, np.concatenate(outs), rec
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.zero(), AttentionContext.regular(2, 5),
+                                     AttentionContext.chunked(3, 1)],
+                             ids=["zero", "regular", "chunk"])
+    @pytest.mark.parametrize("tokens", [0, 1, 127, 128, 129, 256, 257, 301])
+    def test_blocks_change_no_bit(self, ctx, tokens):
+        # random steps of a few tokens or of one to three blocks, then the
+        # rest, equal encode_full bit for bit; both, and their ledgers, equal
+        # the same runs taken as one block per step
+        cfg = tiny_encoder_config(ctx, downsampling_rate=2)
+        w = init_encoder_weights(cfg, seed=40)
+        mel = random_mel(tokens * 2 + 1, cfg.n_mels, seed=tokens)  # a partial last group
+        rng, step, sizes = np.random.default_rng(tokens), ctx.step_tokens(), []
+        while True:
+            n = int(rng.integers(1, 4) if rng.random() < 0.5 else rng.integers(100, 300))
+            n = max(1, n // step) * step
+            if sum(sizes) + n > tokens:
+                break
+            sizes.append(n)
+        blocked = self.run(mel, w, cfg, sizes)
+        with mock.patch.object(encoder, "_BLOCK_TOKENS", 10**9):
+            whole = self.run(mel, w, cfg, sizes)
+        assert blocked[0].shape == (tokens, cfg.d_model)
+        assert np.array_equal(blocked[2], blocked[0])
+        for i in (0, 2):  # encode_full, then the stream, each before its ledger
+            assert np.array_equal(blocked[i], whole[i])
+            assert blocked[i + 1].to_dict() == whole[i + 1].to_dict()
+            assert blocked[i + 1].steps == whole[i + 1].steps
 
 
 class TestDownsampler:
@@ -539,6 +587,20 @@ class TestKernelCalls:
             monkeypatch.undo()
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_offline_calls_grow_per_block_not_per_row(self, monkeypatch):
+        # a long step runs in ceil(n / 128) near-equal row blocks: 300 and
+        # 360 tokens are three blocks each, 129 two and 128 one
+        cfg = tiny_encoder_config(AttentionContext.regular(2, 5))
+        w = init_encoder_weights(cfg, seed=5)
+        counts = {}
+        for tokens in (128, 129, 300, 360):
+            calls = counting_matmul64(monkeypatch)
+            encode_full(random_mel(tokens * cfg.downsampling_rate, cfg.n_mels, seed=6), w, cfg)
+            monkeypatch.undo()
+            counts[tokens] = len(calls)
+        assert counts[300] == counts[360]
+        assert counts[129] > counts[128]
 
     @pytest.mark.parametrize("ctx", REGIMES)
     def test_each_token_is_projected_to_qkv_once_per_layer(self, ctx, monkeypatch):

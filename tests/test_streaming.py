@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from streamasr import (
     AttentionContext,
     BufferedConfig,
+    EncoderConfig,
+    ModelConfig,
     StreamingSession,
     Vocab,
     encode_full,
+    init_model,
     load_model,
     log_mel,
     run_buffered,
@@ -23,7 +26,7 @@ from streamasr import (
 from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError
 from streamasr.features import AudioBuffer
 
-from helpers import count_macs, synth_audio, tiny_model
+from helpers import count_macs, synth_audio, tiny_model, traced_peak
 
 
 SPLIT_CONTEXTS = {
@@ -142,6 +145,49 @@ class TestStreamingVsOffline:
             assert s.finish().transcripts["ctc"].to_json() == want
         edges = np.array([-32768, 32767], np.int64)
         assert AudioBuffer(16000, edges).samples.dtype == np.int16
+
+
+def held(a: np.ndarray) -> np.ndarray:
+    """The array whose memory `a` keeps alive: a view keeps its base's."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@functools.cache
+def minute_of_audio():
+    """60 s of audio and its 80-mel features."""
+    audio = synth_audio(60.0, seed=42)
+    return audio, log_mel(audio)
+
+
+class TestWorkingMemory:
+    def test_a_whole_recording_feed_keeps_one_step_and_one_window(self):
+        model, vocab = tiny_model(AttentionContext.chunked(4, 1), seed=33)
+        session = StreamingSession(model, vocab, decoder="ctc")
+        session.feed(synth_audio(10.0, seed=41).samples)
+        step_frames = 4 * model.cfg.encoder.downsampling_rate
+        window = model.cfg.feature_config().window_samples
+        for when in ("fed", "finished"):
+            if when == "finished":
+                session.finish()
+            assert held(session._mel).shape[0] < step_frames, when
+            assert held(session._extractor._pending).size < window, when
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 16),
+                                     AttentionContext.chunked(4, 4)], ids=["regular", "chunk"])
+    def test_an_offline_minute_holds_blocks_not_the_utterance(self, ctx):
+        # perfbench's baseline model: one 128-token block of float64
+        # temporaries plus each layer's float32 rows, about 3.3 KB per token
+        vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
+        enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
+                            downsampling_rate=4, attention=ctx, n_mels=80)
+        model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
+        audio, mel = minute_of_audio()
+        _, peak = traced_peak(lambda: encode_full(mel, model.encoder, enc))
+        assert peak < 10 * 2**20
+        _, peak = traced_peak(lambda: run_offline(audio, model, vocab, decoder="ctc"))
+        assert peak < 12 * 2**20
 
 
 class TestLedgerEquality:

@@ -231,11 +231,9 @@ def downsample_segment(
 def _row_blocks(n: int, stop: int | None = None) -> list[slice]:
     """max(1, ceil(n / _BLOCK_TOKENS)) near-equal slices covering rows 0 .. n-1;
     the last runs on to `stop` when that is given."""
-    if n <= _BLOCK_TOKENS:  # every streaming step: one block, found cheaply
-        return [slice(0, n if stop is None else stop)]
-    k = -(-n // _BLOCK_TOKENS)
-    cuts = [n * i // k for i in range(k)] + [n if stop is None else stop]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    k = -(-n // _BLOCK_TOKENS) or 1
+    last = n if stop is None else stop
+    return [slice(n * i // k, n * (i + 1) // k if i + 1 < k else last) for i in range(k)]
 
 
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
@@ -391,7 +389,8 @@ def _layer_arrival(
     d = cfg.d_model
     rows = np.empty((x_new.shape[0], 4 * d), dtype=np.float32)  # x1|q|k|v
     for b in _row_blocks(x_new.shape[0]):
-        x1 = x_new[b] + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new[b])
+        x = x_new[b]
+        x1 = x + np.float32(0.5) * _ffn_module(lw, "ffn1", x)
         a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
         qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
         # a -inf score gets softmax weight 0, which would hide a non-finite key

@@ -154,6 +154,14 @@ def held(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def baseline_model(ctx):
+    """perfbench's baseline model (4 layers, d_model 64) and its vocabulary."""
+    vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
+    enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
+                        downsampling_rate=4, attention=ctx, n_mels=80)
+    return init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7), vocab
+
+
 @functools.cache
 def minute_of_audio():
     """60 s of audio and its 80-mel features."""
@@ -176,16 +184,19 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 16),
                                      AttentionContext.chunked(4, 4)], ids=["regular", "chunk"])
-    def test_an_offline_minute_holds_blocks_not_the_utterance(self, ctx):
-        # perfbench's baseline model: one 128-token block of float64
-        # temporaries plus each layer's float32 rows, about 3.3 KB per token
-        vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
-        enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
-                            downsampling_rate=4, attention=ctx, n_mels=80)
-        model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
-        audio, mel = minute_of_audio()
-        _, peak = traced_peak(lambda: encode_full(mel, model.encoder, enc))
+    def test_an_offline_minute_encodes_in_blocks_not_the_utterance(self, ctx):
+        # one 128-token block of float64 temporaries plus each layer's
+        # float32 rows, about 3.3 KB per token
+        model, _ = baseline_model(ctx)
+        _, mel = minute_of_audio()
+        _, peak = traced_peak(lambda: encode_full(mel, model.encoder, model.cfg.encoder))
         assert peak < 10 * 2**20
+
+    def test_an_offline_minute_transcribes_in_blocks(self):
+        # encode_full's blocks plus the features and the decoder, which do
+        # not depend on the attention regime
+        model, vocab = baseline_model(AttentionContext.regular(1, 16))
+        audio, _ = minute_of_audio()
         _, peak = traced_peak(lambda: run_offline(audio, model, vocab, decoder="ctc"))
         assert peak < 12 * 2**20
 

@@ -1,28 +1,26 @@
 """Streaming caches: what a session carries between chunks.
 
 Per encoder layer, each cache holds the newest rows of one operand:
-  attn      - projected keys and values (K|V, 2 * d_model wide) of every
-              input whose output is not yet settled, plus those of the
-              settled inputs still within the left context of the next
-              query: attn_keep_rows. Each row is projected once, when its
-              input arrives. Starts empty and grows until it saturates.
+  rows      - each input's post-first-FFN value, then its query, key and
+              value (x1|q|k|v, 4 * d_model wide), computed once, when it
+              arrives: the rows of every input whose output is not yet
+              settled (the regular regime's next queries), plus those of
+              the settled inputs still within the left context of the next
+              query: attn_keep_rows. Starts empty and grows until it
+              saturates.
   conv      - the last kernel-1 settled inputs of the causal depthwise
               convolution, zero-filled at session start so the first chunk
               sees the same operands as the left-padded single-pass
               computation.
-  pending   - post-first-FFN values of inputs whose outputs are not yet
-              settled, each beside its projected query (x1|q, 2 * d_model
-              wide; only non-empty for the regular look-ahead regime). A
-              pending row's input is final, so its query is projected once,
-              when it arrives.
 
-Plus one carried input row per downsampler stage (the last row the stage
-has read, a zero row at the start of a stream), the RNNT prediction-net
-hidden states, and global token/frame offsets. The layer caches and the
-downsampler rows change by one rule, cache_append: this step's window is the
-cache followed by the new rows, and the cache keeps the window's newest
-rows. encode_step applies it to each of them once per step; an offline pass
-is one final step from init_state.
+Each layer counts its inputs seen (n_in, the n_out of the layer below) and
+its outputs settled (n_out; the top layer's are the stream's tokens). Plus
+one carried input row per downsampler stage (the last row the stage has
+read, a zero row at the start of a stream) and the RNNT prediction-net
+hidden states. The layer caches and the downsampler rows change by one rule,
+cache_append: this step's window is the cache followed by the new rows, and
+the cache keeps the window's newest rows. encode_step applies it to each of
+them once per step; an offline pass is one final step from init_state.
 
 A layer cache also holds the attention plan of the last non-final step. It
 is derived data: it is not saved, and a resumed state rebuilds it.
@@ -38,7 +36,7 @@ from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
 
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -67,26 +65,27 @@ def cache_append(
 
 @dataclass
 class LayerCache:
-    attn: np.ndarray  # (w, 2d) projected K|V rows, see attn_keep_rows
+    rows: np.ndarray  # (w, 4d) x1|q|k|v rows, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
-    pending: np.ndarray  # (p, 2d) post-FFN1 values|queries of not-yet-settled outputs
     n_in: int = 0  # inputs seen
     n_out: int = 0  # settled outputs emitted
     plan: object = field(default=None, repr=False, compare=False)  # encoder.AttentionPlan
 
     def float_count(self) -> int:
-        return self.attn.size + self.conv.size + self.pending.size
+        return self.rows.size + self.conv.size
 
 
 @dataclass
 class StreamState:
     layers: list[LayerCache]
     ds_carry: list[np.ndarray]  # per downsampler stage, its last input row (1, width)
-    mel_seen: int = 0
-    tokens_in: int = 0  # downsampler tokens produced
-    tokens_emitted: int = 0  # encoder tokens settled at the top
     finished: bool = False
     rnnt_states: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def tokens_emitted(self) -> int:
+        """Encoder tokens settled at the top."""
+        return self.layers[-1].n_out
 
     def float_count(self) -> int:
         n = sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
@@ -96,9 +95,6 @@ class StreamState:
         header = {
             "kind": "stream_state",
             "version": STATE_VERSION,
-            "mel_seen": self.mel_seen,
-            "tokens_in": self.tokens_in,
-            "tokens_emitted": self.tokens_emitted,
             "finished": self.finished,
             "n_layers": len(self.layers),
             "counters": [[lc.n_in, lc.n_out] for lc in self.layers],
@@ -107,9 +103,8 @@ class StreamState:
         }
         arrays = [(f"ds_carry{s}", c) for s, c in enumerate(self.ds_carry)]
         for i, lc in enumerate(self.layers):
-            arrays.append((f"layer{i}.attn", lc.attn))
+            arrays.append((f"layer{i}.rows", lc.rows))
             arrays.append((f"layer{i}.conv", lc.conv))
-            arrays.append((f"layer{i}.pending", lc.pending))
         for i, h in enumerate(self.rnnt_states):
             arrays.append((f"rnnt{i}", h))
         save_container(path, header, arrays)
@@ -121,7 +116,8 @@ class StreamState:
             raise StateError(f"{path} is not a stream state file")
         if header.get("version") != STATE_VERSION:
             # version 1 cached d-wide attention inputs, version 2 d-wide pending
-            # rows and 2*log2(rate)+1 mel frames for the downsampler
+            # rows and 2*log2(rate)+1 mel frames for the downsampler, version 3
+            # K|V and x1|q rows apart and three stream counters
             raise StateError(f"unsupported state version {header.get('version')}")
 
         def is_count(v) -> bool:
@@ -135,13 +131,16 @@ class StreamState:
         def tensor(name: str) -> np.ndarray:
             if name not in tensors:
                 raise StateError(f"{path}: missing tensor {name}")
-            # cached K|V rows were checked when projected; a softmax would hide an inf
+            # cached Q|K|V rows were checked when projected; a softmax would hide an inf
             if not np.isfinite(tensors[name]).all():
                 raise StateError(f"{path}: tensor {name} holds NaN or infinity")
             return tensors[name]
 
+        n_layers = count("n_layers")
+        if n_layers == 0:  # tokens_emitted reads the top layer
+            raise StateError(f"{path}: a stream state has at least one layer")
         counters = header.get("counters")
-        if not isinstance(counters, list) or len(counters) != count("n_layers") or not all(
+        if not isinstance(counters, list) or len(counters) != n_layers or not all(
             isinstance(c, list) and len(c) == 2 and all(map(is_count, c)) for c in counters
         ):
             raise StateError(f"{path}: counters must be n_layers pairs of integers >= 0")
@@ -150,18 +149,14 @@ class StreamState:
         return StreamState(
             layers=[
                 LayerCache(
-                    attn=tensor(f"layer{i}.attn"),
+                    rows=tensor(f"layer{i}.rows"),
                     conv=tensor(f"layer{i}.conv"),
-                    pending=tensor(f"layer{i}.pending"),
                     n_in=n_in,
                     n_out=n_out,
                 )
                 for i, (n_in, n_out) in enumerate(counters)
             ],
             ds_carry=[tensor(f"ds_carry{s}") for s in range(count("n_ds_carry"))],
-            mel_seen=count("mel_seen"),
-            tokens_in=count("tokens_in"),
-            tokens_emitted=count("tokens_emitted"),
             finished=header["finished"],
             rnnt_states=[tensor(f"rnnt{i}") for i in range(count("n_rnnt"))],
         )

@@ -28,7 +28,7 @@ the single-pass computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -101,10 +101,6 @@ class EncoderConfig:
     def ds_carry_widths(self) -> list[int]:
         """Per downsampler stage, the width of the input row it carries between chunks."""
         return ([self.n_mels] + [self.d_model] * self.n_stages)[: self.n_stages]
-
-    def with_attention(self, attention: AttentionContext) -> "EncoderConfig":
-        """Same weights-compatible config under a different mask (bias spans kept)."""
-        return replace(self, attention=attention)
 
 
 def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], object]]:
@@ -382,9 +378,9 @@ def _attend(
 
 def _layer_arrival(
     cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-token work done once when an input token reaches this layer: its
-    post-FFN1 row beside its query (x1|q, 2d wide) and its K|V row (2d),
+    post-FFN1 row beside its query, key and value (x1|q|k|v, 4d wide),
     computed in row blocks into one float32 array."""
     d = cfg.d_model
     rows = np.empty((x_new.shape[0], 4 * d), dtype=np.float32)  # x1|q|k|v
@@ -398,7 +394,7 @@ def _layer_arrival(
         rows[b, :d], rows[b, d:] = x1, qkv
     if rec is not None:
         rec.add("ffn", x_new.shape[0] * layer_macs_per_token(cfg)[0])
-    return rows[:, : 2 * d], rows[:, 2 * d :]
+    return rows
 
 
 def _layer_window(
@@ -407,7 +403,7 @@ def _layer_window(
     x1q_win: np.ndarray,
     kv: np.ndarray,
     plan: AttentionPlan,
-    conv_hist: np.ndarray | None,
+    conv_hist: np.ndarray,
     n_settle: int,
     rec: ComputeLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -458,9 +454,8 @@ def init_state(cfg: EncoderConfig) -> StreamState:
     d = cfg.d_model
     layers = [
         LayerCache(
-            attn=np.zeros((0, 2 * d), dtype=np.float32),
+            rows=np.zeros((0, 4 * d), dtype=np.float32),
             conv=np.zeros((cfg.conv_kernel - 1, d), dtype=np.float32),
-            pending=np.zeros((0, 2 * d), dtype=np.float32),
         )
         for _ in range(cfg.n_layers)
     ]
@@ -471,9 +466,9 @@ def init_state(cfg: EncoderConfig) -> StreamState:
 
 
 def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
-    """Raise StateError unless every cached tensor is float32 in the shape
-    cfg's encoder needs, and the counters agree with each other and with the
-    cached rows."""
+    """Raise StateError unless each layer's inputs are the settled outputs of
+    the layer below, and every cached tensor is float32 in the shape cfg's
+    encoder needs."""
     d, ctx = cfg.d_model, cfg.attention
     if len(state.layers) != cfg.n_layers:
         raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
@@ -482,21 +477,14 @@ def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
                          f"has {cfg.n_stages} stages")
     shapes = [(f"ds_carry{s}", row, 1, width)
               for s, (row, width) in enumerate(zip(state.ds_carry, cfg.ds_carry_widths))]
-    # an unfinished stream has taken whole downsampler frame groups only
-    counts = [("mel_seen", state.mel_seen, state.tokens_in * cfg.downsampling_rate),
-              ("tokens_emitted", state.tokens_emitted, state.layers[-1].n_out)]
-    n_in = state.tokens_in
     for i, lc in enumerate(state.layers):
         if lc.n_out > lc.n_in:
             raise StateError(f"layer{i} has settled {lc.n_out} of {lc.n_in} inputs")
-        counts.append((f"layer{i}.n_in", lc.n_in, n_in))
-        n_in = lc.n_out
-        shapes += [(f"layer{i}.attn", lc.attn, attn_keep_rows(ctx, lc.n_in, lc.n_out), 2 * d),
-                   (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d),
-                   (f"layer{i}.pending", lc.pending, lc.n_in - lc.n_out, 2 * d)]
-    for name, got, want in counts:
-        if got != want:
-            raise StateError(f"{name} is {got}, the other counters say {want}")
+        if i > 0 and lc.n_in != state.layers[i - 1].n_out:
+            raise StateError(f"layer{i} has seen {lc.n_in} inputs, the layer below settled "
+                             f"{state.layers[i - 1].n_out}")
+        shapes += [(f"layer{i}.rows", lc.rows, attn_keep_rows(ctx, lc.n_in, lc.n_out), 4 * d),
+                   (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d)]
     for name, arr, rows, cols in shapes:
         if arr.shape != (rows, cols) or arr.dtype != np.float32:
             raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {rows} "
@@ -535,7 +523,7 @@ def encode_step(
         raise ChunkingError(
             f"non-final chunk of {frames.shape[0]} frames is not a multiple of {dr}"
         )
-    n_new = (state.mel_seen + frames.shape[0]) // dr - state.tokens_in
+    n_new = frames.shape[0] // dr  # an unfinished stream has read whole frame groups only
     ctx = cfg.attention
     if not final and n_new % ctx.step_tokens() != 0:
         raise ChunkingError(
@@ -551,22 +539,21 @@ def encode_step(
             w, cfg, frames[b.start * dr : b.stop * dr], state.ds_carry)
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
-    state.mel_seen += frames.shape[0]
-    state.tokens_in += n_new
 
-    delay = ctx.settle_delay()
+    delay, d = ctx.settle_delay(), cfg.d_model
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
-        x1qn, kvn = _layer_arrival(cfg, lw, new_x, rec)
+        new_rows = _layer_arrival(cfg, lw, new_x, rec)
         lc.n_in += new_x.shape[0]
         settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
         n_settle = settle_to - lc.n_out
-        x1q_win, lc.pending = cache_append(lc.pending, x1qn, lc.n_in - settle_to)
-        kv, lc.attn = cache_append(lc.attn, kvn, attn_keep_rows(ctx, lc.n_in, settle_to))
-        new_x = np.empty((n_settle, cfg.d_model), dtype=np.float32)
+        window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, lc.n_in, settle_to))
+        new_x = np.empty((n_settle, d), dtype=np.float32)
+        q0, k0 = lc.n_out, lc.n_in - window.shape[0]  # first query, first key
+        # queries: the unsettled rows' x1|q; keys: every row's K|V
+        x1q_win, kv = window[q0 - k0 :, : 2 * d], window[:, 2 * d :]
         if x1q_win.shape[0] == 0:
             continue
-        q0, k0 = lc.n_in - x1q_win.shape[0], lc.n_in - kv.shape[0]  # first query, first key
         # blocks of settled rows, the speculative ones (at most the settle
         # delay) riding in the last: the conv cache carries settled rows only
         for b in _row_blocks(n_settle, x1q_win.shape[0]):
@@ -579,5 +566,4 @@ def encode_step(
         if not final:  # a final step's plan is never reused
             lc.plan = plan
         lc.n_out = settle_to
-    state.tokens_emitted += new_x.shape[0]
     return new_x, state

@@ -91,7 +91,8 @@ class HybridModel:
                 f"the bias table reaches {bias_future} future tokens, the mask "
                 f"{ctx} needs {ctx.future_span()}"
             )
-        return replace(self, cfg=replace(self.cfg, encoder=self.cfg.encoder.with_attention(ctx)))
+        encoder = replace(self.cfg.encoder, attention=ctx)
+        return replace(self, cfg=replace(self.cfg, encoder=encoder))
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}

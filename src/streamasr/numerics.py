@@ -123,14 +123,14 @@ def layer_norm(
 def depthwise_conv1d_causal(
     x: np.ndarray,
     weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    history: np.ndarray | None = None,
+    bias: np.ndarray,
+    history: np.ndarray,
 ) -> np.ndarray:
-    """Per-channel causal 1-D convolution.
+    """Per-channel causal 1-D convolution plus a per-channel bias (D,).
 
     x: (T, D) inputs, weights: (D, K). Output step t sees x[t-K+1 .. t].
-    `history` supplies the K-1 steps preceding x (used when x is a chunk of a
-    longer stream); if None, zeros are used, which equals left zero-padding.
+    `history` supplies the K-1 steps preceding x (zeros at the start of a
+    stream, which equals left zero-padding).
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
@@ -141,8 +141,6 @@ def depthwise_conv1d_causal(
         raise ConfigError(f"kernel size must be >= 1, got {k}")
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"input {x.shape} does not match {d} channels")
-    if history is None:
-        history = np.zeros((k - 1, d), dtype=np.float32)
     if history.shape != (k - 1, d):
         raise ShapeError(f"history must be ({k - 1}, {d}), got {history.shape}")
     t = x.shape[0]
@@ -151,8 +149,7 @@ def depthwise_conv1d_causal(
     acc = np.zeros((t, d), dtype=np.float64)
     for i in range(k):
         acc += xp[i : i + t, :] * w64[None, :, i]
-    if bias is not None:
-        acc += np.asarray(bias, dtype=np.float64)[None, :]
+    acc += np.asarray(bias, dtype=np.float64)[None, :]
     return acc.astype(np.float32)
 
 

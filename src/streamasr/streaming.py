@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -285,7 +285,7 @@ def run_buffered(
         step = ledger.new_step()
         window = mel[b0 * dr : (b1 + 1) * dr]
         # one chunk spanning the window: every query sees every key
-        full = cfg.with_attention(AttentionContext.chunked(b1 - b0 + 1, 0))
+        full = replace(cfg, attention=AttentionContext.chunked(b1 - b0 + 1, 0))
         enc = encode_full(window, model.encoder, full, rec=ledger)
         # the central tokens on their own: each layer's per-token MACs and a
         # full-window attention row per token

@@ -10,6 +10,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -172,7 +173,7 @@ def count_macs(
     """
     if mode not in ("offline", "streaming"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    cfg = cfg.with_attention(ctx)
+    cfg = replace(cfg, attention=ctx)
     ledger = ComputeLedger()
     if n_tokens == 0:
         return ledger

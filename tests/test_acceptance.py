@@ -203,15 +203,15 @@ class TestCriterion4CacheShapeLaws:
         for kernel, chunk, left_chunks in ((3, 2, 1), (5, 3, 2), (3, 4, 0)):
             ctx = AttentionContext.chunked(chunk, left_chunks)
             bound = left_chunks * chunk
-            attn = np.zeros((0, 4), np.float32)
+            rows = np.zeros((0, 4), np.float32)
             conv = np.zeros((kernel - 1, 4), np.float32)
             for i in range(1, 1001):
                 block = np.ones((chunk, 4), np.float32)
                 # the engine's update: each chunk step settles all inputs so far
-                _, attn = cache_append(attn, block, attn_keep_rows(ctx, i * chunk, i * chunk))
+                _, rows = cache_append(rows, block, attn_keep_rows(ctx, i * chunk, i * chunk))
                 _, conv = cache_append(conv, block, kernel - 1)
                 assert conv.shape[0] == kernel - 1
-                assert attn.shape[0] == min(bound, i * chunk)
+                assert rows.shape[0] == min(bound, i * chunk)
 
         ctx = AttentionContext.chunked(3, 2)
         cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
@@ -226,15 +226,15 @@ class TestCriterion4CacheShapeLaws:
             )
             l_c = min(ctx.left_chunks * ctx.chunk, i * ctx.chunk)
             d, k, n = cfg.d_model, cfg.conv_kernel, cfg.n_layers
-            # the attention cache holds each key's projected K|V row, 2 * d wide, and
+            # the row cache holds each key's x1|q|k|v row, 4 * d wide, and
             # each downsampler stage carries one input row: n_mels wide, then d
-            expected = (n * d * (k - 1) + n * l_c * 2 * d
+            expected = (n * d * (k - 1) + n * l_c * 4 * d
                         + cfg.n_mels + d * (cfg.n_stages - 1))
             assert state.float_count() == expected
         print(
             "\n[criterion 4] PASS: 1000-step simulations keep conv cache width == K-1 and "
-            "attention cache width == min(L_c, i*C); live-session memory matches "
-            "L*D*(K-1) + 2*L*C_mha*D + one carried row per downsampler stage exactly"
+            "row cache width == min(L_c, i*C); live-session memory matches "
+            "L*D*(K-1) + 4*L*C_mha*D + one carried row per downsampler stage exactly"
         )
 
 

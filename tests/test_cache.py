@@ -42,12 +42,13 @@ class TestConvCache:
         d, k, t = 4, 3, 20
         x = rng.standard_normal((t, d)).astype(np.float32)
         w = rng.standard_normal((d, k)).astype(np.float32)
-        full = depthwise_conv1d_causal(x, w)
+        bias = np.zeros(d, np.float32)
+        full = depthwise_conv1d_causal(x, w, bias, np.zeros((k - 1, d), np.float32))
         cache = np.zeros((k - 1, d), np.float32)
         outs = []
         for lo in range(0, t, 5):
             window, cache = cache_append(cache, x[lo : lo + 5], k - 1)
-            outs.append(depthwise_conv1d_causal(x[lo : lo + 5], w, history=window[: k - 1]))
+            outs.append(depthwise_conv1d_causal(x[lo : lo + 5], w, bias, window[: k - 1]))
         assert np.array_equal(np.concatenate(outs), full)
 
     def test_width_guard(self):
@@ -98,8 +99,8 @@ class TestAttnCache:
         assert kept.base is None and not np.shares_memory(window, kept)
 
 
-def _layer_widths(state: StreamState) -> list[tuple[int, int, int]]:
-    return [(lc.attn.shape[0], lc.pending.shape[0], lc.conv.shape[0]) for lc in state.layers]
+def _layer_widths(state: StreamState) -> list[tuple[int, int]]:
+    return [(lc.rows.shape[0], lc.conv.shape[0]) for lc in state.layers]
 
 
 class TestCacheWidthLaws:
@@ -107,15 +108,15 @@ class TestCacheWidthLaws:
     def test_thousand_step_simulation(self, chunk, left_chunks, kernel):
         ctx = AttentionContext.chunked(chunk, left_chunks)
         lc_bound = left_chunks * chunk
-        attn = np.zeros((0, 2), np.float32)
+        rows = np.zeros((0, 2), np.float32)
         conv = np.zeros((kernel - 1, 2), np.float32)
         for i in range(1, 1001):
             step = np.ones((chunk, 2), np.float32)
             n = i * chunk  # a chunk step settles every input it brings
-            _, attn = cache_append(attn, step, attn_keep_rows(ctx, n, n))
+            _, rows = cache_append(rows, step, attn_keep_rows(ctx, n, n))
             _, conv = cache_append(conv, step, kernel - 1)
             assert conv.shape[0] == kernel - 1
-            assert attn.shape[0] == min(lc_bound, i * chunk)
+            assert rows.shape[0] == min(lc_bound, i * chunk)
 
     def test_stream_state_memory_matches_closed_form(self):
         ctx = AttentionContext.chunked(3, 2)
@@ -131,14 +132,14 @@ class TestCacheWidthLaws:
             d, k, n = cfg.d_model, cfg.conv_kernel, cfg.n_layers
             expected = (
                 n * d * (k - 1)
-                + n * l_c * 2 * d  # projected K|V rows
+                + n * l_c * 4 * d  # x1|q|k|v rows
                 + sum(cfg.ds_carry_widths)  # one carried row per downsampler stage
             )
             assert state.float_count() == expected
-            assert _layer_widths(state) == [(l_c, 0, k - 1)] * n
+            assert _layer_widths(state) == [(l_c, k - 1)] * n
 
-        # regular look-ahead: each layer also keeps its unsettled (speculative)
-        # rows, each post-FFN1 row beside its query
+        # regular look-ahead: each layer also keeps the rows of its unsettled
+        # (speculative) outputs
         ctx = AttentionContext.regular(2, 3)
         cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
         w = init_encoder_weights(cfg, seed=1)
@@ -151,13 +152,13 @@ class TestCacheWidthLaws:
             n_in = [max(0, t - layer * ctx.m) for layer in range(cfg.n_layers)]
             n_out = [max(0, n - ctx.m) for n in n_in]
             assert [(lc.n_in, lc.n_out) for lc in state.layers] == list(zip(n_in, n_out))
-            widths = [(min(lcx, o) + i - o, i - o, k - 1) for i, o in zip(n_in, n_out)]
+            widths = [(min(lcx, o) + i - o, k - 1) for i, o in zip(n_in, n_out)]
             assert _layer_widths(state) == widths
             assert state.float_count() == (
-                d * sum(2 * a + 2 * p + c for a, p, c in widths) + sum(cfg.ds_carry_widths)
+                d * sum(4 * r + c for r, c in widths) + sum(cfg.ds_carry_widths)
             )
         encode_step(mel[:0], state, w, cfg, final=True)
-        assert _layer_widths(state) == [(lcx, 0, k - 1)] * cfg.n_layers
+        assert _layer_widths(state) == [(lcx, k - 1)] * cfg.n_layers
 
 
 ROUNDTRIP_CASES = {
@@ -192,7 +193,7 @@ class TestStreamStateSerialization:
             state.rnnt_states = rnnt_init_state(head)
         run(state, 0, 32)
         if ctx.settle_delay() > 0:
-            assert all(lc.pending.shape[0] > 0 for lc in state.layers)
+            assert all(lc.n_in > lc.n_out for lc in state.layers)  # unsettled rows
         if with_rnnt:
             assert any(np.any(h != 0) for h in state.rnnt_states)
         path = str(tmp_path / "state.bin")
@@ -214,14 +215,12 @@ class TestStreamStateSerialization:
     @pytest.mark.parametrize("mutate", [
         lambda h, t: h.pop("n_layers"),
         lambda h, t: h.pop("counters"),
-        lambda h, t: h.pop("mel_seen"),
         lambda h, t: h.pop("finished"),
         lambda h, t: h.pop("n_rnnt"),
         lambda h, t: h.pop("n_ds_carry"),
         lambda h, t: h.update(n_layers="2"),
         lambda h, t: h.update(n_layers=-1),
-        lambda h, t: h.update(tokens_in=1.5),
-        lambda h, t: h.update(tokens_emitted=True),
+        lambda h, t: h.update(n_layers=0, counters=[]),
         lambda h, t: h.update(finished=0),
         lambda h, t: h.update(counters=5),
         lambda h, t: h.update(counters=[4, 4]),
@@ -229,16 +228,17 @@ class TestStreamStateSerialization:
         lambda h, t: h.update(counters=[[4, 4]]),
         lambda h, t: h.update(counters=[["4", 4], [4, 4]]),
         lambda h, t: h.update(counters=[[4, None], [4, 4]]),
-        lambda h, t: t.pop("layer0.attn"),
-        lambda h, t: t.pop("layer1.pending"),
+        lambda h, t: h.update(counters=[[4.5, 4], [4, 4]]),
+        lambda h, t: h.update(counters=[[4, 4], [True, 4]]),
+        lambda h, t: t.pop("layer0.rows"),
+        lambda h, t: t.pop("layer1.conv"),
         lambda h, t: t.pop("ds_carry1"),
         lambda h, t: t.pop("rnnt0"),
-    ], ids=["no-n_layers", "no-counters", "no-mel_seen", "no-finished", "no-n_rnnt",
-            "no-n_ds_carry",
-            "str-n_layers", "negative-n_layers", "float-tokens_in", "bool-tokens_emitted",
+    ], ids=["no-n_layers", "no-counters", "no-finished", "no-n_rnnt", "no-n_ds_carry",
+            "str-n_layers", "negative-n_layers", "zero-n_layers",
             "int-finished", "int-counters", "flat-counters", "triple-counter",
-            "short-counters", "str-counter", "null-counter", "no-layer0.attn",
-            "no-layer1.pending", "no-ds_carry1", "no-rnnt0"])
+            "short-counters", "str-counter", "null-counter", "float-counter", "bool-counter",
+            "no-layer0.rows", "no-layer1.conv", "no-ds_carry1", "no-rnnt0"])
     def test_malformed_file_is_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
         _, head = random_head(seed=5, d_model=cfg.d_model)
@@ -254,11 +254,11 @@ class TestStreamStateSerialization:
             StreamState.load(path)
 
     @pytest.mark.parametrize("mutate", [
-        lambda st: setattr(st.layers[0], "attn", np.zeros((st.layers[0].attn.shape[0], 5),
+        lambda st: setattr(st.layers[0], "rows", np.zeros((st.layers[0].rows.shape[0], 5),
                                                           np.float32)),
-        lambda st: setattr(st.layers[1], "pending", np.zeros((2, 17), np.float32)),
-        lambda st: setattr(st.layers[1], "pending", np.zeros(16, np.float32)),
-        lambda st: setattr(st.layers[1], "pending", st.layers[1].pending[:, :16].copy()),
+        lambda st: setattr(st.layers[1], "rows", np.zeros((2, 17), np.float32)),
+        lambda st: setattr(st.layers[1], "rows", np.zeros(64, np.float32)),
+        lambda st: setattr(st.layers[1], "rows", st.layers[1].rows[:, 32:].copy()),
         lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
         lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
         lambda st: st.ds_carry.__setitem__(0, np.zeros((1, 9), np.float32)),
@@ -266,12 +266,12 @@ class TestStreamStateSerialization:
         lambda st: st.ds_carry.__setitem__(1, np.zeros((0, 16), np.float32)),
         lambda st: st.ds_carry.pop(),
         lambda st: st.layers.pop(),
-        lambda st: setattr(st.layers[0], "attn", st.layers[0].attn.astype(np.int64)),
-        lambda st: setattr(st.layers[1], "pending", st.layers[1].pending.astype(np.float64)),
-    ], ids=["attn-columns", "pending-columns", "pending-1d", "pending-without-query",
+        lambda st: setattr(st.layers[0], "rows", st.layers[0].rows.astype(np.int64)),
+        lambda st: setattr(st.layers[1], "rows", st.layers[1].rows.astype(np.float64)),
+    ], ids=["rows-columns", "rows-shape", "rows-1d", "rows-kv-only",
             "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
-            "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "attn-int64",
-            "pending-float64"])
+            "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "rows-int64",
+            "rows-float64"])
     def test_tensors_that_do_not_fit_the_encoder_are_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
         w = init_encoder_weights(cfg, seed=3)
@@ -281,16 +281,45 @@ class TestStreamStateSerialization:
             encode_step(mel[i : i + 4], state, w, cfg)
         mutate(state)
         path = str(tmp_path / "state.bin")
-        tensors = [*state.ds_carry, *(a for lc in state.layers for a in (lc.attn, lc.conv,
-                                                                         lc.pending))]
+        tensors = [*state.ds_carry, *(a for lc in state.layers for a in (lc.rows, lc.conv))]
         if all(a.dtype == np.float32 for a in tensors):
             state.save(path)
             state = StreamState.load(path)
-        else:  # attn-int64, pending-float64: files hold float32 only
+        else:  # rows-int64, rows-float64: files hold float32 only
             with pytest.raises(FormatError):
                 state.save(path)
         with pytest.raises(StateError):
             encode_step(mel[16:20], state, w, cfg)
+
+
+def test_state_file_holds_each_fact_once(tmp_path):
+    # per layer its rows, conv inputs and two counters; no stream counter
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    _, head = random_head(seed=5, d_model=cfg.d_model)
+    state = init_state(cfg)
+    state.rnnt_states = rnnt_init_state(head)
+    encode_step(random_mel(16, cfg.n_mels, seed=4), state, w, cfg)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    header, tensors = load_container(path)
+    assert sorted(header) == ["counters", "finished", "kind", "n_ds_carry", "n_layers",
+                              "n_rnnt", "version"]
+    assert sorted(tensors) == sorted(
+        [f"layer{i}.{t}" for i in range(cfg.n_layers) for t in ("rows", "conv")]
+        + [f"ds_carry{s}" for s in range(cfg.n_stages)]
+        + [f"rnnt{i}" for i in range(len(state.rnnt_states))])
+    assert header["version"] == 4 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
+
+
+def test_tokens_emitted_reads_the_top_layer():
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    state = init_state(cfg)
+    out, _ = encode_step(random_mel(24, cfg.n_mels, seed=4), state, w, cfg)
+    assert state.tokens_emitted == state.layers[-1].n_out == out.shape[0] > 0
+    with pytest.raises(AttributeError):
+        state.tokens_emitted = 0
 
 
 def _rewrite_header(path: str, mutate) -> None:
@@ -304,10 +333,10 @@ def _rewrite_header(path: str, mutate) -> None:
 
 
 def test_version_one_state_file_is_state_error(tmp_path):
-    # version 1 cached attention inputs, d wide; version 2 caches K|V rows, 2d wide
+    # version 1 cached attention inputs, d wide; version 4 caches x1|q|k|v rows, 4d wide
     cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
     state = init_state(cfg)
-    state.layers[0].attn = np.zeros((0, cfg.d_model), np.float32)
+    state.layers[0].rows = np.zeros((0, cfg.d_model), np.float32)
     path = str(tmp_path / "state.bin")
     state.save(path)
     _rewrite_header(path, lambda h: h.update(version=1))
@@ -315,25 +344,31 @@ def test_version_one_state_file_is_state_error(tmp_path):
         StreamState.load(path)
 
 
-def test_version_two_state_file_is_state_error(tmp_path):
-    # version 2 cached d-wide pending rows without their queries, and
-    # 2*log2(rate)+1 mel frames for the downsampler
+def test_version_three_state_file_is_state_error(tmp_path):
+    # version 3 cached each layer's K|V rows and its x1|q pending rows apart,
+    # beside three stream counters that copied the layers' own
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
     encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
-    for lc in state.layers:
-        lc.pending = lc.pending[:, : cfg.d_model].copy()
     path = str(tmp_path / "state.bin")
     state.save(path)
-    _rewrite_header(path, lambda h: h.update(version=2))
-    with pytest.raises(StateError, match="version 2"):
+    header, tensors = load_container(path)
+    d, n_tokens = cfg.d_model, state.layers[0].n_in
+    for i, lc in enumerate(state.layers):
+        rows = tensors.pop(f"layer{i}.rows")
+        tensors[f"layer{i}.attn"] = rows[:, 2 * d :].copy()
+        tensors[f"layer{i}.pending"] = rows[rows.shape[0] - (lc.n_in - lc.n_out) :, : 2 * d].copy()
+    header.update(version=3, mel_seen=n_tokens * cfg.downsampling_rate, tokens_in=n_tokens,
+                  tokens_emitted=state.tokens_emitted)
+    save_container(path, header, list(tensors.items()))
+    with pytest.raises(StateError, match="version 3"):
         StreamState.load(path)
 
 
 @pytest.mark.parametrize("pick", [
-    lambda st: st.layers[0].attn, lambda st: st.layers[1].conv, lambda st: st.ds_carry[0],
-], ids=["layer0.attn", "layer1.conv", "ds_carry0"])
+    lambda st: st.layers[0].rows, lambda st: st.layers[1].conv, lambda st: st.ds_carry[0],
+], ids=["layer0.rows", "layer1.conv", "ds_carry0"])
 def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
     cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
     w = init_encoder_weights(cfg, seed=3)
@@ -346,10 +381,10 @@ def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
         StreamState.load(path)
 
 
-def _bump(field: str, by: int, layer: int | None = None):
+def _bump(fields: str, by: int, layer: int):
     def mutate(st):
-        owner = st if layer is None else st.layers[layer]
-        setattr(owner, field, getattr(owner, field) + by)
+        for f in fields.split():
+            setattr(st.layers[layer], f, getattr(st.layers[layer], f) + by)
     return mutate
 
 
@@ -366,11 +401,10 @@ COUNTER_MUTATIONS = {
     "last-n_in+5": _bump("n_in", 5, layer=-1),
     "n_out+1": _bump("n_out", 1, layer=0),
     "n_out-past-n_in": lambda st: setattr(st.layers[1], "n_out", st.layers[1].n_in + 1),
-    "mel_seen+1": _bump("mel_seen", 1),
-    "tokens_in+1": _bump("tokens_in", 1),
-    "tokens_emitted+2": _bump("tokens_emitted", 2),
-    "attn-extra-row": _extra_row("attn", 1),
-    "pending-extra-row": _extra_row("pending", 0),
+    # rows still fit a chunk-regime layer 1; only layer 0's n_out exposes it
+    "layer1-shifted": _bump("n_in n_out", 4, layer=1),
+    "layer0-rows-extra-row": _extra_row("rows", 0),
+    "layer1-rows-extra-row": _extra_row("rows", 1),
 }
 
 

@@ -78,8 +78,8 @@ EXPECTED = {
     "transcripts/buffered/chunk/rnnt": "113f45973eecdf134bfbbf8dc53676dd1d4634d766b2f2040934d8bf0f482bb9",
     "transcripts/buffered/chunk/both": "e94e08265cb3002d1657a6a954a9f7f5addf940fb5cb98a0b27c1875f062d21c",
     "model_file": "6bedb37ff2a77169e9356ce4613c89d0fe601bef5d0cb655b01c141a494d321e",
-    # version 3: pending rows carry their query, the downsampler one row per stage
-    "state_file": "2cad0cf2059fd411b00a03d903a99eef4c20662df5cd707c9578092d1b65c458",
+    # version 4: one x1|q|k|v row cache per layer, counters only per layer
+    "state_file": "17c959144da3ed3da71f442fa730842a7c7e477692a09bf07ccad8e4416f7d07",
 }
 
 
@@ -115,7 +115,7 @@ def _model_file(tmp_path) -> bytes:
 
 
 def _state_file(tmp_path) -> bytes:
-    # mid-stream in the regular regime: pending rows, K|V rows and RNNT states
+    # mid-stream in the regular regime: unsettled rows and RNNT states
     model, vocab = tiny_model(REGIMES["regular"], seed=12)
     session = StreamingSession(model, vocab, decoder="both")
     session.feed(AUDIO.samples[: AUDIO.samples.size // 2])

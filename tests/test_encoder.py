@@ -425,8 +425,8 @@ class TestAttentionInternals:
         x = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
         x[:, 0] = 0.0
         x[4, 0] = 8.0  # token 4's normalized first component is > 2: its key overflows
-        _, kv = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
-        assert np.isfinite(kv).all()  # the other keys stay finite
+        rows = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
+        assert np.isfinite(rows[:, 2 * cfg.d_model :]).all()  # the other K|V rows stay finite
         with pytest.raises(NumericsError):
             _layer_arrival(cfg, lw, x, None)
 
@@ -483,9 +483,6 @@ class TestAttentionInternals:
         for lc in state_b.layers:
             lc.n_in += shift
             lc.n_out += shift
-        state_b.mel_seen += shift * cfg.downsampling_rate
-        state_b.tokens_in += shift
-        state_b.tokens_emitted += shift
         nxt = mel[24 : 24 + step]
         out_a, _ = encode_step(nxt, state_a, w, cfg)
         out_b, _ = encode_step(nxt, state_b, w, cfg)
@@ -496,7 +493,7 @@ class TestEncodeStepContracts:
     def test_initial_caches(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), conv_kernel=5)
         state = init_state(cfg)
-        assert all(lc.attn.shape[0] == 0 for lc in state.layers)
+        assert all(lc.rows.shape == (0, 4 * cfg.d_model) for lc in state.layers)
         assert all(lc.conv.shape[0] == 4 for lc in state.layers)
         assert all(np.all(lc.conv == 0.0) for lc in state.layers)
 
@@ -643,6 +640,28 @@ class TestKernelCalls:
         monkeypatch.setattr(encoder, "layer_norm", counting)
         out, _ = stream_encode(random_mel(44, cfg.n_mels, seed=6), w, cfg)
         assert sum(rows) == cfg.n_layers * out.shape[0]
+
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_one_row_cache_append_per_layer_per_step(self, ctx, monkeypatch):
+        # each layer's x1|q|k|v rows change by one cache_append a step; the
+        # queries and the keys are slices of its one window
+        cfg = tiny_encoder_config(ctx)
+        w = init_encoder_weights(cfg, seed=5)
+        step = ctx.step_tokens() * cfg.downsampling_rate
+        mel = random_mel(5 * step, cfg.n_mels, seed=6)
+        widths = []
+        real = encoder.cache_append
+
+        def counting(cache, new_rows, n_keep):
+            widths.append(cache.shape[1])
+            return real(cache, new_rows, n_keep)
+
+        monkeypatch.setattr(encoder, "cache_append", counting)
+        state = init_state(cfg)
+        for i in range(4):
+            encode_step(mel[i * step : (i + 1) * step], state, w, cfg)
+        encode_step(mel[4 * step :], state, w, cfg, final=True)
+        assert widths.count(4 * cfg.d_model) == 5 * cfg.n_layers
 
     @staticmethod
     def _steady_layer_step(ctx, monkeypatch, patch) -> int:

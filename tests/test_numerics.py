@@ -296,18 +296,25 @@ class TestLayerNorm:
                        np.zeros(3, np.float32), eps=0.0)
 
 
+def _conv(x, w, history=None):
+    """The convolution with a zero bias, after zero history unless one is given."""
+    d, k = w.shape
+    history = np.zeros((k - 1, d), np.float32) if history is None else history
+    return depthwise_conv1d_causal(x, w, np.zeros(d, np.float32), history)
+
+
 class TestCausalDepthwiseConv:
     def test_kernel_one_is_pointwise(self):
         x = np.arange(6, dtype=np.float32).reshape(3, 2)
         w = np.array([[2.0], [3.0]], np.float32)
-        out = depthwise_conv1d_causal(x, w)
+        out = _conv(x, w)
         assert np.array_equal(out, x * np.array([2.0, 3.0], np.float32))
 
     def test_hand_convolution(self):
         # impulse at t=0 replays the kernel reversed
         x = np.array([[1.0], [0.0], [0.0]], np.float32)
         w = np.array([[2.0, 3.0, 5.0]], np.float32)  # [a, b, c]
-        out = depthwise_conv1d_causal(x, w)
+        out = _conv(x, w)
         assert np.array_equal(out.ravel(), np.array([5.0, 3.0, 2.0], np.float32))
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -316,26 +323,26 @@ class TestCausalDepthwiseConv:
         t, d = 16, 3
         x = rng.standard_normal((t, d)).astype(np.float32)
         w = rng.standard_normal((d, k)).astype(np.float32)
-        base = depthwise_conv1d_causal(x, w)
+        base = _conv(x, w)
         for t0 in range(t):
             for later in range(t0 + 1, t):
                 xp = x.copy()
                 xp[later] += 1.0
-                out = depthwise_conv1d_causal(xp, w)
+                out = _conv(xp, w)
                 assert np.array_equal(out[: t0 + 1], base[: t0 + 1])
 
     def test_history_equals_left_padding_of_full_signal(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((12, 4)).astype(np.float32)
         w = rng.standard_normal((4, 3)).astype(np.float32)
-        full = depthwise_conv1d_causal(x, w)
-        part = depthwise_conv1d_causal(x[5:], w, history=x[3:5])
+        full = _conv(x, w)
+        part = _conv(x[5:], w, history=x[3:5])
         assert np.array_equal(part, full[5:])
 
     def test_kernel_must_be_positive(self):
         with pytest.raises(ShapeError):
-            depthwise_conv1d_causal(np.zeros((3, 2), np.float32),
-                                    np.zeros((2,), np.float32))
+            depthwise_conv1d_causal(np.zeros((3, 2), np.float32), np.zeros((2,), np.float32),
+                                    np.zeros(2, np.float32), np.zeros((0, 2), np.float32))
 
 
 class TestRng:

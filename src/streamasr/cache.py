@@ -13,14 +13,17 @@ Per encoder layer, each cache holds the newest rows of one operand:
               sees the same operands as the left-padded single-pass
               computation.
 
-Each layer counts its inputs seen (n_in, the n_out of the layer below) and
-its outputs settled (n_out; the top layer's are the stream's tokens). Plus
-one carried input row per downsampler stage (the last row the stage has
-read, a zero row at the start of a stream) and the RNNT prediction-net
-hidden states. The layer caches and the downsampler rows change by one rule,
-cache_append: this step's window is the cache followed by the new rows, and
-the cache keeps the window's newest rows. encode_step applies it to each of
-them once per step; an offline pass is one final step from init_state.
+The stream stores one counter, tokens_in: the tokens layer 0 has read. Each
+layer settles all but the last settle_delay inputs it has seen, and passes
+them up, so each layer's inputs seen and outputs settled follow from
+tokens_in alone (StreamState.counts); the top layer's settled outputs are the
+stream's tokens. Plus one carried input row per downsampler stage (the last
+row the stage has read, a zero row at the start of a stream) and the RNNT
+prediction-net hidden states. The layer caches and the downsampler rows
+change by one rule, cache_append: this step's window is the cache followed
+by the new rows, and the cache keeps the window's newest rows. encode_step
+applies it to each of them once per step; an offline pass is one final step
+from init_state.
 
 A layer cache also holds the attention plan of the last non-final step. It
 is derived data: it is not saved, and a resumed state rebuilds it.
@@ -36,7 +39,7 @@ from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
 
-STATE_VERSION = 4
+STATE_VERSION = 5
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -67,8 +70,6 @@ def cache_append(
 class LayerCache:
     rows: np.ndarray  # (w, 4d) x1|q|k|v rows, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
-    n_in: int = 0  # inputs seen
-    n_out: int = 0  # settled outputs emitted
     plan: object = field(default=None, repr=False, compare=False)  # encoder.AttentionPlan
 
     def float_count(self) -> int:
@@ -79,13 +80,22 @@ class LayerCache:
 class StreamState:
     layers: list[LayerCache]
     ds_carry: list[np.ndarray]  # per downsampler stage, its last input row (1, width)
+    settle_delay: int  # the attention context's settle_delay() the stream runs under
+    tokens_in: int = 0  # tokens read by layer 0
     finished: bool = False
     rnnt_states: list[np.ndarray] = field(default_factory=list)
+
+    def counts(self, i: int) -> tuple[int, int]:
+        """Layer i's inputs seen and outputs settled; a finished stream has settled all."""
+        if self.finished:
+            return self.tokens_in, self.tokens_in
+        t, m = self.tokens_in, self.settle_delay
+        return max(0, t - i * m), max(0, t - (i + 1) * m)
 
     @property
     def tokens_emitted(self) -> int:
         """Encoder tokens settled at the top."""
-        return self.layers[-1].n_out
+        return self.counts(len(self.layers) - 1)[1]
 
     def float_count(self) -> int:
         n = sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
@@ -97,7 +107,8 @@ class StreamState:
             "version": STATE_VERSION,
             "finished": self.finished,
             "n_layers": len(self.layers),
-            "counters": [[lc.n_in, lc.n_out] for lc in self.layers],
+            "tokens_in": self.tokens_in,
+            "settle_delay": self.settle_delay,
             "n_ds_carry": len(self.ds_carry),
             "n_rnnt": len(self.rnnt_states),
         }
@@ -117,16 +128,15 @@ class StreamState:
         if header.get("version") != STATE_VERSION:
             # version 1 cached d-wide attention inputs, version 2 d-wide pending
             # rows and 2*log2(rate)+1 mel frames for the downsampler, version 3
-            # K|V and x1|q rows apart and three stream counters
+            # K|V and x1|q rows apart and three stream counters, version 4 two
+            # counters per layer
             raise StateError(f"unsupported state version {header.get('version')}")
 
-        def is_count(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
         def count(key: str) -> int:
-            if not is_count(header.get(key)):
-                raise StateError(f"{path}: {key} must be an integer >= 0, got {header.get(key)!r}")
-            return header[key]
+            v = header.get(key)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise StateError(f"{path}: {key} must be an integer >= 0, got {v!r}")
+            return v
 
         def tensor(name: str) -> np.ndarray:
             if name not in tensors:
@@ -139,24 +149,14 @@ class StreamState:
         n_layers = count("n_layers")
         if n_layers == 0:  # tokens_emitted reads the top layer
             raise StateError(f"{path}: a stream state has at least one layer")
-        counters = header.get("counters")
-        if not isinstance(counters, list) or len(counters) != n_layers or not all(
-            isinstance(c, list) and len(c) == 2 and all(map(is_count, c)) for c in counters
-        ):
-            raise StateError(f"{path}: counters must be n_layers pairs of integers >= 0")
         if not isinstance(header.get("finished"), bool):
             raise StateError(f"{path}: finished must be true or false")
         return StreamState(
-            layers=[
-                LayerCache(
-                    rows=tensor(f"layer{i}.rows"),
-                    conv=tensor(f"layer{i}.conv"),
-                    n_in=n_in,
-                    n_out=n_out,
-                )
-                for i, (n_in, n_out) in enumerate(counters)
-            ],
+            layers=[LayerCache(rows=tensor(f"layer{i}.rows"), conv=tensor(f"layer{i}.conv"))
+                    for i in range(n_layers)],
             ds_carry=[tensor(f"ds_carry{s}") for s in range(count("n_ds_carry"))],
+            settle_delay=count("settle_delay"),
+            tokens_in=count("tokens_in"),
             finished=header["finished"],
             rnnt_states=[tensor(f"rnnt{i}") for i in range(count("n_rnnt"))],
         )

@@ -462,28 +462,27 @@ def init_state(cfg: EncoderConfig) -> StreamState:
     return StreamState(
         layers=layers,
         ds_carry=[np.zeros((1, width), dtype=np.float32) for width in cfg.ds_carry_widths],
+        settle_delay=cfg.attention.settle_delay(),
     )
 
 
 def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
-    """Raise StateError unless each layer's inputs are the settled outputs of
-    the layer below, and every cached tensor is float32 in the shape cfg's
-    encoder needs."""
+    """Raise StateError unless the state was built under cfg's settle delay,
+    and every cached tensor is float32 in the shape cfg's encoder needs at
+    the state's counts."""
     d, ctx = cfg.d_model, cfg.attention
     if len(state.layers) != cfg.n_layers:
         raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
+    if state.settle_delay != ctx.settle_delay():
+        raise StateError(f"state has settle delay {state.settle_delay}, the encoder's "
+                         f"attention context {ctx.settle_delay()}")
     if len(state.ds_carry) != cfg.n_stages:
         raise StateError(f"state carries {len(state.ds_carry)} downsampler rows, the encoder "
                          f"has {cfg.n_stages} stages")
     shapes = [(f"ds_carry{s}", row, 1, width)
               for s, (row, width) in enumerate(zip(state.ds_carry, cfg.ds_carry_widths))]
     for i, lc in enumerate(state.layers):
-        if lc.n_out > lc.n_in:
-            raise StateError(f"layer{i} has settled {lc.n_out} of {lc.n_in} inputs")
-        if i > 0 and lc.n_in != state.layers[i - 1].n_out:
-            raise StateError(f"layer{i} has seen {lc.n_in} inputs, the layer below settled "
-                             f"{state.layers[i - 1].n_out}")
-        shapes += [(f"layer{i}.rows", lc.rows, attn_keep_rows(ctx, lc.n_in, lc.n_out), 4 * d),
+        shapes += [(f"layer{i}.rows", lc.rows, attn_keep_rows(ctx, *state.counts(i)), 4 * d),
                    (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d)]
     for name, arr, rows, cols in shapes:
         if arr.shape != (rows, cols) or arr.dtype != np.float32:
@@ -530,8 +529,9 @@ def encode_step(
             f"attention context expects multiples of {ctx.step_tokens()} tokens per step, "
             f"got {n_new}"
         )
-    if final:
-        state.finished = True
+    n_out = [state.counts(i)[1] for i in range(cfg.n_layers)]  # settled before this step
+    state.tokens_in += n_new
+    state.finished = final
 
     new_x = np.empty((n_new, cfg.d_model), dtype=np.float32)
     for b in _row_blocks(n_new):
@@ -540,16 +540,15 @@ def encode_step(
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
 
-    delay, d = ctx.settle_delay(), cfg.d_model
+    d = cfg.d_model
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
         new_rows = _layer_arrival(cfg, lw, new_x, rec)
-        lc.n_in += new_x.shape[0]
-        settle_to = lc.n_in if final else max(lc.n_out, lc.n_in - delay)
-        n_settle = settle_to - lc.n_out
-        window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, lc.n_in, settle_to))
+        n_in, settle_to = state.counts(i)
+        n_settle = settle_to - n_out[i]
+        window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, n_in, settle_to))
         new_x = np.empty((n_settle, d), dtype=np.float32)
-        q0, k0 = lc.n_out, lc.n_in - window.shape[0]  # first query, first key
+        q0, k0 = n_out[i], n_in - window.shape[0]  # first query, first key
         # queries: the unsettled rows' x1|q; keys: every row's K|V
         x1q_win, kv = window[q0 - k0 :, : 2 * d], window[:, 2 * d :]
         if x1q_win.shape[0] == 0:
@@ -558,12 +557,11 @@ def encode_step(
         # delay) riding in the last: the conv cache carries settled rows only
         for b in _row_blocks(n_settle, x1q_win.shape[0]):
             qpos = np.arange(q0 + b.start, q0 + b.stop)
-            groups = query_groups(ctx, qpos, lc.n_in - 1)
+            groups = query_groups(ctx, qpos, n_in - 1)
             plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0, groups, lc.plan)
             n_set = min(b.stop, n_settle) - b.start  # new_x[b] stops at n_settle too
             new_x[b], g = _layer_window(cfg, lw, x1q_win[b], kv, plan, lc.conv, n_set, rec)
             _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
         if not final:  # a final step's plan is never reused
             lc.plan = plan
-        lc.n_out = settle_to
     return new_x, state

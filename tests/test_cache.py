@@ -1,8 +1,13 @@
+import collections
+import dataclasses
+import itertools
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
@@ -151,7 +156,8 @@ class TestCacheWidthLaws:
             # layer l has seen t - l*m inputs and settled m fewer
             n_in = [max(0, t - layer * ctx.m) for layer in range(cfg.n_layers)]
             n_out = [max(0, n - ctx.m) for n in n_in]
-            assert [(lc.n_in, lc.n_out) for lc in state.layers] == list(zip(n_in, n_out))
+            assert state.tokens_in == t
+            assert [state.counts(i) for i in range(cfg.n_layers)] == list(zip(n_in, n_out))
             widths = [(min(lcx, o) + i - o, k - 1) for i, o in zip(n_in, n_out)]
             assert _layer_widths(state) == widths
             assert state.float_count() == (
@@ -193,7 +199,7 @@ class TestStreamStateSerialization:
             state.rnnt_states = rnnt_init_state(head)
         run(state, 0, 32)
         if ctx.settle_delay() > 0:
-            assert all(lc.n_in > lc.n_out for lc in state.layers)  # unsettled rows
+            assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
         if with_rnnt:
             assert any(np.any(h != 0) for h in state.rnnt_states)
         path = str(tmp_path / "state.bin")
@@ -214,30 +220,32 @@ class TestStreamStateSerialization:
 
     @pytest.mark.parametrize("mutate", [
         lambda h, t: h.pop("n_layers"),
-        lambda h, t: h.pop("counters"),
+        lambda h, t: h.pop("tokens_in"),
+        lambda h, t: h.pop("settle_delay"),
         lambda h, t: h.pop("finished"),
         lambda h, t: h.pop("n_rnnt"),
         lambda h, t: h.pop("n_ds_carry"),
         lambda h, t: h.update(n_layers="2"),
         lambda h, t: h.update(n_layers=-1),
-        lambda h, t: h.update(n_layers=0, counters=[]),
+        lambda h, t: h.update(n_layers=0),
         lambda h, t: h.update(finished=0),
-        lambda h, t: h.update(counters=5),
-        lambda h, t: h.update(counters=[4, 4]),
-        lambda h, t: h.update(counters=[[4, 4, 4], [4, 4]]),
-        lambda h, t: h.update(counters=[[4, 4]]),
-        lambda h, t: h.update(counters=[["4", 4], [4, 4]]),
-        lambda h, t: h.update(counters=[[4, None], [4, 4]]),
-        lambda h, t: h.update(counters=[[4.5, 4], [4, 4]]),
-        lambda h, t: h.update(counters=[[4, 4], [True, 4]]),
+        lambda h, t: h.update(tokens_in="4"),
+        lambda h, t: h.update(tokens_in=True),
+        lambda h, t: h.update(tokens_in=4.0),
+        lambda h, t: h.update(tokens_in=-4),
+        lambda h, t: h.update(settle_delay="0"),
+        lambda h, t: h.update(settle_delay=False),
+        lambda h, t: h.update(settle_delay=0.0),
+        lambda h, t: h.update(settle_delay=-1),
         lambda h, t: t.pop("layer0.rows"),
         lambda h, t: t.pop("layer1.conv"),
         lambda h, t: t.pop("ds_carry1"),
         lambda h, t: t.pop("rnnt0"),
-    ], ids=["no-n_layers", "no-counters", "no-finished", "no-n_rnnt", "no-n_ds_carry",
-            "str-n_layers", "negative-n_layers", "zero-n_layers",
-            "int-finished", "int-counters", "flat-counters", "triple-counter",
-            "short-counters", "str-counter", "null-counter", "float-counter", "bool-counter",
+    ], ids=["no-n_layers", "no-tokens_in", "no-settle_delay", "no-finished", "no-n_rnnt",
+            "no-n_ds_carry", "str-n_layers", "negative-n_layers", "zero-n_layers",
+            "int-finished", "str-tokens_in", "bool-tokens_in", "float-tokens_in",
+            "negative-tokens_in", "str-settle_delay", "bool-settle_delay",
+            "float-settle_delay", "negative-settle_delay",
             "no-layer0.rows", "no-layer1.conv", "no-ds_carry1", "no-rnnt0"])
     def test_malformed_file_is_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
@@ -293,7 +301,7 @@ class TestStreamStateSerialization:
 
 
 def test_state_file_holds_each_fact_once(tmp_path):
-    # per layer its rows, conv inputs and two counters; no stream counter
+    # per layer its rows and conv inputs; one stream counter, no layer counter
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     _, head = random_head(seed=5, d_model=cfg.d_model)
@@ -303,13 +311,14 @@ def test_state_file_holds_each_fact_once(tmp_path):
     path = str(tmp_path / "state.bin")
     state.save(path)
     header, tensors = load_container(path)
-    assert sorted(header) == ["counters", "finished", "kind", "n_ds_carry", "n_layers",
-                              "n_rnnt", "version"]
+    assert sorted(header) == ["finished", "kind", "n_ds_carry", "n_layers", "n_rnnt",
+                              "settle_delay", "tokens_in", "version"]
     assert sorted(tensors) == sorted(
         [f"layer{i}.{t}" for i in range(cfg.n_layers) for t in ("rows", "conv")]
         + [f"ds_carry{s}" for s in range(cfg.n_stages)]
         + [f"rnnt{i}" for i in range(len(state.rnnt_states))])
-    assert header["version"] == 4 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
+    assert header["version"] == 5 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
+    assert (header["tokens_in"], header["settle_delay"]) == (4, 1)
 
 
 def test_tokens_emitted_reads_the_top_layer():
@@ -317,7 +326,7 @@ def test_tokens_emitted_reads_the_top_layer():
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
     out, _ = encode_step(random_mel(24, cfg.n_mels, seed=4), state, w, cfg)
-    assert state.tokens_emitted == state.layers[-1].n_out == out.shape[0] > 0
+    assert state.tokens_emitted == state.counts(cfg.n_layers - 1)[1] == out.shape[0] == 4
     with pytest.raises(AttributeError):
         state.tokens_emitted = 0
 
@@ -354,15 +363,34 @@ def test_version_three_state_file_is_state_error(tmp_path):
     path = str(tmp_path / "state.bin")
     state.save(path)
     header, tensors = load_container(path)
-    d, n_tokens = cfg.d_model, state.layers[0].n_in
-    for i, lc in enumerate(state.layers):
+    d, n_tokens = cfg.d_model, state.tokens_in
+    for i in range(cfg.n_layers):
+        n_in, n_out = state.counts(i)
         rows = tensors.pop(f"layer{i}.rows")
         tensors[f"layer{i}.attn"] = rows[:, 2 * d :].copy()
-        tensors[f"layer{i}.pending"] = rows[rows.shape[0] - (lc.n_in - lc.n_out) :, : 2 * d].copy()
-    header.update(version=3, mel_seen=n_tokens * cfg.downsampling_rate, tokens_in=n_tokens,
+        tensors[f"layer{i}.pending"] = rows[rows.shape[0] - (n_in - n_out) :, : 2 * d].copy()
+    del header["settle_delay"]
+    header.update(version=3, mel_seen=n_tokens * cfg.downsampling_rate,
                   tokens_emitted=state.tokens_emitted)
     save_container(path, header, list(tensors.items()))
     with pytest.raises(StateError, match="version 3"):
+        StreamState.load(path)
+
+
+def test_version_four_state_file_is_state_error(tmp_path):
+    # version 4 held each layer's inputs seen and outputs settled; version 5
+    # derives them from tokens_in
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    state = init_state(cfg)
+    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    header, tensors = load_container(path)
+    del header["tokens_in"], header["settle_delay"]
+    header.update(version=4, counters=[list(state.counts(i)) for i in range(cfg.n_layers)])
+    save_container(path, header, list(tensors.items()))
+    with pytest.raises(StateError, match="version 4"):
         StreamState.load(path)
 
 
@@ -381,13 +409,6 @@ def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
         StreamState.load(path)
 
 
-def _bump(fields: str, by: int, layer: int):
-    def mutate(st):
-        for f in fields.split():
-            setattr(st.layers[layer], f, getattr(st.layers[layer], f) + by)
-    return mutate
-
-
 def _extra_row(field: str, layer: int):
     def mutate(st):
         arr = getattr(st.layers[layer], field)
@@ -396,24 +417,28 @@ def _extra_row(field: str, layer: int):
     return mutate
 
 
-COUNTER_MUTATIONS = {
-    "n_in+5": _bump("n_in", 5, layer=0),
-    "last-n_in+5": _bump("n_in", 5, layer=-1),
-    "n_out+1": _bump("n_out", 1, layer=0),
-    "n_out-past-n_in": lambda st: setattr(st.layers[1], "n_out", st.layers[1].n_in + 1),
-    # rows still fit a chunk-regime layer 1; only layer 0's n_out exposes it
-    "layer1-shifted": _bump("n_in n_out", 4, layer=1),
+def _add(field: str, by: int):
+    return lambda st: setattr(st, field, getattr(st, field) + by)
+
+
+STATE_EDITS = {
+    "tokens_in+1": _add("tokens_in", 1),
+    "tokens_in-1": _add("tokens_in", -1),
+    "tokens_in+5": _add("tokens_in", 5),
+    "settle_delay+1": _add("settle_delay", 1),
     "layer0-rows-extra-row": _extra_row("rows", 0),
     "layer1-rows-extra-row": _extra_row("rows", 1),
 }
 
 
-@pytest.mark.parametrize("mutation", list(COUNTER_MUTATIONS))
+@pytest.mark.parametrize("edit", list(STATE_EDITS))
 @pytest.mark.parametrize("ctx", [AttentionContext.chunked(2, 1), AttentionContext.regular(1, 3)],
                          ids=["chunk", "regular"])
-def test_counters_that_disagree_are_state_error(ctx, mutation, tmp_path):
-    # each mutation leaves every tensor shape plausible on its own; only the
-    # counters, read against each other and the cached rows, expose it
+def test_state_edits_are_state_error(ctx, edit, tmp_path):
+    # 4 tokens read: the chunk stream's edits leave a chunk edge, and the
+    # regular stream's top layer has settled 2 outputs, under its left context
+    # of 3; each edit leaves every tensor shape plausible on its own, and only
+    # the cached rows, read against the counts, expose it
     cfg = tiny_encoder_config(ctx)
     w = init_encoder_weights(cfg, seed=3)
     mel = random_mel(32, cfg.n_mels, seed=4)
@@ -424,7 +449,78 @@ def test_counters_that_disagree_are_state_error(ctx, mutation, tmp_path):
     path = str(tmp_path / "state.bin")
     state.save(path)
     encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)  # the saved state resumes
-    COUNTER_MUTATIONS[mutation](state)
+    STATE_EDITS[edit](state)
     state.save(path)
     with pytest.raises(StateError):
         encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)
+
+
+def test_no_tokens_in_edit_keeps_the_rows_under_the_left_context():
+    # regular regime: while the top layer has settled fewer outputs than its
+    # left context, every other tokens_in gives some layer another row count
+    for n_layers, m, left in itertools.product(range(1, 5), range(4), range(6)):
+        ctx = AttentionContext.regular(m, left)
+        state = StreamState(layers=[None] * n_layers, ds_carry=[], settle_delay=m)
+
+        def rows(t):
+            state.tokens_in = t
+            return tuple(attn_keep_rows(ctx, *state.counts(i)) for i in range(n_layers))
+
+        # past 40 + n_layers * m + left tokens every layer is saturated
+        seen = collections.Counter(map(rows, range(41 + n_layers * m + left)))
+        for t in range(40):
+            key = rows(t)
+            if state.tokens_emitted < left:
+                assert seen[key] == 1, (n_layers, m, left, t)
+
+
+def test_state_from_another_lookahead_is_state_error(tmp_path):
+    # bias_future=2 makes one set of weights fit both contexts, so only the
+    # state's stored settle delay tells them apart
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3), bias_future=2)
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(48, cfg.n_mels, seed=4)
+    state = init_state(cfg)
+    for i in range(0, 32, 4):
+        encode_step(mel[i : i + 4], state, w, cfg)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    other = dataclasses.replace(cfg, attention=AttentionContext.regular(2, 3))
+    with pytest.raises(StateError, match="settle delay 1"):
+        encode_step(mel[32:36], StreamState.load(path), w, other)
+    encode_step(mel[32:36], StreamState.load(path), w, cfg)
+
+
+DERIVATION_CONTEXTS = st.one_of(
+    st.builds(AttentionContext.zero, st.one_of(st.none(), st.integers(0, 4))),
+    st.builds(AttentionContext.regular, st.integers(0, 3), st.integers(0, 4)),
+    st.builds(AttentionContext.chunked, st.integers(1, 3), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctx=DERIVATION_CONTEXTS, rate=st.sampled_from([1, 2, 4, 8]),
+       n_layers=st.integers(1, 3), steps=st.lists(st.integers(0, 3), max_size=6),
+       tail=st.one_of(st.none(), st.integers(0, 9)))
+def test_counts_follow_the_layer_recurrence(ctx, rate, n_layers, steps, tail):
+    # each layer reads what the layer below settles and settles all but the
+    # last settle_delay() of its inputs, or all of them in a final step
+    cfg = tiny_encoder_config(ctx, n_layers=n_layers, downsampling_rate=rate)
+    w = init_encoder_weights(cfg, seed=5)
+    pieces = [(k * ctx.step_tokens() * rate, False) for k in steps]
+    pieces += [] if tail is None else [(tail, True)]
+    mel = random_mel(sum(n for n, _ in pieces), cfg.n_mels, seed=6)
+    state = init_state(cfg)
+    n_in, n_out = [0] * n_layers, [0] * n_layers
+    lo = emitted = 0
+    for n_frames, final in pieces:
+        out, _ = encode_step(mel[lo : lo + n_frames], state, w, cfg, final=final)
+        lo += n_frames
+        emitted += out.shape[0]
+        new = n_frames // rate
+        for i in range(n_layers):
+            n_in[i] += new
+            settle_to = n_in[i] if final else max(n_out[i], n_in[i] - ctx.settle_delay())
+            new, n_out[i] = settle_to - n_out[i], settle_to
+        assert [state.counts(i) for i in range(n_layers)] == list(zip(n_in, n_out))
+        assert state.tokens_emitted == emitted == n_out[-1]

@@ -78,8 +78,8 @@ EXPECTED = {
     "transcripts/buffered/chunk/rnnt": "113f45973eecdf134bfbbf8dc53676dd1d4634d766b2f2040934d8bf0f482bb9",
     "transcripts/buffered/chunk/both": "e94e08265cb3002d1657a6a954a9f7f5addf940fb5cb98a0b27c1875f062d21c",
     "model_file": "6bedb37ff2a77169e9356ce4613c89d0fe601bef5d0cb655b01c141a494d321e",
-    # version 4: one x1|q|k|v row cache per layer, counters only per layer
-    "state_file": "17c959144da3ed3da71f442fa730842a7c7e477692a09bf07ccad8e4416f7d07",
+    # version 5: one x1|q|k|v row cache per layer, one stream counter (tokens_in)
+    "state_file": "ac8b2e1d1b1d97e1c3eca368c99622eb4b01b9cf1b4fd3f1cd83f0e719a71916",
 }
 
 

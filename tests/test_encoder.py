@@ -479,10 +479,7 @@ class TestAttentionInternals:
         state_b = init_state(cfg)
         for i in range(0, 24, step):
             encode_step(mel[i : i + step], state_b, w, cfg)
-        shift = 5 * ctx.chunk
-        for lc in state_b.layers:
-            lc.n_in += shift
-            lc.n_out += shift
+        state_b.tokens_in += 5 * ctx.chunk
         nxt = mel[24 : 24 + step]
         out_a, _ = encode_step(nxt, state_a, w, cfg)
         out_b, _ = encode_step(nxt, state_b, w, cfg)

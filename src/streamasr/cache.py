@@ -22,11 +22,11 @@ row the stage has read, a zero row at the start of a stream) and the RNNT
 prediction-net hidden states. The layer caches and the downsampler rows
 change by one rule, cache_append: this step's window is the cache followed
 by the new rows, and the cache keeps the window's newest rows. encode_step
-applies it to each of them once per step; an offline pass is one final step
-from init_state.
+applies it to each of them once per step; an offline pass is the same stream
+from init_state, taken in steps of up to 128 tokens.
 
-A layer cache also holds the attention plan of the last non-final step. It
-is derived data: it is not saved, and a resumed state rebuilds it.
+A layer cache also holds its last step's attention plan; a final step drops
+it. It is derived data: it is not saved, and a resumed state rebuilds it.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from .numerics import (
     swish,
 )
 
-_BLOCK_TOKENS = 128  # rows per block of a long step: 5.12 s at 40 ms tokens
+_BLOCK_TOKENS = 128  # encode_full's step target: 5.12 s at 40 ms tokens
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,6 @@ def downsample_segment(
     return linear(cur, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"]), kept
 
 
-def _row_blocks(n: int, stop: int | None = None) -> list[slice]:
-    """max(1, ceil(n / _BLOCK_TOKENS)) near-equal slices covering rows 0 .. n-1;
-    the last runs on to `stop` when that is given."""
-    k = -(-n // _BLOCK_TOKENS) or 1
-    last = n if stop is None else stop
-    return [slice(n * i // k, n * (i + 1) // k if i + 1 < k else last) for i in range(k)]
-
-
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
     n = cfg.n_stages
     total = 0
@@ -313,8 +305,8 @@ def attention_plan(
     keys from global position key_base on; `prev` when its geometry and bias
     table are this step's.
 
-    Without a previous plan the key is not worked out (an offline pass is
-    one step), and the plan's key None matches no later step.
+    Without a previous plan (a stream's first step) the key is not worked
+    out, and the plan's key None matches no later step.
     """
     key = None if prev is None else (
         int(qpos[0]) - key_base, n_keys, cfg.bias_past, cfg.bias_future,
@@ -380,21 +372,15 @@ def _layer_arrival(
     cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
 ) -> np.ndarray:
     """Per-token work done once when an input token reaches this layer: its
-    post-FFN1 row beside its query, key and value (x1|q|k|v, 4d wide),
-    computed in row blocks into one float32 array."""
-    d = cfg.d_model
-    rows = np.empty((x_new.shape[0], 4 * d), dtype=np.float32)  # x1|q|k|v
-    for b in _row_blocks(x_new.shape[0]):
-        x = x_new[b]
-        x1 = x + np.float32(0.5) * _ffn_module(lw, "ffn1", x)
-        a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
-        qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
-        # a -inf score gets softmax weight 0, which would hide a non-finite key
-        check_finite(qkv, "attention Q|K|V projection")
-        rows[b, :d], rows[b, d:] = x1, qkv
+    post-FFN1 row beside its query, key and value (x1|q|k|v, 4d wide)."""
+    x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
+    a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
+    qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
+    # a -inf score gets softmax weight 0, which would hide a non-finite key
+    check_finite(qkv, "attention Q|K|V projection")
     if rec is not None:
         rec.add("ffn", x_new.shape[0] * layer_macs_per_token(cfg)[0])
-    return rows
+    return np.concatenate([x1, qkv], axis=1)
 
 
 def _layer_window(
@@ -445,9 +431,24 @@ def encode_full(
     cfg: EncoderConfig,
     rec: ComputeLedger | None = None,
 ) -> np.ndarray:
-    """Whole-utterance forward pass, (n_tokens, d_model): one final
-    encode_step from a fresh state."""
-    return encode_step(mel, init_state(cfg), w, cfg, rec, final=True)[0]
+    """Whole-utterance forward pass, (n_tokens, d_model): the stream from a
+    fresh state in ceil(n_tokens / _BLOCK_TOKENS) near-equal steps of whole
+    step_tokens(), the last final and none speculating, so its working memory
+    is one step's and its ledger the single pass's."""
+    frames = np.asarray(mel)
+    if frames.ndim != 2:
+        raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
+    dr, step = cfg.downsampling_rate, cfg.attention.step_tokens()
+    n = frames.shape[0] // dr
+    k = -(-n // _BLOCK_TOKENS) or 1
+    cuts = sorted({n * i // k // step * step for i in range(k)})  # long chunks merge cuts
+    state, out, pos = init_state(cfg), np.empty((n, cfg.d_model), dtype=np.float32), 0
+    for lo, hi in zip(cuts, cuts[1:] + [None]):
+        y, _ = _step(frames[lo * dr : None if hi is None else hi * dr], state, w, cfg, rec,
+                     final=hi is None, speculate=False)
+        out[pos : pos + y.shape[0]] = y
+        pos += y.shape[0]
+    return out
 
 
 def init_state(cfg: EncoderConfig) -> StreamState:
@@ -500,17 +501,23 @@ def encode_step(
 ) -> tuple[np.ndarray, StreamState]:
     """Consume one chunk of mel frames, return newly settled encoder tokens.
 
-    Concatenating the outputs over a stream equals one final step over the
-    whole input (encode_full) exactly. Non-final chunks must be whole
-    downsampler groups, and a multiple of the context's step_tokens() tokens;
-    the final chunk may be any length (a trailing partial frame group yields
-    no token).
+    Concatenating the outputs over a stream equals encode_full exactly.
+    Non-final chunks must be whole downsampler groups, and a multiple of the
+    context's step_tokens() tokens; the final chunk may be any length (a
+    trailing partial frame group yields no token).
 
-    A step of more than _BLOCK_TOKENS tokens (encode_full, a long buffered
-    window) runs in near-equal row blocks, so its float64 temporaries are
-    one block's. Every row reads the same operands in the same order in any
-    block, so the split changes no bit.
+    Each layer runs in one pass over the step's rows, so a long step holds
+    float64 temporaries for all of them. A non-final regular-regime step also
+    runs the rows it cannot settle yet, which the ledger books as duplicate.
     """
+    return _step(chunk, state, w, cfg, rec, final, speculate=True)
+
+
+def _step(
+    chunk: np.ndarray, state: StreamState, w: EncoderWeights, cfg: EncoderConfig,
+    rec: ComputeLedger | None, final: bool, speculate: bool,
+) -> tuple[np.ndarray, StreamState]:
+    """encode_step; speculate=False ends each layer's queries at its settled rows."""
     frames = np.asarray(chunk).astype(np.float32, copy=False)
     if state.finished:
         raise SessionError("stream already finalized")
@@ -533,10 +540,7 @@ def encode_step(
     state.tokens_in += n_new
     state.finished = final
 
-    new_x = np.empty((n_new, cfg.d_model), dtype=np.float32)
-    for b in _row_blocks(n_new):
-        new_x[b], state.ds_carry = downsample_segment(
-            w, cfg, frames[b.start * dr : b.stop * dr], state.ds_carry)
+    new_x, state.ds_carry = downsample_segment(w, cfg, frames, state.ds_carry)
     if rec is not None and n_new > 0:
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
 
@@ -545,23 +549,17 @@ def encode_step(
         lw = w.layer(i)
         new_rows = _layer_arrival(cfg, lw, new_x, rec)
         n_in, settle_to = state.counts(i)
-        n_settle = settle_to - n_out[i]
         window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, n_in, settle_to))
-        new_x = np.empty((n_settle, d), dtype=np.float32)
-        q0, k0 = n_out[i], n_in - window.shape[0]  # first query, first key
-        # queries: the unsettled rows' x1|q; keys: every row's K|V
-        x1q_win, kv = window[q0 - k0 :, : 2 * d], window[:, 2 * d :]
+        q0, q1, k0 = n_out[i], n_in if speculate else settle_to, n_in - window.shape[0]
+        # queries: the unsettled rows' x1|q up to q1; keys: every row's K|V
+        x1q_win, kv = window[q0 - k0 : q1 - k0, : 2 * d], window[:, 2 * d :]
         if x1q_win.shape[0] == 0:
+            new_x = np.zeros((0, d), dtype=np.float32)
             continue
-        # blocks of settled rows, the speculative ones (at most the settle
-        # delay) riding in the last: the conv cache carries settled rows only
-        for b in _row_blocks(n_settle, x1q_win.shape[0]):
-            qpos = np.arange(q0 + b.start, q0 + b.stop)
-            groups = query_groups(ctx, qpos, n_in - 1)
-            plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0, groups, lc.plan)
-            n_set = min(b.stop, n_settle) - b.start  # new_x[b] stops at n_settle too
-            new_x[b], g = _layer_window(cfg, lw, x1q_win[b], kv, plan, lc.conv, n_set, rec)
-            _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
-        if not final:  # a final step's plan is never reused
-            lc.plan = plan
+        qpos = np.arange(q0, q1)
+        plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0,
+                              query_groups(ctx, qpos, n_in - 1), lc.plan)
+        lc.plan = None if final else plan  # a final step's plan is never reused
+        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, settle_to - q0, rec)
+        _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
     return new_x, state

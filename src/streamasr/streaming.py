@@ -5,8 +5,8 @@ Three ways to run the same weights:
   streaming - chunked cache-aware inference (the real thing). For the chunk
               regime the transcript and the encoder outputs equal the
               offline run exactly, and the ledger shows zero duplicate MACs.
-  offline   - one forward pass with the same limited-context mask: the
-              streaming step taken once, final, over the whole utterance.
+  offline   - encode_full, the same limited-context mask over the whole
+              utterance: the stream in long steps that speculate nothing.
   buffered  - the conventional baseline: overlapping windows through an
               unrestricted-mask pass, keeping only each window's central
               chunk. Context regions are recomputed every window, which the
@@ -14,7 +14,7 @@ Three ways to run the same weights:
 
 All three decode through one _Decoders: the chosen heads, CTC's collapse
 state and the emitted tokens. The session carries the RNNT prediction-net
-state from step to step; offline has one step, and buffered restarts the
+state from step to step; offline decodes once, and buffered restarts the
 prediction net in every window. With STREAMASR_LOG=debug (or this module's
 logger at DEBUG) a session logs one line per step.
 """
@@ -242,8 +242,8 @@ def run_offline(
     vocab: Vocab,
     decoder: str = "both",
 ) -> StreamResult:
-    """Single-pass inference with the same limited-context mask: the
-    streaming step, taken once over the whole utterance."""
+    """Whole-utterance inference with the same limited-context mask:
+    encode_full's long steps, then one decode of all its tokens."""
     dec = _Decoders(model, vocab, decoder)
     mel = log_mel(audio, model.cfg.feature_config())
     ledger = ComputeLedger()

@@ -29,7 +29,7 @@ from streamasr import (
 from streamasr.context import ZERO
 from streamasr.encoder import encoder_weight_spec, init_tensors
 from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
-from streamasr.numerics import Rng
+from streamasr.numerics import Rng, depthwise_conv1d_causal, glu, layer_norm, swish
 
 
 class DegenerateMaskError(StreamAsrError):
@@ -119,6 +119,51 @@ def attend_per_head(cfg: EncoderConfig, lw: dict, q_ain: np.ndarray, qpos: np.nd
             wts = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
             ctx[r0 : r1 + 1, cols] = matmul64_kloop(wts, v[keys, cols]).astype(np.float32)
     return lin(ctx, lw["attn.wo"], lw["attn.bo"])
+
+
+def reference_encode(mel: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> np.ndarray:
+    """encode_full's oracle: the whole utterance at once, with no state,
+    cache, plan or steps. The downsampler's taps read a zero-padded input,
+    each query row attends the keys build_mask gives it through
+    attend_per_head, every other product is a k-loop, and the row-wise
+    kernels and the depthwise convolution (from zero history) are the
+    package's."""
+    def lin(x, wt, b):
+        return matmul64_kloop(x, wt).astype(np.float32) + b
+
+    def ffn(lw, p, x):
+        h = layer_norm(x, lw[f"{p}.ln_g"], lw[f"{p}.ln_b"])
+        return lin(swish(lin(h, lw[f"{p}.w1"], lw[f"{p}.b1"])), lw[f"{p}.w2"], lw[f"{p}.b2"])
+
+    t, n = w.tensors, mel.shape[0] // cfg.downsampling_rate
+    if n == 0:
+        return np.zeros((0, cfg.d_model), dtype=np.float32)
+    x = np.asarray(mel[: n * cfg.downsampling_rate], dtype=np.float32)
+    for s in range(cfg.n_stages):  # output j reads inputs 2j-1 .. 2j+1; input -1 is zero
+        xp = np.concatenate([np.zeros((1, x.shape[1]), dtype=np.float32), x])
+        acc = np.zeros((x.shape[0] // 2, cfg.d_model))
+        for r in range(3):
+            acc += matmul64_kloop(xp[r : r + x.shape[0] : 2], t[f"ds.stage{s}.w"][r])
+        x = swish((acc + t[f"ds.stage{s}.b"]).astype(np.float32))
+    x = lin(x, t["ds.proj.w"], t["ds.proj.b"])
+    groups = []
+    for r, row in enumerate(build_mask(cfg.attention, n)):
+        keys = np.flatnonzero(row)
+        assert np.array_equal(keys, np.arange(keys[0], keys[-1] + 1)), "keys must be a run"
+        groups.append((r, r, int(keys[0]), int(keys[-1])))
+    history = np.zeros((cfg.conv_kernel - 1, cfg.d_model), dtype=np.float32)
+    for i in range(cfg.n_layers):
+        lw = w.layer(i)
+        x1 = x + np.float32(0.5) * ffn(lw, "ffn1", x)
+        a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
+        x2 = x1 + attend_per_head(cfg, lw, a_in, np.arange(n), a_in, 0, groups)
+        c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
+        g = glu(lin(c, lw["conv.pw1"], lw["conv.pw1_b"]))
+        cv = depthwise_conv1d_causal(g, lw["conv.dw"], lw["conv.dw_b"], history)
+        cv = swish(layer_norm(cv, lw["conv.ln2_g"], lw["conv.ln2_b"]))
+        x3 = x2 + lin(cv, lw["conv.pw2"], lw["conv.pw2_b"])
+        x = layer_norm(x3 + np.float32(0.5) * ffn(lw, "ffn2", x3), lw["out.ln_g"], lw["out.ln_b"])
+    return x
 
 
 def softmax_rational(scores: list[float], mask: list[bool], terms: int = 40) -> list[float]:

@@ -37,6 +37,7 @@ from helpers import (
     init_encoder_weights,
     masked_softmax,
     random_mel,
+    reference_encode,
     tiny_encoder_config,
 )
 
@@ -146,8 +147,48 @@ class TestStreamingOfflineEquivalence:
         assert np.array_equal(got, out)
 
 
-class TestRowBlocks:
-    """A step of more than encoder._BLOCK_TOKENS tokens runs in row blocks."""
+class TestReferenceForward:
+    """encode_full and the stream equal reference_encode, which runs the
+    utterance at once with no state, cache, plan or step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ctx=CONTEXTS, dr=st.sampled_from([1, 2, 4, 8]), kernel=st.sampled_from([1, 3, 5]),
+           bias_past=st.none() | st.integers(0, 2), tokens=st.integers(0, 24),
+           tail=st.integers(0, 7), steps=st.lists(st.integers(0, 4), max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_full_and_random_steps_equal_the_reference(self, ctx, dr, kernel, bias_past, tokens,
+                                                       tail, steps, seed):
+        cfg = tiny_encoder_config(ctx, downsampling_rate=dr, conv_kernel=kernel,
+                                  bias_past=bias_past)
+        w = init_encoder_weights(cfg, seed=seed)
+        mel = random_mel(tokens * dr + tail % dr, cfg.n_mels, seed=seed + 1)  # partial group
+        want = reference_encode(mel, w, cfg)
+        assert want.shape == (tokens, cfg.d_model)
+        assert np.array_equal(encode_full(mel, w, cfg), want)
+        state, outs, pos = init_state(cfg), [], 0
+        for n in steps:
+            n *= ctx.step_tokens() * dr
+            if pos + n > mel.shape[0]:
+                break
+            outs.append(encode_step(mel[pos : pos + n], state, w, cfg)[0])
+            pos += n
+        outs.append(encode_step(mel[pos:], state, w, cfg, final=True)[0])
+        assert np.array_equal(np.concatenate(outs), want)
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.zero(left_context=3),
+                                     AttentionContext.regular(2, 5),
+                                     AttentionContext.chunked(3, 1)],
+                             ids=["zero", "regular", "chunk"])
+    @pytest.mark.parametrize("tokens", [120, 129, 257, 300])
+    def test_long_utterances_across_the_step_cuts(self, ctx, tokens):
+        cfg = tiny_encoder_config(ctx, downsampling_rate=2)
+        w = init_encoder_weights(cfg, seed=tokens)
+        mel = random_mel(tokens * 2 + 1, cfg.n_mels, seed=tokens + 1)
+        assert np.array_equal(encode_full(mel, w, cfg), reference_encode(mel, w, cfg))
+
+
+class TestOfflineSteps:
+    """encode_full runs the stream in steps of at most encoder._BLOCK_TOKENS tokens."""
 
     @staticmethod
     def run(mel, w, cfg, sizes):
@@ -168,10 +209,10 @@ class TestRowBlocks:
                                      AttentionContext.chunked(3, 1)],
                              ids=["zero", "regular", "chunk"])
     @pytest.mark.parametrize("tokens", [0, 1, 127, 128, 129, 256, 257, 301])
-    def test_blocks_change_no_bit(self, ctx, tokens):
-        # random steps of a few tokens or of one to three blocks, then the
-        # rest, equal encode_full bit for bit; both, and their ledgers, equal
-        # the same runs taken as one block per step
+    def test_offline_steps_change_no_bit(self, ctx, tokens):
+        # random steps of 1-3 or 100-299 tokens, then the rest, equal
+        # encode_full bit for bit; both, and their ledgers, equal the same
+        # runs with encode_full taken as one final step
         cfg = tiny_encoder_config(ctx, downsampling_rate=2)
         w = init_encoder_weights(cfg, seed=40)
         mel = random_mel(tokens * 2 + 1, cfg.n_mels, seed=tokens)  # a partial last group
@@ -182,15 +223,25 @@ class TestRowBlocks:
             if sum(sizes) + n > tokens:
                 break
             sizes.append(n)
-        blocked = self.run(mel, w, cfg, sizes)
+        stepped = self.run(mel, w, cfg, sizes)
         with mock.patch.object(encoder, "_BLOCK_TOKENS", 10**9):
             whole = self.run(mel, w, cfg, sizes)
-        assert blocked[0].shape == (tokens, cfg.d_model)
-        assert np.array_equal(blocked[2], blocked[0])
+        assert stepped[0].shape == (tokens, cfg.d_model)
+        assert np.array_equal(stepped[2], stepped[0])
         for i in (0, 2):  # encode_full, then the stream, each before its ledger
-            assert np.array_equal(blocked[i], whole[i])
-            assert blocked[i + 1].to_dict() == whole[i + 1].to_dict()
-            assert blocked[i + 1].steps == whole[i + 1].steps
+            assert np.array_equal(stepped[i], whole[i])
+            assert stepped[i + 1].to_dict() == whole[i + 1].to_dict()
+            assert stepped[i + 1].steps == whole[i + 1].steps
+
+    @pytest.mark.parametrize("ctx", REGIMES)
+    def test_offline_steps_speculate_nothing(self, ctx):
+        # three steps, none of which runs a row it cannot settle
+        cfg = tiny_encoder_config(ctx, downsampling_rate=2)
+        w = init_encoder_weights(cfg, seed=41)
+        rec = ComputeLedger()
+        encode_full(random_mel(301 * 2, cfg.n_mels, seed=42), w, cfg, rec=rec)
+        assert rec.duplicate_macs == 0
+        assert rec.current.speculative_tokens == 0 and len(rec.steps) == 1
 
 
 class TestDownsampler:
@@ -582,9 +633,9 @@ class TestKernelCalls:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_offline_calls_grow_per_block_not_per_row(self, monkeypatch):
-        # a long step runs in ceil(n / 128) near-equal row blocks: 300 and
-        # 360 tokens are three blocks each, 129 two and 128 one
+    def test_offline_calls_grow_per_step_not_per_row(self, monkeypatch):
+        # encode_full takes ceil(n / 128) near-equal steps: 300 and 360
+        # tokens are three steps each, 129 two and 128 one
         cfg = tiny_encoder_config(AttentionContext.regular(2, 5))
         w = init_encoder_weights(cfg, seed=5)
         counts = {}
@@ -595,6 +646,19 @@ class TestKernelCalls:
             counts[tokens] = len(calls)
         assert counts[300] == counts[360]
         assert counts[129] > counts[128]
+
+    def test_step_calls_do_not_grow_with_its_tokens(self, monkeypatch):
+        # a step runs each layer in one pass, however many tokens it brings
+        cfg = tiny_encoder_config(AttentionContext.regular(2, 5))
+        w = init_encoder_weights(cfg, seed=5)
+        counts = []
+        for tokens in (40, 300):
+            mel = random_mel(tokens * cfg.downsampling_rate, cfg.n_mels, seed=6)
+            calls = counting_matmul64(monkeypatch)
+            encode_step(mel, init_state(cfg), w, cfg)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("ctx", REGIMES)
     def test_each_token_is_projected_to_qkv_once_per_layer(self, ctx, monkeypatch):

@@ -185,15 +185,27 @@ class TestWorkingMemory:
     @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 16),
                                      AttentionContext.chunked(4, 4)], ids=["regular", "chunk"])
     def test_an_offline_minute_encodes_in_blocks_not_the_utterance(self, ctx):
-        # one 128-token block of float64 temporaries plus each layer's
-        # float32 rows, about 3.3 KB per token
+        # one step of at most 128 tokens, its float64 temporaries and each
+        # layer's float32 rows, plus the float32 output
         model, _ = baseline_model(ctx)
         _, mel = minute_of_audio()
         _, peak = traced_peak(lambda: encode_full(mel, model.encoder, model.cfg.encoder))
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 16),
+                                     AttentionContext.chunked(4, 4)], ids=["regular", "chunk"])
+    def test_offline_peak_grows_by_the_output_alone(self, ctx):
+        # from 60 to 120 s, encode_full's steps stay the same size: only the
+        # output grows, plus at most 0.25 MiB
+        model, _ = baseline_model(ctx)
+        cfg = model.cfg.encoder
+        _, mel = minute_of_audio()
+        (short, p60), (long, p120) = [traced_peak(lambda m=m: encode_full(m, model.encoder, cfg))
+                                      for m in (mel, np.concatenate([mel, mel]))]
+        assert p120 - p60 <= long.nbytes - short.nbytes + 2**18
+
     def test_an_offline_minute_transcribes_in_blocks(self):
-        # encode_full's blocks plus the features and the decoder, which do
+        # encode_full's steps plus the features and the decoder, which do
         # not depend on the attention regime
         model, vocab = baseline_model(AttentionContext.regular(1, 16))
         audio, _ = minute_of_audio()

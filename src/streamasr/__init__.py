@@ -21,7 +21,6 @@ from .decoders import (
     Vocab,
     ctc_logprobs,
     rnnt_greedy_decode,
-    rnnt_init_state,
     rnnt_joint_log_probs,
 )
 from .encoder import (

@@ -18,12 +18,13 @@ layer settles all but the last settle_delay inputs it has seen, and passes
 them up, so each layer's inputs seen and outputs settled follow from
 tokens_in alone (StreamState.counts); the top layer's settled outputs are the
 stream's tokens. Plus one carried input row per downsampler stage (the last
-row the stage has read, a zero row at the start of a stream) and the RNNT
-prediction-net hidden states. The layer caches and the downsampler rows
-change by one rule, cache_append: this step's window is the cache followed
-by the new rows, and the cache keeps the window's newest rows. encode_step
-applies it to each of them once per step; an offline pass is the same stream
-from init_state, taken in steps of up to 128 tokens.
+row the stage has read, a zero row at the start of a stream). That is the
+encoder's state alone: decoding state belongs to the run's decoders. The
+layer caches and the downsampler rows change by one rule, cache_append: this
+step's window is the cache followed by the new rows, and the cache keeps the
+window's newest rows. encode_step applies it to each of them once per step;
+an offline pass is the same stream from init_state, taken in steps of up to
+128 tokens.
 
 A layer cache also holds its last step's attention plan; a final step drops
 it. It is derived data: it is not saved, and a resumed state rebuilds it.
@@ -39,7 +40,7 @@ from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
 
-STATE_VERSION = 5
+STATE_VERSION = 6
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -83,7 +84,6 @@ class StreamState:
     settle_delay: int  # the attention context's settle_delay() the stream runs under
     tokens_in: int = 0  # tokens read by layer 0
     finished: bool = False
-    rnnt_states: list[np.ndarray] = field(default_factory=list)
 
     def counts(self, i: int) -> tuple[int, int]:
         """Layer i's inputs seen and outputs settled; a finished stream has settled all."""
@@ -98,8 +98,7 @@ class StreamState:
         return self.counts(len(self.layers) - 1)[1]
 
     def float_count(self) -> int:
-        n = sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
-        return n + sum(h.size for h in self.rnnt_states)
+        return sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
 
     def save(self, path: str) -> None:
         header = {
@@ -110,14 +109,11 @@ class StreamState:
             "tokens_in": self.tokens_in,
             "settle_delay": self.settle_delay,
             "n_ds_carry": len(self.ds_carry),
-            "n_rnnt": len(self.rnnt_states),
         }
         arrays = [(f"ds_carry{s}", c) for s, c in enumerate(self.ds_carry)]
         for i, lc in enumerate(self.layers):
             arrays.append((f"layer{i}.rows", lc.rows))
             arrays.append((f"layer{i}.conv", lc.conv))
-        for i, h in enumerate(self.rnnt_states):
-            arrays.append((f"rnnt{i}", h))
         save_container(path, header, arrays)
 
     @staticmethod
@@ -129,7 +125,7 @@ class StreamState:
             # version 1 cached d-wide attention inputs, version 2 d-wide pending
             # rows and 2*log2(rate)+1 mel frames for the downsampler, version 3
             # K|V and x1|q rows apart and three stream counters, version 4 two
-            # counters per layer
+            # counters per layer, version 5 the RNNT prediction-net states
             raise StateError(f"unsupported state version {header.get('version')}")
 
         def count(key: str) -> int:
@@ -158,5 +154,4 @@ class StreamState:
             settle_delay=count("settle_delay"),
             tokens_in=count("tokens_in"),
             finished=header["finished"],
-            rnnt_states=[tensor(f"rnnt{i}") for i in range(count("n_rnnt"))],
         )

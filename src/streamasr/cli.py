@@ -13,12 +13,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .context import CHUNK, REGULAR, feasible_regular_latencies
+from .context import CHUNK, REGULAR, ZERO, feasible_regular_latencies
 from .decoders import Vocab
 from .errors import (
     ArgumentError,
     ConfigError,
     FeasibilityError,
+    FormatError,
     InputFileError,
     StreamAsrError,
 )
@@ -119,13 +120,9 @@ def _run_mode(mode: str, audio, model, vocab, decoder: str, args):
     if mode == "offline":
         return run_offline(audio, model, vocab, decoder=decoder)
     if mode == "buffered":
-        bcfg = BufferedConfig(
-            chunk_seconds=args.chunk_seconds, buffer_seconds=args.buffer_seconds
-        )
+        bcfg = BufferedConfig(chunk_seconds=args.chunk_seconds, buffer_seconds=args.buffer_seconds)
         return run_buffered(audio, model, vocab, bcfg, decoder=decoder)
-    if mode == "streaming":
-        return run_streaming(audio, model, vocab, decoder=decoder)
-    raise ConfigError(f"unknown mode {mode!r}")
+    return run_streaming(audio, model, vocab, decoder=decoder)
 
 
 def cmd_transcribe(args) -> int:
@@ -144,22 +141,30 @@ def cmd_transcribe(args) -> int:
 
 _COMPARE_COLUMNS = ("mode", "decoder", "wer_percent", "avg_latency_ms",
                     "macs_total", "macs_duplicate")
+_MODES = ("offline", "streaming", "buffered")
+_REGIMES = (ZERO, REGULAR, CHUNK)  # compare's streaming rows under each regime
 
 
 def cmd_compare(args) -> int:
+    modes = [mode.strip() for mode in args.modes.split(",")]
+    for mode in modes:
+        if mode not in _MODES + _REGIMES:
+            raise ConfigError(f"unknown mode {mode!r}")
     model, vocab = load_model(args.model), Vocab.load(args.vocab)
     audio = read_wav(args.wav)
     reference = args.reference
     if args.reference_file:
-        with open(args.reference_file, "r", encoding="utf-8") as f:
-            reference = f.read().strip()
+        try:
+            with open(args.reference_file, "r", encoding="utf-8") as f:
+                reference = f.read().strip()
+        except UnicodeDecodeError as ex:
+            raise FormatError(f"{args.reference_file}: reference is not UTF-8: {ex}") from ex
     decoders = ["ctc", "rnnt"] if args.decoder == "both" else [args.decoder]
     flags = _context_flags(args)
     resolved = None  # the model under the flags, for the offline/buffered/streaming rows
     rows = []
-    for mode in args.modes.split(","):
-        mode = mode.strip()
-        if mode in ("zero", "regular", "chunk"):
+    for mode in modes:
+        if mode in _REGIMES:
             run_model = _resolve_context(model, {**flags, "regime": mode}, args.chunk_ms)
             result = run_streaming(audio, run_model, vocab, decoder=args.decoder)
         else:
@@ -183,7 +188,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_context_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regime", choices=["zero", "regular", "chunk"])
+    p.add_argument("--regime", choices=_REGIMES)
     p.add_argument("--chunk-tokens", type=int, dest="chunk_tokens")
     p.add_argument("--left-chunks", type=int, dest="left_chunks")
     p.add_argument("--lookahead-m", type=int, dest="lookahead_m")
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transcribe", help="transcribe a wav file")
     _add_run_flags(p)
-    p.add_argument("--mode", choices=["offline", "streaming", "buffered"], default="streaming")
+    p.add_argument("--mode", choices=_MODES, default="streaming")
     p.add_argument("--decoder", choices=["ctc", "rnnt"], default="ctc")
     p.add_argument("--out")
     p.set_defaults(func=cmd_transcribe)

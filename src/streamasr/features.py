@@ -207,9 +207,11 @@ def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> np.ndarray:
     holds one block of float64 and its float32 output, whatever the
     recording's length."""
     cfg = cfg or FeatureConfig()
-    if audio.sample_rate != cfg.sample_rate:
-        raise ConfigError(
-            f"audio sample rate {audio.sample_rate} != configured {cfg.sample_rate}"
-        )
+    check_sample_rate(audio, cfg)
     return StreamingFeatureExtractor(cfg).push(audio.samples)
 
+
+def check_sample_rate(audio: AudioBuffer, cfg: FeatureConfig) -> None:
+    """Raise ConfigError unless the recording is at the configured rate."""
+    if audio.sample_rate != cfg.sample_rate:
+        raise ConfigError(f"audio sample rate {audio.sample_rate} != configured {cfg.sample_rate}")

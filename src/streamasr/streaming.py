@@ -12,9 +12,9 @@ Three ways to run the same weights:
               chunk. Context regions are recomputed every window, which the
               duplicate counter makes visible.
 
-All three decode through one _Decoders: the chosen heads, CTC's collapse
-state and the emitted tokens. The session carries the RNNT prediction-net
-state from step to step; offline decodes once, and buffered restarts the
+All three decode through one _Decoders, the owner of all decoding state: CTC's
+collapse state, the RNNT prediction-net states and the emitted tokens. A session
+pushes each step's rows, offline pushes once, and buffered restarts the
 prediction net in every window. With STREAMASR_LOG=debug (or this module's
 logger at DEBUG) a session logs one line per step.
 """
@@ -35,7 +35,6 @@ from .decoders import (
     Vocab,
     ctc_logprobs,
     rnnt_greedy_decode,
-    rnnt_init_state,
 )
 from .encoder import (
     downsampler_macs_per_token,
@@ -45,7 +44,7 @@ from .encoder import (
     layer_macs_per_token,
 )
 from .errors import ArgumentError, ConfigError, SessionError
-from .features import AudioBuffer, StreamingFeatureExtractor, log_mel
+from .features import AudioBuffer, StreamingFeatureExtractor, check_sample_rate, log_mel
 from .ledger import ComputeLedger
 from .metrics import eil
 from .model import HybridModel
@@ -110,8 +109,9 @@ class BufferedConfig:
 
 
 class _Decoders:
-    """The heads one run decodes with, and what they have emitted: CTC's
-    collapse state and the (token, frame) pairs per decoder."""
+    """The heads one run decodes with and all their state: CTC's collapse state,
+    the RNNT prediction-net states (None starts afresh), the encoder rows decoded
+    so far (the next push's frame offset) and the (token, frame) pairs per decoder."""
 
     def __init__(self, model: HybridModel, vocab: Vocab, choice: str):
         if vocab.size != model.cfg.vocab_size:
@@ -122,24 +122,23 @@ class _Decoders:
         self.raw: dict[str, list[tuple[int, int]]] = {
             d: [] for d in (["ctc", "rnnt"] if choice == "both" else [choice])}
         self._ctc = CtcIncrementalDecoder(vocab.blank_id)
+        self.rnnt_states: list[np.ndarray] | None = None
+        self.frames = 0
 
-    def push(
-        self, enc: np.ndarray, offset: int, ledger: ComputeLedger,
-        rnnt_states: list[np.ndarray] | None = None,
-    ) -> list[np.ndarray] | None:
-        """Decode encoder rows whose first is frame `offset`; returns the RNNT
-        states to continue from (None starts the prediction net afresh)."""
+    def push(self, enc: np.ndarray, ledger: ComputeLedger) -> None:
+        """Decode the next encoder rows, the first of which is frame self.frames."""
         if enc.shape[0] == 0:
-            return rnnt_states
+            return
         if "ctc" in self.raw:
-            self.raw["ctc"] += self._ctc.push(ctc_logprobs(enc, self.model.ctc, ledger), offset)
+            self.raw["ctc"] += self._ctc.push(ctc_logprobs(enc, self.model.ctc, ledger),
+                                              self.frames)
         if "rnnt" in self.raw:
-            toks, rnnt_states = rnnt_greedy_decode(
-                enc, self.model.rnnt, rnnt_states, blank_id=self.vocab.blank_id,
-                frame_offset=offset, rec=ledger,
+            toks, self.rnnt_states = rnnt_greedy_decode(
+                enc, self.model.rnnt, self.rnnt_states, blank_id=self.vocab.blank_id,
+                frame_offset=self.frames, rec=ledger,
             )
             self.raw["rnnt"] += toks
-        return rnnt_states
+        self.frames += enc.shape[0]
 
     def result(
         self, mode: str, ledger: ComputeLedger, emit_frame: Callable[[int], int],
@@ -166,8 +165,8 @@ class _Decoders:
 class StreamingSession:
     """One audio stream: feed samples in any sized pieces, then finish().
 
-    Owns all mutable state (feature remainder, encoder caches, decoder
-    states); identical audio fed in different piece sizes produces identical
+    Owns all mutable state (feature remainder, encoder caches, decoders);
+    identical audio fed in different piece sizes produces identical
     transcripts and ledgers because steps are cut from an internal mel buffer
     every step_tokens() tokens of the attention context.
     """
@@ -181,10 +180,9 @@ class StreamingSession:
         self._step_frames = cfg.attention.step_tokens() * cfg.downsampling_rate
         self.state = init_state(cfg)
         self.ledger = ComputeLedger()
-        if "rnnt" in self._dec.raw:
-            self.state.rnnt_states = rnnt_init_state(model.rnnt)
 
     def feed(self, samples: np.ndarray) -> None:
+        """Bare samples, at the model's rate: model.cfg.feature_config().sample_rate."""
         if self.state.finished:
             raise SessionError("session already finished")
         mel_new = self._extractor.push(samples)
@@ -199,13 +197,11 @@ class StreamingSession:
 
     def _step(self, frames: np.ndarray, final: bool) -> None:
         step = self.ledger.new_step()
-        offset = self.state.tokens_emitted
         enc_new, _ = encode_step(
             frames, self.state, self.model.encoder, self.model.cfg.encoder,
             rec=self.ledger, final=final,
         )
-        self.state.rnnt_states = self._dec.push(enc_new, offset, self.ledger,
-                                                self.state.rnnt_states)
+        self._dec.push(enc_new, self.ledger)
         _log.debug("step %d: %d tokens settled, %d MACs",
                    len(self.ledger.steps) - 1, enc_new.shape[0], step.total)
 
@@ -218,9 +214,8 @@ class StreamingSession:
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
         return self._dec.result(
             "streaming", self.ledger,
-            lambda f: receptive_field_tokens(
-                enc.attention, enc.n_layers, enc.conv_kernel, f, total
-            )[1],
+            lambda f: receptive_field_tokens(enc.attention, enc.n_layers, enc.conv_kernel, f,
+                                             total)[1],
             self.model.cfg.latency_model(),
         )
 
@@ -231,6 +226,7 @@ def run_streaming(
     vocab: Vocab,
     decoder: str = "both",
 ) -> StreamResult:
+    check_sample_rate(audio, model.cfg.feature_config())
     session = StreamingSession(model, vocab, decoder=decoder)
     session.feed(audio.samples)
     return session.finish()
@@ -248,7 +244,7 @@ def run_offline(
     mel = log_mel(audio, model.cfg.feature_config())
     ledger = ComputeLedger()
     ledger.new_step()
-    dec.push(encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger), 0, ledger)
+    dec.push(encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger), ledger)
     return dec.result("offline", ledger, lambda f: f, None)
 
 
@@ -292,7 +288,8 @@ def run_buffered(
         per_layer = sum(layer_macs_per_token(cfg)) + 2 * cfg.d_model * (b1 - b0 + 1)
         central = (c1 - c0 + 1) * (downsampler_macs_per_token(cfg) + cfg.n_layers * per_layer)
         step.duplicate += step.total - central
-        dec.push(enc[c0 - b0 : c1 - b0 + 1], c0, ledger)  # no RNNT state: restart per buffer
+        dec.rnnt_states = None  # the prediction net restarts in every buffer
+        dec.push(enc[c0 - b0 : c1 - b0 + 1], ledger)  # the central chunks tile the utterance
     return dec.result(
         "buffered", ledger,
         lambda f: min(total - 1, (f // chunk_tok + 1) * chunk_tok - 1 + right), lm,

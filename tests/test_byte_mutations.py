@@ -20,7 +20,6 @@ from streamasr import (
     init_state,
     load_model,
     read_wav,
-    rnnt_init_state,
     save_model,
 )
 from streamasr.cli import main
@@ -28,7 +27,6 @@ from streamasr.errors import StreamAsrError
 
 from helpers import (
     init_encoder_weights,
-    random_head,
     random_mel,
     synth_audio,
     tiny_encoder_config,
@@ -84,12 +82,11 @@ def files(tmp_path_factory):
     save_model(model, paths["model"])
     vocab.save(paths["vocab"])
     write_wav(paths["wav"], synth_audio(0.3, seed=70).samples)
-    # mid-stream in the regular regime: unsettled rows and RNNT states
+    # mid-stream in the regular regime: unsettled rows
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     mel = random_mel(20, cfg.n_mels, seed=4)
     state = init_state(cfg)
-    state.rnnt_states = rnnt_init_state(random_head(seed=5, d_model=cfg.d_model)[1])
     encode_step(mel[:16], state, w, cfg)
     state.save(paths["state"])
     raw = {k: open(p, "rb").read() for k, p in paths.items()}

@@ -17,13 +17,11 @@ from streamasr import (
     depthwise_conv1d_causal,
     encode_step,
     init_state,
-    rnnt_greedy_decode,
-    rnnt_init_state,
 )
 from streamasr.container import load_container, save_container
 from streamasr.errors import FormatError, StateError
 
-from helpers import init_encoder_weights, random_head, random_mel, tiny_encoder_config
+from helpers import init_encoder_weights, random_mel, tiny_encoder_config
 
 
 class TestConvCache:
@@ -168,40 +166,28 @@ class TestCacheWidthLaws:
 
 
 ROUNDTRIP_CASES = {
-    "chunk": (AttentionContext.chunked(2, 1), False),
-    "regular_pending": (AttentionContext.regular(1, 3), False),
-    "rnnt_states": (AttentionContext.chunked(2, 1), True),
+    "chunk": AttentionContext.chunked(2, 1),
+    "regular_pending": AttentionContext.regular(1, 3),
 }
 
 
 class TestStreamStateSerialization:
     @pytest.mark.parametrize("case", list(ROUNDTRIP_CASES))
     def test_bit_exact_roundtrip_and_resume(self, case, tmp_path):
-        ctx, with_rnnt = ROUNDTRIP_CASES[case]
+        ctx = ROUNDTRIP_CASES[case]
         cfg = tiny_encoder_config(ctx)
         w = init_encoder_weights(cfg, seed=3)
-        _, head = random_head(seed=5, d_model=cfg.d_model)
         mel = random_mel(64, cfg.n_mels, seed=4)
         step = ctx.step_tokens() * cfg.downsampling_rate
 
         def run(state, lo, hi):
-            outs, toks = [], []
-            for i in range(lo, hi, step):
-                o, _ = encode_step(mel[i : i + step], state, w, cfg)
-                outs.append(o)
-                if with_rnnt:
-                    t, state.rnnt_states = rnnt_greedy_decode(o, head, state.rnnt_states)
-                    toks += t
-            return np.concatenate(outs), toks
+            return np.concatenate(
+                [encode_step(mel[i : i + step], state, w, cfg)[0] for i in range(lo, hi, step)])
 
         state = init_state(cfg)
-        if with_rnnt:
-            state.rnnt_states = rnnt_init_state(head)
         run(state, 0, 32)
         if ctx.settle_delay() > 0:
             assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
-        if with_rnnt:
-            assert any(np.any(h != 0) for h in state.rnnt_states)
         path = str(tmp_path / "state.bin")
         state.save(path)
         resumed = StreamState.load(path)
@@ -211,19 +197,13 @@ class TestStreamStateSerialization:
         resumed.save(path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
 
-        ref_out, ref_toks = run(state, 32, 64)
-        got_out, got_toks = run(resumed, 32, 64)
-        assert np.array_equal(got_out, ref_out)
-        assert got_toks == ref_toks
-        for a, b in zip(resumed.rnnt_states, state.rnnt_states, strict=True):
-            assert np.array_equal(a, b)
+        assert np.array_equal(run(resumed, 32, 64), run(state, 32, 64))
 
     @pytest.mark.parametrize("mutate", [
         lambda h, t: h.pop("n_layers"),
         lambda h, t: h.pop("tokens_in"),
         lambda h, t: h.pop("settle_delay"),
         lambda h, t: h.pop("finished"),
-        lambda h, t: h.pop("n_rnnt"),
         lambda h, t: h.pop("n_ds_carry"),
         lambda h, t: h.update(n_layers="2"),
         lambda h, t: h.update(n_layers=-1),
@@ -240,18 +220,15 @@ class TestStreamStateSerialization:
         lambda h, t: t.pop("layer0.rows"),
         lambda h, t: t.pop("layer1.conv"),
         lambda h, t: t.pop("ds_carry1"),
-        lambda h, t: t.pop("rnnt0"),
-    ], ids=["no-n_layers", "no-tokens_in", "no-settle_delay", "no-finished", "no-n_rnnt",
+    ], ids=["no-n_layers", "no-tokens_in", "no-settle_delay", "no-finished",
             "no-n_ds_carry", "str-n_layers", "negative-n_layers", "zero-n_layers",
             "int-finished", "str-tokens_in", "bool-tokens_in", "float-tokens_in",
             "negative-tokens_in", "str-settle_delay", "bool-settle_delay",
             "float-settle_delay", "negative-settle_delay",
-            "no-layer0.rows", "no-layer1.conv", "no-ds_carry1", "no-rnnt0"])
+            "no-layer0.rows", "no-layer1.conv", "no-ds_carry1"])
     def test_malformed_file_is_state_error(self, mutate, tmp_path):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-        _, head = random_head(seed=5, d_model=cfg.d_model)
         state = init_state(cfg)
-        state.rnnt_states = rnnt_init_state(head)
         path = str(tmp_path / "state.bin")
         state.save(path)
         # a well-formed container whose header or tensors the state cannot use
@@ -301,23 +278,21 @@ class TestStreamStateSerialization:
 
 
 def test_state_file_holds_each_fact_once(tmp_path):
-    # per layer its rows and conv inputs; one stream counter, no layer counter
+    # per layer its rows and conv inputs; one stream counter, no layer counter,
+    # and no decoder state
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
-    _, head = random_head(seed=5, d_model=cfg.d_model)
     state = init_state(cfg)
-    state.rnnt_states = rnnt_init_state(head)
     encode_step(random_mel(16, cfg.n_mels, seed=4), state, w, cfg)
     path = str(tmp_path / "state.bin")
     state.save(path)
     header, tensors = load_container(path)
-    assert sorted(header) == ["finished", "kind", "n_ds_carry", "n_layers", "n_rnnt",
+    assert sorted(header) == ["finished", "kind", "n_ds_carry", "n_layers",
                               "settle_delay", "tokens_in", "version"]
     assert sorted(tensors) == sorted(
         [f"layer{i}.{t}" for i in range(cfg.n_layers) for t in ("rows", "conv")]
-        + [f"ds_carry{s}" for s in range(cfg.n_stages)]
-        + [f"rnnt{i}" for i in range(len(state.rnnt_states))])
-    assert header["version"] == 5 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
+        + [f"ds_carry{s}" for s in range(cfg.n_stages)])
+    assert header["version"] == 6 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
     assert (header["tokens_in"], header["settle_delay"]) == (4, 1)
 
 
@@ -378,8 +353,8 @@ def test_version_three_state_file_is_state_error(tmp_path):
 
 
 def test_version_four_state_file_is_state_error(tmp_path):
-    # version 4 held each layer's inputs seen and outputs settled; version 5
-    # derives them from tokens_in
+    # version 4 held each layer's inputs seen and outputs settled; later
+    # versions derive them from tokens_in
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
@@ -391,6 +366,22 @@ def test_version_four_state_file_is_state_error(tmp_path):
     header.update(version=4, counters=[list(state.counts(i)) for i in range(cfg.n_layers)])
     save_container(path, header, list(tensors.items()))
     with pytest.raises(StateError, match="version 4"):
+        StreamState.load(path)
+
+
+def test_version_five_state_file_is_state_error(tmp_path):
+    # version 5 also held the RNNT prediction-net states, which the decoders own
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    state = init_state(cfg)
+    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
+    path = str(tmp_path / "state.bin")
+    state.save(path)
+    header, tensors = load_container(path)
+    header.update(version=5, n_rnnt=1)
+    tensors["rnnt0"] = np.zeros(8, np.float32)
+    save_container(path, header, list(tensors.items()))
+    with pytest.raises(StateError, match="version 5"):
         StreamState.load(path)
 
 

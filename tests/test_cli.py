@@ -253,6 +253,28 @@ class TestTranscribe:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+class TestSampleRate:
+    @pytest.mark.parametrize("argv", [
+        ["transcribe", "--mode", "streaming"],
+        ["transcribe", "--mode", "offline"],
+        ["transcribe", "--mode", "buffered"],
+        ["compare", "--modes", "zero"],
+        ["compare", "--modes", "regular"],
+        ["compare", "--modes", "chunk"],
+    ], ids=["streaming", "offline", "buffered", "compare-zero", "compare-regular",
+            "compare-chunk"])
+    def test_wav_at_another_rate_is_config_error(self, workspace, capsys, argv):
+        tmp_path, config_path, vocab_path, _ = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        wav_path = str(tmp_path / "8k.wav")
+        write_wav(wav_path, synth_audio(0.8, seed=70, sample_rate=8000).samples,
+                  sample_rate=8000)
+        rc = main([argv[0], "--model", model_path, "--vocab", vocab_path, "--wav", wav_path,
+                   *argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err == "error:config: audio sample rate 8000 != configured 16000\n"
+
+
 class TestCompare:
     def test_tsv_structure_and_duplication_columns(self, workspace, capsys):
         tmp_path, config_path, vocab_path, wav_path = workspace
@@ -291,6 +313,31 @@ class TestCompare:
             assert int(row[4]) == transcribed
             macs[len(given)] = transcribed
         assert macs[0] != macs[2]  # the flags change the mask
+
+
+    def test_reference_file_that_is_not_utf8_is_format_error(self, workspace, capsys):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        ref_path = tmp_path / "reference.txt"
+        ref_path.write_bytes(b"a b \xff\xfe c\n")
+        rc = main(["compare", "--model", model_path, "--vocab", vocab_path, "--wav", wav_path,
+                   "--modes", "offline", "--reference-file", str(ref_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and err.count("\n") == 1
+
+    def test_unknown_mode_fails_before_any_mode_runs(self, workspace, capsys, monkeypatch):
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+
+        def run_offline(*args, **kwargs):
+            pytest.fail("the offline pass ran before the modes were checked")
+
+        monkeypatch.setattr(streamasr.cli, "run_offline", run_offline)
+        rc = main(["compare", "--model", model_path, "--vocab", vocab_path, "--wav", wav_path,
+                   "--modes", "offline,bogus"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error:config: unknown mode 'bogus'\n"
 
 
 def _set(keys, value):

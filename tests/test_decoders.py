@@ -2,20 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr import (
     CtcIncrementalDecoder,
     Vocab,
     ctc_logprobs,
     rnnt_greedy_decode,
-    rnnt_init_state,
     rnnt_joint_log_probs,
 )
-from streamasr.decoders import rnnt_joint_logits, rnnt_pred_advance
+from streamasr.decoders import rnnt_init_state, rnnt_joint_logits, rnnt_pred_advance
 from streamasr.errors import ArgumentError, FormatError, InputFileError, NumericsError
 from streamasr.numerics import logsumexp
 
-from helpers import random_head
+from helpers import random_head, reference_rnnt_greedy, vary_rnnt_emission
 
 
 class TestVocab:
@@ -182,6 +183,48 @@ class TestRnntGreedy:
         with pytest.raises(ArgumentError):
             rnnt_greedy_decode(np.zeros((1, 16), np.float32), head,
                                [np.zeros(8, np.float32)] * 3)
+
+
+class TestRnntGreedyReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), d_model=st.integers(1, 16), vocab_size=st.integers(3, 6),
+           pred_layers=st.integers(1, 2), d_pred=st.integers(1, 8), d_joint=st.integers(1, 8),
+           gain=st.floats(2.0, 8.0), blank_shift=st.floats(-0.5, 1.0),
+           t_len=st.integers(0, 12), cap=st.integers(1, 4),
+           cuts=st.lists(st.integers(0, 12), max_size=3))
+    def test_whole_and_split_decoding_equal_the_reference(
+        self, seed, d_model, vocab_size, pred_layers, d_pred, d_joint, gain, blank_shift,
+        t_len, cap, cuts,
+    ):
+        _, head = random_head(seed=seed, d_model=d_model, vocab_size=vocab_size, d_pred=d_pred,
+                              d_joint=d_joint, pred_layers=pred_layers)
+        vary_rnnt_emission(head, gain, blank_shift)
+        enc = np.random.default_rng(seed).standard_normal((t_len, d_model)).astype(np.float32)
+        ref = reference_rnnt_greedy(enc, head, max_symbols=cap)
+        whole, _ = rnnt_greedy_decode(enc, head, max_symbols_per_frame=cap)
+        assert whole == ref
+        bounds = sorted({0, t_len, *(min(c, t_len) for c in cuts)})
+        states, parts = None, []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            toks, states = rnnt_greedy_decode(enc[lo:hi], head, states,
+                                              max_symbols_per_frame=cap, frame_offset=lo)
+            parts += toks
+        assert parts == ref
+
+    def test_the_drawn_heads_reach_every_kind_of_frame(self):
+        # frames that emit nothing, a few tokens, and the cap: the property's
+        # draws exercise each way a frame's loop ends
+        kinds = set()
+        for seed in range(4):
+            for blank_shift in (-0.5, 0.25, 1.0):
+                _, head = random_head(seed=seed, d_model=8, d_pred=6, d_joint=6,
+                                      pred_layers=1 + seed % 2)
+                vary_rnnt_emission(head, 4.0, blank_shift)
+                enc = np.random.default_rng(seed).standard_normal((10, 8)).astype(np.float32)
+                per_frame = np.bincount([f for _, f in reference_rnnt_greedy(enc, head, 4)],
+                                        minlength=10)
+                kinds |= {"none" if n == 0 else "cap" if n == 4 else "few" for n in per_frame}
+        assert kinds == {"none", "few", "cap"}
 
 
 class TestJointGrid:

@@ -78,8 +78,9 @@ EXPECTED = {
     "transcripts/buffered/chunk/rnnt": "113f45973eecdf134bfbbf8dc53676dd1d4634d766b2f2040934d8bf0f482bb9",
     "transcripts/buffered/chunk/both": "e94e08265cb3002d1657a6a954a9f7f5addf940fb5cb98a0b27c1875f062d21c",
     "model_file": "6bedb37ff2a77169e9356ce4613c89d0fe601bef5d0cb655b01c141a494d321e",
-    # version 5: one x1|q|k|v row cache per layer, one stream counter (tokens_in)
-    "state_file": "ac8b2e1d1b1d97e1c3eca368c99622eb4b01b9cf1b4fd3f1cd83f0e719a71916",
+    # version 6: one x1|q|k|v row cache per layer, one stream counter (tokens_in),
+    # no RNNT states (the run's decoders own them)
+    "state_file": "46f95889c8f4ba2436a1e61bb6e930400107f0e59de2d01eb9a5fc7fa6d60161",
 }
 
 
@@ -115,7 +116,7 @@ def _model_file(tmp_path) -> bytes:
 
 
 def _state_file(tmp_path) -> bytes:
-    # mid-stream in the regular regime: unsettled rows and RNNT states
+    # mid-stream in the regular regime: unsettled rows
     model, vocab = tiny_model(REGIMES["regular"], seed=12)
     session = StreamingSession(model, vocab, decoder="both")
     session.feed(AUDIO.samples[: AUDIO.samples.size // 2])

@@ -53,3 +53,9 @@ def test_oracles_and_fixtures_are_not_exported():
     for name in ("build_mask", "init_encoder_weights", "MelFrames", "DegenerateMaskError"):
         assert name not in streamasr.__all__
         assert not hasattr(streamasr, name)
+
+
+def test_decoder_state_helpers_stay_in_decoders():
+    # the run's decoders start the RNNT prediction net; no other module reads this
+    assert "rnnt_init_state" not in streamasr.__all__
+    assert not hasattr(streamasr, "rnnt_init_state")

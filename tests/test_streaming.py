@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import json
 
@@ -26,7 +28,14 @@ from streamasr import (
 from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError
 from streamasr.features import AudioBuffer
 
-from helpers import count_macs, synth_audio, tiny_model, traced_peak
+from helpers import (
+    count_macs,
+    reference_rnnt_greedy,
+    synth_audio,
+    tiny_model,
+    traced_peak,
+    vary_rnnt_emission,
+)
 
 
 SPLIT_CONTEXTS = {
@@ -44,10 +53,12 @@ def split_baseline(regime: str):
     return model, vocab, run_streaming(SPLIT_AUDIO, model, vocab)
 
 
+def pairs(transcript):
+    return [(t.token_id, t.first_frame) for t in transcript.tokens]
+
+
 def transcripts_equal(a, b):
-    return [(t.token_id, t.first_frame) for t in a.tokens] == [
-        (t.token_id, t.first_frame) for t in b.tokens
-    ]
+    return pairs(a) == pairs(b)
 
 
 class TestStreamingVsOffline:
@@ -292,6 +303,17 @@ class TestLedgerEquality:
             assert streaming.total == offline.total, f"config {i}"
 
 
+RNNT_AUDIO = synth_audio(1.2, seed=55)
+
+
+def varied_rnnt_model():
+    """A tiny model whose RNNT head, scaled, emits on RNNT_AUDIO's frames
+    nothing, a few tokens or the cap of 10: every way a frame's loop ends."""
+    model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=54)
+    vary_rnnt_emission(model.rnnt, 4.0, 0.5)
+    return model, vocab
+
+
 class TestBuffered:
     def test_duplication_positive_and_total_greater(self):
         model, vocab = tiny_model(AttentionContext.chunked(3, 1), seed=48)
@@ -323,10 +345,51 @@ class TestBuffered:
                 BufferedConfig(chunk_seconds=chunk, buffer_seconds=buffer)
 
     def test_rnnt_state_resets_per_buffer(self):
+        # 0.4 s chunks are 10 tokens of 40 ms; 0.8 s buffers add 5 on each side
+        model, vocab = varied_rnnt_model()
+        res = run_buffered(RNNT_AUDIO, model, vocab, BufferedConfig(0.4, 0.8), decoder="rnnt")
+        cfg, dr = model.cfg.encoder, model.cfg.encoder.downsampling_rate
+        mel = log_mel(RNNT_AUDIO, model.cfg.feature_config())
+        total, ref = mel.shape[0] // dr, []
+        for c0 in range(0, total, 10):
+            c1 = min(c0 + 10, total)
+            b0, b1 = max(0, c0 - 5), min(total, c1 + 5)
+            full = dataclasses.replace(cfg, attention=AttentionContext.chunked(b1 - b0, 0))
+            enc = encode_full(mel[b0 * dr : b1 * dr], model.encoder, full)
+            ref += [(k, c0 + f) for k, f in reference_rnnt_greedy(enc[c0 - b0 : c1 - b0],
+                                                                   model.rnnt)]
+        assert ref and pairs(res.transcripts["rnnt"]) == ref
+
+
+class TestRnntAgainstReference:
+    def test_streaming_and_offline_equal_the_reference(self):
+        model, vocab = varied_rnnt_model()
+        mel = log_mel(RNNT_AUDIO, model.cfg.feature_config())
+        ref = reference_rnnt_greedy(encode_full(mel, model.encoder, model.cfg.encoder),
+                                    model.rnnt)
+        per_frame = collections.Counter(f for _, f in ref)
+        assert 10 in per_frame.values() and set(per_frame.values()) - {10}
+        assert len(per_frame) < mel.shape[0] // model.cfg.encoder.downsampling_rate
+        for run in (run_streaming, run_offline):
+            assert pairs(run(RNNT_AUDIO, model, vocab, decoder="rnnt").transcripts["rnnt"]) == ref
+
+
+class TestSampleRate:
+    RUNS = {
+        "streaming": run_streaming,
+        "multi_lookahead": lambda audio, model, vocab: run_multi_lookahead(audio, model, vocab,
+                                                                           [2]),
+        "offline": run_offline,
+        "buffered": lambda audio, model, vocab: run_buffered(audio, model, vocab,
+                                                             BufferedConfig()),
+    }
+
+    @pytest.mark.parametrize("mode", list(RUNS))
+    def test_audio_at_another_rate_is_config_error(self, mode):
         model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=54)
-        audio = synth_audio(1.2, seed=55)
-        res = run_buffered(audio, model, vocab, BufferedConfig(0.4, 0.8), decoder="rnnt")
-        assert res.transcripts["rnnt"].mode == "buffered"
+        audio = synth_audio(0.5, seed=55, sample_rate=8000)
+        with pytest.raises(ConfigError, match="^audio sample rate 8000 != configured 16000$"):
+            self.RUNS[mode](audio, model, vocab)
 
 
 class TestMultiLookahead:

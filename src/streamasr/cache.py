@@ -26,8 +26,8 @@ window's newest rows. encode_step applies it to each of them once per step;
 an offline pass is the same stream from init_state, taken in steps of up to
 128 tokens.
 
-A layer cache also holds its last step's attention plan; a final step drops
-it. It is derived data: it is not saved, and a resumed state rebuilds it.
+A layer cache also holds its last step's attention plan, derived data that
+the next step reuses; a final step drops it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import load_container, save_container
 from .context import AttentionContext
 from .errors import StateError
-
-STATE_VERSION = 6
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -99,59 +96,3 @@ class StreamState:
 
     def float_count(self) -> int:
         return sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
-
-    def save(self, path: str) -> None:
-        header = {
-            "kind": "stream_state",
-            "version": STATE_VERSION,
-            "finished": self.finished,
-            "n_layers": len(self.layers),
-            "tokens_in": self.tokens_in,
-            "settle_delay": self.settle_delay,
-            "n_ds_carry": len(self.ds_carry),
-        }
-        arrays = [(f"ds_carry{s}", c) for s, c in enumerate(self.ds_carry)]
-        for i, lc in enumerate(self.layers):
-            arrays.append((f"layer{i}.rows", lc.rows))
-            arrays.append((f"layer{i}.conv", lc.conv))
-        save_container(path, header, arrays)
-
-    @staticmethod
-    def load(path: str) -> "StreamState":
-        header, tensors = load_container(path)
-        if header.get("kind") != "stream_state":
-            raise StateError(f"{path} is not a stream state file")
-        if header.get("version") != STATE_VERSION:
-            # version 1 cached d-wide attention inputs, version 2 d-wide pending
-            # rows and 2*log2(rate)+1 mel frames for the downsampler, version 3
-            # K|V and x1|q rows apart and three stream counters, version 4 two
-            # counters per layer, version 5 the RNNT prediction-net states
-            raise StateError(f"unsupported state version {header.get('version')}")
-
-        def count(key: str) -> int:
-            v = header.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise StateError(f"{path}: {key} must be an integer >= 0, got {v!r}")
-            return v
-
-        def tensor(name: str) -> np.ndarray:
-            if name not in tensors:
-                raise StateError(f"{path}: missing tensor {name}")
-            # cached Q|K|V rows were checked when projected; a softmax would hide an inf
-            if not np.isfinite(tensors[name]).all():
-                raise StateError(f"{path}: tensor {name} holds NaN or infinity")
-            return tensors[name]
-
-        n_layers = count("n_layers")
-        if n_layers == 0:  # tokens_emitted reads the top layer
-            raise StateError(f"{path}: a stream state has at least one layer")
-        if not isinstance(header.get("finished"), bool):
-            raise StateError(f"{path}: finished must be true or false")
-        return StreamState(
-            layers=[LayerCache(rows=tensor(f"layer{i}.rows"), conv=tensor(f"layer{i}.conv"))
-                    for i in range(n_layers)],
-            ds_carry=[tensor(f"ds_carry{s}") for s in range(count("n_ds_carry"))],
-            settle_delay=count("settle_delay"),
-            tokens_in=count("tokens_in"),
-            finished=header["finished"],
-        )

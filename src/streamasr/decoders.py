@@ -1,10 +1,11 @@
 """Hybrid decoding heads over a shared encoder.
 
-The CTC head is a stateless projection to per-frame log-probabilities. The
-RNNT head is a recurrent prediction network plus a joint network; its hidden
-states are the only decoder-side state a streaming session has to carry, and
-carrying them makes split decoding equal single-shot decoding token for
-token.
+The CTC head is a stateless projection to per-frame log-probabilities, and
+CtcIncrementalDecoder carries its collapse state (the previous frame's
+label) across pushes. The RNNT head is a recurrent prediction network plus a
+joint network, whose hidden states carry across pushes. A streaming run's
+decoders (streaming._Decoders) own both, and carrying them makes split
+decoding equal single-shot decoding token for token.
 """
 
 from __future__ import annotations

@@ -184,6 +184,11 @@ def load_model(path: str) -> HybridModel:
     if header.get("version") != MODEL_VERSION:
         raise ConfigError(f"unsupported model version {header.get('version')}")
     cfg = config_from_dict(ModelConfig, header.get("config"))
+    # every layer has a tensor: refuse a header that claims more before building the spec
+    n_layers = cfg.encoder.n_layers + cfg.pred_layers
+    if n_layers > len(tensors):
+        raise FormatError(f"{path}: the config has {n_layers} layers, the file "
+                          f"{len(tensors)} tensors")
     for name, shape, _ in _full_spec(cfg):
         if name not in tensors or tensors[name].shape != shape:
             raise FormatError(f"{path}: tensor {name} missing or not of shape {shape}")

@@ -37,6 +37,8 @@ from .errors import ConfigError, NumericsError, ShapeError
 # recursions never produce NaN via inf - inf; exp() of it underflows to 0.0.
 LOG_ZERO = -1.0e30
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance
+
 
 def check_finite(arr: np.ndarray, where: str) -> None:
     """Raise NumericsError if `arr` holds a NaN or an infinity."""
@@ -96,9 +98,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each row of `x` to zero mean, unit variance, then affine.
 
     Statistics are taken over the last axis only, so each time step is
@@ -110,14 +110,12 @@ def layer_norm(
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     x64 = x.astype(np.float64)
     # sum / d is what np.mean computes, without its per-call overhead
     xc = x64 - x64.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     # float32 gamma and beta promote exactly to float64
-    return (xc / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
+    return (xc / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta).astype(np.float32)
 
 
 def depthwise_conv1d_causal(

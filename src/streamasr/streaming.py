@@ -36,13 +36,7 @@ from .decoders import (
     ctc_logprobs,
     rnnt_greedy_decode,
 )
-from .encoder import (
-    downsampler_macs_per_token,
-    encode_full,
-    encode_step,
-    init_state,
-    layer_macs_per_token,
-)
+from .encoder import encode_full, encode_step, init_state
 from .errors import ArgumentError, ConfigError, SessionError
 from .features import AudioBuffer, StreamingFeatureExtractor, check_sample_rate, log_mel
 from .ledger import ComputeLedger
@@ -283,11 +277,11 @@ def run_buffered(
         # one chunk spanning the window: every query sees every key
         full = replace(cfg, attention=AttentionContext.chunked(b1 - b0 + 1, 0))
         enc = encode_full(window, model.encoder, full, rec=ledger)
-        # the central tokens on their own: each layer's per-token MACs and a
-        # full-window attention row per token
-        per_layer = sum(layer_macs_per_token(cfg)) + 2 * cfg.d_model * (b1 - b0 + 1)
-        central = (c1 - c0 + 1) * (downsampler_macs_per_token(cfg) + cfg.n_layers * per_layer)
-        step.duplicate += step.total - central
+        # the step holds this window's encoder MACs alone (the decoders push
+        # below), and under one chunk every token costs the same, so the
+        # tokens outside the central chunk cost an exact share of them
+        n_window, n_central = b1 - b0 + 1, c1 - c0 + 1
+        step.duplicate += step.total * (n_window - n_central) // n_window
         dec.rnnt_states = None  # the prediction net restarts in every buffer
         dec.push(enc[c0 - b0 : c1 - b0 + 1], ledger)  # the central chunks tile the utterance
     return dec.result(

@@ -12,27 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from streamasr import (
-    AttentionContext,
-    StreamState,
-    Vocab,
-    encode_step,
-    init_state,
-    load_model,
-    read_wav,
-    save_model,
-)
+from streamasr import AttentionContext, Vocab, load_model, read_wav, save_model
 from streamasr.cli import main
 from streamasr.errors import StreamAsrError
 
-from helpers import (
-    init_encoder_weights,
-    random_mel,
-    synth_audio,
-    tiny_encoder_config,
-    tiny_model,
-    write_wav,
-)
+from helpers import synth_audio, tiny_model, write_wav
 
 MUTATION_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -78,31 +62,12 @@ def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
     model, vocab = tiny_model(AttentionContext.regular(1, 3), seed=12)
     paths = {"model": str(tmp / "model.bin"), "vocab": str(tmp / "vocab.txt"),
-             "wav": str(tmp / "audio.wav"), "state": str(tmp / "state.bin")}
+             "wav": str(tmp / "audio.wav")}
     save_model(model, paths["model"])
     vocab.save(paths["vocab"])
     write_wav(paths["wav"], synth_audio(0.3, seed=70).samples)
-    # mid-stream in the regular regime: unsettled rows
-    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
-    w = init_encoder_weights(cfg, seed=3)
-    mel = random_mel(20, cfg.n_mels, seed=4)
-    state = init_state(cfg)
-    encode_step(mel[:16], state, w, cfg)
-    state.save(paths["state"])
     raw = {k: open(p, "rb").read() for k, p in paths.items()}
-    return paths, raw, (cfg, w, mel[16:])
-
-
-@MUTATION_SETTINGS
-@given(data=st.data())
-def test_damaged_state_loads_and_steps_or_is_stream_asr_error(files, data, tmp_path_factory):
-    _, raw, (cfg, w, chunk) = files
-
-    def load_and_step(path):
-        encode_step(chunk, StreamState.load(path), w, cfg)
-
-    _read_or_stream_asr_error(
-        load_and_step, _mutated_file(tmp_path_factory, data, raw["state"], "state.bin"))
+    return paths, raw
 
 
 @pytest.mark.parametrize("kind,read", [("model", load_model), ("vocab", Vocab.load),
@@ -110,7 +75,7 @@ def test_damaged_state_loads_and_steps_or_is_stream_asr_error(files, data, tmp_p
 @MUTATION_SETTINGS
 @given(data=st.data())
 def test_damaged_file_reads_or_is_stream_asr_error(files, kind, read, data, tmp_path_factory):
-    _, raw, _ = files
+    _, raw = files
     _read_or_stream_asr_error(read, _mutated_file(tmp_path_factory, data, raw[kind], kind))
 
 
@@ -120,7 +85,7 @@ def test_damaged_file_reads_or_is_stream_asr_error(files, kind, read, data, tmp_
 @given(data=st.data())
 def test_transcribe_on_a_damaged_model_prints_one_error_line(files, data, tmp_path_factory,
                                                              capsys):
-    paths, raw, _ = files
+    paths, raw = files
     model_path = _mutated_file(tmp_path_factory, data, raw["model"], "model.bin")
     capsys.readouterr()
     rc = main(["transcribe", "--model", model_path, "--vocab", paths["vocab"],
@@ -134,7 +99,7 @@ def test_transcribe_on_a_damaged_model_prints_one_error_line(files, data, tmp_pa
 
 
 def test_transcribe_on_a_truncated_model_prints_one_error_line(files, tmp_path, capsys):
-    paths, raw, _ = files
+    paths, raw = files
     model_path = str(tmp_path / "model.bin")
     with open(model_path, "wb") as f:
         f.write(raw["model"][: len(raw["model"]) // 2])

@@ -1,8 +1,7 @@
 import collections
+import copy
 import dataclasses
 import itertools
-import json
-import struct
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
+    LayerCache,
     StreamState,
     attn_keep_rows,
     cache_append,
@@ -18,8 +18,7 @@ from streamasr import (
     encode_step,
     init_state,
 )
-from streamasr.container import load_container, save_container
-from streamasr.errors import FormatError, StateError
+from streamasr.errors import StateError
 
 from helpers import init_encoder_weights, random_mel, tiny_encoder_config
 
@@ -165,135 +164,49 @@ class TestCacheWidthLaws:
         assert _layer_widths(state) == [(lcx, k - 1)] * cfg.n_layers
 
 
-ROUNDTRIP_CASES = {
-    "chunk": AttentionContext.chunked(2, 1),
-    "regular_pending": AttentionContext.regular(1, 3),
-}
+@pytest.mark.parametrize("mutate", [
+    lambda st: setattr(st.layers[0], "rows", np.zeros((st.layers[0].rows.shape[0], 5), np.float32)),
+    lambda st: setattr(st.layers[1], "rows", np.zeros((2, 17), np.float32)),
+    lambda st: setattr(st.layers[1], "rows", np.zeros(64, np.float32)),
+    lambda st: setattr(st.layers[1], "rows", st.layers[1].rows[:, 32:].copy()),
+    lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
+    lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
+    lambda st: st.ds_carry.__setitem__(0, np.zeros((1, 9), np.float32)),
+    lambda st: st.ds_carry.__setitem__(1, np.zeros((2, 16), np.float32)),
+    lambda st: st.ds_carry.__setitem__(1, np.zeros((0, 16), np.float32)),
+    lambda st: st.ds_carry.pop(),
+    lambda st: st.layers.pop(),
+    lambda st: setattr(st.layers[0], "rows", st.layers[0].rows.astype(np.int64)),
+    lambda st: setattr(st.layers[1], "rows", st.layers[1].rows.astype(np.float64)),
+], ids=["rows-columns", "rows-shape", "rows-1d", "rows-kv-only",
+        "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
+        "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "rows-int64",
+        "rows-float64"])
+def test_tensors_that_do_not_fit_the_encoder_are_state_error(mutate):
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(32, cfg.n_mels, seed=4)
+    state = init_state(cfg)
+    for i in range(0, 16, 4):
+        encode_step(mel[i : i + 4], state, w, cfg)
+    mutate(state)
+    with pytest.raises(StateError):
+        encode_step(mel[16:20], state, w, cfg)
 
 
-class TestStreamStateSerialization:
-    @pytest.mark.parametrize("case", list(ROUNDTRIP_CASES))
-    def test_bit_exact_roundtrip_and_resume(self, case, tmp_path):
-        ctx = ROUNDTRIP_CASES[case]
-        cfg = tiny_encoder_config(ctx)
-        w = init_encoder_weights(cfg, seed=3)
-        mel = random_mel(64, cfg.n_mels, seed=4)
-        step = ctx.step_tokens() * cfg.downsampling_rate
-
-        def run(state, lo, hi):
-            return np.concatenate(
-                [encode_step(mel[i : i + step], state, w, cfg)[0] for i in range(lo, hi, step)])
-
-        state = init_state(cfg)
-        run(state, 0, 32)
-        if ctx.settle_delay() > 0:
-            assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
-        path = str(tmp_path / "state.bin")
-        state.save(path)
-        resumed = StreamState.load(path)
-
-        # saved state re-serializes to identical bytes
-        path2 = str(tmp_path / "state2.bin")
-        resumed.save(path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
-
-        assert np.array_equal(run(resumed, 32, 64), run(state, 32, 64))
-
-    @pytest.mark.parametrize("mutate", [
-        lambda h, t: h.pop("n_layers"),
-        lambda h, t: h.pop("tokens_in"),
-        lambda h, t: h.pop("settle_delay"),
-        lambda h, t: h.pop("finished"),
-        lambda h, t: h.pop("n_ds_carry"),
-        lambda h, t: h.update(n_layers="2"),
-        lambda h, t: h.update(n_layers=-1),
-        lambda h, t: h.update(n_layers=0),
-        lambda h, t: h.update(finished=0),
-        lambda h, t: h.update(tokens_in="4"),
-        lambda h, t: h.update(tokens_in=True),
-        lambda h, t: h.update(tokens_in=4.0),
-        lambda h, t: h.update(tokens_in=-4),
-        lambda h, t: h.update(settle_delay="0"),
-        lambda h, t: h.update(settle_delay=False),
-        lambda h, t: h.update(settle_delay=0.0),
-        lambda h, t: h.update(settle_delay=-1),
-        lambda h, t: t.pop("layer0.rows"),
-        lambda h, t: t.pop("layer1.conv"),
-        lambda h, t: t.pop("ds_carry1"),
-    ], ids=["no-n_layers", "no-tokens_in", "no-settle_delay", "no-finished",
-            "no-n_ds_carry", "str-n_layers", "negative-n_layers", "zero-n_layers",
-            "int-finished", "str-tokens_in", "bool-tokens_in", "float-tokens_in",
-            "negative-tokens_in", "str-settle_delay", "bool-settle_delay",
-            "float-settle_delay", "negative-settle_delay",
-            "no-layer0.rows", "no-layer1.conv", "no-ds_carry1"])
-    def test_malformed_file_is_state_error(self, mutate, tmp_path):
-        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-        state = init_state(cfg)
-        path = str(tmp_path / "state.bin")
-        state.save(path)
-        # a well-formed container whose header or tensors the state cannot use
-        header, tensors = load_container(path)
-        mutate(header, tensors)
-        save_container(path, header, list(tensors.items()))
-        with pytest.raises(StateError):
-            StreamState.load(path)
-
-    @pytest.mark.parametrize("mutate", [
-        lambda st: setattr(st.layers[0], "rows", np.zeros((st.layers[0].rows.shape[0], 5),
-                                                          np.float32)),
-        lambda st: setattr(st.layers[1], "rows", np.zeros((2, 17), np.float32)),
-        lambda st: setattr(st.layers[1], "rows", np.zeros(64, np.float32)),
-        lambda st: setattr(st.layers[1], "rows", st.layers[1].rows[:, 32:].copy()),
-        lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
-        lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
-        lambda st: st.ds_carry.__setitem__(0, np.zeros((1, 9), np.float32)),
-        lambda st: st.ds_carry.__setitem__(1, np.zeros((2, 16), np.float32)),
-        lambda st: st.ds_carry.__setitem__(1, np.zeros((0, 16), np.float32)),
-        lambda st: st.ds_carry.pop(),
-        lambda st: st.layers.pop(),
-        lambda st: setattr(st.layers[0], "rows", st.layers[0].rows.astype(np.int64)),
-        lambda st: setattr(st.layers[1], "rows", st.layers[1].rows.astype(np.float64)),
-    ], ids=["rows-columns", "rows-shape", "rows-1d", "rows-kv-only",
-            "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
-            "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "rows-int64",
-            "rows-float64"])
-    def test_tensors_that_do_not_fit_the_encoder_are_state_error(self, mutate, tmp_path):
-        cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
-        w = init_encoder_weights(cfg, seed=3)
-        mel = random_mel(32, cfg.n_mels, seed=4)
-        state = init_state(cfg)
-        for i in range(0, 16, 4):
-            encode_step(mel[i : i + 4], state, w, cfg)
-        mutate(state)
-        path = str(tmp_path / "state.bin")
-        tensors = [*state.ds_carry, *(a for lc in state.layers for a in (lc.rows, lc.conv))]
-        if all(a.dtype == np.float32 for a in tensors):
-            state.save(path)
-            state = StreamState.load(path)
-        else:  # rows-int64, rows-float64: files hold float32 only
-            with pytest.raises(FormatError):
-                state.save(path)
-        with pytest.raises(StateError):
-            encode_step(mel[16:20], state, w, cfg)
-
-
-def test_state_file_holds_each_fact_once(tmp_path):
-    # per layer its rows and conv inputs; one stream counter, no layer counter,
-    # and no decoder state
+def test_stream_state_holds_each_fact_once():
+    # per layer its rows and conv inputs (and a derived plan); one stream
+    # counter, no layer counter, and no decoder state
+    assert [f.name for f in dataclasses.fields(StreamState)] == [
+        "layers", "ds_carry", "settle_delay", "tokens_in", "finished"]
+    assert [f.name for f in dataclasses.fields(LayerCache)] == ["rows", "conv", "plan"]
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
     encode_step(random_mel(16, cfg.n_mels, seed=4), state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    header, tensors = load_container(path)
-    assert sorted(header) == ["finished", "kind", "n_ds_carry", "n_layers",
-                              "settle_delay", "tokens_in", "version"]
-    assert sorted(tensors) == sorted(
-        [f"layer{i}.{t}" for i in range(cfg.n_layers) for t in ("rows", "conv")]
-        + [f"ds_carry{s}" for s in range(cfg.n_stages)])
-    assert header["version"] == 6 and tensors["layer0.rows"].shape[1] == 4 * cfg.d_model
-    assert (header["tokens_in"], header["settle_delay"]) == (4, 1)
+    assert (len(state.layers), len(state.ds_carry)) == (cfg.n_layers, cfg.n_stages)
+    assert state.layers[0].rows.shape[1] == 4 * cfg.d_model
+    assert (state.tokens_in, state.settle_delay) == (4, 1)
 
 
 def test_tokens_emitted_reads_the_top_layer():
@@ -304,100 +217,6 @@ def test_tokens_emitted_reads_the_top_layer():
     assert state.tokens_emitted == state.counts(cfg.n_layers - 1)[1] == out.shape[0] == 4
     with pytest.raises(AttributeError):
         state.tokens_emitted = 0
-
-
-def _rewrite_header(path: str, mutate) -> None:
-    raw = open(path, "rb").read()
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen])
-    mutate(header)
-    hjson = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
-
-
-def test_version_one_state_file_is_state_error(tmp_path):
-    # version 1 cached attention inputs, d wide; version 4 caches x1|q|k|v rows, 4d wide
-    cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-    state = init_state(cfg)
-    state.layers[0].rows = np.zeros((0, cfg.d_model), np.float32)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    _rewrite_header(path, lambda h: h.update(version=1))
-    with pytest.raises(StateError, match="version 1"):
-        StreamState.load(path)
-
-
-def test_version_three_state_file_is_state_error(tmp_path):
-    # version 3 cached each layer's K|V rows and its x1|q pending rows apart,
-    # beside three stream counters that copied the layers' own
-    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
-    w = init_encoder_weights(cfg, seed=3)
-    state = init_state(cfg)
-    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    header, tensors = load_container(path)
-    d, n_tokens = cfg.d_model, state.tokens_in
-    for i in range(cfg.n_layers):
-        n_in, n_out = state.counts(i)
-        rows = tensors.pop(f"layer{i}.rows")
-        tensors[f"layer{i}.attn"] = rows[:, 2 * d :].copy()
-        tensors[f"layer{i}.pending"] = rows[rows.shape[0] - (n_in - n_out) :, : 2 * d].copy()
-    del header["settle_delay"]
-    header.update(version=3, mel_seen=n_tokens * cfg.downsampling_rate,
-                  tokens_emitted=state.tokens_emitted)
-    save_container(path, header, list(tensors.items()))
-    with pytest.raises(StateError, match="version 3"):
-        StreamState.load(path)
-
-
-def test_version_four_state_file_is_state_error(tmp_path):
-    # version 4 held each layer's inputs seen and outputs settled; later
-    # versions derive them from tokens_in
-    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
-    w = init_encoder_weights(cfg, seed=3)
-    state = init_state(cfg)
-    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    header, tensors = load_container(path)
-    del header["tokens_in"], header["settle_delay"]
-    header.update(version=4, counters=[list(state.counts(i)) for i in range(cfg.n_layers)])
-    save_container(path, header, list(tensors.items()))
-    with pytest.raises(StateError, match="version 4"):
-        StreamState.load(path)
-
-
-def test_version_five_state_file_is_state_error(tmp_path):
-    # version 5 also held the RNNT prediction-net states, which the decoders own
-    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
-    w = init_encoder_weights(cfg, seed=3)
-    state = init_state(cfg)
-    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    header, tensors = load_container(path)
-    header.update(version=5, n_rnnt=1)
-    tensors["rnnt0"] = np.zeros(8, np.float32)
-    save_container(path, header, list(tensors.items()))
-    with pytest.raises(StateError, match="version 5"):
-        StreamState.load(path)
-
-
-@pytest.mark.parametrize("pick", [
-    lambda st: st.layers[0].rows, lambda st: st.layers[1].conv, lambda st: st.ds_carry[0],
-], ids=["layer0.rows", "layer1.conv", "ds_carry0"])
-def test_non_finite_state_tensor_is_state_error(pick, tmp_path):
-    cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-    w = init_encoder_weights(cfg, seed=3)
-    state = init_state(cfg)
-    encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
-    pick(state)[0, 0] = -np.inf
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    with pytest.raises(StateError, match="NaN or infinity"):
-        StreamState.load(path)
 
 
 def _extra_row(field: str, layer: int):
@@ -425,7 +244,7 @@ STATE_EDITS = {
 @pytest.mark.parametrize("edit", list(STATE_EDITS))
 @pytest.mark.parametrize("ctx", [AttentionContext.chunked(2, 1), AttentionContext.regular(1, 3)],
                          ids=["chunk", "regular"])
-def test_state_edits_are_state_error(ctx, edit, tmp_path):
+def test_state_edits_are_state_error(ctx, edit):
     # 4 tokens read: the chunk stream's edits leave a chunk edge, and the
     # regular stream's top layer has settled 2 outputs, under its left context
     # of 3; each edit leaves every tensor shape plausible on its own, and only
@@ -437,13 +256,10 @@ def test_state_edits_are_state_error(ctx, edit, tmp_path):
     state = init_state(cfg)
     for i in range(0, 16, step):
         encode_step(mel[i : i + step], state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
-    encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)  # the saved state resumes
+    encode_step(mel[16 : 16 + step], copy.deepcopy(state), w, cfg)  # an unedited copy resumes
     STATE_EDITS[edit](state)
-    state.save(path)
     with pytest.raises(StateError):
-        encode_step(mel[16 : 16 + step], StreamState.load(path), w, cfg)
+        encode_step(mel[16 : 16 + step], state, w, cfg)
 
 
 def test_no_tokens_in_edit_keeps_the_rows_under_the_left_context():
@@ -465,7 +281,7 @@ def test_no_tokens_in_edit_keeps_the_rows_under_the_left_context():
                 assert seen[key] == 1, (n_layers, m, left, t)
 
 
-def test_state_from_another_lookahead_is_state_error(tmp_path):
+def test_state_from_another_lookahead_is_state_error():
     # bias_future=2 makes one set of weights fit both contexts, so only the
     # state's stored settle delay tells them apart
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3), bias_future=2)
@@ -474,12 +290,10 @@ def test_state_from_another_lookahead_is_state_error(tmp_path):
     state = init_state(cfg)
     for i in range(0, 32, 4):
         encode_step(mel[i : i + 4], state, w, cfg)
-    path = str(tmp_path / "state.bin")
-    state.save(path)
     other = dataclasses.replace(cfg, attention=AttentionContext.regular(2, 3))
     with pytest.raises(StateError, match="settle delay 1"):
-        encode_step(mel[32:36], StreamState.load(path), w, other)
-    encode_step(mel[32:36], StreamState.load(path), w, cfg)
+        encode_step(mel[32:36], copy.deepcopy(state), w, other)
+    encode_step(mel[32:36], state, w, cfg)
 
 
 DERIVATION_CONTEXTS = st.one_of(

@@ -5,12 +5,14 @@ import re
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
 import streamasr
 from streamasr import StreamingSession, Vocab, load_model, read_wav
 from streamasr.cli import main
+from streamasr.errors import FormatError
 
 from helpers import synth_audio, write_wav
 
@@ -340,6 +342,16 @@ class TestCompare:
         assert capsys.readouterr().err == "error:config: unknown mode 'bogus'\n"
 
 
+def _rewrite_header(path, mutate):
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    mutate(header)
+    hjson = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+
+
 def _set(keys, value):
     def mutate(d):
         for k in keys[:-1]:
@@ -379,17 +391,28 @@ class TestMalformedInputs:
     def test_model_header(self, workspace, capsys, mutate):
         tmp_path, config_path, vocab_path, wav_path = workspace
         model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
-        raw = open(model_path, "rb").read()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12 : 12 + hlen])
-        mutate(header)
-        hjson = json.dumps(header).encode("utf-8")
-        with open(model_path, "wb") as f:
-            f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+        _rewrite_header(model_path, mutate)
         rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
                    "--wav", wav_path])
         assert rc == 1
         assert capsys.readouterr().err.startswith(("error:config:", "error:format:"))
+
+    @pytest.mark.parametrize("keys", [["config", "encoder", "n_layers"], ["config", "pred_layers"]],
+                             ids=["n_layers", "pred_layers"])
+    def test_header_claiming_a_billion_layers_is_format_error_at_once(self, workspace, capsys,
+                                                                        keys):
+        # the loader refuses the header before it lists a billion layers' tensors
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        _rewrite_header(model_path, _set(keys, 10**9))
+        t0 = time.perf_counter()
+        with pytest.raises(FormatError):
+            load_model(model_path)
+        assert time.perf_counter() - t0 < 1.0
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path])
+        err = capsys.readouterr().err
+        assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err)
 
     @pytest.mark.parametrize("mutate", [
         lambda cfg: [cfg],

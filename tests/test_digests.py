@@ -2,8 +2,8 @@
 
 Every other exactness test compares two paths of the same program. These
 digests pin the bytes themselves, so a change that moves any bit of the
-features, the encoder, the transcripts (with their MAC ledgers) or the file
-formats fails here, even when every path moves together. A change that
+features, the encoder, the transcripts (with their MAC ledgers) or the model
+file fails here, even when every path moves together. A change that
 alters bits on purpose updates the digests it moves and says which and why.
 """
 
@@ -15,7 +15,6 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     FeatureConfig,
-    StreamingSession,
     encode_full,
     log_mel,
     run_buffered,
@@ -78,9 +77,6 @@ EXPECTED = {
     "transcripts/buffered/chunk/rnnt": "113f45973eecdf134bfbbf8dc53676dd1d4634d766b2f2040934d8bf0f482bb9",
     "transcripts/buffered/chunk/both": "e94e08265cb3002d1657a6a954a9f7f5addf940fb5cb98a0b27c1875f062d21c",
     "model_file": "6bedb37ff2a77169e9356ce4613c89d0fe601bef5d0cb655b01c141a494d321e",
-    # version 6: one x1|q|k|v row cache per layer, one stream counter (tokens_in),
-    # no RNNT states (the run's decoders own them)
-    "state_file": "46f95889c8f4ba2436a1e61bb6e930400107f0e59de2d01eb9a5fc7fa6d60161",
 }
 
 
@@ -115,15 +111,6 @@ def _model_file(tmp_path) -> bytes:
     return (tmp_path / "model.bin").read_bytes()
 
 
-def _state_file(tmp_path) -> bytes:
-    # mid-stream in the regular regime: unsettled rows
-    model, vocab = tiny_model(REGIMES["regular"], seed=12)
-    session = StreamingSession(model, vocab, decoder="both")
-    session.feed(AUDIO.samples[: AUDIO.samples.size // 2])
-    session.state.save(str(tmp_path / "state.bin"))
-    return (tmp_path / "state.bin").read_bytes()
-
-
 CASES = (
     [(f"log_mel/{n}", lambda tmp, n=n: _log_mel(n)) for n in (80, 8)]
     + [(f"encode_full/{r}/rate{k}", lambda tmp, r=r, k=k: _encode_full(r, k))
@@ -131,7 +118,7 @@ CASES = (
     + [(f"transcripts/{m}/{r}/{d}", lambda tmp, m=m, r=r, d=d: _transcripts(m, r, d))
        for m in ("streaming", "offline", "buffered") for r in REGIMES
        for d in ("ctc", "rnnt", "both")]
-    + [("model_file", _model_file), ("state_file", _state_file)]
+    + [("model_file", _model_file)]
 )
 
 

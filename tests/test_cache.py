@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
+    ComputeLedger,
     LayerCache,
     StreamState,
     attn_keep_rows,
@@ -178,10 +179,16 @@ class TestCacheWidthLaws:
     lambda st: st.layers.pop(),
     lambda st: setattr(st.layers[0], "rows", st.layers[0].rows.astype(np.int64)),
     lambda st: setattr(st.layers[1], "rows", st.layers[1].rows.astype(np.float64)),
+    lambda st: st.layers.clear(),
+    lambda st: st.layers.append(copy.deepcopy(st.layers[-1])),
+    lambda st: st.ds_carry.clear(),
+    lambda st: setattr(st.layers[0], "conv", st.layers[0].conv.astype(np.float64)),
+    lambda st: st.ds_carry.__setitem__(1, st.ds_carry[1].astype(np.int32)),
 ], ids=["rows-columns", "rows-shape", "rows-1d", "rows-kv-only",
         "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
         "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "rows-int64",
-        "rows-float64"])
+        "rows-float64", "no-layers", "extra-layer", "no-ds_carry", "conv-float64",
+        "ds_carry1-int32"])
 def test_tensors_that_do_not_fit_the_encoder_are_state_error(mutate):
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
@@ -207,6 +214,94 @@ def test_stream_state_holds_each_fact_once():
     assert (len(state.layers), len(state.ds_carry)) == (cfg.n_layers, cfg.n_stages)
     assert state.layers[0].rows.shape[1] == 4 * cfg.d_model
     assert (state.tokens_in, state.settle_delay) == (4, 1)
+
+
+def _rebuilt(state: StreamState) -> StreamState:
+    """A state made from copies of the stored arrays and counters alone, no plans."""
+    return StreamState(
+        layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in state.layers],
+        ds_carry=[row.copy() for row in state.ds_carry],
+        settle_delay=state.settle_delay, tokens_in=state.tokens_in, finished=state.finished)
+
+
+def _arrays(state: StreamState) -> list[np.ndarray]:
+    return [*state.ds_carry, *(a for lc in state.layers for a in (lc.rows, lc.conv))]
+
+
+REBUILD_CONTEXTS = {
+    "zero": AttentionContext.zero(),
+    "zero_left": AttentionContext.zero(left_context=3),
+    "chunk": AttentionContext.chunked(2, 1),
+    "regular": AttentionContext.regular(1, 3),
+    "regular_m2": AttentionContext.regular(2, 3),
+}
+
+
+@pytest.mark.parametrize("cut", [4, 16], ids=["unsaturated", "saturated"])
+@pytest.mark.parametrize("regime", list(REBUILD_CONTEXTS))
+def test_state_rebuilt_from_its_arrays_resumes_bit_exact(regime, cut):
+    # the attention plan is derived data: a stream resumed on the stored
+    # arrays and counters alone steps to the same tokens and the same MACs
+    ctx = REBUILD_CONTEXTS[regime]
+    cfg = tiny_encoder_config(ctx)
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(4 * (cut + 12) + 3, cfg.n_mels, seed=4)
+    step = ctx.step_tokens() * cfg.downsampling_rate
+    state = init_state(cfg)
+    for i in range(0, 4 * cut, step):
+        encode_step(mel[i : i + step], state, w, cfg)
+    if ctx.settle_delay() > 0:
+        assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
+    assert all(lc.plan is not None for lc in state.layers)
+    rebuilt = _rebuilt(state)
+
+    def run(st):
+        rec = ComputeLedger()
+        outs = [encode_step(mel[i : i + step], st, w, cfg, rec)[0]
+                for i in range(4 * cut, 4 * (cut + 12), step)]
+        outs.append(encode_step(mel[4 * (cut + 12) :], st, w, cfg, rec, final=True)[0])
+        return np.concatenate(outs), rec.steps
+
+    (out, macs), (out_rebuilt, macs_rebuilt) = run(state), run(rebuilt)
+    assert out.shape[0] > 0 and np.array_equal(out_rebuilt, out)
+    assert macs_rebuilt == macs
+    # both streams end in equal states
+    assert (rebuilt.tokens_in, rebuilt.finished) == (state.tokens_in, state.finished)
+    for a, b in zip(_arrays(rebuilt), _arrays(state), strict=True):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 5), d_rows=st.integers(-2, 2), d_cols=st.integers(-2, 2),
+       dtype=st.sampled_from([np.float32, np.float64, np.float16, np.int32]))
+@pytest.mark.parametrize("ctx", [AttentionContext.chunked(2, 1), AttentionContext.regular(1, 3)],
+                         ids=["chunk", "regular"])
+def test_a_reshaped_or_retyped_state_tensor_steps_only_if_unchanged(ctx, which, d_rows, d_cols,
+                                                                    dtype):
+    # every cached tensor is checked: any change of its row count, column
+    # count or dtype is a StateError at the next step, and no other error
+    cfg = tiny_encoder_config(ctx)
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(24, cfg.n_mels, seed=4)
+    step = ctx.step_tokens() * cfg.downsampling_rate
+    state = init_state(cfg)
+    for i in range(0, 16, step):
+        encode_step(mel[i : i + step], state, w, cfg)
+    slots = [(lc, f) for lc in state.layers for f in ("rows", "conv")]
+    slots += [(state.ds_carry, s) for s in range(len(state.ds_carry))]
+    owner, key = slots[which]
+    arr = owner[key] if isinstance(owner, list) else getattr(owner, key)
+    rows, cols = max(0, arr.shape[0] + d_rows), max(0, arr.shape[1] + d_cols)
+    edited = np.resize(arr, (rows, cols)).astype(dtype)
+    if isinstance(owner, list):
+        owner[key] = edited
+    else:
+        setattr(owner, key, edited)
+    if edited.shape == arr.shape and edited.dtype == np.float32:
+        encode_step(mel[16 : 16 + step], state, w, cfg)
+    else:
+        with pytest.raises(StateError):
+            encode_step(mel[16 : 16 + step], state, w, cfg)
 
 
 def test_tokens_emitted_reads_the_top_layer():
@@ -235,7 +330,10 @@ STATE_EDITS = {
     "tokens_in+1": _add("tokens_in", 1),
     "tokens_in-1": _add("tokens_in", -1),
     "tokens_in+5": _add("tokens_in", 5),
+    "tokens_in-4": _add("tokens_in", -4),  # back to a fresh stream's count
+    "tokens_in-8": _add("tokens_in", -8),  # below zero
     "settle_delay+1": _add("settle_delay", 1),
+    "settle_delay-1": _add("settle_delay", -1),
     "layer0-rows-extra-row": _extra_row("rows", 0),
     "layer1-rows-extra-row": _extra_row("rows", 1),
 }

@@ -414,6 +414,28 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err)
 
+    @pytest.mark.parametrize("keys", [["config", "encoder", "n_layers"], ["config", "pred_layers"]],
+                             ids=["n_layers", "pred_layers"])
+    def test_header_claiming_one_more_layer_names_the_missing_tensor(self, workspace, capsys,
+                                                                     keys):
+        # a count the file's tensors could hold passes the up-front check, and
+        # the per-tensor check still finds the layer that is not there
+        tmp_path, config_path, vocab_path, _ = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        layers = 0
+
+        def one_more(header):
+            nonlocal layers
+            d = header
+            for k in keys[:-1]:
+                d = d[k]
+            layers = d[keys[-1]]
+            d[keys[-1]] = layers + 1
+
+        _rewrite_header(model_path, one_more)
+        with pytest.raises(FormatError, match=rf"tensor \S*\D{layers}\.\S+ missing"):
+            load_model(model_path)
+
     @pytest.mark.parametrize("mutate", [
         lambda cfg: [cfg],
         _set(["encoder", "d_model"], "16"),

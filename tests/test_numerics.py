@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,16 @@ class TestLayerNorm:
                          np.zeros(2, np.float32))
         # closed form: mean 0, var 1, shrunk slightly by eps
         assert np.allclose(out, [1.0, -1.0], atol=1e-4)
+
+    def test_takes_three_positional_arguments_and_no_eps(self):
+        # the perfbench tracer wraps layer_norm by name with (x, gamma, beta)
+        params = inspect.signature(layer_norm).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (n, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for n in ("x", "gamma", "beta")]
+        with pytest.raises(TypeError):
+            layer_norm(np.zeros(3, np.float32), np.ones(3, np.float32),
+                       np.zeros(3, np.float32), eps=1e-3)
 
     def test_beta_shift_law(self):
         rng = np.random.default_rng(3)

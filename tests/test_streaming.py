@@ -12,8 +12,10 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     EncoderConfig,
+    LayerCache,
     ModelConfig,
     StreamingSession,
+    StreamState,
     Vocab,
     encode_full,
     init_model,
@@ -93,6 +95,30 @@ class TestStreamingVsOffline:
         assert [t.to_json() for t in split.transcripts.values()] == [
             t.to_json() for t in whole.transcripts.values()]
         assert split.ledger.steps == whole.ledger.steps
+
+    @pytest.mark.parametrize("decoder", ["ctc", "rnnt", "both"])
+    @pytest.mark.parametrize("regime", sorted(SPLIT_CONTEXTS))
+    def test_a_session_resumes_on_its_state_rebuilt_from_the_arrays(self, regime, decoder):
+        # the encoder's part of a stream is its arrays and counters: a session
+        # whose state is swapped mid-stream for a copy of them, without the
+        # attention plans, ends in the same transcripts and ledger steps
+        model, vocab, _ = split_baseline(regime)
+        half = len(SPLIT_AUDIO.samples) // 2
+        whole = StreamingSession(model, vocab, decoder)
+        whole.feed(SPLIT_AUDIO.samples)
+        cut = StreamingSession(model, vocab, decoder)
+        cut.feed(SPLIT_AUDIO.samples[:half])
+        old = cut.state
+        assert old.tokens_in > 0 and all(lc.plan is not None for lc in old.layers)
+        cut.state = StreamState(
+            layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in old.layers],
+            ds_carry=[row.copy() for row in old.ds_carry],
+            settle_delay=old.settle_delay, tokens_in=old.tokens_in)
+        cut.feed(SPLIT_AUDIO.samples[half:])
+        a, b = whole.finish(), cut.finish()
+        assert [t.to_json() for t in b.transcripts.values()] == [
+            t.to_json() for t in a.transcripts.values()]
+        assert b.ledger.steps == a.ledger.steps
 
     @pytest.mark.parametrize("mode", ["streaming", "offline", "buffered"])
     def test_vocab_smaller_than_the_model_is_config_error(self, mode):

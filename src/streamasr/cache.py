@@ -54,11 +54,12 @@ def cache_append(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append new rows to a cache.
 
-    Returns (window, kept): the step's operand window cache||new_rows and a
-    copy of its newest n_keep rows, which seed the next step. The copy keeps
-    a state from pinning the whole window.
+    Returns (window, kept): the step's operand window cache||new_rows (the
+    new rows themselves when the cache is empty) and a copy of its newest
+    n_keep rows, which seed the next step. The copy keeps a state from
+    pinning the whole window.
     """
-    window = np.concatenate([cache, new_rows], axis=0)
+    window = np.concatenate([cache, new_rows], axis=0) if cache.shape[0] else new_rows
     if not 0 <= n_keep <= window.shape[0]:
         raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row window")
     return window, window[window.shape[0] - n_keep :].copy()

@@ -58,7 +58,7 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: header of {hlen} bytes runs past the end of the file")
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as ex:
+    except (ValueError, RecursionError) as ex:  # bad UTF-8 or JSON, huge integers, deep nesting
         raise FormatError(f"{path}: corrupt header: {ex}") from ex
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: header is not a JSON object with a tensor list")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -426,28 +426,42 @@ def _layer_window(
 
 
 def encode_full(
-    mel: np.ndarray,
+    mel: np.ndarray | Iterable[np.ndarray],
     w: EncoderWeights,
     cfg: EncoderConfig,
     rec: ComputeLedger | None = None,
 ) -> np.ndarray:
     """Whole-utterance forward pass, (n_tokens, d_model): the stream from a
-    fresh state in ceil(n_tokens / _BLOCK_TOKENS) near-equal steps of whole
-    step_tokens(), the last final and none speculating, so its working memory
-    is one step's and its ledger the single pass's."""
-    frames = np.asarray(mel)
-    if frames.ndim != 2:
-        raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
-    dr, step = cfg.downsampling_rate, cfg.attention.step_tokens()
-    n = frames.shape[0] // dr
-    k = -(-n // _BLOCK_TOKENS) or 1
-    cuts = sorted({n * i // k // step * step for i in range(k)})  # long chunks merge cuts
-    state, out, pos = init_state(cfg), np.empty((n, cfg.d_model), dtype=np.float32), 0
-    for lo, hi in zip(cuts, cuts[1:] + [None]):
-        y, _ = _step(frames[lo * dr : None if hi is None else hi * dr], state, w, cfg, rec,
-                     final=hi is None, speculate=False)
+    fresh state into one preallocated output, no step speculating, so its
+    working memory is one step's and its ledger the single pass's.
+
+    `mel` is the (frames, n_mels) array, taken in ceil(n_tokens /
+    _BLOCK_TOKENS) near-equal steps of whole step_tokens(), or a source of
+    it in pieces: an iterable of frame arrays with `n_frames`, their total,
+    each piece one step as it arrives (whole step_tokens() but the last).
+    The step whose frames reach the total is final."""
+    dr = cfg.downsampling_rate
+    if hasattr(mel, "n_frames"):
+        pieces, n_frames = mel, mel.n_frames
+    else:
+        frames = np.asarray(mel)
+        if frames.ndim != 2:
+            raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
+        n_frames, step = frames.shape[0], cfg.attention.step_tokens()
+        n = n_frames // dr
+        k = -(-n // _BLOCK_TOKENS) or 1
+        cuts = sorted({n * i // k // step * step for i in range(k)})  # long chunks merge cuts
+        pieces = [frames[lo * dr : None if hi is None else hi * dr]
+                  for lo, hi in zip(cuts, cuts[1:] + [None])]
+    state, pos, seen = init_state(cfg), 0, 0
+    out = np.empty((n_frames // dr, cfg.d_model), dtype=np.float32)
+    for piece in pieces:
+        seen += piece.shape[0]
+        y, _ = _step(piece, state, w, cfg, rec, final=seen == n_frames, speculate=False)
         out[pos : pos + y.shape[0]] = y
         pos += y.shape[0]
+    if not state.finished:
+        raise ShapeError(f"pieces of {seen} frames do not add up to their total of {n_frames}")
     return out
 
 

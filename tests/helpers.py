@@ -204,6 +204,21 @@ def reference_rnnt_greedy(enc: np.ndarray, head, max_symbols: int = 10) -> list[
     return out
 
 
+def offline_composition(audio: AudioBuffer, model, vocab: Vocab, decoder: str = "both"):
+    """run_offline's oracle: the old composition, the whole log_mel first,
+    then encode_full over that array and one push of the run's decoders."""
+    from streamasr import encode_full, log_mel
+    from streamasr.streaming import _Decoders
+
+    dec = _Decoders(model, vocab, decoder)
+    ledger = ComputeLedger()
+    ledger.new_step()
+    enc = encode_full(log_mel(audio, model.cfg.feature_config()), model.encoder,
+                      model.cfg.encoder, rec=ledger)
+    dec.push(enc, ledger)
+    return dec.result("offline", ledger, lambda f: f, None)
+
+
 def vary_rnnt_emission(head, gain: float, blank_shift: float) -> None:
     """Scale a random RNNT head in place so that its prediction state moves
     the joint: frames then emit nothing, a few tokens or the cap, as the shift

@@ -101,6 +101,14 @@ class TestAttnCache:
         window, kept = cache_append(np.ones((3, 2), np.float32), np.ones((5, 2), np.float32), 2)
         assert kept.base is None and not np.shares_memory(window, kept)
 
+    @pytest.mark.parametrize("n_keep", [0, 2, 5])
+    def test_an_empty_cache_windows_the_new_rows_themselves(self, n_keep):
+        # no concatenate on a first step; the kept rows are still a copy
+        new = np.arange(10, dtype=np.float32).reshape(5, 2)
+        window, kept = cache_append(np.zeros((0, 2), np.float32), new, n_keep)
+        assert window is new
+        assert np.array_equal(kept, new[5 - n_keep :]) and not np.shares_memory(kept, new)
+
 
 def _layer_widths(state: StreamState) -> list[tuple[int, int]]:
     return [(lc.rows.shape[0], lc.conv.shape[0]) for lc in state.layers]

@@ -414,6 +414,29 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err)
 
+    @pytest.mark.parametrize("old, new", [
+        ('"n_layers":2', '"n_layers":' + "9" * 5000),
+        ('"hybrid_alpha":0.3', '"hybrid_alpha":' + "[" * 100_000 + "]" * 100_000),
+    ], ids=["5000-digit-integer", "arrays-nested-100000-deep"])
+    def test_header_json_the_parser_refuses_is_format_error(self, workspace, capsys, old, new):
+        # json.loads raises ValueError and RecursionError on these, not a
+        # JSONDecodeError; json.dumps cannot write them, so the text is edited
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        raw = open(model_path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        text = raw[12 : 12 + hlen].decode("utf-8")
+        assert text.count(old) == 1
+        hjson = text.replace(old, new).encode("utf-8")
+        with open(model_path, "wb") as f:
+            f.write(raw[:8] + struct.pack("<I", len(hjson)) + hjson + raw[12 + hlen :])
+        with pytest.raises(FormatError, match="corrupt header"):
+            load_model(model_path)
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path])
+        err = capsys.readouterr().err
+        assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err)
+
     @pytest.mark.parametrize("keys", [["config", "encoder", "n_layers"], ["config", "pred_layers"]],
                              ids=["n_layers", "pred_layers"])
     def test_header_claiming_one_more_layer_names_the_missing_tensor(self, workspace, capsys,

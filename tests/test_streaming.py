@@ -2,15 +2,18 @@ import collections
 import dataclasses
 import functools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
     BufferedConfig,
+    ComputeLedger,
     EncoderConfig,
     LayerCache,
     ModelConfig,
@@ -26,12 +29,16 @@ from streamasr import (
     run_offline,
     run_streaming,
     save_model,
+    streaming,
 )
-from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError
-from streamasr.features import AudioBuffer
+from streamasr import encoder as encoder_module
+from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError, ShapeError
+from streamasr.features import AudioBuffer, StreamingFeatureExtractor
+from streamasr.streaming import _MelPieces
 
 from helpers import (
     count_macs,
+    offline_composition,
     reference_rnnt_greedy,
     synth_audio,
     tiny_model,
@@ -184,6 +191,171 @@ class TestStreamingVsOffline:
         assert AudioBuffer(16000, edges).samples.dtype == np.int16
 
 
+PIECE_CONTEXTS = {  # chunks of 3 and 5 tokens do not divide the 64-token piece
+    "chunk3": AttentionContext.chunked(3, 1),
+    "chunk5": AttentionContext.chunked(5, 2),
+    "regular": AttentionContext.regular(1, 4),
+    "zero": AttentionContext.zero(left_context=4),
+}
+PIECE_AUDIO = synth_audio(6.0, seed=47)  # three pieces, the last one partial
+LONG_AUDIO = synth_audio(8.0, seed=48)  # enough for two pieces and a piece's frames less one
+
+
+@functools.cache
+def piece_model(name: str):
+    return tiny_model(PIECE_CONTEXTS[name], seed=33)
+
+
+def piece_frames(model) -> int:
+    return _MelPieces(PIECE_AUDIO, model)._piece_frames
+
+
+class TestOfflinePieces:
+    """run_offline's log-mel comes in pieces, the next one computed on a
+    worker thread while encode_full steps through the current one."""
+
+    @pytest.mark.parametrize("name", sorted(PIECE_CONTEXTS))
+    def test_the_pieces_are_log_mels_rows_in_whole_steps(self, name):
+        model, _ = piece_model(name)
+        enc = model.cfg.encoder
+        with _MelPieces(PIECE_AUDIO, model) as src:
+            pieces = list(src)
+        size = piece_frames(model)
+        step_frames = enc.attention.step_tokens() * enc.downsampling_rate
+        assert size % step_frames == 0 and 0 <= size - 64 * enc.downsampling_rate < step_frames
+        assert [p.shape[0] for p in pieces[:-1]] == [size] * 2 and pieces[-1].shape[0] < size
+        whole = log_mel(PIECE_AUDIO, model.cfg.feature_config())
+        assert src.n_frames == whole.shape[0]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(PIECE_CONTEXTS)), pieces=st.integers(0, 2),
+           rest=st.one_of(st.integers(0, 3), st.integers(0, 255)), tail=st.integers(0, 399))
+    @example(name="chunk3", pieces=0, rest=0, tail=0)  # no frame
+    @example(name="chunk5", pieces=0, rest=0, tail=399)  # samples short of one window
+    @example(name="regular", pieces=0, rest=37, tail=0)  # less than one piece
+    @example(name="chunk3", pieces=2, rest=0, tail=0)  # exact multiples of a piece
+    @example(name="chunk5", pieces=1, rest=0, tail=159)
+    @example(name="zero", pieces=2, rest=3, tail=0)  # plus a partial frame group
+    @example(name="chunk3", pieces=1, rest=2, tail=0)
+    def test_encode_full_over_the_pieces_equals_it_over_the_array(self, name, pieces, rest,
+                                                                  tail):
+        model, _ = piece_model(name)
+        fcfg = model.cfg.feature_config()
+        n_frames = pieces * piece_frames(model) + rest
+        n = (n_frames - 1) * fcfg.shift_samples + fcfg.window_samples + tail % fcfg.shift_samples \
+            if n_frames else tail  # tail < window_samples: no frame at all
+        audio = AudioBuffer(16000, LONG_AUDIO.samples[:n])
+        led_array, led_pieces = ComputeLedger(), ComputeLedger()
+        led_array.new_step()
+        led_pieces.new_step()
+        want = encode_full(log_mel(audio, fcfg), model.encoder, model.cfg.encoder, rec=led_array)
+        with _MelPieces(audio, model) as src:
+            assert src.n_frames == n_frames
+            got = encode_full(src, model.encoder, model.cfg.encoder, rec=led_pieces)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert led_pieces.steps == led_array.steps
+
+    def test_pieces_short_of_their_total_are_shape_error(self):
+        model, _ = piece_model("chunk3")
+
+        class Short:
+            n_frames = 24
+
+            def __iter__(self):
+                yield np.zeros((12, 80), np.float32)  # one whole step, then nothing
+
+        with pytest.raises(ShapeError):
+            encode_full(Short(), model.encoder, model.cfg.encoder)
+
+    @pytest.mark.parametrize("decoder", ["ctc", "rnnt", "both"])
+    @pytest.mark.parametrize("name", sorted(PIECE_CONTEXTS))
+    def test_run_offline_equals_the_whole_mel_composition(self, name, decoder):
+        model, vocab = piece_model(name)
+        got = run_offline(PIECE_AUDIO, model, vocab, decoder)
+        want = offline_composition(PIECE_AUDIO, model, vocab, decoder)
+        assert [t.to_json() for t in got.transcripts.values()] == [
+            t.to_json() for t in want.transcripts.values()]
+        assert got.ledger.steps == want.ledger.steps
+
+    def test_run_offline_is_exact_when_threads_switch_every_microsecond(self):
+        # the worker hands each piece over through the join alone
+        model, vocab = piece_model("regular")
+        want = offline_composition(PIECE_AUDIO, model, vocab)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_offline(PIECE_AUDIO, model, vocab)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [t.to_json() for t in got.transcripts.values()] == [
+            t.to_json() for t in want.transcripts.values()]
+        assert got.ledger.steps == want.ledger.steps
+
+    def test_run_offline_reaches_the_encoder_through_streaming_encode_full_once(self,
+                                                                               monkeypatch):
+        # perfbench's tracer times the offline pass by wrapping this name
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return encode_full(*args, **kwargs)
+
+        monkeypatch.setattr(streaming, "encode_full", counting)
+        model, vocab = piece_model("chunk3")
+        run_offline(PIECE_AUDIO, model, vocab, "ctc")
+        assert len(calls) == 1
+
+    def test_a_piece_failing_on_the_worker_raises_from_run_offline(self, monkeypatch):
+        model, vocab = piece_model("chunk3")
+        err, push, threads = RuntimeError("second piece"), StreamingFeatureExtractor.push, []
+
+        def failing(self, samples):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise err
+            return push(self, samples)
+
+        monkeypatch.setattr(StreamingFeatureExtractor, "push", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_offline(PIECE_AUDIO, model, vocab)
+        assert info.value is err
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is not threading.current_thread()
+        assert threading.active_count() == before
+
+    def test_a_step_failing_mid_stream_joins_the_worker(self, monkeypatch):
+        # the second step fails while the worker computes the third piece
+        model, vocab = piece_model("chunk3")
+        err, push, step = RuntimeError("second step"), StreamingFeatureExtractor.push, \
+            encoder_module._step
+        pushes, steps, alive, release = [], [], [], threading.Event()
+
+        def held_push(self, samples):
+            pushes.append(1)
+            if len(pushes) == 3:
+                assert release.wait(10)
+            return push(self, samples)
+
+        def failing(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 2:
+                alive.append(threading.active_count())
+                release.set()
+                raise err
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(StreamingFeatureExtractor, "push", held_push)
+        monkeypatch.setattr(encoder_module, "_step", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_offline(PIECE_AUDIO, model, vocab)
+        assert info.value is err
+        assert alive == [before + 1] and len(pushes) == 3
+        assert threading.active_count() == before
+
+
 def held(a: np.ndarray) -> np.ndarray:
     """The array whose memory `a` keeps alive: a view keeps its base's."""
     while isinstance(a.base, np.ndarray):
@@ -240,6 +412,25 @@ class TestWorkingMemory:
         (short, p60), (long, p120) = [traced_peak(lambda m=m: encode_full(m, model.encoder, cfg))
                                       for m in (mel, np.concatenate([mel, mel]))]
         assert p120 - p60 <= long.nbytes - short.nbytes + 2**18
+
+    def test_run_offline_peak_grows_by_its_whole_arrays_alone(self):
+        # from 60 to 120 s the mel (1.9 MB a minute) runs in pieces; only the
+        # encoder output, the CTC logits (float32) and log-probs (float64)
+        # are held whole, plus at most 0.25 MiB. The encoder's own growth in
+        # either regime is held by test_offline_peak_grows_by_the_output_alone
+        model, vocab = baseline_model(AttentionContext.regular(1, 16))
+        audio, _ = minute_of_audio()
+        longer = AudioBuffer(audio.sample_rate, np.concatenate([audio.samples, audio.samples]))
+        (_, p60), (_, p120) = [traced_peak(lambda a=a: run_offline(a, model, vocab, "ctc"))
+                               for a in (audio, longer)]
+        fcfg, enc = model.cfg.feature_config(), model.cfg.encoder
+        tokens = [((len(a.samples) - fcfg.window_samples) // fcfg.shift_samples + 1)
+                  // enc.downsampling_rate for a in (audio, longer)]
+        grown = tokens[1] - tokens[0]
+        encoder_out = grown * enc.d_model * 4
+        ctc_logits = grown * model.cfg.vocab_size * 4
+        ctc_logprobs = grown * model.cfg.vocab_size * 8
+        assert p120 - p60 <= encoder_out + ctc_logits + ctc_logprobs + 2**18
 
     def test_an_offline_minute_transcribes_in_blocks(self):
         # encode_full's steps plus the features and the decoder, which do

@@ -144,19 +144,11 @@ def mel_filterbank(n_mels: int, n_bins: int, sample_rate: int, window_samples: i
 
 
 @functools.cache
-def _extractor_matrices(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Hann window, the real DFT matrix (window, 2 * n_bins: its cos
-    columns, then its sin columns) and the mel filterbank of `cfg`, built
-    once per config."""
+def _extractor_matrices(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and the mel filterbank (window // 2 + 1 rfft bins,
+    n_mels) of `cfg`, built once per config."""
     n = cfg.window_samples
-    k = np.arange(n)[:, None]
-    b = np.arange(n // 2 + 1)[None, :]
-    ang = -2.0 * np.pi * k * b / n
-    # written in place: a concatenate would hold a third n x n_bins array
-    dft = np.empty((n, 2 * b.shape[1]))
-    np.cos(ang, out=dft[:, : b.shape[1]])
-    np.sin(ang, out=dft[:, b.shape[1] :])
-    out = hann_window(n), dft, mel_filterbank(cfg.n_mels, b.shape[1], cfg.sample_rate, n)
+    out = hann_window(n), mel_filterbank(cfg.n_mels, n // 2 + 1, cfg.sample_rate, n)
     for m in out:
         m.flags.writeable = False  # every extractor of cfg shares them
     return out
@@ -168,34 +160,35 @@ class StreamingFeatureExtractor:
     def __init__(self, cfg: FeatureConfig):
         self.cfg = cfg
         self._pending = np.zeros(0, dtype=np.int16)
-        self._hann, self._dft, self._fb = _extractor_matrices(cfg)
+        self._hann, self._fb = _extractor_matrices(cfg)
 
     def push(self, samples: np.ndarray) -> np.ndarray:
         """Consume samples (see pcm16), return all newly complete frames
         (n, n_mels) float32.
 
         The frames run in blocks of at most _BLOCK_FRAMES: each block's
-        samples are converted, windowed and put through the cos|sin DFT
-        product and the mel product, and its log rows are written into the
-        one float32 output. A row of matmul64's output depends only on its
-        own operand row, and the other steps run element by element, so
-        every bit is the same for any block size or packet split. The
-        working set is one block of float64 (about 1 MiB) plus the output:
-        traced, log_mel of 60 s peaks at 4.6 MiB for a 1.8 MiB output,
-        where float64 buffers over the whole push took 84 MiB. A push of
-        fewer frames than a block makes one call of each product."""
+        samples are converted and windowed, each frame's power spectrum
+        comes from one `np.fft.rfft` over the block's rows, the mel product
+        is a matmul64, and the log rows are written into the one float32
+        output. rfft transforms each row as it would that row alone (numpy's
+        pocketfft runs one transform per row, and the tests hold it to that
+        bit for bit), a row of matmul64's output depends only on its own
+        operand row, and the other steps run element by element, so every
+        bit is the same for any block size or packet split. The working set
+        is one block of float64 plus the output: traced, log_mel of 60 s
+        peaks at 4.6 MiB for a 1.8 MiB output, where float64 buffers over
+        the whole push took 84 MiB. A push of fewer frames than a block
+        makes one call of each."""
         buf = np.concatenate([self._pending, pcm16(samples)])
         win, shift = self.cfg.window_samples, self.cfg.shift_samples
         n_frames = (len(buf) - win) // shift + 1 if len(buf) >= win else 0
         out = np.empty((n_frames, self.cfg.n_mels), dtype=np.float32)
-        n_bins = win // 2 + 1
         idx = np.arange(win)[None, :] + shift * np.arange(min(n_frames, _BLOCK_FRAMES))[:, None]
         for f0 in range(0, n_frames, _BLOCK_FRAMES):
             n = min(_BLOCK_FRAMES, n_frames - f0)
             x = buf[f0 * shift : (f0 + n - 1) * shift + win].astype(np.float64) / 32768.0
-            spec = matmul64(x[idx[:n]] * self._hann[None, :], self._dft)
-            re, im = spec[:, :n_bins], spec[:, n_bins:]
-            mel = matmul64(re * re + im * im, self._fb)
+            spec = np.fft.rfft(x[idx[:n]] * self._hann[None, :], axis=1)
+            mel = matmul64(spec.real * spec.real + spec.imag * spec.imag, self._fb)
             out[f0 : f0 + n] = np.log(mel + LOG_FLOOR)
         self._pending = buf[n_frames * shift :].copy()  # a view would pin the whole push
         return out

@@ -188,11 +188,11 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
 
 
 def log_softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    a64 = np.asarray(a, dtype=np.float64)
-    m = np.max(a64, axis=axis, keepdims=True)
-    shifted = a64 - m
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - lse
+    """Max-shifted log-softmax in float64, computed in place on one copy of `a`."""
+    out = np.array(a, dtype=np.float64)
+    out -= np.max(out, axis=axis, keepdims=True)
+    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    return out
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -232,12 +231,10 @@ class _MelPieces:
     """log_mel of a recording as encode_full's pieces source, for run_offline.
 
     Pieces are _PIECE_TOKENS tokens' frames rounded up to whole
-    step_tokens(). The first is computed on the caller's thread, and each
-    later one on a worker thread, one at a time, while the caller encodes
-    the piece before it. Each piece comes from its own samples alone, and a
-    frame depends on its own window only, so the pieces are log_mel's rows
-    bit for bit and the whole mel is never held. Leaving the with block
-    joins the worker, also when the caller raises.
+    step_tokens(), each computed on the caller's thread when encode_full
+    asks for it. Each piece comes from its own samples alone, and a frame
+    depends on its own window only, so the pieces are log_mel's rows bit
+    for bit and the whole mel is never held.
     """
 
     def __init__(self, audio: AudioBuffer, model: HybridModel):
@@ -248,7 +245,6 @@ class _MelPieces:
         self._piece_frames = -(-_PIECE_TOKENS // step) * step * enc.downsampling_rate
         self.n_frames = max(0, (len(self._samples) - self._fcfg.window_samples)
                             // self._fcfg.shift_samples + 1)
-        self._worker: threading.Thread | None = None
 
     def _frames(self, f0: int) -> np.ndarray:
         """The piece from frame f0, from its frames' samples alone."""
@@ -256,32 +252,9 @@ class _MelPieces:
         return StreamingFeatureExtractor(self._fcfg).push(
             self._samples[f0 * shift : (f1 - 1) * shift + self._fcfg.window_samples])
 
-    def _fill(self, box: list, f0: int) -> None:
-        """The worker's task: the piece from f0, or the error it raised."""
-        try:
-            box.append(self._frames(f0))
-        except BaseException as ex:  # raised again on the caller's thread
-            box.append(ex)
-
     def __iter__(self):
-        piece = self._frames(0)
-        for f0 in range(self._piece_frames, self.n_frames, self._piece_frames):
-            box: list = []
-            self._worker = threading.Thread(target=self._fill, args=(box, f0))
-            self._worker.start()
-            yield piece
-            self._worker.join()
-            piece = box[0]
-            if isinstance(piece, BaseException):
-                raise piece
-        yield piece
-
-    def __enter__(self) -> _MelPieces:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._worker is not None:
-            self._worker.join()
+        for f0 in range(0, max(self.n_frames, 1), self._piece_frames):
+            yield self._frames(f0)
 
 
 def run_offline(
@@ -291,13 +264,12 @@ def run_offline(
     decoder: str = "both",
 ) -> StreamResult:
     """Whole-utterance inference with the same limited-context mask:
-    encode_full stepping through the log-mel pieces as a worker computes
-    them, then one decode of all its tokens."""
+    encode_full stepping through the log-mel pieces, then one decode of all
+    its tokens."""
     dec = _Decoders(model, vocab, decoder)
     ledger = ComputeLedger()
     ledger.new_step()
-    with _MelPieces(audio, model) as mel:
-        enc = encode_full(mel, model.encoder, model.cfg.encoder, rec=ledger)
+    enc = encode_full(_MelPieces(audio, model), model.encoder, model.cfg.encoder, rec=ledger)
     dec.push(enc, ledger)
     return dec.result("offline", ledger, lambda f: f, None)
 

@@ -158,16 +158,27 @@ class TestLogMel:
         assert np.array_equal(mel_loud[: mel_a.shape[0]], mel_a)
 
 
-def test_push_makes_two_kernel_calls(monkeypatch):
-    # one cos|sin DFT product and one mel product per push that yields frames
+def _count_kernel_calls(monkeypatch) -> list[str]:
+    """The name of each rfft and matmul64 call the features make, in order."""
     calls = []
-    real = features.matmul64
+    rfft, matmul64 = np.fft.rfft, features.matmul64
 
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
+    def counting_rfft(*args, **kwargs):
+        calls.append("rfft")
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(features, "matmul64", counting)
+    def counting_matmul64(a, b):
+        calls.append("matmul64")
+        return matmul64(a, b)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(features, "matmul64", counting_matmul64)
+    return calls
+
+
+def test_push_makes_two_kernel_calls(monkeypatch):
+    # one rfft and one mel product per push that yields frames
+    calls = _count_kernel_calls(monkeypatch)
     audio = synth_audio(0.5, seed=8)
     fe = StreamingFeatureExtractor(FeatureConfig())
     yielded = 0
@@ -175,25 +186,47 @@ def test_push_makes_two_kernel_calls(monkeypatch):
         before = len(calls)
         frames = fe.push(audio.samples[:n])
         yielded += frames.shape[0] > 0
-        assert len(calls) - before == (2 if frames.shape[0] > 0 else 0)
+        assert calls[before:] == (["rfft", "matmul64"] if frames.shape[0] > 0 else [])
     assert 0 < yielded < 7
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5])
 def test_push_makes_two_kernel_calls_per_block(monkeypatch, n):
-    calls = []
-    real = features.matmul64
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(features, "matmul64", counting)
+    calls = _count_kernel_calls(monkeypatch)
     cfg = FeatureConfig()
     length = cfg.window_samples + (n - 1) * cfg.shift_samples if n else cfg.window_samples - 1
     frames = StreamingFeatureExtractor(cfg).push(synth_audio(4.0, seed=9).samples[:length])
     assert frames.shape[0] == n
-    assert len(calls) == 2 * math.ceil(n / BLOCK)
+    assert calls == ["rfft", "matmul64"] * math.ceil(n / BLOCK)
+
+
+class TestRfftRows:
+    """The features' exactness rests on rfft transforming each row of a batch
+    as it would that row alone; this test pins it bit for bit, the way
+    TestMatmul64 pins matmul64's summation order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 69),
+        width=st.sampled_from([400, 401, 512, 1, 2, 3, 97]),
+        layout=st.sampled_from(["C", "slice", "strided"]),
+        scale=st.sampled_from([1.0 / 32768.0, 1.0, 32768.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_equals_the_row_alone(self, rows, width, layout, scale, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "C":
+            x = rng.standard_normal((rows, width)) * scale
+        elif layout == "slice":  # rows and columns cut out of a larger block
+            big = rng.standard_normal((rows + 5, width + 7)) * scale
+            x = big[2 : 2 + rows, 3 : 3 + width]
+        else:  # every other row and column of a larger block
+            big = rng.standard_normal((2 * rows + 1, 2 * width)) * scale
+            x = big[1::2, ::2]
+        spec = np.fft.rfft(x, axis=1)
+        for i in range(rows):
+            alone = np.fft.rfft(np.ascontiguousarray(x[i]))
+            assert spec[i].tobytes() == alone.tobytes()
 
 
 @functools.cache

@@ -170,6 +170,23 @@ def _contractions(path: Path) -> list[str]:
     return found
 
 
+def _fft_uses(path: Path) -> list[str]:
+    """Every use of numpy's FFT module in a module: np.fft, or an import of it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = []
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.append(f"{path.name}:{node.lineno}: np.fft")
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        if any(n == "numpy.fft" or n.startswith("numpy.fft.") for n in names):
+            found.append(f"{path.name}:{node.lineno}: import")
+    return found
+
+
 class TestOneKernel:
     def test_only_numerics_contracts(self):
         # every float64 contraction goes through numerics.matmul64
@@ -183,6 +200,20 @@ class TestOneKernel:
                           "np.tensordot(a, b)\nnumpy.inner(a, b)\na.dot(b)\n")
         assert len(_contractions(module)) == 6
         assert any(u.endswith(".einsum") for u in _contractions(SRC / "numerics.py"))
+
+    def test_only_features_uses_fft(self):
+        # the spectrum is rfft's, row by row (tests/test_features.py TestRfftRows)
+        found = [u for p in sorted(SRC.glob("*.py")) if p.name != "features.py"
+                 for u in _fft_uses(p)]
+        assert found == []
+        assert any(u.endswith("np.fft") for u in _fft_uses(SRC / "features.py"))
+
+    def test_fft_scanner_sees_every_form(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("import numpy as np\nimport numpy.fft\nfrom numpy import fft\n"
+                          "from numpy.fft import rfft\nnp.fft.rfft(a)\nnumpy.fft.fft(a)\n"
+                          "np.abs(a)\n")
+        assert len(_fft_uses(module)) == 5
 
 
 SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,

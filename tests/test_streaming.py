@@ -211,15 +211,15 @@ def piece_frames(model) -> int:
 
 
 class TestOfflinePieces:
-    """run_offline's log-mel comes in pieces, the next one computed on a
-    worker thread while encode_full steps through the current one."""
+    """run_offline's log-mel comes in pieces, each computed on the caller's
+    thread when encode_full steps to it."""
 
     @pytest.mark.parametrize("name", sorted(PIECE_CONTEXTS))
     def test_the_pieces_are_log_mels_rows_in_whole_steps(self, name):
         model, _ = piece_model(name)
         enc = model.cfg.encoder
-        with _MelPieces(PIECE_AUDIO, model) as src:
-            pieces = list(src)
+        src = _MelPieces(PIECE_AUDIO, model)
+        pieces = list(src)
         size = piece_frames(model)
         step_frames = enc.attention.step_tokens() * enc.downsampling_rate
         assert size % step_frames == 0 and 0 <= size - 64 * enc.downsampling_rate < step_frames
@@ -250,9 +250,9 @@ class TestOfflinePieces:
         led_array.new_step()
         led_pieces.new_step()
         want = encode_full(log_mel(audio, fcfg), model.encoder, model.cfg.encoder, rec=led_array)
-        with _MelPieces(audio, model) as src:
-            assert src.n_frames == n_frames
-            got = encode_full(src, model.encoder, model.cfg.encoder, rec=led_pieces)
+        src = _MelPieces(audio, model)
+        assert src.n_frames == n_frames
+        got = encode_full(src, model.encoder, model.cfg.encoder, rec=led_pieces)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert led_pieces.steps == led_array.steps
 
@@ -279,7 +279,7 @@ class TestOfflinePieces:
         assert got.ledger.steps == want.ledger.steps
 
     def test_run_offline_is_exact_when_threads_switch_every_microsecond(self):
-        # the worker hands each piece over through the join alone
+        # no thread hands a piece over, so no switch can reorder one
         model, vocab = piece_model("regular")
         want = offline_composition(PIECE_AUDIO, model, vocab)
         interval = sys.getswitchinterval()
@@ -306,54 +306,32 @@ class TestOfflinePieces:
         run_offline(PIECE_AUDIO, model, vocab, "ctc")
         assert len(calls) == 1
 
-    def test_a_piece_failing_on_the_worker_raises_from_run_offline(self, monkeypatch):
-        model, vocab = piece_model("chunk3")
-        err, push, threads = RuntimeError("second piece"), StreamingFeatureExtractor.push, []
-
-        def failing(self, samples):
-            threads.append(threading.current_thread())
-            if len(threads) == 2:
-                raise err
-            return push(self, samples)
-
-        monkeypatch.setattr(StreamingFeatureExtractor, "push", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            run_offline(PIECE_AUDIO, model, vocab)
-        assert info.value is err
-        assert threads[0] is threading.current_thread()
-        assert threads[1] is not threading.current_thread()
-        assert threading.active_count() == before
-
-    def test_a_step_failing_mid_stream_joins_the_worker(self, monkeypatch):
-        # the second step fails while the worker computes the third piece
+    def test_a_failing_step_raises_on_the_callers_thread(self, monkeypatch):
+        # the second step fails after the second piece was computed
         model, vocab = piece_model("chunk3")
         err, push, step = RuntimeError("second step"), StreamingFeatureExtractor.push, \
             encoder_module._step
-        pushes, steps, alive, release = [], [], [], threading.Event()
+        threads, alive = [], []  # per push and step; threads alive per step
 
-        def held_push(self, samples):
-            pushes.append(1)
-            if len(pushes) == 3:
-                assert release.wait(10)
+        def recording_push(self, samples):
+            threads.append(threading.current_thread())
             return push(self, samples)
 
         def failing(*args, **kwargs):
-            steps.append(1)
-            if len(steps) == 2:
-                alive.append(threading.active_count())
-                release.set()
+            threads.append(threading.current_thread())
+            alive.append(threading.active_count())
+            if len(alive) == 2:
                 raise err
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(StreamingFeatureExtractor, "push", held_push)
+        monkeypatch.setattr(StreamingFeatureExtractor, "push", recording_push)
         monkeypatch.setattr(encoder_module, "_step", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run_offline(PIECE_AUDIO, model, vocab)
         assert info.value is err
-        assert alive == [before + 1] and len(pushes) == 3
-        assert threading.active_count() == before
+        assert len(threads) == 4 and set(threads) == {threading.current_thread()}
+        assert alive == [before, before] and threading.active_count() == before
 
 
 def held(a: np.ndarray) -> np.ndarray:

@@ -390,16 +390,13 @@ def _layer_window(
     kv: np.ndarray,
     plan: AttentionPlan,
     conv_hist: np.ndarray,
-    n_settle: int,
     rec: ComputeLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rest of the layer for query rows x1q_win (post-FFN1 rows beside
-    their projected queries, x1|q), which are consecutive keys of kv; rows
-    beyond n_settle are speculative. Returns the settled rows' outputs and
-    GLU outputs, the conv cache's next rows.
+    their projected queries, x1|q), which are consecutive keys of kv.
+    Returns their outputs and GLU outputs, the conv cache's next rows.
     """
     d = cfg.d_model
-    n_rows = x1q_win.shape[0]
     x2 = x1q_win[:, :d] + _attend(cfg, lw, x1q_win[:, d:], kv, plan)
     c = layer_norm(x2, lw["conv.ln_g"], lw["conv.ln_b"])
     pw = linear(c, lw["conv.pw1"], lw["conv.pw1_b"])
@@ -413,12 +410,10 @@ def _layer_window(
     check_finite(out, "encoder layer")
     if rec is not None:
         _, per_row, conv = layer_macs_per_token(cfg)
-        for pairs, speculative in ((plan.pairs[:n_settle], False), (plan.pairs[n_settle:], True)):
-            rec.add("ffn", pairs.size * per_row, duplicate=speculative)
-            rec.add("conv", pairs.size * conv, duplicate=speculative)
-            rec.add("attention", 2 * d * int(pairs.sum()), duplicate=speculative)
-        rec.add_speculative_tokens(n_rows - n_settle)
-    return out[:n_settle], g[:n_settle]
+        rec.add("ffn", x1q_win.shape[0] * per_row)
+        rec.add("conv", x1q_win.shape[0] * conv)
+        rec.add("attention", 2 * d * int(plan.pairs.sum()))
+    return out, g
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +427,8 @@ def encode_full(
     rec: ComputeLedger | None = None,
 ) -> np.ndarray:
     """Whole-utterance forward pass, (n_tokens, d_model): the stream from a
-    fresh state into one preallocated output, no step speculating, so its
-    working memory is one step's and its ledger the single pass's.
+    fresh state into one preallocated output, so its working memory is one
+    step's and its ledger the single pass's.
 
     `mel` is the (frames, n_mels) array, taken in ceil(n_tokens /
     _BLOCK_TOKENS) near-equal steps of whole step_tokens(), or a source of
@@ -457,7 +452,7 @@ def encode_full(
     out = np.empty((n_frames // dr, cfg.d_model), dtype=np.float32)
     for piece in pieces:
         seen += piece.shape[0]
-        y, _ = _step(piece, state, w, cfg, rec, final=seen == n_frames, speculate=False)
+        y, _ = encode_step(piece, state, w, cfg, rec, final=seen == n_frames)
         out[pos : pos + y.shape[0]] = y
         pos += y.shape[0]
     if not state.finished:
@@ -520,18 +515,9 @@ def encode_step(
     context's step_tokens() tokens; the final chunk may be any length (a
     trailing partial frame group yields no token).
 
-    Each layer runs in one pass over the step's rows, so a long step holds
-    float64 temporaries for all of them. A non-final regular-regime step also
-    runs the rows it cannot settle yet, which the ledger books as duplicate.
+    Each layer runs its query rows in one pass: the rows this step settles,
+    and no others, so a long step holds float64 temporaries for all of them.
     """
-    return _step(chunk, state, w, cfg, rec, final, speculate=True)
-
-
-def _step(
-    chunk: np.ndarray, state: StreamState, w: EncoderWeights, cfg: EncoderConfig,
-    rec: ComputeLedger | None, final: bool, speculate: bool,
-) -> tuple[np.ndarray, StreamState]:
-    """encode_step; speculate=False ends each layer's queries at its settled rows."""
     frames = np.asarray(chunk).astype(np.float32, copy=False)
     if state.finished:
         raise SessionError("stream already finalized")
@@ -564,16 +550,16 @@ def _step(
         new_rows = _layer_arrival(cfg, lw, new_x, rec)
         n_in, settle_to = state.counts(i)
         window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, n_in, settle_to))
-        q0, q1, k0 = n_out[i], n_in if speculate else settle_to, n_in - window.shape[0]
-        # queries: the unsettled rows' x1|q up to q1; keys: every row's K|V
-        x1q_win, kv = window[q0 - k0 : q1 - k0, : 2 * d], window[:, 2 * d :]
+        q0, k0 = n_out[i], n_in - window.shape[0]
+        # queries: the x1|q of the rows this step settles; keys: every row's K|V
+        x1q_win, kv = window[q0 - k0 : settle_to - k0, : 2 * d], window[:, 2 * d :]
         if x1q_win.shape[0] == 0:
             new_x = np.zeros((0, d), dtype=np.float32)
             continue
-        qpos = np.arange(q0, q1)
+        qpos = np.arange(q0, settle_to)
         plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0,
                               query_groups(ctx, qpos, n_in - 1), lc.plan)
         lc.plan = None if final else plan  # a final step's plan is never reused
-        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, settle_to - q0, rec)
+        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, rec)
         _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
     return new_x, state

@@ -14,11 +14,12 @@ The MAC model is token-level and counts the products that run:
 Each product is booked once, at the step where it runs
 (encoder.layer_macs_per_token): FFN1 and Q, K, V when a token reaches a
 layer, the rest per query row, and each downsampler stage row once per
-stream. Normalizations and elementwise activations carry no MACs. The
-duplicate counter tracks MACs spent on tokens whose outputs are discarded and
-computed again later (regular look-ahead speculation, buffered-mode context
-regions); for chunked streaming it stays at zero, and per-step totals sum to
-exactly the single-pass total.
+stream. Normalizations and elementwise activations carry no MACs. A
+streaming step runs only the query rows it settles, so in every streaming
+regime each product runs once, the duplicate counter stays at zero, and
+per-step totals sum to exactly the single-pass total. The counter tracks the
+buffered baseline alone: run_buffered books the share of each window's MACs
+spent on context regions that are discarded and computed again later.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class StepMacs:
     downsampler: int = 0
     decoder: int = 0
     duplicate: int = 0
-    speculative_tokens: int = 0
 
     @property
     def total(self) -> int:
@@ -58,14 +58,9 @@ class ComputeLedger:
             return self.new_step()
         return self.steps[-1]
 
-    def add(self, category: str, macs: int, duplicate: bool = False) -> None:
+    def add(self, category: str, macs: int) -> None:
         step = self.current
         setattr(step, category, getattr(step, category) + int(macs))
-        if duplicate:
-            step.duplicate += int(macs)
-
-    def add_speculative_tokens(self, n: int) -> None:
-        self.current.speculative_tokens += int(n)
 
     def category_total(self, category: str) -> int:
         return sum(getattr(s, category) for s in self.steps)

@@ -2,11 +2,12 @@
 
 Three ways to run the same weights:
 
-  streaming - chunked cache-aware inference (the real thing). For the chunk
-              regime the transcript and the encoder outputs equal the
-              offline run exactly, and the ledger shows zero duplicate MACs.
+  streaming - chunked cache-aware inference (the real thing). In every
+              regime a step runs only the query rows it settles, so the
+              transcript and the encoder outputs equal the offline run
+              exactly, and the ledger shows zero duplicate MACs.
   offline   - encode_full, the same limited-context mask over the whole
-              utterance: the stream in long steps that speculate nothing.
+              utterance: the same stream in long steps.
   buffered  - the conventional baseline: overlapping windows through an
               unrestricted-mask pass, keeping only each window's central
               chunk. Context regions are recomputed every window, which the

@@ -277,8 +277,9 @@ def count_macs(
     """Closed-form MAC model for an encoder pass over n_tokens.
 
     mode="offline" integrates the mask intervals directly; mode="streaming"
-    walks the same per-step schedule the session engine uses (including
-    regular-regime speculation), so engine ledgers must match this to the MAC.
+    walks the same per-step schedule the session engine uses, each layer
+    running the query rows it settles, so engine ledgers must match this to
+    the MAC.
     """
     if mode not in ("offline", "streaming"):
         raise ArgumentError(f"unknown mode {mode!r}")
@@ -326,25 +327,10 @@ def count_macs(
             n_in[li] += new_x
             settle_to = n_in[li] if final else max(n_out[li], n_in[li] - delay)
             n_settle = settle_to - n_out[li]
-            n_win = n_in[li] - n_out[li]
-            if n_win == 0:
-                new_x = 0
-                continue
-            avail = n_in[li] - 1
-            settled_rows = range(n_out[li], settle_to)
-            spec_rows = range(settle_to, n_in[li])
             ledger.add("ffn", n_settle * set_)
             ledger.add("conv", n_settle * d * k)
-            ledger.add("attention", sum(pairs(q, avail) for q in settled_rows) * 2 * d)
-            n_spec = len(spec_rows)
-            if n_spec:
-                ledger.add("ffn", n_spec * set_, duplicate=True)
-                ledger.add("conv", n_spec * d * k, duplicate=True)
-                ledger.add(
-                    "attention", sum(pairs(q, avail) for q in spec_rows) * 2 * d,
-                    duplicate=True,
-                )
-                ledger.add_speculative_tokens(n_spec)
+            ledger.add("attention", sum(pairs(q, n_in[li] - 1)
+                                        for q in range(n_out[li], settle_to)) * 2 * d)
             n_out[li] = settle_to
             new_x = n_settle
         if final:

@@ -150,7 +150,7 @@ class TestCacheWidthLaws:
             assert _layer_widths(state) == [(l_c, k - 1)] * n
 
         # regular look-ahead: each layer also keeps the rows of its unsettled
-        # (speculative) outputs
+        # outputs
         ctx = AttentionContext.regular(2, 3)
         cfg = tiny_encoder_config(ctx, n_layers=3, conv_kernel=5, downsampling_rate=2)
         w = init_encoder_weights(cfg, seed=1)
@@ -260,7 +260,9 @@ def test_state_rebuilt_from_its_arrays_resumes_bit_exact(regime, cut):
         encode_step(mel[i : i + step], state, w, cfg)
     if ctx.settle_delay() > 0:
         assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
-    assert all(lc.plan is not None for lc in state.layers)
+    # a layer holds a plan once it has settled a row, its first query
+    assert [lc.plan is not None for lc in state.layers] == \
+        [state.counts(i)[1] > 0 for i in range(cfg.n_layers)]
     rebuilt = _rebuilt(state)
 
     def run(st):

@@ -51,10 +51,10 @@ EXPECTED = {
     "transcripts/streaming/zero/ctc": "cbc0ba27774987baad359811a83c77f28425a5b4a0fc5a6d9cfd727e9c90e36e",
     "transcripts/streaming/zero/rnnt": "2cd6aba9218eb570625e1e4144fef6644589be22db112ff1ee886f7f977b7318",
     "transcripts/streaming/zero/both": "cf172b960460f969d4b98f3f84e1c51b9d964993d408cfb78f6c88133b9787f1",
-    # Q projected at arrival is booked there: speculative rows no longer charge it
-    "transcripts/streaming/regular/ctc": "4702292328052017f594c777715d1713e8dacd7b9b909a02b6b84a71e5ff575d",
-    "transcripts/streaming/regular/rnnt": "e14648998064437c8c4d1616ac895b94fa6893b56c3848fdc72c97cb57e28b33",
-    "transcripts/streaming/regular/both": "471f49ffa0bd44e728944fd778bd7c7f9d4080522dbc971f630ad6e303c831b2",
+    # a step runs only the rows it settles: the streamed ledger is the offline one
+    "transcripts/streaming/regular/ctc": "e7445708237a31a98311f2aa6a7115ca9b65fb6c8bd0c4c002396f32df30f1e2",
+    "transcripts/streaming/regular/rnnt": "d36670c00a372fc8cd4b9269b43f5ab69373f714204b5993ee75cd6ad0df49f6",
+    "transcripts/streaming/regular/both": "a99847be85df6bb06ecbdd4f49cfb5aace5a0c05ccdba4e75b545d0a558ba174",
     "transcripts/streaming/chunk/ctc": "e48c9356240572d7b92c9113cb6a54dc219a041eb9b3e2eaa8a3105db3744661",
     "transcripts/streaming/chunk/rnnt": "d01893052a55e7097c21dab57c3bbb9d3805383ea9e8948ec8ab12c459fbf0c2",
     "transcripts/streaming/chunk/both": "7d5acb35d132bd0be0da5ad2797e3780fcdd0a631528d9f8469b1fffa81e87ee",

@@ -28,7 +28,7 @@ from streamasr.encoder import (
     query_groups,
 )
 from streamasr.errors import ChunkingError, ConfigError, NumericsError, SessionError
-from streamasr.ledger import ComputeLedger
+from streamasr.ledger import CATEGORIES, ComputeLedger
 from streamasr.numerics import linear
 
 from helpers import (
@@ -240,8 +240,7 @@ class TestOfflineSteps:
         w = init_encoder_weights(cfg, seed=41)
         rec = ComputeLedger()
         encode_full(random_mel(301 * 2, cfg.n_mels, seed=42), w, cfg, rec=rec)
-        assert rec.duplicate_macs == 0
-        assert rec.current.speculative_tokens == 0 and len(rec.steps) == 1
+        assert rec.duplicate_macs == 0 and len(rec.steps) == 1
 
 
 class TestDownsampler:
@@ -569,17 +568,19 @@ class TestEncodeStepContracts:
         with pytest.raises(SessionError):
             encode_step(random_mel(4, cfg.n_mels, 3), state, w, cfg)
 
-    def test_regular_speculation_logged(self):
+    def test_regular_stream_books_the_offline_ledger(self):
+        # a step runs only the rows it settles: no row runs twice, and the
+        # one-token steps book encode_full's MACs in every category
         ctx = AttentionContext.regular(2, 4)
         cfg = tiny_encoder_config(ctx)
         w = init_encoder_weights(cfg, seed=30)
         mel = random_mel(40, cfg.n_mels, seed=31)
-        rec = ComputeLedger()
-        stream_encode(mel, w, cfg, rec=rec)
-        assert rec.duplicate_macs > 0
-        # steady-state steps recompute exactly m look-ahead tokens per layer
-        steady = [s.speculative_tokens for s in rec.steps[4:-1]]
-        assert steady and all(s == ctx.m * cfg.n_layers for s in steady)
+        rec, off = ComputeLedger(), ComputeLedger()
+        out, _ = stream_encode(mel, w, cfg, rec=rec)
+        assert np.array_equal(out, encode_full(mel, w, cfg, rec=off))
+        assert rec.duplicate_macs == 0 and len(rec.steps) > 4
+        assert {c: rec.category_total(c) for c in CATEGORIES} == \
+            {c: off.category_total(c) for c in CATEGORIES}
 
 
 class TestConfigValidation:
@@ -744,12 +745,12 @@ class TestKernelCalls:
         return counts[1] - counts[0]
 
     @pytest.mark.parametrize("ctx,want", [(AttentionContext.chunked(2, 1), 10),
-                                          (AttentionContext.regular(1, 4), 12)],
+                                          (AttentionContext.regular(1, 4), 10)],
                              ids=["chunk", "regular"])
     def test_steady_layer_step_matmul_calls(self, ctx, want, monkeypatch):
-        # FFN1 (2), Q|K|V (1), scores and values per query shape (2 each; a
-        # regular window's pending and new rows reach different key counts),
-        # O (1), the two pointwise convs (2) and FFN2 (2)
+        # FFN1 (2), Q|K|V (1), scores and values (2; a steady step's settled
+        # rows share one query shape), O (1), the two pointwise convs (2) and
+        # FFN2 (2)
         assert self._steady_layer_step(ctx, monkeypatch, counting_matmul64) == want
 
     def test_steady_regular_layer_step_layer_norms(self, monkeypatch):
@@ -794,7 +795,9 @@ class TestAttentionPlans:
             encode_step(mel[i : i + 1], state, w, cfg)
             if i == 100:
                 warm = len(built)
-            assert all(isinstance(lc.plan, AttentionPlan) for lc in state.layers[: i + 1])
+            # a layer holds a plan once it has settled a row, its first query
+            assert [isinstance(lc.plan, AttentionPlan) for lc in state.layers] == \
+                [state.counts(j)[1] > 0 for j in range(cfg.n_layers)]
         assert warm <= 2 * 10 and len(built) == warm  # steady steps reuse their layer's plan
 
     def test_changed_geometry_or_table_builds_a_new_plan(self):

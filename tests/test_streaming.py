@@ -34,6 +34,7 @@ from streamasr import (
 from streamasr import encoder as encoder_module
 from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError, ShapeError
 from streamasr.features import AudioBuffer, StreamingFeatureExtractor
+from streamasr.ledger import CATEGORIES
 from streamasr.streaming import _MelPieces
 
 from helpers import (
@@ -310,7 +311,7 @@ class TestOfflinePieces:
         # the second step fails after the second piece was computed
         model, vocab = piece_model("chunk3")
         err, push, step = RuntimeError("second step"), StreamingFeatureExtractor.push, \
-            encoder_module._step
+            encoder_module.encode_step
         threads, alive = [], []  # per push and step; threads alive per step
 
         def recording_push(self, samples):
@@ -325,7 +326,7 @@ class TestOfflinePieces:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(StreamingFeatureExtractor, "push", recording_push)
-        monkeypatch.setattr(encoder_module, "_step", failing)
+        monkeypatch.setattr(encoder_module, "encode_step", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run_offline(PIECE_AUDIO, model, vocab)
@@ -458,6 +459,20 @@ class TestLedgerEquality:
         for cat in enc_cats:
             assert closed.category_total(cat) == off.ledger.category_total(cat)
 
+    @settings(max_examples=12, deadline=None)
+    @given(m=st.integers(0, 3), left=st.integers(0, 6), seconds=st.floats(0.2, 1.0),
+           seed=st.integers(0, 2**16))
+    def test_regular_streaming_ledger_equals_offline(self, m, left, seconds, seed):
+        # the engine itself: a regular-regime stream runs every product once,
+        # the ones the offline pass runs
+        model, vocab = tiny_model(AttentionContext.regular(m, left), seed=seed)
+        audio = synth_audio(seconds, seed=seed)
+        st_led = run_streaming(audio, model, vocab, decoder="ctc").ledger
+        off_led = run_offline(audio, model, vocab, decoder="ctc").ledger
+        assert st_led.duplicate_macs == 0
+        for cat in CATEGORIES:
+            assert st_led.category_total(cat) == off_led.category_total(cat), cat
+
     def test_zero_regime_triangular_pairs(self):
         model, _ = tiny_model(AttentionContext.zero(), seed=46)
         cfg = model.cfg.encoder
@@ -468,21 +483,29 @@ class TestLedgerEquality:
             cfg.n_layers * expected_pairs * 2 * cfg.d_model
         )
 
-    def test_regular_streaming_speculation_in_walk(self):
+    def test_regular_streaming_walk_equals_offline(self):
+        # a regular-regime step runs only the rows it settles, so the walk
+        # books the offline MACs in every category, none of them duplicate
         model, _ = tiny_model(AttentionContext.regular(2, 4), seed=47)
         cfg = model.cfg.encoder
         led = count_macs(cfg, cfg.attention, 20, mode="streaming")
-        steady = [s.speculative_tokens for s in led.steps[6:-1]]
-        assert steady and all(s == 2 * cfg.n_layers for s in steady)
-        assert led.duplicate_macs > 0
+        off = count_macs(cfg, cfg.attention, 20, mode="offline")
+        assert led.duplicate_macs == 0 and len(led.steps) == 21
+        for cat in CATEGORIES:
+            assert led.category_total(cat) == off.category_total(cat), cat
 
     def test_zero_duplication_theorem_over_many_configs(self):
-        # chunk regime: per-step MACs sum to the single-pass total, no duplicates
+        # every regime: per-step MACs sum to the single-pass total, no duplicates
         from helpers import tiny_encoder_config
 
         for i in range(120):
             rng = np.random.default_rng(5000 + i)
-            ctx = AttentionContext.chunked(int(rng.integers(1, 9)), int(rng.integers(0, 4)))
+            if i % 3 == 0:
+                ctx = AttentionContext.chunked(int(rng.integers(1, 9)), int(rng.integers(0, 4)))
+            elif i % 3 == 1:
+                ctx = AttentionContext.regular(int(rng.integers(0, 4)), int(rng.integers(0, 7)))
+            else:
+                ctx = AttentionContext.zero(int(rng.integers(0, 7)) if rng.random() < 0.5 else None)
             cfg = tiny_encoder_config(
                 ctx,
                 n_layers=int(rng.integers(1, 5)),
@@ -492,7 +515,8 @@ class TestLedgerEquality:
                 downsampling_rate=int(rng.choice([2, 4, 8])),
             )
             t = int(rng.integers(1, 120))
-            streaming = count_macs(cfg, ctx, t, mode="streaming")
+            streaming = count_macs(cfg, ctx, t, mode="streaming",
+                                   step_tokens=int(rng.integers(1, 5)))
             offline = count_macs(cfg, ctx, t, mode="offline")
             assert streaming.duplicate_macs == 0, f"config {i}"
             assert streaming.total == offline.total, f"config {i}"

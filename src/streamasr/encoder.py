@@ -357,11 +357,16 @@ def _attend(
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
     for rows, keys, bias in plan.batches:
         n, n_r, n_k = bias.shape  # batch axis: head-major, then group
-        s64 = matmul64(qh[:, rows].reshape(n, n_r, dh),
-                       kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1)) * scale + bias
-        # each row's max, exp and sum run over its own keys, along the last axis
-        e = np.exp(s64 - s64.max(axis=2, keepdims=True))
-        w = (e / e.sum(axis=2, keepdims=True)).astype(np.float32)
+        s = matmul64(qh[:, rows].reshape(n, n_r, dh),
+                     kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1))
+        # the softmax runs in place on the scores; each row's max, exp and
+        # sum run over its own keys, along the last axis
+        s *= scale
+        s += bias
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        w = s.astype(np.float32)
         out = matmul64(w, vh[:, keys].reshape(n, n_k, dh)).astype(np.float32)
         # (groups, rows, heads, dh); a slice's target drops the leading 1
         ctx_out[rows] = out.reshape(heads, -1, n_r, dh).transpose(1, 2, 0, 3)

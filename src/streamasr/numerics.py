@@ -21,6 +21,15 @@ The tests hold the kernel to a k-loop oracle bit for bit over random shapes,
 batch sizes and layouts, and fail if another module calls a numpy
 contraction or uses `@`.
 
+The elementwise kernels select nothing by data (no `np.where`, `np.select`,
+`np.choose` or `np.piecewise`): a select on each element's sign branches per
+element, and on real activations about every second branch is mispredicted,
+which costs more than the `exp` beside it. Each kernel works in place on its
+own float64 copy of its input, with the operations of the plain expression
+in the same order, so every output bit is the expression's. No kernel writes
+into an argument: `np.asarray(x, dtype=np.float64)` is `x` itself when `x`
+is float64.
+
 The kernels do not check their outputs for NaN or inf. Callers check once
 per encoder layer output and at each decoder's logits, with `check_finite`,
 and also wherever a saturating function (a sigmoid gate, a softmax, a tanh)
@@ -94,7 +103,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         b = np.asarray(b, dtype=np.float32)
         if b.shape != (w.shape[1],):
             raise ShapeError(f"bias shape {b.shape} does not match output dim {w.shape[1]}")
-        out = out + b
+        out += b  # matmul's output is a fresh array
     return out
 
 
@@ -110,12 +119,15 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
-    x64 = x.astype(np.float64)
+    xc = x.astype(np.float64)  # a copy: centered, scaled and shifted in place
     # sum / d is what np.mean computes, without its per-call overhead
-    xc = x64 - x64.sum(axis=-1, keepdims=True) / d
+    xc -= xc.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xc /= np.sqrt(var + LAYER_NORM_EPS)
     # float32 gamma and beta promote exactly to float64
-    return (xc / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta).astype(np.float32)
+    xc *= gamma
+    xc += beta
+    return xc.astype(np.float32)
 
 
 def depthwise_conv1d_causal(
@@ -153,17 +165,28 @@ def depthwise_conv1d_causal(
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere, so exp
-    never overflows."""
-    x64 = np.asarray(x, dtype=np.float64)
-    pos = x64 >= 0
-    e = np.exp(np.where(pos, -x64, x64))
-    return (np.where(pos, 1.0, e) / (1.0 + e)).astype(np.float32)
+    never overflows.
+
+    No select: e = exp(min(x, -x)) is exp(-x) or exp(x) as each formula needs,
+    and max(e, x >= 0) is its numerator, exactly 1.0 or e because e <= 1.
+    np.minimum returns its first operand when both are NaN, so a NaN keeps
+    its sign (-|x| would drop it).
+    """
+    x64 = np.asarray(x, dtype=np.float64)  # x itself when x is float64: read only
+    e = np.negative(x64, out=np.empty_like(x64))  # out=: a 0-d x stays an array
+    np.exp(np.minimum(x64, e, out=e), out=e)
+    num = np.maximum(e, x64 >= 0)
+    e += 1.0
+    num /= e
+    return num.astype(np.float32)
 
 
 def swish(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x), smooth everywhere (no dead regions)."""
+    x64 = np.array(x, dtype=np.float64)  # a copy even of a float64 x
     # the float32 sigmoid promotes exactly to float64
-    return (np.asarray(x, dtype=np.float64) * sigmoid(x)).astype(np.float32)
+    x64 *= sigmoid(x64)
+    return x64.astype(np.float32)
 
 
 def glu(x: np.ndarray) -> np.ndarray:
@@ -173,7 +196,9 @@ def glu(x: np.ndarray) -> np.ndarray:
     if d2 % 2 != 0:
         raise ShapeError(f"glu needs an even last axis, got {d2}")
     h = d2 // 2
-    return (x[..., :h].astype(np.float64) * sigmoid(x[..., h:])).astype(np.float32)
+    out = x[..., :h].astype(np.float64)
+    out *= sigmoid(x[..., h:])
+    return out.astype(np.float32)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

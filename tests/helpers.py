@@ -29,7 +29,14 @@ from streamasr import (
 from streamasr.context import ZERO
 from streamasr.encoder import encoder_weight_spec, init_tensors
 from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
-from streamasr.numerics import Rng, depthwise_conv1d_causal, glu, layer_norm, swish
+from streamasr.numerics import (
+    LAYER_NORM_EPS,
+    Rng,
+    depthwise_conv1d_causal,
+    glu,
+    layer_norm,
+    swish,
+)
 
 
 class DegenerateMaskError(StreamAsrError):
@@ -92,6 +99,30 @@ def sigmoid_mask(x: np.ndarray) -> np.ndarray:
     ez = np.exp(x64[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out.astype(np.float32)
+
+
+# The elementwise kernels as expressions that build a new array per
+# operation, each over sigmoid_mask where it gates.
+
+def swish_expr(x: np.ndarray) -> np.ndarray:
+    """swish's oracle: x * sigmoid(x) in float64, rounded once."""
+    return (np.asarray(x, dtype=np.float64) * sigmoid_mask(x)).astype(np.float32)
+
+
+def glu_expr(x: np.ndarray) -> np.ndarray:
+    """glu's oracle: the first half of the last axis times sigmoid of the second."""
+    h = x.shape[-1] // 2
+    return (x[..., :h].astype(np.float64) * sigmoid_mask(x[..., h:])).astype(np.float32)
+
+
+def layer_norm_expr(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """layer_norm's oracle: each row centered by sum / d, scaled by the root
+    of its variance plus LAYER_NORM_EPS, then gamma and beta."""
+    d = x.shape[-1]
+    x64 = x.astype(np.float64)
+    xc = x64 - x64.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    return (xc / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta).astype(np.float32)
 
 
 def attend_per_head(cfg: EncoderConfig, lw: dict, q_ain: np.ndarray, qpos: np.ndarray,

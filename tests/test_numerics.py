@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul
+from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul, numerics
 from streamasr.errors import ShapeError
-from streamasr.numerics import glu, log_softmax, logsumexp, matmul64, sigmoid, swish
+from streamasr.numerics import glu, linear, log_softmax, logsumexp, matmul64, sigmoid, swish
 
 from helpers import (
     DegenerateMaskError,
+    glu_expr,
+    layer_norm_expr,
     masked_softmax,
     matmul64_kloop,
     matmul_triple_loop,
     sigmoid_mask,
     softmax_rational,
+    swish_expr,
+    traced_peak,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "streamasr"
@@ -245,6 +249,190 @@ class TestSigmoid:
     def test_two_dimensional(self):
         x = np.random.default_rng(4).standard_normal((6, 7)) * 40
         assert np.array_equal(sigmoid(x), sigmoid_mask(x))
+
+
+# Any float, the sigmoid's exp range, or one of the specials.
+ELEMENTS = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.floats(-750.0, 750.0) | st.sampled_from(SIGMOID_SPECIALS))
+
+
+@st.composite
+def elementwise_input(draw, even_last: bool = False) -> np.ndarray:
+    """A 1-D to 3-D float32 or float64 array of ELEMENTS."""
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    if even_last:
+        shape[-1] *= 2
+    values = draw(st.lists(ELEMENTS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    with np.errstate(over="ignore"):  # values past float32's range become inf
+        return np.array(values, dtype=np.float64).astype(dtype).reshape(shape)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestElementwiseOracles:
+    """The in-place kernels against expressions that build a new array per
+    operation (tests/helpers.py), bit for bit, NaN signs included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(elementwise_input())
+    def test_swish(self, x):
+        with np.errstate(all="ignore"):
+            assert_same_bits(swish(x), swish_expr(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(elementwise_input(even_last=True))
+    def test_glu(self, x):
+        with np.errstate(all="ignore"):
+            assert_same_bits(glu(x), glu_expr(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), elementwise_input())
+    def test_layer_norm(self, data, x):
+        d = x.shape[-1]
+        with np.errstate(all="ignore"):
+            gamma, beta = (np.array(data.draw(st.lists(ELEMENTS, min_size=d, max_size=d)),
+                                    dtype=np.float64).astype(np.float32) for _ in range(2))
+            assert_same_bits(layer_norm(x, gamma, beta), layer_norm_expr(x, gamma, beta))
+
+    def test_specials(self):
+        x = np.array(SIGMOID_SPECIALS, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            assert_same_bits(swish(x), swish_expr(x))
+            assert_same_bits(glu(x), glu_expr(x))
+            ones, zeros = np.ones(x.size, np.float32), np.zeros(x.size, np.float32)
+            assert_same_bits(layer_norm(x, ones, zeros), layer_norm_expr(x, ones, zeros))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_linear_adds_the_bias_to_the_rounded_product(self, m, k, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((m, k)).astype(np.float32)
+        w = rng.standard_normal((k, n)).astype(np.float32)
+        with np.errstate(all="ignore"):
+            b = np.array(data.draw(st.lists(ELEMENTS, min_size=n, max_size=n)),
+                         dtype=np.float64).astype(np.float32)
+            assert_same_bits(linear(x, w, b), matmul64_kloop(x, w).astype(np.float32) + b)
+
+
+def _kernel_calls(dtype) -> dict[str, tuple]:
+    """Each kernel with read-only operands of `dtype` (the input rows are
+    (8, 6)): a kernel that writes into an argument raises."""
+    rng = np.random.default_rng(11)
+
+    def arg(*shape):
+        a = (rng.standard_normal(shape) * 4).astype(dtype)
+        a.flags.writeable = False
+        return a
+
+    x = arg(8, 6)
+    return {
+        "matmul64": (matmul64, (x, arg(6, 4))),
+        "matmul": (matmul, (x, arg(6, 4))),
+        "linear": (linear, (x, arg(6, 4), arg(4))),
+        "layer_norm": (layer_norm, (x, arg(6), arg(6))),
+        "depthwise_conv1d_causal": (depthwise_conv1d_causal, (x, arg(6, 3), arg(6), arg(2, 6))),
+        "sigmoid": (sigmoid, (x,)),
+        "swish": (swish, (x,)),
+        "glu": (glu, (x,)),
+        "log_softmax": (log_softmax, (x,)),
+        "logsumexp": (logsumexp, (x,)),
+    }
+
+
+# Peak traced bytes on a 128 x 256 float32 and float64 input, in float64
+# copies of that input.
+PEAK_COPIES = {
+    # x in float64 (a float32 x only), exp(min(x, -x)), the numerator, the result
+    "sigmoid": (3.5, 2.5),
+    # the float64 copy multiplied in place, and sigmoid's peak beside it
+    "swish": (3.5, 3.5),
+    # half-width: the float64 first half, and sigmoid's peak on the second
+    "glu": (2.5, 2.0),
+    "layer_norm": (2.0, 2.0),  # the copy normalized in place, and its squares
+    "log_softmax": (2.0, 2.0),  # the copy shifted in place, and its exp
+    # history|x in float64, the accumulator, one tap's products
+    "depthwise_conv1d_causal": (3.5, 3.5),
+}
+
+
+class TestKernelsInPlace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(_kernel_calls(np.float32)))
+    def test_arguments_are_read_only(self, name, dtype):
+        fn, args = _kernel_calls(dtype)[name]
+        before = [a.copy() for a in args]
+        out = fn(*args)
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(out, a)  # a later in-place step cannot reach it
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(PEAK_COPIES))
+    def test_peak_on_a_128_by_256_input(self, name, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal((128, 256)) * 4).astype(dtype)
+        row = rng.standard_normal(256).astype(np.float32)
+        operands = {
+            "layer_norm": (row, row),
+            "depthwise_conv1d_causal": (rng.standard_normal((256, 9)).astype(np.float32), row,
+                                        np.zeros((8, 256), np.float32)),
+        }.get(name, ())
+        _, peak = traced_peak(lambda: getattr(numerics, name)(x, *operands))
+        copies = PEAK_COPIES[name][dtype == np.float64]
+        assert peak <= copies * x.size * 8 + 2**14
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_peaks_at_its_product(self, dtype):
+        # the bias goes into matmul's fresh output, so the peak is the product's
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((128, 256)).astype(dtype)
+        w = rng.standard_normal((256, 256)).astype(np.float32)
+        b = rng.standard_normal(256).astype(np.float32)
+        _, product = traced_peak(lambda: matmul(x, w))
+        _, peak = traced_peak(lambda: linear(x, w, b))
+        assert peak <= product + 2**12
+
+
+# Data-dependent selects: each element takes one of two values by a mask,
+# which on mixed-sign activations mispredicts a branch per element.
+SELECTS = {"where", "select", "choose", "piecewise"}
+BRANCH_FREE = ("sigmoid", "swish", "glu", "layer_norm", "depthwise_conv1d_causal", "log_softmax")
+
+
+def _selects(path: Path, functions) -> dict[str, list[str]]:
+    """Each named top-level function of a module, and every select it uses:
+    an attribute (np.where, numpy.select, x.choose) or a bare name."""
+    found = {}
+    for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            found[fn.name] = [
+                f"{path.name}:{node.lineno}: {getattr(node, 'attr', getattr(node, 'id', ''))}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and node.attr in SELECTS
+                or isinstance(node, ast.Name) and node.id in SELECTS]
+    return found
+
+
+class TestBranchFree:
+    def test_elementwise_kernels_select_nothing(self):
+        found = _selects(SRC / "numerics.py", BRANCH_FREE)
+        assert sorted(found) == sorted(BRANCH_FREE)  # each one is still there to scan
+        assert [u for uses in found.values() for u in uses] == []
+
+    def test_scanner_sees_every_form(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("import numpy as np\nfrom numpy import where\n"
+                          "def sigmoid(x):\n    return np.where(x > 0, x, 0)\n"
+                          "def glu(x):\n    return numpy.select([x], [x]) + x.choose([1, 2])\n"
+                          "def swish(x):\n    return where(x, np.piecewise(x, [x], [1]), 0)\n"
+                          "def logsumexp(x):\n    return np.where(x, x, 0)\n")
+        found = _selects(module, BRANCH_FREE)
+        assert {name: len(uses) for name, uses in found.items()} == {
+            "sigmoid": 1, "glu": 2, "swish": 2}
 
 
 class TestMaskedSoftmax:

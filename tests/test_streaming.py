@@ -419,6 +419,15 @@ class TestWorkingMemory:
         _, peak = traced_peak(lambda: run_offline(audio, model, vocab, decoder="ctc"))
         assert peak < 12 * 2**20
 
+    def test_a_twelve_second_buffer_softmaxes_its_scores_in_place(self):
+        # a buffered window is one chunk, so each layer's attention scores
+        # span the whole 300-token window; the softmax runs on that one buffer
+        model, vocab = baseline_model(AttentionContext.regular(1, 16))
+        audio, _ = minute_of_audio()
+        bcfg = BufferedConfig(chunk_seconds=2.0, buffer_seconds=12.0)
+        _, peak = traced_peak(lambda: run_buffered(audio, model, vocab, bcfg, decoder="ctc"))
+        assert peak < 13 * 2**20
+
 
 class TestLedgerEquality:
     def test_chunk_zero_duplication_and_total_match(self):

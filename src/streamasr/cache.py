@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import AttentionContext
-from .errors import StateError
+from .errors import ShapeError, StateError
+from .numerics import operand
 
 
 def attn_keep_rows(ctx: AttentionContext, n_in: int, n_out: int) -> int:
@@ -59,6 +60,9 @@ def cache_append(
     n_keep rows, which seed the next step. The copy keeps a state from
     pinning the whole window.
     """
+    cache, new_rows = operand(cache, "cache"), operand(new_rows, "new cache rows")
+    if cache.ndim != 2 or new_rows.shape[1:] != cache.shape[1:]:
+        raise ShapeError(f"cannot append {new_rows.shape} rows to a {cache.shape} cache")
     window = np.concatenate([cache, new_rows], axis=0) if cache.shape[0] else new_rows
     if not 0 <= n_keep <= window.shape[0]:
         raise StateError(f"cannot keep {n_keep} rows of a {window.shape[0]}-row window")

@@ -20,6 +20,7 @@ from .numerics import matmul64
 
 LOG_FLOOR = 1e-10
 _BLOCK_FRAMES = 64  # frames per feature block: 0.64 s at the default 10 ms shift
+_MEL_BANDS = 4  # runs of adjacent mel filters, each multiplied over its own bins
 
 
 def pcm16(samples) -> np.ndarray:
@@ -76,6 +77,10 @@ class FeatureConfig:
     @property
     def shift_samples(self) -> int:
         return int(round(self.sample_rate * self.frame_shift_ms / 1000.0))
+
+    def frames_in(self, n_samples: int) -> int:
+        """Whole frames in n_samples samples."""
+        return max(0, (n_samples - self.window_samples) // self.shift_samples + 1)
 
 
 def read_wav(path: str) -> AudioBuffer:
@@ -144,14 +149,38 @@ def mel_filterbank(n_mels: int, n_bins: int, sample_rate: int, window_samples: i
 
 
 @functools.cache
-def _extractor_matrices(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The Hann window and the mel filterbank (window // 2 + 1 rfft bins,
-    n_mels) of `cfg`, built once per config."""
+def _extractor_matrices(cfg: FeatureConfig) -> tuple[np.ndarray, tuple]:
+    """The Hann window and the mel bands of `cfg`, built once per config.
+
+    The (window // 2 + 1 rfft bins, n_mels) filterbank is cut into
+    _MEL_BANDS runs of adjacent filters (fewer if there are fewer filters).
+    A band is (lo, hi, weights): the filterbank's rows lo..hi-1, the bins
+    where any of the band's filters is nonzero, and its columns, or no rows
+    when all of them are empty."""
     n = cfg.window_samples
-    out = hann_window(n), mel_filterbank(cfg.n_mels, n // 2 + 1, cfg.sample_rate, n)
-    for m in out:
+    fb = mel_filterbank(cfg.n_mels, n // 2 + 1, cfg.sample_rate, n)
+    bands, k = [], min(_MEL_BANDS, cfg.n_mels)
+    for b in range(k):
+        m0, m1 = cfg.n_mels * b // k, cfg.n_mels * (b + 1) // k
+        rows = np.flatnonzero((fb[:, m0:m1] != 0).any(axis=1))
+        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        bands.append((lo, hi, np.ascontiguousarray(fb[lo:hi, m0:m1])))
+    hann = hann_window(n)
+    for m in (hann, *(w for _, _, w in bands)):
         m.flags.writeable = False  # every extractor of cfg shares them
-    return out
+    return hann, tuple(bands)
+
+
+def _mel_product(power: np.ndarray, bands: tuple) -> np.ndarray:
+    """matmul64(power, filterbank) of non-negative finite power rows, one
+    matmul64 per band over the band's own bins.
+
+    Bit for bit the dense product: a dropped term is p times a zero weight,
+    a zero since p >= 0 is finite; einsum's sum starts at +0 and never goes
+    negative, so adding a zero changes nothing, and the kept terms are added
+    in the same ascending order. A band with no rows gives einsum's +0 sums
+    over an empty k."""
+    return np.concatenate([matmul64(power[:, lo:hi], w) for lo, hi, w in bands], axis=1)
 
 
 class StreamingFeatureExtractor:
@@ -160,38 +189,49 @@ class StreamingFeatureExtractor:
     def __init__(self, cfg: FeatureConfig):
         self.cfg = cfg
         self._pending = np.zeros(0, dtype=np.int16)
-        self._hann, self._fb = _extractor_matrices(cfg)
+        self._hann, self._bands = _extractor_matrices(cfg)
 
     def push(self, samples: np.ndarray) -> np.ndarray:
         """Consume samples (see pcm16), return all newly complete frames
         (n, n_mels) float32.
 
         The frames run in blocks of at most _BLOCK_FRAMES: each block's
-        samples are converted and windowed, each frame's power spectrum
-        comes from one `np.fft.rfft` over the block's rows, the mel product
-        is a matmul64, and the log rows are written into the one float32
-        output. rfft transforms each row as it would that row alone (numpy's
-        pocketfft runs one transform per row, and the tests hold it to that
-        bit for bit), a row of matmul64's output depends only on its own
-        operand row, and the other steps run element by element, so every
-        bit is the same for any block size or packet split. The working set
-        is one block of float64 plus the output: traced, log_mel of 60 s
-        peaks at 4.6 MiB for a 1.8 MiB output, where float64 buffers over
-        the whole push took 84 MiB. A push of fewer frames than a block
-        makes one call of each."""
+        samples are converted once, its frames are strided views of them,
+        each windowed frame's power spectrum comes from one `np.fft.rfft`
+        over the block's rows, the mel product is one matmul64 per mel band
+        (_mel_product), and the log rows are written into the one float32
+        output. rfft transforms each row as it
+        would that row alone (numpy's pocketfft runs one transform per row,
+        and the tests hold it to that bit for bit), a row of matmul64's
+        output depends only on its own operand row, and the other steps run
+        element by element, so every bit is the same for any block size or
+        packet split. The working set is one block of float64 plus the
+        output: traced, log_mel of 60 s peaks at 4.6 MiB for a 1.8 MiB
+        output, where float64 buffers over the whole push took 84 MiB."""
         buf = np.concatenate([self._pending, pcm16(samples)])
         win, shift = self.cfg.window_samples, self.cfg.shift_samples
-        n_frames = (len(buf) - win) // shift + 1 if len(buf) >= win else 0
+        n_frames = self.cfg.frames_in(len(buf))
         out = np.empty((n_frames, self.cfg.n_mels), dtype=np.float32)
-        idx = np.arange(win)[None, :] + shift * np.arange(min(n_frames, _BLOCK_FRAMES))[:, None]
         for f0 in range(0, n_frames, _BLOCK_FRAMES):
             n = min(_BLOCK_FRAMES, n_frames - f0)
             x = buf[f0 * shift : (f0 + n - 1) * shift + win].astype(np.float64) / 32768.0
-            spec = np.fft.rfft(x[idx[:n]] * self._hann[None, :], axis=1)
-            mel = matmul64(spec.real * spec.real + spec.imag * spec.imag, self._fb)
+            # frame i is x[i * shift : i * shift + win], a view of x
+            frames = np.ndarray((n, win), np.float64, buffer=x, strides=(shift * 8, 8))
+            spec = np.fft.rfft(frames * self._hann[None, :], axis=1)
+            power = spec.real * spec.real
+            power += spec.imag * spec.imag
+            mel = _mel_product(power, self._bands)
             out[f0 : f0 + n] = np.log(mel + LOG_FLOOR)
         self._pending = buf[n_frames * shift :].copy()  # a view would pin the whole push
         return out
+
+
+def first_frames(samples: np.ndarray, n: int, cfg: FeatureConfig) -> np.ndarray:
+    """Log-mel of the first n frames of `samples`, from those frames' own
+    samples: one push of a fresh extractor. A frame depends only on its own
+    window, so these are the rows of any push of the same samples."""
+    return StreamingFeatureExtractor(cfg).push(
+        samples[: (n - 1) * cfg.shift_samples + cfg.window_samples])
 
 
 def log_mel(audio: AudioBuffer, cfg: FeatureConfig | None = None) -> np.ndarray:

@@ -55,6 +55,18 @@ def check_finite(arr: np.ndarray, where: str) -> None:
         raise NumericsError(f"non-finite values produced by {where}")
 
 
+def operand(x, what: str) -> np.ndarray:
+    """`x` as an array of numbers (bool, integer or float). ShapeError for
+    what numpy cannot make one of: ragged nesting, None, strings, objects."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError) as ex:  # ragged nesting
+        raise ShapeError(f"{what} is not an array: {ex}") from ex
+    if a.dtype.kind not in "biuf":
+        raise ShapeError(f"{what} must hold numbers, got dtype {a.dtype}")
+    return a
+
+
 def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
@@ -76,8 +88,8 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       unit-scale operands), so `b` gets a zero column and the result is
       sliced back.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = operand(a, "matmul operand")
+    b = operand(b, "matmul operand")
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(f"matmul expects two 2-D or two 3-D operands, got {a.shape} and "
                          f"{b.shape}")
@@ -113,9 +125,11 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     Statistics are taken over the last axis only, so each time step is
     normalized independently of every other step.
     """
-    x = np.asarray(x)
-    gamma = np.asarray(gamma)
-    beta = np.asarray(beta)
+    x = operand(x, "layer_norm input")
+    gamma = operand(gamma, "gamma")
+    beta = operand(beta, "beta")
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ShapeError(f"layer_norm needs rows of one value or more, got {x.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
@@ -142,8 +156,8 @@ def depthwise_conv1d_causal(
     `history` supplies the K-1 steps preceding x (zeros at the start of a
     stream, which equals left zero-padding).
     """
-    x = np.asarray(x)
-    weights = np.asarray(weights)
+    x, weights = operand(x, "conv input"), operand(weights, "depthwise weights")
+    bias, history = operand(bias, "conv bias"), operand(history, "conv history")
     if weights.ndim != 2:
         raise ShapeError(f"depthwise weights must be (D, K), got {weights.shape}")
     d, k = weights.shape
@@ -153,6 +167,8 @@ def depthwise_conv1d_causal(
         raise ShapeError(f"input {x.shape} does not match {d} channels")
     if history.shape != (k - 1, d):
         raise ShapeError(f"history must be ({k - 1}, {d}), got {history.shape}")
+    if bias.shape != (d,):
+        raise ShapeError(f"bias must be ({d},), got {bias.shape}")
     t = x.shape[0]
     xp = np.concatenate([history, x], axis=0).astype(np.float64)
     w64 = weights.astype(np.float64)

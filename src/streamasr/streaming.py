@@ -39,7 +39,7 @@ from .decoders import (
 )
 from .encoder import encode_full, encode_step, init_state
 from .errors import ArgumentError, ConfigError, SessionError
-from .features import AudioBuffer, StreamingFeatureExtractor, check_sample_rate, log_mel
+from .features import AudioBuffer, check_sample_rate, first_frames, log_mel, pcm16
 from .ledger import ComputeLedger
 from .metrics import eil
 from .model import HybridModel
@@ -161,18 +161,21 @@ class _Decoders:
 class StreamingSession:
     """One audio stream: feed samples in any sized pieces, then finish().
 
-    Owns all mutable state (feature remainder, encoder caches, decoders);
-    identical audio fed in different piece sizes produces identical
-    transcripts and ledgers because steps are cut from an internal mel buffer
-    every step_tokens() tokens of the attention context.
+    Owns all mutable state: the int16 samples from the next step's first
+    frame on, the encoder caches and the decoders. A feed that completes one
+    or more steps' frames makes those frames in one feature push and runs the
+    steps; any other feed only keeps its samples. Steps are cut every
+    step_tokens() tokens of the attention context, and a frame depends only
+    on its own window, so identical audio fed in different piece sizes
+    produces identical transcripts and ledgers.
     """
 
     def __init__(self, model: HybridModel, vocab: Vocab, decoder: str = "both"):
         self.model = model
         self._dec = _Decoders(model, vocab, decoder)
         cfg = model.cfg.encoder
-        self._extractor = StreamingFeatureExtractor(model.cfg.feature_config())
-        self._mel = np.zeros((0, cfg.n_mels), dtype=np.float32)
+        self._fcfg = model.cfg.feature_config()
+        self._samples = np.zeros(0, dtype=np.int16)
         self._step_frames = cfg.attention.step_tokens() * cfg.downsampling_rate
         self.state = init_state(cfg)
         self.ledger = ComputeLedger()
@@ -181,15 +184,15 @@ class StreamingSession:
         """Bare samples, at the model's rate: model.cfg.feature_config().sample_rate."""
         if self.state.finished:
             raise SessionError("session already finished")
-        mel_new = self._extractor.push(samples)
-        if mel_new.shape[0]:
-            self._mel = np.concatenate([self._mel, mel_new], axis=0)
-        pos = 0
-        while self._mel.shape[0] - pos >= self._step_frames:
-            self._step(self._mel[pos : pos + self._step_frames], final=False)
-            pos += self._step_frames
-        if pos:  # a view of the rest would pin every row of this feed
-            self._mel = self._mel[pos:].copy()
+        self._samples = np.concatenate([self._samples, pcm16(samples)])
+        sf = self._step_frames
+        n = self._fcfg.frames_in(len(self._samples)) // sf * sf
+        if n:
+            mel = first_frames(self._samples, n, self._fcfg)
+            for f0 in range(0, n, sf):
+                self._step(mel[f0 : f0 + sf], final=False)
+            # a view of the rest would pin every sample of this feed
+            self._samples = self._samples[n * self._fcfg.shift_samples :].copy()
 
     def _step(self, frames: np.ndarray, final: bool) -> None:
         step = self.ledger.new_step()
@@ -205,8 +208,9 @@ class StreamingSession:
         """Process whatever remains (a short final chunk is fine) and assemble."""
         if self.state.finished:
             raise SessionError("session already finished")
-        self._step(self._mel, final=True)
-        self._mel = self._mel[:0].copy()
+        n = self._fcfg.frames_in(len(self._samples))
+        self._step(first_frames(self._samples, n, self._fcfg), final=True)
+        self._samples = np.zeros(0, dtype=np.int16)
         enc, total = self.model.cfg.encoder, self.state.tokens_emitted
         return self._dec.result(
             "streaming", self.ledger,
@@ -244,14 +248,12 @@ class _MelPieces:
         enc, self._samples = model.cfg.encoder, audio.samples
         step = enc.attention.step_tokens()
         self._piece_frames = -(-_PIECE_TOKENS // step) * step * enc.downsampling_rate
-        self.n_frames = max(0, (len(self._samples) - self._fcfg.window_samples)
-                            // self._fcfg.shift_samples + 1)
+        self.n_frames = self._fcfg.frames_in(len(self._samples))
 
     def _frames(self, f0: int) -> np.ndarray:
         """The piece from frame f0, from its frames' samples alone."""
-        f1, shift = min(f0 + self._piece_frames, self.n_frames), self._fcfg.shift_samples
-        return StreamingFeatureExtractor(self._fcfg).push(
-            self._samples[f0 * shift : (f1 - 1) * shift + self._fcfg.window_samples])
+        return first_frames(self._samples[f0 * self._fcfg.shift_samples :],
+                            min(self._piece_frames, self.n_frames - f0), self._fcfg)
 
     def __iter__(self):
         for f0 in range(0, max(self.n_frames, 1), self._piece_frames):

@@ -26,15 +26,18 @@ from streamasr import (
     Vocab,
     init_model,
 )
+from streamasr import features
 from streamasr.context import ZERO
 from streamasr.encoder import encoder_weight_spec, init_tensors
 from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
+from streamasr.features import FeatureConfig, mel_filterbank
 from streamasr.numerics import (
     LAYER_NORM_EPS,
     Rng,
     depthwise_conv1d_causal,
     glu,
     layer_norm,
+    matmul64,
     swish,
 )
 
@@ -378,6 +381,32 @@ def dft_power_oracle(window: np.ndarray) -> np.ndarray:
         im = sum(window[k] * math.sin(-2 * math.pi * k * b / n) for k in range(n))
         out[b] = re * re + im * im
     return out
+
+
+def dense_mel_product(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """The mel product over every bin and filter: one matmul64 of the power
+    rows and cfg's whole filterbank, zero weights included."""
+    n = cfg.window_samples
+    return matmul64(power, mel_filterbank(cfg.n_mels, n // 2 + 1, cfg.sample_rate, n))
+
+
+def count_feature_kernels(monkeypatch) -> list[str]:
+    """The name of each rfft and matmul64 call the features make, in order,
+    appended to the returned list while the monkeypatch holds."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append("rfft")
+        return rfft(*args, **kwargs)
+
+    def counting_matmul64(a, b):
+        calls.append("matmul64")
+        return matmul64(a, b)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(features, "matmul64", counting_matmul64)
+    return calls
 
 
 def traced_peak(fn):

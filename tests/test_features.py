@@ -18,9 +18,17 @@ from streamasr.errors import ConfigError, FormatError, InputFileError
 from streamasr import features
 from streamasr.features import LOG_FLOOR, hann_window, mel_filterbank
 
-from helpers import dft_power_oracle, synth_audio, traced_peak, write_wav
+from helpers import (
+    count_feature_kernels,
+    dense_mel_product,
+    dft_power_oracle,
+    synth_audio,
+    traced_peak,
+    write_wav,
+)
 
 BLOCK = features._BLOCK_FRAMES
+BANDS = features._MEL_BANDS
 
 
 class TestReadWav:
@@ -158,27 +166,10 @@ class TestLogMel:
         assert np.array_equal(mel_loud[: mel_a.shape[0]], mel_a)
 
 
-def _count_kernel_calls(monkeypatch) -> list[str]:
-    """The name of each rfft and matmul64 call the features make, in order."""
-    calls = []
-    rfft, matmul64 = np.fft.rfft, features.matmul64
-
-    def counting_rfft(*args, **kwargs):
-        calls.append("rfft")
-        return rfft(*args, **kwargs)
-
-    def counting_matmul64(a, b):
-        calls.append("matmul64")
-        return matmul64(a, b)
-
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    monkeypatch.setattr(features, "matmul64", counting_matmul64)
-    return calls
-
-
 def test_push_makes_two_kernel_calls(monkeypatch):
-    # one rfft and one mel product per push that yields frames
-    calls = _count_kernel_calls(monkeypatch)
+    # the two kernels: one rfft and one matmul64 per mel band, per push
+    # that yields frames
+    calls = count_feature_kernels(monkeypatch)
     audio = synth_audio(0.5, seed=8)
     fe = StreamingFeatureExtractor(FeatureConfig())
     yielded = 0
@@ -186,18 +177,72 @@ def test_push_makes_two_kernel_calls(monkeypatch):
         before = len(calls)
         frames = fe.push(audio.samples[:n])
         yielded += frames.shape[0] > 0
-        assert calls[before:] == (["rfft", "matmul64"] if frames.shape[0] > 0 else [])
+        assert calls[before:] == (["rfft"] + ["matmul64"] * BANDS if frames.shape[0] > 0 else [])
     assert 0 < yielded < 7
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5])
 def test_push_makes_two_kernel_calls_per_block(monkeypatch, n):
-    calls = _count_kernel_calls(monkeypatch)
+    # one rfft and one matmul64 per mel band, per block
+    calls = count_feature_kernels(monkeypatch)
     cfg = FeatureConfig()
     length = cfg.window_samples + (n - 1) * cfg.shift_samples if n else cfg.window_samples - 1
     frames = StreamingFeatureExtractor(cfg).push(synth_audio(4.0, seed=9).samples[:length])
     assert frames.shape[0] == n
-    assert calls == ["rfft", "matmul64"] * math.ceil(n / BLOCK)
+    assert calls == (["rfft"] + ["matmul64"] * BANDS) * math.ceil(n / BLOCK)
+
+
+FEATURE_CONFIGS = {
+    "default": FeatureConfig(),
+    "8k": FeatureConfig(sample_rate=8000),  # one empty filter
+    "2.5ms": FeatureConfig(window_ms=2.5, frame_shift_ms=1.0),  # 43 of 80 filters empty
+    "1ms-64": FeatureConfig(window_ms=1.0, frame_shift_ms=1.0, n_mels=64),  # an empty band
+    "1-mel": FeatureConfig(n_mels=1),
+    "3-mels": FeatureConfig(n_mels=3),
+    "odd": FeatureConfig(sample_rate=11025, window_ms=30.0, frame_shift_ms=7.0, n_mels=23),
+}
+
+
+@st.composite
+def power_rows(draw, n_bins: int) -> np.ndarray:
+    """Power spectra: zeros, tiny, unit and huge magnitudes, mixed in a row."""
+    rows = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.choice([-300.0, -30.0, 0.0, 30.0, 300.0], size=(rows, n_bins))
+    power = rng.random((rows, n_bins)) * scale
+    power[rng.random((rows, n_bins)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return power
+
+
+class TestMelBands:
+    """The banded mel product skips only zero weights, which is exact; this
+    holds it to the dense product bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(FEATURE_CONFIGS)), data=st.data())
+    def test_banded_equals_the_dense_product(self, name, data):
+        cfg = FEATURE_CONFIGS[name]
+        _, bands = features._extractor_matrices(cfg)
+        power = data.draw(power_rows(cfg.window_samples // 2 + 1))
+        got = features._mel_product(power, bands)
+        want = dense_mel_product(power, cfg)
+        assert got.shape == want.shape == (power.shape[0], cfg.n_mels)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FEATURE_CONFIGS))
+    def test_the_bands_keep_every_nonzero_weight(self, name):
+        cfg = FEATURE_CONFIGS[name]
+        n = cfg.window_samples
+        fb = mel_filterbank(cfg.n_mels, n // 2 + 1, cfg.sample_rate, n)
+        _, bands = features._extractor_matrices(cfg)
+        kept = sum(int(np.count_nonzero(w)) for _, _, w in bands)
+        assert kept == np.count_nonzero(fb)
+        assert sum(w.shape[1] for _, _, w in bands) == cfg.n_mels
+        assert len(bands) == min(BANDS, cfg.n_mels)
+
+    def test_the_default_bands_skip_most_weights(self):
+        _, bands = features._extractor_matrices(FeatureConfig())
+        assert sum(w.size for _, _, w in bands) < 201 * 80 // 3
 
 
 class TestRfftRows:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamasr import Rng, depthwise_conv1d_causal, layer_norm, matmul, numerics
-from streamasr.errors import ShapeError
+from streamasr import Rng, cache_append, depthwise_conv1d_causal, layer_norm, matmul, numerics
+from streamasr.errors import ShapeError, StreamAsrError
 from streamasr.numerics import glu, linear, log_softmax, logsumexp, matmul64, sigmoid, swish
 
 from helpers import (
@@ -69,6 +69,49 @@ class TestMatmul:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32))
+
+
+# Each exported kernel with well-formed operands; the test below swaps some out.
+WELL_FORMED = {
+    "matmul": (matmul, lambda: [np.ones((2, 3)), np.ones((3, 2))]),
+    "layer_norm": (layer_norm, lambda: [np.ones((2, 3)), np.ones(3), np.zeros(3)]),
+    "depthwise_conv1d_causal": (depthwise_conv1d_causal, lambda: [
+        np.ones((4, 2)), np.ones((2, 3)), np.zeros(2), np.zeros((2, 2))]),
+    "cache_append": (lambda cache, rows: cache_append(cache, rows, 1),
+                     lambda: [np.zeros((1, 2)), np.ones((2, 2))]),
+}
+
+
+@st.composite
+def malformed_operand(draw):
+    """What a caller might pass by mistake: a nested list (ragged or not), a
+    0-d value, None, a string, or an array of another shape or dtype."""
+    kind = draw(st.sampled_from(["list", "ragged", "0-d", "none", "text", "array"]))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    if kind == "list":
+        return np.ones(shape).tolist()
+    if kind == "ragged":
+        return draw(st.sampled_from([[[1.0, 2.0], [3.0]], [1.0, [2.0]], [[1, None]]]))
+    if kind == "0-d":
+        return draw(st.sampled_from([np.float32(1.0), 1.0, np.int64(3), np.zeros(())]))
+    if kind == "none":
+        return None
+    if kind == "text":
+        return draw(st.sampled_from(["ab", np.array(["a", "b"])]))
+    return np.ones(shape, dtype=draw(st.sampled_from([np.float32, np.float64, np.int16, bool])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(WELL_FORMED)), data=st.data())
+def test_malformed_operands_raise_only_streamasr_errors(name, data):
+    kernel, make = WELL_FORMED[name]
+    args = make()
+    for i in data.draw(st.sets(st.integers(0, len(args) - 1), min_size=1)):
+        args[i] = data.draw(malformed_operand())
+    try:
+        kernel(*args)
+    except StreamAsrError:
+        pass
 
 
 LAYOUTS = ("C", "F", "transposed", "strided", "reversed")

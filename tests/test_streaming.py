@@ -21,6 +21,7 @@ from streamasr import (
     StreamState,
     Vocab,
     encode_full,
+    features,
     init_model,
     load_model,
     log_mel,
@@ -38,6 +39,7 @@ from streamasr.ledger import CATEGORIES
 from streamasr.streaming import _MelPieces
 
 from helpers import (
+    count_feature_kernels,
     count_macs,
     offline_composition,
     reference_rnnt_greedy,
@@ -190,6 +192,50 @@ class TestStreamingVsOffline:
             assert s.finish().transcripts["ctc"].to_json() == want
         edges = np.array([-32768, 32767], np.int64)
         assert AudioBuffer(16000, edges).samples.dtype == np.int16
+
+
+class TestFeaturesPerStep:
+    """A session makes a step's frames in the feed that completes the step,
+    in one feature push: a feed that completes no step does no numeric work,
+    and no step runs late."""
+
+    def test_a_feed_that_completes_no_step_makes_no_feature_call(self, monkeypatch):
+        model, vocab = tiny_model(AttentionContext.chunked(4, 1), seed=33)
+        calls = count_feature_kernels(monkeypatch)
+        block = ["rfft"] + ["matmul64"] * len(
+            features._extractor_matrices(model.cfg.feature_config())[1])
+        session = StreamingSession(model, vocab, decoder="ctc")
+        samples = synth_audio(1.0, seed=41).samples
+        stepping = 0
+        for i in range(0, len(samples), 320):  # 20 ms packets
+            steps, before = len(session.ledger.steps), len(calls)
+            session.feed(samples[i : i + 320])
+            stepped = len(session.ledger.steps) - steps
+            assert stepped in (0, 1)
+            assert calls[before:] == block * stepped  # a step's frames are one block
+            stepping += stepped
+        session.finish()
+        assert calls == block * len(session.ledger.steps)
+        assert stepping == len(session.ledger.steps) - 1 > 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(regime=st.sampled_from(sorted(SPLIT_CONTEXTS)),
+           sizes=st.lists(st.integers(0, 2500), max_size=12))
+    def test_every_step_runs_in_the_feed_that_completes_its_samples(self, regime, sizes):
+        model, vocab, whole = split_baseline(regime)
+        fcfg, enc = model.cfg.feature_config(), model.cfg.encoder
+        step_frames = enc.attention.step_tokens() * enc.downsampling_rate
+        samples, fed = SPLIT_AUDIO.samples, 0
+        session = StreamingSession(model, vocab)
+        for n in sizes + [len(samples)]:  # the last feed takes what the drawn ones left
+            session.feed(samples[fed : fed + n])
+            fed = min(fed + n, len(samples))
+            frames = max(0, (fed - fcfg.window_samples) // fcfg.shift_samples + 1)
+            assert len(session.ledger.steps) == frames // step_frames
+        split = session.finish()
+        assert [t.to_json() for t in split.transcripts.values()] == [
+            t.to_json() for t in whole.transcripts.values()]
+        assert split.ledger.steps == whole.ledger.steps
 
 
 PIECE_CONTEXTS = {  # chunks of 3 and 5 tokens do not divide the 64-token piece
@@ -357,18 +403,29 @@ def minute_of_audio():
     return audio, log_mel(audio)
 
 
+def held_samples(session: StreamingSession) -> int:
+    """The int16 samples a session's arrays keep alive, through views too."""
+    arrays = [a for a in vars(session).values() if isinstance(a, np.ndarray)]
+    assert all(a.dtype == np.int16 for a in arrays)  # samples, never mel rows
+    return sum(held(a).size for a in arrays)
+
+
 class TestWorkingMemory:
     def test_a_whole_recording_feed_keeps_one_step_and_one_window(self):
+        # a session holds the samples from its next step's first frame on:
+        # fewer than one step's frames span, and none once finished
         model, vocab = tiny_model(AttentionContext.chunked(4, 1), seed=33)
-        session = StreamingSession(model, vocab, decoder="ctc")
-        session.feed(synth_audio(10.0, seed=41).samples)
+        fcfg = model.cfg.feature_config()
         step_frames = 4 * model.cfg.encoder.downsampling_rate
-        window = model.cfg.feature_config().window_samples
-        for when in ("fed", "finished"):
-            if when == "finished":
-                session.finish()
-            assert held(session._mel).shape[0] < step_frames, when
-            assert held(session._extractor._pending).size < window, when
+        bound = (step_frames - 1) * fcfg.shift_samples + fcfg.window_samples
+        audio = synth_audio(10.0, seed=41).samples
+        for packet in (len(audio), 320):  # the whole recording, then 20 ms packets
+            session = StreamingSession(model, vocab, decoder="ctc")
+            for i in range(0, len(audio), packet):
+                session.feed(audio[i : i + packet])
+                assert held_samples(session) < bound, packet
+            session.finish()
+            assert held_samples(session) == 0, packet
 
     @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 16),
                                      AttentionContext.chunked(4, 4)], ids=["regular", "chunk"])

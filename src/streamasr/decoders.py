@@ -15,9 +15,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, FormatError, InputFileError
+from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
-from .numerics import check_finite, linear, log_softmax
+from .numerics import check_finite, linear, log_softmax, operand
 
 BLANK_TOKEN = "<blank>"
 
@@ -115,8 +115,17 @@ class RnntHead:
         return t[f"rnnt.cell{i}.w_in"], t[f"rnnt.cell{i}.w_h"], t[f"rnnt.cell{i}.b"]
 
 
+def _encoder_rows(enc, hc: HeadConfig) -> np.ndarray:
+    """`enc` as an array of (T, d_model) encoder rows, or ShapeError."""
+    enc = operand(enc, "encoder output")
+    if enc.ndim != 2 or enc.shape[1] != hc.d_model:
+        raise ShapeError(f"encoder output is {enc.shape}, the head reads (frames, {hc.d_model})")
+    return enc
+
+
 def ctc_logprobs(enc: np.ndarray, head: CtcHead, rec: ComputeLedger | None = None) -> np.ndarray:
     """Per-frame log-softmax over the vocabulary, (T, V) float64."""
+    enc = _encoder_rows(enc, head.hc)
     if enc.shape[0] == 0:
         return np.zeros((0, head.hc.vocab_size), dtype=np.float64)
     logits = linear(enc, head.w, head.b)
@@ -204,6 +213,7 @@ def rnnt_greedy_decode(
     hypothesis, so decoding an utterance in any number of pieces yields the
     same tokens as decoding it at once.
     """
+    enc = _encoder_rows(enc, head.hc)
     if states is None:
         states = rnnt_init_state(head)
     if len(states) != head.hc.pred_layers:
@@ -229,6 +239,7 @@ def rnnt_joint_log_probs(
     enc: np.ndarray, target: list[int], head: RnntHead, blank_id: int = 0
 ) -> np.ndarray:
     """Teacher-forced joint grid (T, U+1, V) of normalized log-probs."""
+    enc = _encoder_rows(enc, head.hc)
     if blank_id in target:
         raise ArgumentError("target must not contain blank")
     states = rnnt_init_state(head)

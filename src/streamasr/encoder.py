@@ -27,6 +27,7 @@ the single-pass computation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -45,6 +46,7 @@ from .numerics import (
     layer_norm,
     linear,
     matmul64,
+    operand,
     swish,
 )
 
@@ -154,26 +156,59 @@ def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], 
     return spec
 
 
+# the layer weights a product or the depthwise convolution reads, mirrored as float64
+_LAYER_FLOAT64 = ("ffn1.w1", "ffn1.w2", "ffn2.w1", "ffn2.w2", "attn.wqkv", "attn.wo",
+                  "conv.pw1", "conv.pw2", "conv.dw")
+
+
+def _float64(t: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of `t`, exact for float32."""
+    out = np.array(t, dtype=np.float64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class EncoderWeights:
-    """The encoder's tensors, and per layer a dict built once: the layer's
-    tensors without their `layers.{i}.` prefix, plus the Q, K and V
-    projections side by side as one (d, 3d) weight `attn.wqkv` and bias
-    `attn.bqkv`, and the relative-position bias in float64 as `attn.bias64`."""
+    """The encoder's float32 tensors, and the operands its kernels read,
+    built once per instance on first use, so loading a model builds none.
+
+    `layer(i)` is layer i's tensors without their `layers.{i}.` prefix, plus
+    the Q, K and V projections side by side as one weight `attn.wqkv` and
+    bias `attn.bqkv`, and the relative-position bias table in float64 as
+    `attn.bias64`. Every weight there that a product or the depthwise
+    convolution reads is a float64 copy, and so are `downsampler`'s. Biases
+    and norm parameters stay float32, because `linear` adds its bias in
+    float32. float32 to float64 is exact, so no output bit changes and
+    `matmul64` copies activations only. Every prepared array is read-only."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
-        self._layers: dict[int, dict[str, np.ndarray]] = {}
-        for name, v in tensors.items():
-            if name.startswith("layers."):
-                i, rest = name[len("layers.") :].split(".", 1)
-                self._layers.setdefault(int(i), {})[rest] = v
-        for lw in self._layers.values():
-            lw["attn.wqkv"] = np.concatenate([lw[f"attn.w{p}"] for p in "qkv"], axis=1)
-            lw["attn.bqkv"] = np.concatenate([lw[f"attn.b{p}"] for p in "qkv"])
-            lw["attn.bias64"] = lw["attn.bias"].astype(np.float64)
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
         return self._layers[i]
+
+    @functools.cached_property
+    def _layers(self) -> dict[int, dict[str, np.ndarray]]:
+        layers: dict[int, dict[str, np.ndarray]] = {}
+        for name, v in self.tensors.items():
+            if name.startswith("layers."):
+                i, rest = name[len("layers.") :].split(".", 1)
+                layers.setdefault(int(i), {})[rest] = v
+        for lw in layers.values():
+            lw["attn.wqkv"] = np.concatenate([lw[f"attn.w{p}"] for p in "qkv"], axis=1)
+            lw["attn.bqkv"] = np.concatenate([lw[f"attn.b{p}"] for p in "qkv"])
+            lw["attn.bqkv"].flags.writeable = False
+            lw["attn.bias64"] = _float64(lw["attn.bias"])
+            lw.update({name: _float64(lw[name]) for name in _LAYER_FLOAT64})
+        return layers
+
+    @functools.cached_property
+    def downsampler(self) -> dict[str, np.ndarray]:
+        """`stage{s}.w`, `stage{s}.b` and `proj.w` in float64, `proj.b` float32."""
+        ds = {name[len("ds.") :]: _float64(v) for name, v in self.tensors.items()
+              if name.startswith("ds.") and name != "ds.proj.b"}
+        ds["proj.b"] = self.tensors["ds.proj.b"]
+        return ds
 
 
 def init_tensors(
@@ -210,18 +245,18 @@ def downsample_segment(
     stream. A trailing partial frame group is not read.
     """
     cur = frames[: frames.shape[0] // cfg.downsampling_rate * cfg.downsampling_rate]
-    kept = []
+    ds, kept = w.downsampler, []
     for s, row in enumerate(carry):
         window, last = cache_append(row, cur, 1)
         kept.append(last)
         n_out = cur.shape[0] // 2
-        ws = w.tensors[f"ds.stage{s}.w"]
+        ws = ds[f"stage{s}.w"]
         acc = np.zeros((n_out, cfg.d_model), dtype=np.float64)
         for r in range(3):
             acc += matmul64(window[r : r + 2 * n_out : 2], ws[r])
-        acc += w.tensors[f"ds.stage{s}.b"].astype(np.float64)
+        acc += ds[f"stage{s}.b"]
         cur = swish(acc.astype(np.float32))
-    return linear(cur, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"]), kept
+    return linear(cur, ds["proj.w"], ds["proj.b"]), kept
 
 
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
@@ -444,7 +479,7 @@ def encode_full(
     if hasattr(mel, "n_frames"):
         pieces, n_frames = mel, mel.n_frames
     else:
-        frames = np.asarray(mel)
+        frames = operand(mel, "mel")
         if frames.ndim != 2:
             raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
         n_frames, step = frames.shape[0], cfg.attention.step_tokens()
@@ -523,7 +558,7 @@ def encode_step(
     Each layer runs its query rows in one pass: the rows this step settles,
     and no others, so a long step holds float64 temporaries for all of them.
     """
-    frames = np.asarray(chunk).astype(np.float32, copy=False)
+    frames = operand(chunk, "mel").astype(np.float32, copy=False)
     if state.finished:
         raise SessionError("stream already finalized")
     _check_state(state, cfg)

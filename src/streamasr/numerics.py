@@ -78,10 +78,12 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     float64 before it is added, whatever the operands' dtype, layout, batch
     size or number of rows. That needs:
 
-    - C-contiguous float64 copies of both operands: einsum orders its loops
-      by the operands' strides, and an F-order or transposed `b` makes it
-      sum in another order. `a` is copied the same way so that no operand's
-      layout is left to choose the order.
+    - both operands C-contiguous float64, copied unless they are already:
+      einsum orders its loops by the operands' strides, and an F-order or
+      transposed `b` makes it sum in another order. `a` is taken the same
+      way so that no operand's layout is left to choose the order. The
+      encoder's weights are prepared so (EncoderWeights), and only its
+      activations are copied.
     - no `optimize` argument and no float64 BLAS, which reorder the k-sum.
     - a second column when `b` has one: with a one-column output einsum
       reduces k with several SIMD accumulators (errors near 1e-13 on
@@ -134,9 +136,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
     xc = x.astype(np.float64)  # a copy: centered, scaled and shifted in place
-    # sum / d is what np.mean computes, without its per-call overhead
-    xc -= xc.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    # sum / d is what np.mean computes, and np.add.reduce the ufunc that
+    # ndarray.sum calls: the same sums, without the wrappers' per-call overhead
+    xc -= np.add.reduce(xc, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     xc /= np.sqrt(var + LAYER_NORM_EPS)
     # float32 gamma and beta promote exactly to float64
     xc *= gamma
@@ -171,7 +174,7 @@ def depthwise_conv1d_causal(
         raise ShapeError(f"bias must be ({d},), got {bias.shape}")
     t = x.shape[0]
     xp = np.concatenate([history, x], axis=0).astype(np.float64)
-    w64 = weights.astype(np.float64)
+    w64 = np.asarray(weights, dtype=np.float64)  # weights itself when float64
     acc = np.zeros((t, d), dtype=np.float64)
     for i in range(k):
         acc += xp[i : i + t, :] * w64[None, :, i]

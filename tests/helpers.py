@@ -161,7 +161,8 @@ def reference_encode(mel: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> 
     each query row attends the keys build_mask gives it through
     attend_per_head, every other product is a k-loop, and the row-wise
     kernels and the depthwise convolution (from zero history) are the
-    package's."""
+    package's. Every weight is read from the float32 `w.tensors`, never from
+    the operands EncoderWeights prepares, so the oracle checks those too."""
     def lin(x, wt, b):
         return matmul64_kloop(x, wt).astype(np.float32) + b
 
@@ -187,7 +188,8 @@ def reference_encode(mel: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> 
         groups.append((r, r, int(keys[0]), int(keys[-1])))
     history = np.zeros((cfg.conv_kernel - 1, cfg.d_model), dtype=np.float32)
     for i in range(cfg.n_layers):
-        lw = w.layer(i)
+        p = f"layers.{i}."
+        lw = {name[len(p) :]: v for name, v in t.items() if name.startswith(p)}
         x1 = x + np.float32(0.5) * ffn(lw, "ffn1", x)
         a_in = layer_norm(x1, lw["attn.ln_g"], lw["attn.ln_b"])
         x2 = x1 + attend_per_head(cfg, lw, a_in, np.arange(n), a_in, 0, groups)

@@ -13,7 +13,7 @@ from streamasr import (
     rnnt_joint_log_probs,
 )
 from streamasr.decoders import rnnt_init_state, rnnt_joint_logits, rnnt_pred_advance
-from streamasr.errors import ArgumentError, FormatError, InputFileError, NumericsError
+from streamasr.errors import ArgumentError, FormatError, InputFileError, NumericsError, ShapeError
 from streamasr.numerics import logsumexp
 
 from helpers import random_head, reference_rnnt_greedy, vary_rnnt_emission
@@ -54,6 +54,19 @@ class TestVocab:
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.blank_id = 2
         assert v.blank_id == Vocab.blank_id == 0
+
+
+@pytest.mark.parametrize("enc", [np.float32(1.0), np.ones(16, np.float32),
+                                 np.ones((3, 15), np.float32), [[1.0] * 16, [1.0] * 15]],
+                         ids=["0-d", "1-d", "width", "ragged"])
+def test_encoder_output_not_rows_of_d_model_is_shape_error(enc):
+    ctc, rnnt = random_head(seed=4)  # d_model 16
+    with pytest.raises(ShapeError):
+        ctc_logprobs(enc, ctc)
+    with pytest.raises(ShapeError):
+        rnnt_greedy_decode(enc, rnnt)
+    with pytest.raises(ShapeError):
+        rnnt_joint_log_probs(enc, [1], rnnt)
 
 
 class TestCtc:

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
+    EncoderConfig,
     EncoderWeights,
     Rng,
     encode_full,
     encode_step,
     init_state,
+    load_model,
     receptive_field_frames,
+    run_multi_lookahead,
+    save_model,
 )
 from streamasr import encoder, numerics
 from streamasr.context import ZERO
@@ -27,7 +31,7 @@ from streamasr.encoder import (
     init_tensors,
     query_groups,
 )
-from streamasr.errors import ChunkingError, ConfigError, NumericsError, SessionError
+from streamasr.errors import ChunkingError, ConfigError, NumericsError, SessionError, ShapeError
 from streamasr.ledger import CATEGORIES, ComputeLedger
 from streamasr.numerics import linear
 
@@ -38,7 +42,9 @@ from helpers import (
     masked_softmax,
     random_mel,
     reference_encode,
+    synth_audio,
     tiny_encoder_config,
+    tiny_model,
 )
 
 
@@ -293,7 +299,7 @@ class TestDownsampler:
         # every matmul64 row through a downsampler weight, against the ledger
         cfg = tiny_encoder_config(ctx, downsampling_rate=dr)
         w = init_encoder_weights(cfg, seed=20)
-        ds_weights = [t for name, t in w.tensors.items() if name.startswith("ds.")]
+        ds_weights = list(w.downsampler.values())  # the operands the products read
         macs = []
         real = numerics.matmul64
 
@@ -581,6 +587,124 @@ class TestEncodeStepContracts:
         assert rec.duplicate_macs == 0 and len(rec.steps) > 4
         assert {c: rec.category_total(c) for c in CATEGORIES} == \
             {c: off.category_total(c) for c in CATEGORIES}
+
+    @pytest.mark.parametrize("mel", [[[0.0] * 8] * 3 + [[0.0] * 7], np.full((4, 8), "0.5")],
+                             ids=["ragged", "strings"])
+    def test_frames_that_are_not_numbers_are_shape_error(self, mel):
+        cfg = tiny_encoder_config(AttentionContext.zero())
+        w = init_encoder_weights(cfg, seed=29)
+        with pytest.raises(ShapeError):
+            encode_step(mel, init_state(cfg), w, cfg, final=True)
+        with pytest.raises(ShapeError):
+            encode_full(mel, w, cfg)
+
+
+# per layer, the tensors EncoderWeights copies to float64 under their own
+# names; it also mirrors wq, wk and wv as attn.wqkv and the bias table as
+# attn.bias64, and all the downsampler's tensors but ds.proj.b
+COPIED = ("ffn1.w1", "ffn1.w2", "ffn2.w1", "ffn2.w2", "attn.wo", "conv.pw1", "conv.pw2", "conv.dw")
+
+
+def prepared_float64(w: EncoderWeights, cfg) -> list[np.ndarray]:
+    """Every float64 array w prepares: each layer's and the downsampler's."""
+    arrays = [a for i in range(cfg.n_layers) for a in w.layer(i).values()]
+    return [a for a in arrays + list(w.downsampler.values()) if a.dtype == np.float64]
+
+
+class TestPreparedWeights:
+    """EncoderWeights makes the weights its kernels read float64 once, on
+    first use, so no encoder kernel call converts a weight."""
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.zero(left_context=3),
+                                     AttentionContext.regular(1, 4),
+                                     AttentionContext.chunked(2, 1)],
+                             ids=["zero", "regular", "chunk"])
+    def test_every_weight_a_kernel_reads_is_prepared_float64(self, ctx, monkeypatch):
+        # a two-dimensional matmul64 operand `b` is a weight (the attention
+        # products are batches over heads), and so are the depthwise taps
+        cfg = tiny_encoder_config(ctx)
+        w = init_encoder_weights(cfg, seed=60)
+        prepared = prepared_float64(w, cfg)
+        weights = []
+        real_matmul, real_depthwise = numerics.matmul64, encoder.depthwise_conv1d_causal
+
+        def matmul(a, b):
+            if np.ndim(b) == 2:
+                weights.append(b)
+            return real_matmul(a, b)
+
+        def depthwise(x, taps, bias, history):
+            weights.append(taps)
+            return real_depthwise(x, taps, bias, history)
+
+        monkeypatch.setattr(numerics, "matmul64", matmul)
+        monkeypatch.setattr(encoder, "matmul64", matmul)
+        monkeypatch.setattr(encoder, "depthwise_conv1d_causal", depthwise)
+        mel = random_mel(13 * cfg.downsampling_rate + 2, cfg.n_mels, seed=61)
+        for mode, run in (("streaming", stream_encode), ("offline", encode_full)):
+            weights.clear()
+            run(mel, w, cfg)
+            assert len(weights) >= cfg.n_stages * 3 + 1 + cfg.n_layers * 9, mode
+            for b in weights:
+                assert b.dtype == np.float64 and b.flags.c_contiguous, mode
+                assert any(np.shares_memory(b, p) for p in prepared), mode
+
+    def test_each_copy_is_its_tensor_bit_for_bit_and_read_only(self):
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 4), downsampling_rate=8)
+        w = init_encoder_weights(cfg, seed=62)
+        t = w.tensors
+        pairs = [(w.downsampler[name[len("ds.") :]], v) for name, v in t.items()
+                 if name.startswith("ds.") and name != "ds.proj.b"]
+        for i in range(cfg.n_layers):
+            lw, p = w.layer(i), f"layers.{i}."
+            pairs += [(lw[name], t[p + name]) for name in COPIED]
+            pairs += [(lw["attn.wqkv"], np.concatenate([t[p + f"attn.w{q}"] for q in "qkv"], 1)),
+                      (lw["attn.bias64"], t[p + "attn.bias"])]
+            assert lw["attn.bqkv"].dtype == np.float32 and not lw["attn.bqkv"].flags.writeable
+        assert w.downsampler["proj.b"] is t["ds.proj.b"]  # linear adds its bias in float32
+        for copy, tensor in pairs:
+            assert copy.dtype == np.float64 and copy.flags.c_contiguous
+            assert not copy.flags.writeable
+            assert copy.astype(np.float32).tobytes() == tensor.tobytes()
+            assert np.array_equal(copy, tensor)
+        assert len(pairs) == len(prepared_float64(w, cfg))
+
+    def test_copies_take_eight_bytes_per_mirrored_element(self):
+        # perfbench's model: about 3.3 MB of float64 copies
+        cfg = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
+                            downsampling_rate=4, attention=AttentionContext.chunked(4, 4))
+        w = init_encoder_weights(cfg, seed=7)
+        per_layer = COPIED + ("attn.wq", "attn.wk", "attn.wv", "attn.bias")
+        mirrored = [v for name, v in w.tensors.items()
+                    if name.startswith("ds.") and name != "ds.proj.b"
+                    or name.split(".", 2)[-1] in per_layer]
+        assert sum(a.nbytes for a in prepared_float64(w, cfg)) == \
+            8 * sum(v.size for v in mirrored)
+
+    def test_built_once_per_weights_and_not_at_load(self, tmp_path, monkeypatch):
+        model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=63)
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        built = []
+        real = encoder._float64
+
+        def counting(t):
+            built.append(t.shape)
+            return real(t)
+
+        monkeypatch.setattr(encoder, "_float64", counting)
+        model = load_model(path)
+        assert built == []
+        cfg = model.cfg.encoder
+        mel = random_mel(10 * cfg.downsampling_rate, cfg.n_mels, seed=64)
+        first = encode_full(mel, model.encoder, cfg)
+        n_built = len(built)
+        assert n_built == cfg.n_layers * 10 + 2 * cfg.n_stages + 1
+        assert np.array_equal(encode_full(mel, model.encoder, cfg), first)
+        other = model.with_attention(AttentionContext.chunked(1, 1))
+        encode_full(mel, other.encoder, other.cfg.encoder)
+        run_multi_lookahead(synth_audio(0.3, seed=65), model, vocab, [1, 2], decoder="ctc")
+        assert len(built) == n_built
 
 
 class TestConfigValidation:

@@ -389,11 +389,17 @@ def held(a: np.ndarray) -> np.ndarray:
 
 
 def baseline_model(ctx):
-    """perfbench's baseline model (4 layers, d_model 64) and its vocabulary."""
+    """perfbench's baseline model (4 layers, d_model 64) and its vocabulary.
+
+    Its encoder's float64 weight copies are built here, not on first use,
+    so a traced window opened on the model measures the run alone
+    (TestPreparedWeights pins the copies' bytes)."""
     vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
     enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
                         downsampling_rate=4, attention=ctx, n_mels=80)
-    return init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7), vocab
+    model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
+    model.encoder.layer(0), model.encoder.downsampler
+    return model, vocab
 
 
 @functools.cache

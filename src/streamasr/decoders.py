@@ -3,13 +3,19 @@
 The CTC head is a stateless projection to per-frame log-probabilities, and
 CtcIncrementalDecoder carries its collapse state (the previous frame's
 label) across pushes. The RNNT head is a recurrent prediction network plus a
-joint network, whose hidden states carry across pushes. A streaming run's
-decoders (streaming._Decoders) own both, and carrying them makes split
+joint network, whose state (RnntState) carries across pushes. A streaming
+run's decoders (streaming._Decoders) own both, and carrying them makes split
 decoding equal single-shot decoding token for token.
+
+The joint is additive, tanh(W_enc e_t + W_pred g_u), so each projection
+runs once: a push's encoder rows in one product, and a state's when it is
+made. As in the encoder, the product weights are float64 copies made on
+first use, so no output bit changes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
-from .numerics import check_finite, linear, log_softmax, operand
+from .numerics import check_finite, float64_copy, linear, log_softmax, operand
 
 BLANK_TOKEN = "<blank>"
 
@@ -104,15 +110,36 @@ class CtcHead:
     w: np.ndarray
     b: np.ndarray
 
+    @functools.cached_property
+    def w64(self) -> np.ndarray:
+        """`w` as the read-only float64 copy its product reads, built on first use."""
+        return float64_copy(self.w)
+
 
 @dataclass
 class RnntHead:
+    """The RNNT head's float32 tensors, and in `w64` the weights its products
+    read (each cell's `w_in` and `w_h`, the joint's three) as read-only
+    float64 copies, built on first use. The biases stay the live float32
+    tensors, because `linear` adds its bias in float32."""
+
     hc: HeadConfig
     tensors: dict[str, np.ndarray]
 
-    def cell(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = self.tensors
-        return t[f"rnnt.cell{i}.w_in"], t[f"rnnt.cell{i}.w_h"], t[f"rnnt.cell{i}.b"]
+    @functools.cached_property
+    def w64(self) -> dict[str, np.ndarray]:
+        names = [f"rnnt.cell{i}.w_{p}" for i in range(self.hc.pred_layers) for p in ("in", "h")]
+        return {n: float64_copy(self.tensors[n])
+                for n in names + [f"rnnt.joint_{p}.w" for p in ("enc", "pred", "out")]}
+
+
+@dataclass(frozen=True)
+class RnntState:
+    """A prediction-network state: each layer's hidden row (float32), and the
+    joint's projection of the last one (float64), made once with the state."""
+
+    hidden: list[np.ndarray]
+    joint_pred: np.ndarray
 
 
 def _encoder_rows(enc, hc: HeadConfig) -> np.ndarray:
@@ -128,7 +155,7 @@ def ctc_logprobs(enc: np.ndarray, head: CtcHead, rec: ComputeLedger | None = Non
     enc = _encoder_rows(enc, head.hc)
     if enc.shape[0] == 0:
         return np.zeros((0, head.hc.vocab_size), dtype=np.float64)
-    logits = linear(enc, head.w, head.b)
+    logits = linear(enc, head.w64, head.b)
     check_finite(logits, "CTC head")
     if rec is not None:
         rec.add("decoder", enc.shape[0] * head.hc.d_model * head.hc.vocab_size)
@@ -143,113 +170,130 @@ class CtcIncrementalDecoder:
         self._prev = blank_id
 
     def push(self, logprobs: np.ndarray, frame_offset: int = 0) -> list[tuple[int, int]]:
+        """The (token, frame) pairs that `logprobs`, (frames, V), adds."""
+        logprobs = operand(logprobs, "CTC log-probs")
+        if logprobs.ndim != 2 or logprobs.shape[1] == 0:
+            raise ShapeError(f"CTC log-probs are {logprobs.shape}, the decoder reads (frames, V)")
         out = []
-        for t in range(logprobs.shape[0]):
-            k = int(np.argmax(logprobs[t]))  # ties resolve to the lowest id
+        for t, k in enumerate(np.argmax(logprobs, axis=1).tolist()):  # ties to the lowest id
             if k != self.blank_id and k != self._prev:
                 out.append((k, frame_offset + t))
             self._prev = k
         return out
 
 
-def rnnt_init_state(head: RnntHead) -> list[np.ndarray]:
-    return [np.zeros(head.hc.d_pred, dtype=np.float32) for _ in range(head.hc.pred_layers)]
+def _joint_projection(head: RnntHead, src: str, rows: np.ndarray) -> np.ndarray:
+    """`rows` projected into the joint by `rnnt.joint_{src}`, held in float64.
+
+    Each row is rounded to float32 as one joint call's projection was, and
+    rows do not depend on each other, so a projection made once serves every
+    joint that reads it. It is checked here, once: the sum of two finite
+    float32 rows cannot overflow in float64, so the joint's sum needs no check.
+    """
+    p = linear(rows, head.w64[f"rnnt.joint_{src}.w"], head.tensors[f"rnnt.joint_{src}.b"])
+    check_finite(p, f"RNNT joint {src} projection")  # tanh maps an infinity to +-1
+    return p.astype(np.float64)
+
+
+def _rnnt_state(head: RnntHead, hidden: list[np.ndarray], rec: ComputeLedger | None) -> RnntState:
+    if rec is not None:
+        rec.add("decoder", head.hc.d_pred * head.hc.d_joint)
+    return RnntState(hidden, _joint_projection(head, "pred", hidden[-1][None, :])[0])
+
+
+def rnnt_init_state(head: RnntHead, rec: ComputeLedger | None = None) -> RnntState:
+    """The zero state, with its joint projection."""
+    hc = head.hc
+    return _rnnt_state(head, [np.zeros(hc.d_pred, dtype=np.float32)] * hc.pred_layers, rec)
 
 
 def rnnt_pred_advance(
-    head: RnntHead, states: list[np.ndarray], token_id: int, rec: ComputeLedger | None = None
-) -> list[np.ndarray]:
+    head: RnntHead, state: RnntState, token_id: int, rec: ComputeLedger | None = None
+) -> RnntState:
     """One prediction-network step after emitting token_id."""
-    x = head.tensors["rnnt.embed"][token_id]
-    new_states = []
-    for i in range(head.hc.pred_layers):
-        w_in, w_h, b = head.cell(i)
-        z = (
-            np.asarray(linear(x[None, :], w_in), dtype=np.float64)[0]
-            + np.asarray(linear(states[i][None, :], w_h), dtype=np.float64)[0]
-            + b.astype(np.float64)
-        )
+    w, t = head.w64, head.tensors
+    x, hidden = t["rnnt.embed"][token_id], []
+    for i, h_prev in enumerate(state.hidden):
+        z = (linear(x[None, :], w[f"rnnt.cell{i}.w_in"])[0].astype(np.float64)
+             + linear(h_prev[None, :], w[f"rnnt.cell{i}.w_h"])[0].astype(np.float64)
+             + t[f"rnnt.cell{i}.b"].astype(np.float64))
         check_finite(z, "RNNT prediction cell")  # tanh maps an infinity to +-1
-        h = np.tanh(z).astype(np.float32)
-        new_states.append(h)
-        x = h
+        x = np.tanh(z).astype(np.float32)
+        hidden.append(x)
     if rec is not None:
         rec.add("decoder", head.hc.pred_layers * 2 * head.hc.d_pred * head.hc.d_pred)
-    return new_states
+    return _rnnt_state(head, hidden, rec)
 
 
 def rnnt_joint_logits(
-    head: RnntHead, enc_t: np.ndarray, g: np.ndarray, rec: ComputeLedger | None = None
+    head: RnntHead, enc_proj: np.ndarray, pred_proj: np.ndarray,
+    rec: ComputeLedger | None = None,
 ) -> np.ndarray:
-    t = head.tensors
-    z = linear(enc_t[None, :], t["rnnt.joint_enc.w"], t["rnnt.joint_enc.b"]).astype(
-        np.float64
-    ) + linear(g[None, :], t["rnnt.joint_pred.w"], t["rnnt.joint_pred.b"]).astype(np.float64)
-    check_finite(z, "RNNT joint hidden layer")  # tanh maps an infinity to +-1
-    h = np.tanh(z).astype(np.float32)
-    if rec is not None:
-        hc = head.hc
-        rec.add(
-            "decoder",
-            hc.d_model * hc.d_joint + hc.d_pred * hc.d_joint + hc.d_joint * hc.vocab_size,
-        )
-    logits = linear(h, t["rnnt.joint_out.w"], t["rnnt.joint_out.b"])[0]
+    """The joint's logits from an encoder row's projection and a state's."""
+    h = np.tanh(enc_proj + pred_proj).astype(np.float32)
+    logits = linear(h[None, :], head.w64["rnnt.joint_out.w"], head.tensors["rnnt.joint_out.b"])[0]
     check_finite(logits, "RNNT joint logits")
+    if rec is not None:
+        rec.add("decoder", head.hc.d_joint * head.hc.vocab_size)
     return logits
 
 
 def rnnt_greedy_decode(
     enc: np.ndarray,
     head: RnntHead,
-    states: list[np.ndarray] | None = None,
+    state: RnntState | None = None,
     blank_id: int = 0,
     max_symbols_per_frame: int = 10,
     frame_offset: int = 0,
     rec: ComputeLedger | None = None,
-) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+) -> tuple[list[tuple[int, int]], RnntState]:
     """Frame-synchronous greedy decoding; returns (token, frame) pairs and state.
 
     Passing the returned state into the next call continues the same
     hypothesis, so decoding an utterance in any number of pieces yields the
-    same tokens as decoding it at once.
+    same tokens as decoding it at once. All of `enc`'s rows are projected
+    into the joint in one product, and each state when it is made.
     """
     enc = _encoder_rows(enc, head.hc)
-    if states is None:
-        states = rnnt_init_state(head)
-    if len(states) != head.hc.pred_layers:
-        raise ArgumentError(
-            f"state has {len(states)} layers, head expects {head.hc.pred_layers}"
-        )
+    if state is None:
+        state = rnnt_init_state(head, rec)
+    elif not isinstance(state, RnntState) or len(state.hidden) != head.hc.pred_layers:
+        raise ArgumentError(f"state must be an RnntState of {head.hc.pred_layers} layers")
+    enc_proj = _joint_projection(head, "enc", enc)
+    if rec is not None:
+        rec.add("decoder", enc.shape[0] * head.hc.d_model * head.hc.d_joint)
     out: list[tuple[int, int]] = []
     for t in range(enc.shape[0]):
         emitted = 0
         while emitted < max_symbols_per_frame:
-            g = states[-1]
-            logits = rnnt_joint_logits(head, enc[t], g, rec)
+            logits = rnnt_joint_logits(head, enc_proj[t], state.joint_pred, rec)
             k = int(np.argmax(logits))  # ties resolve to the lowest id
             if k == blank_id:
                 break
             out.append((k, frame_offset + t))
-            states = rnnt_pred_advance(head, states, k, rec)
+            state = rnnt_pred_advance(head, state, k, rec)
             emitted += 1
-    return out, states
+    return out, state
 
 
 def rnnt_joint_log_probs(
     enc: np.ndarray, target: list[int], head: RnntHead, blank_id: int = 0
 ) -> np.ndarray:
-    """Teacher-forced joint grid (T, U+1, V) of normalized log-probs."""
+    """Teacher-forced joint grid (T, U+1, V) of normalized log-probs, from
+    the projections greedy decoding makes: one per encoder row and one per
+    prediction state."""
     enc = _encoder_rows(enc, head.hc)
     if blank_id in target:
         raise ArgumentError("target must not contain blank")
-    states = rnnt_init_state(head)
-    gs = [states[-1]]
+    v = head.hc.vocab_size
+    if any(y < 0 or y >= v for y in target):
+        raise ArgumentError("target id out of vocabulary range")
+    states = [rnnt_init_state(head)]
     for y in target:
-        states = rnnt_pred_advance(head, states, y)
-        gs.append(states[-1])
-    t_len, u_len, v = enc.shape[0], len(target) + 1, head.hc.vocab_size
-    grid = np.zeros((t_len, u_len, v), dtype=np.float64)
-    for t in range(t_len):
-        for u in range(u_len):
-            grid[t, u] = log_softmax(rnnt_joint_logits(head, enc[t], gs[u]))
+        states.append(rnnt_pred_advance(head, states[-1], y))
+    enc_proj = _joint_projection(head, "enc", enc)
+    grid = np.zeros((enc.shape[0], len(states), v), dtype=np.float64)
+    for t in range(enc.shape[0]):
+        for u, s in enumerate(states):
+            grid[t, u] = log_softmax(rnnt_joint_logits(head, enc_proj[t], s.joint_pred))
     return grid

@@ -42,6 +42,7 @@ from .numerics import (
     Rng,
     check_finite,
     depthwise_conv1d_causal,
+    float64_copy,
     glu,
     layer_norm,
     linear,
@@ -161,13 +162,6 @@ _LAYER_FLOAT64 = ("ffn1.w1", "ffn1.w2", "ffn2.w1", "ffn2.w2", "attn.wqkv", "attn
                   "conv.pw1", "conv.pw2", "conv.dw")
 
 
-def _float64(t: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous float64 copy of `t`, exact for float32."""
-    out = np.array(t, dtype=np.float64, order="C")
-    out.flags.writeable = False
-    return out
-
-
 class EncoderWeights:
     """The encoder's float32 tensors, and the operands its kernels read,
     built once per instance on first use, so loading a model builds none.
@@ -198,14 +192,14 @@ class EncoderWeights:
             lw["attn.wqkv"] = np.concatenate([lw[f"attn.w{p}"] for p in "qkv"], axis=1)
             lw["attn.bqkv"] = np.concatenate([lw[f"attn.b{p}"] for p in "qkv"])
             lw["attn.bqkv"].flags.writeable = False
-            lw["attn.bias64"] = _float64(lw["attn.bias"])
-            lw.update({name: _float64(lw[name]) for name in _LAYER_FLOAT64})
+            lw["attn.bias64"] = float64_copy(lw["attn.bias"])
+            lw.update({name: float64_copy(lw[name]) for name in _LAYER_FLOAT64})
         return layers
 
     @functools.cached_property
     def downsampler(self) -> dict[str, np.ndarray]:
         """`stage{s}.w`, `stage{s}.b` and `proj.w` in float64, `proj.b` float32."""
-        ds = {name[len("ds.") :]: _float64(v) for name, v in self.tensors.items()
+        ds = {name[len("ds.") :]: float64_copy(v) for name, v in self.tensors.items()
               if name.startswith("ds.") and name != "ds.proj.b"}
         ds["proj.b"] = self.tensors["ds.proj.b"]
         return ds

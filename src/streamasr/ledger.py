@@ -9,7 +9,11 @@ The MAC model is token-level and counts the products that run:
                 (2 * d * d_ffn each), the QKVO projections (4 * d^2) and the
                 conv-module pointwise layers (3 * d^2).
   downsampler - stride-2 stage outputs and the projection of each token.
-  decoder     - projection and joint/prediction-net evaluations as executed.
+  decoder     - d_model * V per encoder row for the CTC head; for the RNNT
+                head d_model * d_joint per encoder row (its joint
+                projection), pred_layers * 2 * d_pred^2 per prediction-net
+                step, d_pred * d_joint per prediction state made (the zero
+                state too) and d_joint * V per joint call.
 
 Each product is booked once, at the step where it runs
 (encoder.layer_macs_per_token): FFN1 and Q, K, V when a token reaches a

@@ -67,6 +67,14 @@ def operand(x, what: str) -> np.ndarray:
     return a
 
 
+def float64_copy(t: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of `t`, exact for float32: a
+    prepared weight that `matmul64` reads without copying it again."""
+    out = np.array(t, dtype=np.float64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
@@ -82,8 +90,8 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       einsum orders its loops by the operands' strides, and an F-order or
       transposed `b` makes it sum in another order. `a` is taken the same
       way so that no operand's layout is left to choose the order. The
-      encoder's weights are prepared so (EncoderWeights), and only its
-      activations are copied.
+      encoder's and the decoding heads' weights are prepared so
+      (`float64_copy`), and only activations are copied.
     - no `optimize` argument and no float64 BLAS, which reorder the k-sum.
     - a second column when `b` has one: with a one-column output einsum
       reduces k with several SIMD accumulators (errors near 1e-13 on

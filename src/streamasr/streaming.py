@@ -14,7 +14,7 @@ Three ways to run the same weights:
               duplicate counter makes visible.
 
 All three decode through one _Decoders, the owner of all decoding state: CTC's
-collapse state, the RNNT prediction-net states and the emitted tokens. A session
+collapse state, the RNNT prediction-net state and the emitted tokens. A session
 pushes each step's rows, offline pushes once, and buffered restarts the
 prediction net in every window. With STREAMASR_LOG=debug (or this module's
 logger at DEBUG) a session logs one line per step.
@@ -33,6 +33,7 @@ import numpy as np
 from .context import AttentionContext, LatencyModel, receptive_field_tokens
 from .decoders import (
     CtcIncrementalDecoder,
+    RnntState,
     Vocab,
     ctc_logprobs,
     rnnt_greedy_decode,
@@ -106,8 +107,9 @@ class BufferedConfig:
 
 class _Decoders:
     """The heads one run decodes with and all their state: CTC's collapse state,
-    the RNNT prediction-net states (None starts afresh), the encoder rows decoded
-    so far (the next push's frame offset) and the (token, frame) pairs per decoder."""
+    the RNNT prediction-net state and its joint projection (None starts
+    afresh), the encoder rows decoded so far (the next push's frame offset)
+    and the (token, frame) pairs per decoder."""
 
     def __init__(self, model: HybridModel, vocab: Vocab, choice: str):
         if vocab.size != model.cfg.vocab_size:
@@ -118,7 +120,7 @@ class _Decoders:
         self.raw: dict[str, list[tuple[int, int]]] = {
             d: [] for d in (["ctc", "rnnt"] if choice == "both" else [choice])}
         self._ctc = CtcIncrementalDecoder(vocab.blank_id)
-        self.rnnt_states: list[np.ndarray] | None = None
+        self.rnnt_state: RnntState | None = None
         self.frames = 0
 
     def push(self, enc: np.ndarray, ledger: ComputeLedger) -> None:
@@ -129,8 +131,8 @@ class _Decoders:
             self.raw["ctc"] += self._ctc.push(ctc_logprobs(enc, self.model.ctc, ledger),
                                               self.frames)
         if "rnnt" in self.raw:
-            toks, self.rnnt_states = rnnt_greedy_decode(
-                enc, self.model.rnnt, self.rnnt_states, blank_id=self.vocab.blank_id,
+            toks, self.rnnt_state = rnnt_greedy_decode(
+                enc, self.model.rnnt, self.rnnt_state, blank_id=self.vocab.blank_id,
                 frame_offset=self.frames, rec=ledger,
             )
             self.raw["rnnt"] += toks
@@ -317,7 +319,7 @@ def run_buffered(
         # tokens outside the central chunk cost an exact share of them
         n_window, n_central = b1 - b0 + 1, c1 - c0 + 1
         step.duplicate += step.total * (n_window - n_central) // n_window
-        dec.rnnt_states = None  # the prediction net restarts in every buffer
+        dec.rnnt_state = None  # the prediction net restarts in every buffer
         dec.push(enc[c0 - b0 : c1 - b0 + 1], ledger)  # the central chunks tile the utterance
     return dec.result(
         "buffered", ledger,

@@ -202,38 +202,39 @@ def reference_encode(mel: np.ndarray, w: EncoderWeights, cfg: EncoderConfig) -> 
     return x
 
 
-def reference_rnnt_greedy(enc: np.ndarray, head, max_symbols: int = 10) -> list[tuple[int, int]]:
-    """rnnt_greedy_decode's oracle, blank 0: at every (t, u) the joint is
-    evaluated from scratch, its prediction state recomputed from the zero
-    state over the whole emitted prefix, every product a k-loop. No state
-    carries from one joint to the next, so nothing about how a decoder
-    splits or carries its states can reach the result."""
+def reference_joint_logits(head, enc_row: np.ndarray, prefix: list[int]) -> np.ndarray:
+    """The RNNT joint's logits for one encoder row after the emitted labels
+    `prefix`, from scratch on the float32 `head.tensors`: the prediction
+    state recomputed from the zero state over the whole prefix, both joint
+    projections made here, every product a k-loop."""
     t = head.tensors
 
     def lin(x, w, b=None):
         y = matmul64_kloop(x[None, :], w).astype(np.float32)[0]
         return y if b is None else y + b
 
-    def pred_out(prefix):
-        h = [np.zeros(head.hc.d_pred, np.float32)] * head.hc.pred_layers
-        for k in prefix:
-            x = t["rnnt.embed"][k]
-            for i in range(head.hc.pred_layers):
-                z = (lin(x, t[f"rnnt.cell{i}.w_in"]).astype(np.float64)
-                     + lin(h[i], t[f"rnnt.cell{i}.w_h"]).astype(np.float64)
-                     + t[f"rnnt.cell{i}.b"].astype(np.float64))
-                h[i] = x = np.tanh(z).astype(np.float32)
-        return h[-1]
+    h = [np.zeros(head.hc.d_pred, np.float32)] * head.hc.pred_layers
+    for k in prefix:
+        x = t["rnnt.embed"][k]
+        for i in range(head.hc.pred_layers):
+            z = (lin(x, t[f"rnnt.cell{i}.w_in"]).astype(np.float64)
+                 + lin(h[i], t[f"rnnt.cell{i}.w_h"]).astype(np.float64)
+                 + t[f"rnnt.cell{i}.b"].astype(np.float64))
+            h[i] = x = np.tanh(z).astype(np.float32)
+    z = (lin(enc_row, t["rnnt.joint_enc.w"], t["rnnt.joint_enc.b"]).astype(np.float64)
+         + lin(h[-1], t["rnnt.joint_pred.w"], t["rnnt.joint_pred.b"]).astype(np.float64))
+    return lin(np.tanh(z).astype(np.float32), t["rnnt.joint_out.w"], t["rnnt.joint_out.b"])
 
+
+def reference_rnnt_greedy(enc: np.ndarray, head, max_symbols: int = 10) -> list[tuple[int, int]]:
+    """rnnt_greedy_decode's oracle, blank 0: at every (t, u) the joint is
+    evaluated from scratch (reference_joint_logits). No state or projection
+    carries from one joint to the next, so nothing about how a decoder
+    splits, carries or projects its states can reach the result."""
     out: list[tuple[int, int]] = []
     for f in range(enc.shape[0]):
         for _ in range(max_symbols):
-            z = (lin(enc[f], t["rnnt.joint_enc.w"], t["rnnt.joint_enc.b"]).astype(np.float64)
-                 + lin(pred_out([k for k, _ in out]), t["rnnt.joint_pred.w"],
-                       t["rnnt.joint_pred.b"]).astype(np.float64))
-            logits = lin(np.tanh(z).astype(np.float32), t["rnnt.joint_out.w"],
-                         t["rnnt.joint_out.b"])
-            k = int(np.argmax(logits))
+            k = int(np.argmax(reference_joint_logits(head, enc[f], [k for k, _ in out])))
             if k == 0:
                 break
             out.append((k, f))
@@ -264,6 +265,15 @@ def vary_rnnt_emission(head, gain: float, blank_shift: float) -> None:
         t[name] = t[name] * np.float32(gain)
     t["rnnt.joint_out.b"] = t["rnnt.joint_out.b"].copy()
     t["rnnt.joint_out.b"][0] += np.float32(blank_shift)
+
+
+def varied_rnnt_model(ctx: AttentionContext | None = None):
+    """A tiny model (chunked(2, 1) unless `ctx` is given) whose RNNT head,
+    scaled, emits on synth_audio(1.2, seed=55)'s frames nothing, a few tokens
+    or the cap of 10: every way a frame's loop ends."""
+    model, vocab = tiny_model(ctx or AttentionContext.chunked(2, 1), seed=54)
+    vary_rnnt_emission(model.rnnt, 4.0, 0.5)
+    return model, vocab
 
 
 def softmax_rational(scores: list[float], mask: list[bool], terms: int = 40) -> list[float]:

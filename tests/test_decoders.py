@@ -6,17 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamasr import (
+    AttentionContext,
+    BufferedConfig,
     CtcIncrementalDecoder,
     Vocab,
     ctc_logprobs,
+    load_model,
+    numerics,
     rnnt_greedy_decode,
     rnnt_joint_log_probs,
+    run_buffered,
+    run_offline,
+    run_streaming,
+    save_model,
+    streaming,
 )
-from streamasr.decoders import rnnt_init_state, rnnt_joint_logits, rnnt_pred_advance
+from streamasr import decoders
+from streamasr.decoders import RnntState, rnnt_init_state, rnnt_pred_advance
 from streamasr.errors import ArgumentError, FormatError, InputFileError, NumericsError, ShapeError
-from streamasr.numerics import logsumexp
+from streamasr.numerics import log_softmax, logsumexp
 
-from helpers import random_head, reference_rnnt_greedy, vary_rnnt_emission
+from helpers import (
+    random_head,
+    reference_joint_logits,
+    reference_rnnt_greedy,
+    synth_audio,
+    tiny_model,
+    varied_rnnt_model,
+    vary_rnnt_emission,
+)
 
 
 class TestVocab:
@@ -117,6 +135,18 @@ class TestCtc:
             prev = p
         assert [k for k, _ in CtcIncrementalDecoder().push(grid)] == collapsed
 
+    def test_ties_go_to_the_lowest_id(self):
+        grid = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 0.0], [0.0, 3.0, 3.0]])
+        assert CtcIncrementalDecoder().push(grid, frame_offset=4) == [(1, 4), (1, 6)]
+
+    @pytest.mark.parametrize("logprobs", [np.array([0.1, 0.9, 0.0]), np.zeros((2, 3, 4)),
+                                          np.zeros((3, 0)), [[0.0, 1.0], [2.0]], "ab"],
+                             ids=["1-d", "3-d", "no-labels", "ragged", "string"])
+    def test_input_that_is_not_frames_by_labels_is_shape_error(self, logprobs):
+        # read as frames of one value, a 1-D row would decode silently to []
+        with pytest.raises(ShapeError):
+            CtcIncrementalDecoder().push(logprobs)
+
     def test_incremental_equals_whole(self):
         rng = np.random.default_rng(7)
         grid = rng.standard_normal((20, 5))
@@ -139,8 +169,7 @@ class TestRnntGreedy:
         before = rnnt_init_state(head)
         toks, after = rnnt_greedy_decode(enc, head, before)
         assert toks == []
-        for a, b in zip(before, after):
-            assert np.array_equal(a, b)
+        assert after is before
 
     def test_hand_forced_sequence(self):
         # joint ignores inputs; bias forces "a b" then blanks via state feedback
@@ -192,10 +221,12 @@ class TestRnntGreedy:
         assert parts == whole
 
     def test_state_length_checked(self):
+        # a state of the wrong depth, or bare hidden rows without their projection
         _, head = random_head(seed=9)
-        with pytest.raises(ArgumentError):
-            rnnt_greedy_decode(np.zeros((1, 16), np.float32), head,
-                               [np.zeros(8, np.float32)] * 3)
+        zero = rnnt_init_state(head)
+        for state in (RnntState(zero.hidden * 3, zero.joint_pred), zero.hidden):
+            with pytest.raises(ArgumentError):
+                rnnt_greedy_decode(np.zeros((1, 16), np.float32), head, state)
 
 
 class TestRnntGreedyReference:
@@ -249,22 +280,23 @@ class TestJointGrid:
         assert np.abs(logsumexp(grid, axis=2)).max() < 1e-6
 
     def test_grid_rows_match_manual_states(self):
-        _, head = random_head(seed=11)
-        enc = np.random.default_rng(4).standard_normal((2, 16)).astype(np.float32)
-        grid = rnnt_joint_log_probs(enc, [2], head)
-        states = rnnt_init_state(head)
-        logits00 = rnnt_joint_logits(head, enc[0], states[-1])
-        ref = logits00 - logsumexp(logits00.astype(np.float64))
-        assert np.abs(grid[0, 0] - ref).max() < 1e-6
-        states = rnnt_pred_advance(head, states, 2)
-        logits01 = rnnt_joint_logits(head, enc[0], states[-1])
-        ref = logits01 - logsumexp(logits01.astype(np.float64))
-        assert np.abs(grid[0, 1] - ref).max() < 1e-6
+        # every cell is the log-softmax of the joint evaluated from scratch on
+        # the float32 tensors, bit for bit
+        _, head = random_head(seed=11, pred_layers=2)
+        enc = np.random.default_rng(4).standard_normal((3, 16)).astype(np.float32)
+        target = [2, 1, 3]
+        grid = rnnt_joint_log_probs(enc, target, head)
+        for t in range(3):
+            for u in range(len(target) + 1):
+                assert np.array_equal(
+                    grid[t, u], log_softmax(reference_joint_logits(head, enc[t], target[:u])))
 
     def test_blank_in_target_rejected(self):
+        # target ids are labels, 1 .. V-1: blank and ids outside the vocabulary
         _, head = random_head(seed=12)
-        with pytest.raises(ArgumentError):
-            rnnt_joint_log_probs(np.zeros((2, 16), np.float32), [0], head)
+        for target in ([0], [-1], [head.hc.vocab_size], [99], [1, 0, 2]):
+            with pytest.raises(ArgumentError):
+                rnnt_joint_log_probs(np.zeros((2, 16), np.float32), target, head)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -285,18 +317,132 @@ class TestRnntNonFinite:
             rnnt_pred_advance(head, rnnt_init_state(head), 1)
 
     def test_joint(self):
+        # the encoder rows' projection is checked where it is made, before any joint
         _, head = random_head(d_model=64)
         rng = np.random.default_rng(0)
         head.tensors["rnnt.joint_enc.w"] = self._huge_signs(rng, (64, 8))
-        enc_t = np.where(rng.random(64) < 0.5, -1.0, 1.0).astype(np.float32)
-        with pytest.raises(NumericsError):
-            rnnt_joint_logits(head, enc_t, rnnt_init_state(head)[-1])
+        enc = np.where(rng.random((1, 64)) < 0.5, -1.0, 1.0).astype(np.float32)
+        with pytest.raises(NumericsError, match="joint enc projection"):
+            rnnt_greedy_decode(enc, head)
+
+    def test_joint_prediction_projection(self):
+        # a state's projection is checked when the state is made
+        _, head = random_head(d_pred=64)
+        rng = np.random.default_rng(0)
+        head.tensors["rnnt.cell0.w_in"] = np.full((64, 64), 100.0, np.float32)  # tanh at +-1
+        head.tensors["rnnt.joint_pred.w"] = self._huge_signs(rng, (64, 8))
+        head.tensors["rnnt.embed"] = np.ones_like(head.tensors["rnnt.embed"])
+        with pytest.raises(NumericsError, match="joint pred projection"):
+            rnnt_pred_advance(head, rnnt_init_state(head), 1)
 
     def test_joint_logits(self):
         _, head = random_head(vocab_size=40, d_joint=64)
         rng = np.random.default_rng(0)
         head.tensors["rnnt.joint_enc.w"] = np.full((16, 64), 100.0, np.float32)  # tanh at +-1
         head.tensors["rnnt.joint_out.w"] = self._huge_signs(rng, (64, 40))
-        enc_t = np.ones(16, np.float32)
-        with pytest.raises(NumericsError):
-            rnnt_joint_logits(head, enc_t, rnnt_init_state(head)[-1])
+        with pytest.raises(NumericsError, match="joint logits"):
+            rnnt_greedy_decode(np.ones((1, 16), np.float32), head)
+
+
+def prepared_heads(model) -> list[np.ndarray]:
+    """Every float64 copy the model's heads prepare."""
+    return [model.ctc.w64, *model.rnnt.w64.values()]
+
+
+RUNS = {
+    "streaming": run_streaming,
+    "offline": run_offline,
+    "buffered": lambda audio, model, vocab, decoder: run_buffered(
+        audio, model, vocab, BufferedConfig(0.4, 0.8), decoder=decoder),
+}
+HEAD_AUDIO = synth_audio(1.2, seed=55)
+
+
+class TestPreparedHeads:
+    """The CTC and RNNT heads make the weights their products read float64
+    once, on first use, so no decoder product converts a weight."""
+
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_every_weight_a_head_product_reads_is_prepared_float64(self, mode, monkeypatch):
+        # every matmul64 inside a decoder call is a head product; its `b` the weight
+        model, vocab = varied_rnnt_model()
+        weights, inside = [], []
+        real_matmul = numerics.matmul64
+
+        def matmul(a, b):
+            if inside:
+                weights.append(b)
+            return real_matmul(a, b)
+
+        def entered(fn):
+            def call(*args, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return call
+
+        monkeypatch.setattr(numerics, "matmul64", matmul)
+        for name in ("ctc_logprobs", "rnnt_greedy_decode"):
+            monkeypatch.setattr(streaming, name, entered(getattr(streaming, name)))
+        res = RUNS[mode](HEAD_AUDIO, model, vocab, decoder="both")
+        assert res.transcripts["rnnt"].tokens
+        prepared = prepared_heads(model)
+        hit = set()
+        for b in weights:
+            assert np.ndim(b) == 2 and b.dtype == np.float64 and b.flags.c_contiguous
+            hit |= {i for i, p in enumerate(prepared) if np.shares_memory(b, p)}
+        assert hit == set(range(len(prepared)))
+
+    def test_each_copy_is_its_tensor_bit_for_bit_and_read_only(self):
+        _, head = random_head(seed=20, pred_layers=2)
+        ctc, _ = random_head(seed=20)
+        pairs = [(ctc.w64, ctc.w)] + [(head.w64[n], head.tensors[n]) for n in (
+            "rnnt.cell0.w_in", "rnnt.cell0.w_h", "rnnt.cell1.w_in", "rnnt.cell1.w_h",
+            "rnnt.joint_enc.w", "rnnt.joint_pred.w", "rnnt.joint_out.w")]
+        assert len(head.w64) == len(pairs) - 1
+        for copy, tensor in pairs:
+            assert copy.dtype == np.float64 and copy.flags.c_contiguous
+            assert not copy.flags.writeable
+            assert copy.astype(np.float32).tobytes() == tensor.tobytes()
+
+    def test_built_once_per_head_and_not_at_load(self, tmp_path, monkeypatch):
+        model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=21)
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        built = []
+        real = decoders.float64_copy
+
+        def counting(t):
+            built.append(t.shape)
+            return real(t)
+
+        monkeypatch.setattr(decoders, "float64_copy", counting)
+        model = load_model(path)
+        assert built == []
+        first = run_offline(HEAD_AUDIO, model, vocab, "both").transcripts
+        assert len(built) == 1 + 2 * model.cfg.pred_layers + 3
+        other = model.with_attention(AttentionContext.chunked(1, 1))
+        for run in RUNS.values():
+            run(HEAD_AUDIO, other, vocab, decoder="both")
+        again = run_offline(HEAD_AUDIO, model, vocab, "both").transcripts
+        assert len(built) == 1 + 2 * model.cfg.pred_layers + 3
+        assert {k: t.to_json() for k, t in again.items()} == \
+            {k: t.to_json() for k, t in first.items()}
+
+    def test_a_bias_written_after_first_use_reaches_the_next_decode(self):
+        # perfbench calibrates the blank bias by writing into it between decodes
+        model, _ = varied_rnnt_model()
+        enc = np.random.default_rng(22).standard_normal((8, model.cfg.encoder.d_model))
+        enc = enc.astype(np.float32)
+        bias = model.rnnt.tensors["rnnt.joint_out.b"]
+        base = bias[0]
+        for shift in (0.0, 60.0, -60.0):
+            bias[0] = np.float32(base + shift)
+            toks, _ = rnnt_greedy_decode(enc, model.rnnt, max_symbols_per_frame=3)
+            assert toks == reference_rnnt_greedy(enc, model.rnnt, max_symbols=3)
+            if shift > 0:
+                assert toks == []
+            if shift < 0:
+                assert len(toks) == 3 * enc.shape[0]

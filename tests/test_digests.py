@@ -49,33 +49,33 @@ EXPECTED = {
     "encode_full/chunk/rate4": "9c1b3adfce39448c4483f27052deeb6e595e675734a619f55409a673e84f97b1",
     "encode_full/chunk/rate8": "2f33ec7f4282a2d97bcdca37b1b006a551a3ee4f18ca3b0de7a0689ba80ba639",
     "transcripts/streaming/zero/ctc": "cbc0ba27774987baad359811a83c77f28425a5b4a0fc5a6d9cfd727e9c90e36e",
-    "transcripts/streaming/zero/rnnt": "2cd6aba9218eb570625e1e4144fef6644589be22db112ff1ee886f7f977b7318",
-    "transcripts/streaming/zero/both": "cf172b960460f969d4b98f3f84e1c51b9d964993d408cfb78f6c88133b9787f1",
+    "transcripts/streaming/zero/rnnt": "71e790045c34d6d303e74b624e7feffebef679430631f4aa431460340f30a897",
+    "transcripts/streaming/zero/both": "328dbb457fa3632189b687ac6a1d5c2c1f713f4aed5688959fcb301563fc163e",
     # a step runs only the rows it settles: the streamed ledger is the offline one
     "transcripts/streaming/regular/ctc": "e7445708237a31a98311f2aa6a7115ca9b65fb6c8bd0c4c002396f32df30f1e2",
-    "transcripts/streaming/regular/rnnt": "d36670c00a372fc8cd4b9269b43f5ab69373f714204b5993ee75cd6ad0df49f6",
-    "transcripts/streaming/regular/both": "a99847be85df6bb06ecbdd4f49cfb5aace5a0c05ccdba4e75b545d0a558ba174",
+    "transcripts/streaming/regular/rnnt": "ee6ed9449fd38e6af3b1d94f6484d8aeb3652ebb1be08341e66487d52ffbe825",
+    "transcripts/streaming/regular/both": "0dc5b63d547e08f50e0f23e0a60322eafacce52d6ae676878982ab3facbed4f3",
     "transcripts/streaming/chunk/ctc": "e48c9356240572d7b92c9113cb6a54dc219a041eb9b3e2eaa8a3105db3744661",
-    "transcripts/streaming/chunk/rnnt": "d01893052a55e7097c21dab57c3bbb9d3805383ea9e8948ec8ab12c459fbf0c2",
-    "transcripts/streaming/chunk/both": "7d5acb35d132bd0be0da5ad2797e3780fcdd0a631528d9f8469b1fffa81e87ee",
+    "transcripts/streaming/chunk/rnnt": "6160eb0e13d8a062860b9a96cd1616d26623add6e8ed894cf6c20d41f98ebd4b",
+    "transcripts/streaming/chunk/both": "852fe3df44a097dccef11307aef094f4deeedd141aa19e5e81e35e13efec76c7",
     "transcripts/offline/zero/ctc": "d5b251fa1c3c29fef7bee8a215cb8b764784c5e6a74d2d9c2817047fb916aee4",
-    "transcripts/offline/zero/rnnt": "41ff6e3b60552ea3f64682664163d2b88b086db1ea27d2ede4b5c0203080451a",
-    "transcripts/offline/zero/both": "939d7635a5f129c5fd2a5b5105340723cea5dfbda99a8c96bed3647cdd6401cf",
+    "transcripts/offline/zero/rnnt": "cc28d68af17e743792ca7e2037771bd215e2878fedfe0e26d343724008c0149b",
+    "transcripts/offline/zero/both": "3ff8715c534a4d4cbb587b33f31b1ea9a5be5310ff0568af1ef0c760249257dd",
     "transcripts/offline/regular/ctc": "8d76a4c0df79060e4fe8f9aba2e4a517a2ab90bc6e0af1a8cd4b39fd72906926",
-    "transcripts/offline/regular/rnnt": "bf184bccdd57b800ada2acb3910ce6c2cc25271f8042a990451e96e680873035",
-    "transcripts/offline/regular/both": "008cc360b9372c6b947ae467762b1ce2ea8b67b14a9f1dbf63a08446f032f36e",
+    "transcripts/offline/regular/rnnt": "a014842783cb2a1adc1dc43ae7ee3e93cf48d53ffcb351e3bed3e36e0ae8cdc0",
+    "transcripts/offline/regular/both": "2f98522c435a3cc95b9f6353b2050b281fdceebb1e2f24197ed13b7c5e486136",
     "transcripts/offline/chunk/ctc": "18c1e775d88f66e3094423187c53224f92dcfcadf2eeb7518d1e871275ef608a",
-    "transcripts/offline/chunk/rnnt": "74fa665275ce877e9c44a09ad886e840d33d0c85090d62c7f8c608f173396218",
-    "transcripts/offline/chunk/both": "938a6b133d6c793852a7537024f6b105f4574a855d548a8d1f1b90cd43452772",
+    "transcripts/offline/chunk/rnnt": "38f33d6c6f4512f319c12154e46b44bffd3652b7a8a7c19f510ab9c599441034",
+    "transcripts/offline/chunk/both": "38daec6efa446b29887e0a6991cf4413eec408cf9f2ee0f04d321b316c9008eb",
     "transcripts/buffered/zero/ctc": "a0305442203cccfb7a88a2eb5308d3215272456d6f14ffd2a91c7088488e7862",
-    "transcripts/buffered/zero/rnnt": "004460778c3938845c275d2e11183771c932d78050eb5cde62b30a0f82722e57",
-    "transcripts/buffered/zero/both": "15094e3fc9c3ff4922b60cfd2d5fd3b9a7d2f9a5ca05c1bf549a817b19c71d63",
+    "transcripts/buffered/zero/rnnt": "7c14b4c87d9c1845b82fd9816251ddb4ac5e8f6e57dea63e556989926132a812",
+    "transcripts/buffered/zero/both": "cde3705a55202c754ed902c2b795eecbff6f34ab2157d99474ea9efd0295ebec",
     "transcripts/buffered/regular/ctc": "a0305442203cccfb7a88a2eb5308d3215272456d6f14ffd2a91c7088488e7862",
-    "transcripts/buffered/regular/rnnt": "004460778c3938845c275d2e11183771c932d78050eb5cde62b30a0f82722e57",
-    "transcripts/buffered/regular/both": "15094e3fc9c3ff4922b60cfd2d5fd3b9a7d2f9a5ca05c1bf549a817b19c71d63",
+    "transcripts/buffered/regular/rnnt": "7c14b4c87d9c1845b82fd9816251ddb4ac5e8f6e57dea63e556989926132a812",
+    "transcripts/buffered/regular/both": "cde3705a55202c754ed902c2b795eecbff6f34ab2157d99474ea9efd0295ebec",
     "transcripts/buffered/chunk/ctc": "6280ef8d178edfb9283688f3cc936cf86760a5d94a38f84606f6e3d4ab047b5f",
-    "transcripts/buffered/chunk/rnnt": "113f45973eecdf134bfbbf8dc53676dd1d4634d766b2f2040934d8bf0f482bb9",
-    "transcripts/buffered/chunk/both": "e94e08265cb3002d1657a6a954a9f7f5addf940fb5cb98a0b27c1875f062d21c",
+    "transcripts/buffered/chunk/rnnt": "992e09ce904612519cff22914ffc9d4dd7225cd6f6c9c1d60398c70131381138",
+    "transcripts/buffered/chunk/both": "a6cc388d7d7411101d7f8cc42f8d5d2c41ece5604c5bcae031113641904bde49",
     "model_file": "6bedb37ff2a77169e9356ce4613c89d0fe601bef5d0cb655b01c141a494d321e",
 }
 

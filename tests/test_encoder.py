@@ -686,13 +686,13 @@ class TestPreparedWeights:
         path = str(tmp_path / "m.bin")
         save_model(model, path)
         built = []
-        real = encoder._float64
+        real = encoder.float64_copy
 
         def counting(t):
             built.append(t.shape)
             return real(t)
 
-        monkeypatch.setattr(encoder, "_float64", counting)
+        monkeypatch.setattr(encoder, "float64_copy", counting)
         model = load_model(path)
         assert built == []
         cfg = model.cfg.encoder

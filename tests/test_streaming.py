@@ -46,7 +46,7 @@ from helpers import (
     synth_audio,
     tiny_model,
     traced_peak,
-    vary_rnnt_emission,
+    varied_rnnt_model,
 )
 
 
@@ -391,14 +391,14 @@ def held(a: np.ndarray) -> np.ndarray:
 def baseline_model(ctx):
     """perfbench's baseline model (4 layers, d_model 64) and its vocabulary.
 
-    Its encoder's float64 weight copies are built here, not on first use,
-    so a traced window opened on the model measures the run alone
-    (TestPreparedWeights pins the copies' bytes)."""
+    Its encoder's and heads' float64 weight copies are built here, not on
+    first use, so a traced window opened on the model measures the run alone
+    (TestPreparedWeights pins the encoder copies' bytes)."""
     vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
     enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
                         downsampling_rate=4, attention=ctx, n_mels=80)
     model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
-    model.encoder.layer(0), model.encoder.downsampler
+    model.encoder.layer(0), model.encoder.downsampler, model.ctc.w64, model.rnnt.w64
     return model, vocab
 
 
@@ -597,14 +597,6 @@ class TestLedgerEquality:
 RNNT_AUDIO = synth_audio(1.2, seed=55)
 
 
-def varied_rnnt_model():
-    """A tiny model whose RNNT head, scaled, emits on RNNT_AUDIO's frames
-    nothing, a few tokens or the cap of 10: every way a frame's loop ends."""
-    model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=54)
-    vary_rnnt_emission(model.rnnt, 4.0, 0.5)
-    return model, vocab
-
-
 class TestBuffered:
     def test_duplication_positive_and_total_greater(self):
         model, vocab = tiny_model(AttentionContext.chunked(3, 1), seed=48)
@@ -663,6 +655,42 @@ class TestRnntAgainstReference:
         assert len(per_frame) < mel.shape[0] // model.cfg.encoder.downsampling_rate
         for run in (run_streaming, run_offline):
             assert pairs(run(RNNT_AUDIO, model, vocab, decoder="rnnt").transcripts["rnnt"]) == ref
+
+
+class TestDecoderMacs:
+    """The decoder books the products that run: each encoder row's CTC and
+    joint projections, the cells and the joint projection of every state
+    made, and the joint's output layer per joint call."""
+
+    @staticmethod
+    def closed_form(model, frames: int, rnnt_frames: list[int], runs: int) -> int:
+        hc, cap = model.cfg.head_config(), 10
+        per_frame = np.bincount(rnnt_frames, minlength=frames)
+        joints = int(sum(n + (n < cap) for n in per_frame))  # a blank ends a frame below the cap
+        states = len(rnnt_frames) + runs  # the zero state per stream or buffered window
+        return (frames * hc.d_model * (hc.vocab_size + hc.d_joint)
+                + len(rnnt_frames) * hc.pred_layers * 2 * hc.d_pred ** 2
+                + states * hc.d_pred * hc.d_joint
+                + joints * hc.d_joint * hc.vocab_size)
+
+    @pytest.mark.parametrize("ctx", [AttentionContext.chunked(2, 1), AttentionContext.zero(4),
+                                     AttentionContext.regular(1, 3)],
+                             ids=["chunk", "zero", "regular"])
+    def test_decoder_category_in_closed_form(self, ctx):
+        model, vocab = varied_rnnt_model(ctx)
+        frames = (model.cfg.feature_config().frames_in(len(RNNT_AUDIO.samples))
+                  // model.cfg.encoder.downsampling_rate)
+        booked = {}
+        for mode, run in (("streaming", run_streaming), ("offline", run_offline),
+                          ("buffered", lambda *a, **k: run_buffered(
+                              *a, BufferedConfig(0.4, 0.8), **k))):
+            res = run(RNNT_AUDIO, model, vocab, decoder="both")
+            rnnt_frames = [t.first_frame for t in res.transcripts["rnnt"].tokens]
+            assert rnnt_frames
+            runs = len(res.ledger.steps) if mode == "buffered" else 1
+            booked[mode] = res.ledger.category_total("decoder")
+            assert booked[mode] == self.closed_form(model, frames, rnnt_frames, runs), mode
+        assert booked["streaming"] == booked["offline"]
 
 
 class TestSampleRate:

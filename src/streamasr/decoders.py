@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
+from .losses import target_ids
 from .numerics import check_finite, float64_copy, linear, log_softmax, operand
 
 BLANK_TOKEN = "<blank>"
@@ -283,11 +284,8 @@ def rnnt_joint_log_probs(
     the projections greedy decoding makes: one per encoder row and one per
     prediction state."""
     enc = _encoder_rows(enc, head.hc)
-    if blank_id in target:
-        raise ArgumentError("target must not contain blank")
     v = head.hc.vocab_size
-    if any(y < 0 or y >= v for y in target):
-        raise ArgumentError("target id out of vocabulary range")
+    target = target_ids(target, v, blank_id)
     states = [rnnt_init_state(head)]
     for y in target:
         states.append(rnnt_pred_advance(head, states[-1], y))

@@ -51,7 +51,7 @@ from .numerics import (
     swish,
 )
 
-_BLOCK_TOKENS = 128  # encode_full's step target: 5.12 s at 40 ms tokens
+_BLOCK_TOKENS = 128  # a whole-utterance step: 5.12 s at 40 ms tokens
 
 
 @dataclass(frozen=True)
@@ -454,6 +454,13 @@ def _layer_window(
 # full-utterance and chunked entry points
 
 
+def block_frames(cfg: EncoderConfig) -> int:
+    """The mel frames of one whole-utterance step: _BLOCK_TOKENS tokens
+    rounded up to whole step_tokens(), so a longer chunk is one step."""
+    step = cfg.attention.step_tokens()
+    return -(-_BLOCK_TOKENS // step) * step * cfg.downsampling_rate
+
+
 def encode_full(
     mel: np.ndarray | Iterable[np.ndarray],
     w: EncoderWeights,
@@ -464,11 +471,11 @@ def encode_full(
     fresh state into one preallocated output, so its working memory is one
     step's and its ledger the single pass's.
 
-    `mel` is the (frames, n_mels) array, taken in ceil(n_tokens /
-    _BLOCK_TOKENS) near-equal steps of whole step_tokens(), or a source of
-    it in pieces: an iterable of frame arrays with `n_frames`, their total,
-    each piece one step as it arrives (whole step_tokens() but the last).
-    The step whose frames reach the total is final."""
+    `mel` is the (frames, n_mels) array, taken in steps of block_frames(cfg)
+    frames and a partial last one, or a source of it in pieces: an iterable
+    of frame arrays with `n_frames`, their total, each piece one step as it
+    arrives (whole step_tokens() but the last). The step whose frames reach
+    the total is final."""
     dr = cfg.downsampling_rate
     if hasattr(mel, "n_frames"):
         pieces, n_frames = mel, mel.n_frames
@@ -476,12 +483,8 @@ def encode_full(
         frames = operand(mel, "mel")
         if frames.ndim != 2:
             raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
-        n_frames, step = frames.shape[0], cfg.attention.step_tokens()
-        n = n_frames // dr
-        k = -(-n // _BLOCK_TOKENS) or 1
-        cuts = sorted({n * i // k // step * step for i in range(k)})  # long chunks merge cuts
-        pieces = [frames[lo * dr : None if hi is None else hi * dr]
-                  for lo, hi in zip(cuts, cuts[1:] + [None])]
+        n_frames, size = frames.shape[0], block_frames(cfg)
+        pieces = (frames[f0 : f0 + size] for f0 in range(0, max(n_frames, 1), size))
     state, pos, seen = init_state(cfg), 0, 0
     out = np.empty((n_frames // dr, cfg.d_model), dtype=np.float32)
     for piece in pieces:

@@ -17,6 +17,23 @@ from .numerics import LOG_ZERO, logsumexp
 _INFEASIBLE = LOG_ZERO / 2.0
 
 
+def target_ids(target, v: int, blank: int) -> list[int]:
+    """The target's label ids as Python ints; ArgumentError unless each is an
+    integer (a numpy one too, a bool not) in [0, v) and not blank."""
+    try:
+        ids = list(target)
+    except TypeError:
+        raise ArgumentError(f"target must be a sequence of ids, got {target!r}") from None
+    for y in ids:
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+            raise ArgumentError(f"target id {y!r} is not an integer")
+        if y == blank:
+            raise ArgumentError("target must not contain blank")
+        if not 0 <= y < v:
+            raise ArgumentError(f"target id {y} out of vocabulary range [0, {v})")
+    return [int(y) for y in ids]
+
+
 def ctc_loss(
     grid: np.ndarray, target: list[int], blank: int = 0
 ) -> tuple[float, np.ndarray]:
@@ -28,11 +45,7 @@ def ctc_loss(
     """
     grid = np.asarray(grid, dtype=np.float64)
     t_len, v = grid.shape
-    target = list(target)
-    if blank in target:
-        raise ArgumentError("target must not contain blank")
-    if any(y < 0 or y >= v for y in target):
-        raise ArgumentError("target id out of vocabulary range")
+    target = target_ids(target, v, blank)
     ext = [blank]
     for y in target:
         ext += [y, blank]
@@ -129,13 +142,9 @@ def rnnt_loss_fastemit(
     if lp.ndim != 3:
         raise ArgumentError(f"joint grid must be (T, U+1, V), got {lp.shape}")
     t_len, u_len, v = lp.shape
-    target = list(target)
+    target = target_ids(target, v, blank)
     if len(target) != u_len - 1:
         raise ArgumentError(f"grid U+1={u_len} does not match target length {len(target)}")
-    if blank in target:
-        raise ArgumentError("target must not contain blank")
-    if any(y < 0 or y >= v for y in target):
-        raise ArgumentError("target id out of vocabulary range")
     norms = logsumexp(lp, axis=2)
     if np.max(np.abs(norms)) > 1e-4:
         raise ArgumentError("joint grid rows are not log-softmax normalized")

@@ -38,7 +38,7 @@ from .decoders import (
     ctc_logprobs,
     rnnt_greedy_decode,
 )
-from .encoder import encode_full, encode_step, init_state
+from .encoder import block_frames, encode_full, encode_step, init_state
 from .errors import ArgumentError, ConfigError, SessionError
 from .features import AudioBuffer, check_sample_rate, first_frames, log_mel, pcm16
 from .ledger import ComputeLedger
@@ -46,7 +46,6 @@ from .metrics import eil
 from .model import HybridModel
 
 _log = logging.getLogger(__name__)
-_PIECE_TOKENS = 64  # run_offline's feature piece, in tokens before rounding up to whole steps
 
 
 @dataclass
@@ -237,29 +236,23 @@ def run_streaming(
 class _MelPieces:
     """log_mel of a recording as encode_full's pieces source, for run_offline.
 
-    Pieces are _PIECE_TOKENS tokens' frames rounded up to whole
-    step_tokens(), each computed on the caller's thread when encode_full
-    asks for it. Each piece comes from its own samples alone, and a frame
-    depends on its own window only, so the pieces are log_mel's rows bit
-    for bit and the whole mel is never held.
+    Pieces are the steps encode_full takes over an array, block_frames()
+    frames and a partial last one, each computed on the caller's thread when
+    encode_full asks for it. Each piece comes from its own samples alone, and
+    a frame depends on its own window only, so the pieces are log_mel's rows
+    bit for bit and the whole mel is never held.
     """
 
     def __init__(self, audio: AudioBuffer, model: HybridModel):
         self._fcfg = model.cfg.feature_config()
         check_sample_rate(audio, self._fcfg)
-        enc, self._samples = model.cfg.encoder, audio.samples
-        step = enc.attention.step_tokens()
-        self._piece_frames = -(-_PIECE_TOKENS // step) * step * enc.downsampling_rate
+        self._samples, self._size = audio.samples, block_frames(model.cfg.encoder)
         self.n_frames = self._fcfg.frames_in(len(self._samples))
 
-    def _frames(self, f0: int) -> np.ndarray:
-        """The piece from frame f0, from its frames' samples alone."""
-        return first_frames(self._samples[f0 * self._fcfg.shift_samples :],
-                            min(self._piece_frames, self.n_frames - f0), self._fcfg)
-
     def __iter__(self):
-        for f0 in range(0, max(self.n_frames, 1), self._piece_frames):
-            yield self._frames(f0)
+        for f0 in range(0, max(self.n_frames, 1), self._size):
+            yield first_frames(self._samples[f0 * self._fcfg.shift_samples :],
+                               min(self._size, self.n_frames - f0), self._fcfg)
 
 
 def run_offline(

@@ -298,6 +298,19 @@ class TestJointGrid:
             with pytest.raises(ArgumentError):
                 rnnt_joint_log_probs(np.zeros((2, 16), np.float32), target, head)
 
+    @pytest.mark.parametrize("bad", [1.5, "a", True, None, np.float64(2.0), np.True_])
+    def test_an_id_that_is_not_an_integer_is_argument_error(self, bad):
+        _, head = random_head(seed=12)
+        with pytest.raises(ArgumentError):
+            rnnt_joint_log_probs(np.zeros((2, 16), np.float32), [1, bad], head)
+
+    def test_numpy_integer_ids_equal_python_ones(self):
+        _, head = random_head(seed=12)
+        enc = np.random.default_rng(5).standard_normal((2, 16)).astype(np.float32)
+        want = rnnt_joint_log_probs(enc, [2, 1], head)
+        for ids in ([np.int64(2), np.int64(1)], np.array([2, 1], dtype=np.int32)):
+            assert np.array_equal(rnnt_joint_log_probs(enc, ids, head), want)
+
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestRnntNonFinite:

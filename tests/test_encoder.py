@@ -194,7 +194,8 @@ class TestReferenceForward:
 
 
 class TestOfflineSteps:
-    """encode_full runs the stream in steps of at most encoder._BLOCK_TOKENS tokens."""
+    """encode_full runs the stream in steps of encoder.block_frames() frames
+    and a partial last one."""
 
     @staticmethod
     def run(mel, w, cfg, sizes):
@@ -759,8 +760,8 @@ class TestKernelCalls:
         assert counts[0] == counts[1]
 
     def test_offline_calls_grow_per_step_not_per_row(self, monkeypatch):
-        # encode_full takes ceil(n / 128) near-equal steps: 300 and 360
-        # tokens are three steps each, 129 two and 128 one
+        # encode_full takes steps of 128 tokens and a partial last one: 300
+        # and 360 tokens are three steps each, 129 two and 128 one
         cfg = tiny_encoder_config(AttentionContext.regular(2, 5))
         w = init_encoder_weights(cfg, seed=5)
         counts = {}

@@ -82,6 +82,29 @@ class TestCtcLoss:
         assert extended >= base
 
 
+class TestTargetIds:
+    """Both losses take integer label ids only, numpy's included, in [1, V)."""
+
+    LOSSES = {"ctc": lambda target: ctc_loss(random_ctc_grid(3, 4, 8)[0], target),
+              "rnnt": lambda target: rnnt_loss(random_rnnt_grid(3, 1, 4, 9)[0], target)}
+
+    @pytest.mark.parametrize("bad", [1.5, "a", True, None, np.float64(2.0), np.True_])
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    def test_an_id_that_is_not_an_integer_is_argument_error(self, loss, bad):
+        with pytest.raises(ArgumentError):
+            self.LOSSES[loss]([bad])
+
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    def test_a_target_that_is_not_a_sequence_is_argument_error(self, loss):
+        with pytest.raises(ArgumentError):
+            self.LOSSES[loss](2)
+
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    def test_numpy_integer_ids_equal_python_ones(self, loss):
+        for ids in ([np.int64(2)], [np.int32(2)], np.array([2], dtype=np.uint8)):
+            assert self.LOSSES[loss](ids)[0] == self.LOSSES[loss]([2])[0]
+
+
 class TestCtcGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_differences(self, seed):

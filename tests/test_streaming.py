@@ -4,6 +4,7 @@ import functools
 import json
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from streamasr import (
     BufferedConfig,
     ComputeLedger,
     EncoderConfig,
+    FeatureConfig,
     LayerCache,
     ModelConfig,
     StreamingSession,
@@ -33,6 +35,7 @@ from streamasr import (
     streaming,
 )
 from streamasr import encoder as encoder_module
+from streamasr.encoder import block_frames
 from streamasr.errors import ConfigError, FormatError, NumericsError, SessionError, ShapeError
 from streamasr.features import AudioBuffer, StreamingFeatureExtractor
 from streamasr.ledger import CATEGORIES
@@ -44,6 +47,7 @@ from helpers import (
     offline_composition,
     reference_rnnt_greedy,
     synth_audio,
+    tiny_encoder_config,
     tiny_model,
     traced_peak,
     varied_rnnt_model,
@@ -238,14 +242,25 @@ class TestFeaturesPerStep:
         assert split.ledger.steps == whole.ledger.steps
 
 
-PIECE_CONTEXTS = {  # chunks of 3 and 5 tokens do not divide the 64-token piece
+PIECE_CONTEXTS = {  # chunks of 3 and 5 tokens do not divide encoder._BLOCK_TOKENS
     "chunk3": AttentionContext.chunked(3, 1),
     "chunk5": AttentionContext.chunked(5, 2),
     "regular": AttentionContext.regular(1, 4),
     "zero": AttentionContext.zero(left_context=4),
 }
-PIECE_AUDIO = synth_audio(6.0, seed=47)  # three pieces, the last one partial
-LONG_AUDIO = synth_audio(8.0, seed=48)  # enough for two pieces and a piece's frames less one
+# the largest piece of the four contexts, in frames (tiny_model's encoder)
+MAX_PIECE = max(block_frames(tiny_encoder_config(ctx)) for ctx in PIECE_CONTEXTS.values())
+
+
+def audio_of_frames(n_frames: float, seed: int) -> AudioBuffer:
+    """synth_audio of n_frames frames and a shift's samples more."""
+    fcfg = FeatureConfig()
+    n = n_frames * fcfg.shift_samples + fcfg.window_samples
+    return synth_audio(n / fcfg.sample_rate, seed=seed)
+
+
+PIECE_AUDIO = audio_of_frames(2.5 * MAX_PIECE, seed=47)  # three pieces, the last one partial
+LONG_AUDIO = audio_of_frames(3 * MAX_PIECE, seed=48)  # two pieces, a piece's frames less one
 
 
 @functools.cache
@@ -253,8 +268,13 @@ def piece_model(name: str):
     return tiny_model(PIECE_CONTEXTS[name], seed=33)
 
 
-def piece_frames(model) -> int:
-    return _MelPieces(PIECE_AUDIO, model)._piece_frames
+STEP_CONTEXTS = dict(PIECE_CONTEXTS, chunk150=AttentionContext.chunked(150, 1))  # > a block
+LONG_BLOCK = block_frames(tiny_encoder_config(STEP_CONTEXTS["chunk150"]))
+
+
+@functools.cache
+def step_model(name: str):
+    return tiny_model(STEP_CONTEXTS[name], seed=34)
 
 
 class TestOfflinePieces:
@@ -267,9 +287,10 @@ class TestOfflinePieces:
         enc = model.cfg.encoder
         src = _MelPieces(PIECE_AUDIO, model)
         pieces = list(src)
-        size = piece_frames(model)
+        size = block_frames(enc)
         step_frames = enc.attention.step_tokens() * enc.downsampling_rate
-        assert size % step_frames == 0 and 0 <= size - 64 * enc.downsampling_rate < step_frames
+        block = encoder_module._BLOCK_TOKENS * enc.downsampling_rate
+        assert size % step_frames == 0 and 0 <= size - block < step_frames
         assert [p.shape[0] for p in pieces[:-1]] == [size] * 2 and pieces[-1].shape[0] < size
         whole = log_mel(PIECE_AUDIO, model.cfg.feature_config())
         assert src.n_frames == whole.shape[0]
@@ -277,7 +298,8 @@ class TestOfflinePieces:
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(PIECE_CONTEXTS)), pieces=st.integers(0, 2),
-           rest=st.one_of(st.integers(0, 3), st.integers(0, 255)), tail=st.integers(0, 399))
+           rest=st.one_of(st.integers(0, 3), st.integers(0, MAX_PIECE - 1)),
+           tail=st.integers(0, 399))
     @example(name="chunk3", pieces=0, rest=0, tail=0)  # no frame
     @example(name="chunk5", pieces=0, rest=0, tail=399)  # samples short of one window
     @example(name="regular", pieces=0, rest=37, tail=0)  # less than one piece
@@ -288,8 +310,8 @@ class TestOfflinePieces:
     def test_encode_full_over_the_pieces_equals_it_over_the_array(self, name, pieces, rest,
                                                                   tail):
         model, _ = piece_model(name)
-        fcfg = model.cfg.feature_config()
-        n_frames = pieces * piece_frames(model) + rest
+        fcfg, size = model.cfg.feature_config(), block_frames(model.cfg.encoder)
+        n_frames = pieces * size + rest % size
         n = (n_frames - 1) * fcfg.shift_samples + fcfg.window_samples + tail % fcfg.shift_samples \
             if n_frames else tail  # tail < window_samples: no frame at all
         audio = AudioBuffer(16000, LONG_AUDIO.samples[:n])
@@ -302,6 +324,34 @@ class TestOfflinePieces:
         got = encode_full(src, model.encoder, model.cfg.encoder, rec=led_pieces)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert led_pieces.steps == led_array.steps
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(STEP_CONTEXTS)),
+           n_frames=st.one_of(st.integers(0, 9), st.integers(0, 2 * LONG_BLOCK + 99)))
+    @example(name="chunk150", n_frames=LONG_BLOCK + 3)  # a block and a partial frame group
+    @example(name="chunk5", n_frames=2 * MAX_PIECE)
+    def test_encode_full_over_the_array_and_run_offline_take_the_same_steps(self, name,
+                                                                           n_frames):
+        model, vocab = step_model(name)
+        fcfg = model.cfg.feature_config()
+        n = (n_frames - 1) * fcfg.shift_samples + fcfg.window_samples if n_frames else 0
+        audio = AudioBuffer(16000, LONG_AUDIO.samples[:n])
+        real, calls = encoder_module.encode_step, []
+
+        def recording(chunk, *args, **kwargs):
+            calls[-1].append((chunk.shape[0], kwargs["final"]))
+            return real(chunk, *args, **kwargs)
+
+        with mock.patch.object(encoder_module, "encode_step", recording):
+            calls.append([])
+            encode_full(log_mel(audio, fcfg), model.encoder, model.cfg.encoder)
+            calls.append([])
+            run_offline(audio, model, vocab, "ctc")
+        assert calls[0] == calls[1]
+        size = block_frames(model.cfg.encoder)
+        assert [c for c, _ in calls[0]] == [size] * (n_frames // size) + (
+            [n_frames % size] if n_frames % size or not n_frames else [])
+        assert [f for _, f in calls[0]] == [False] * (len(calls[0]) - 1) + [True]
 
     def test_pieces_short_of_their_total_are_shape_error(self):
         model, _ = piece_model("chunk3")

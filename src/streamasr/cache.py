@@ -26,13 +26,15 @@ window's newest rows. encode_step applies it to each of them once per step;
 an offline pass is the same stream from init_state, taken in steps of up to
 128 tokens.
 
-A layer cache also holds its last step's attention plan, derived data that
-the next step reuses; a final step drops it.
+A stream's state is these arrays and tokens_in alone. The attention plans
+its steps read are derived data that depend only on the model and the step's
+geometry, so they live with the model's weights (encoder.PlanStore), where
+every stream on the same weights reuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +75,6 @@ def cache_append(
 class LayerCache:
     rows: np.ndarray  # (w, 4d) x1|q|k|v rows, see attn_keep_rows
     conv: np.ndarray  # (kernel-1, d) settled conv inputs
-    plan: object = field(default=None, repr=False, compare=False)  # encoder.AttentionPlan
 
     def float_count(self) -> int:
         return self.rows.size + self.conv.size

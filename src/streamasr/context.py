@@ -14,6 +14,7 @@ every attention question to attend_interval or receptive_field_tokens.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -21,6 +22,19 @@ from .errors import ConfigError
 ZERO = "zero"
 REGULAR = "regular"
 CHUNK = "chunk"
+
+
+def integer_fields(cfg, *names: str, optional: tuple[str, ...] = ()) -> None:
+    """Raise ConfigError unless each named field of the frozen dataclass cfg
+    is an integer (a bool is not), or None where `optional` names it; store
+    each integer as an int."""
+    for name in names + optional:
+        v = getattr(cfg, name)
+        if v is None and name in optional:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ConfigError(f"{type(cfg).__name__}.{name} must be an integer, got {v!r}")
+        object.__setattr__(cfg, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -32,6 +46,7 @@ class AttentionContext:
     left_chunks: int = 0
 
     def __post_init__(self):
+        integer_fields(self, "m", "chunk", "left_chunks", optional=("left_context",))
         if self.regime not in (ZERO, REGULAR, CHUNK):
             raise ConfigError(f"unknown attention regime {self.regime!r}")
         if self.regime == REGULAR:

@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .cache import LayerCache, StreamState, attn_keep_rows, cache_append
-from .context import AttentionContext
+from .context import AttentionContext, integer_fields
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateError
 from .ledger import ComputeLedger
 from .numerics import (
@@ -68,6 +70,11 @@ class EncoderConfig:
     bias_future: int | None = None
 
     def __post_init__(self):
+        integer_fields(self, "n_layers", "d_model", "n_heads", "conv_kernel",
+                       "downsampling_rate", "ffn_expansion", "n_mels",
+                       optional=("bias_past", "bias_future"))
+        if not isinstance(self.attention, AttentionContext):
+            raise ConfigError(f"attention must be an AttentionContext, got {self.attention!r}")
         if min(self.n_layers, self.d_model, self.n_heads) < 1:
             raise ConfigError("n_layers, d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -173,10 +180,14 @@ class EncoderWeights:
     convolution reads is a float64 copy, and so are `downsampler`'s. Biases
     and norm parameters stay float32, because `linear` adds its bias in
     float32. float32 to float64 is exact, so no output bit changes and
-    `matmul64` copies activations only. Every prepared array is read-only."""
+    `matmul64` copies activations only. Every prepared array is read-only.
+
+    `plans` keeps the attention plans of non-final steps for every stream
+    that runs on these weights (see PlanStore)."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
+        self.plans = PlanStore()
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
         return self._layers[i]
@@ -305,20 +316,63 @@ class AttentionPlan(NamedTuple):
     """What one attention step needs besides its operands, built from its
     geometry: per (rows, keys) shape of query group, the query rows, the key
     rows (relative to the first key) and the gathered float64 bias
-    (heads * groups, rows, keys); and each query row's key count.
+    (heads, groups, rows, keys), with one group where every group meets its
+    keys at the same offsets; and the step's query-key pairs.
 
     Rows and keys are index arrays (groups, rows) and (groups, keys), or
-    slices for a shape held by one group, which then reads views. `key` is
-    the geometry relative to the first key, and `table` the bias table the
-    gathers read: a step with the same key and table reuses the plan. (A
-    NamedTuple: a dataclass would add about a millisecond to every import of
-    the package.)
+    slices for a shape held by one group, which then reads views. `table` is
+    the bias table the gathers read. Every array is read-only, so streams in
+    several threads can share a plan. (A NamedTuple: a dataclass would add
+    about a millisecond to every import of the package.)
     """
 
-    key: tuple | None
     table: np.ndarray
     batches: list[tuple[object, object, np.ndarray]]  # rows, keys, bias
-    pairs: np.ndarray
+    pairs: int
+
+
+class PlanStore:
+    """Attention plans by geometry, for every stream on one set of weights.
+
+    A key is a step's geometry relative to its first key (query start, key
+    count, bias spans and query groups) and the identity of its bias table,
+    which the stored plan keeps alive, so each layer and each copied table
+    gets plans of its own. The geometry fixes every array of a plan, so a
+    session, an offline block or a model under another mask (with_attention)
+    whose step has a stored geometry reads that plan, and builds none.
+
+    The store counts its plans' bytes (arrays plus a fixed allowance per
+    plan, batch and group for the Python objects) and drops the least
+    recently used plans first, before a new plan would take the count past
+    _BOUND. A lock guards the order and the count; a plan that is dropped
+    stays valid for any step that holds it.
+    """
+
+    _BOUND = 4 << 20  # bytes
+
+    def __init__(self):
+        self._plans: OrderedDict[tuple, tuple[AttentionPlan, int]] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key: tuple) -> AttentionPlan | None:
+        with self._lock:
+            entry = self._plans.get(key)
+            if entry is None:
+                return None
+            self._plans.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, plan: AttentionPlan) -> None:
+        size = (2048 + 96 * len(key[-1]) + 512 * len(plan.batches)
+                + sum(a.nbytes for b in plan.batches for a in b if isinstance(a, np.ndarray)))
+        with self._lock:
+            if key in self._plans or size > self._BOUND:
+                return
+            while self.nbytes + size > self._BOUND:
+                self.nbytes -= self._plans.popitem(last=False)[1][1]
+            self._plans[key] = (plan, size)
+            self.nbytes += size
 
 
 def attention_plan(
@@ -328,42 +382,46 @@ def attention_plan(
     n_keys: int,
     key_base: int,
     groups: list[tuple[int, int, int, int]],
-    prev: AttentionPlan | None = None,
+    store: PlanStore | None = None,
 ) -> AttentionPlan:
     """The plan for queries at consecutive global positions qpos over n_keys
-    keys from global position key_base on; `prev` when its geometry and bias
-    table are this step's.
-
-    Without a previous plan (a stream's first step) the key is not worked
-    out, and the plan's key None matches no later step.
-    """
-    key = None if prev is None else (
-        int(qpos[0]) - key_base, n_keys, cfg.bias_past, cfg.bias_future,
-        tuple((r0, r1, lo - key_base, hi - key_base) for r0, r1, lo, hi in groups))
-    if key is not None and prev.key == key and prev.table is table:
-        return prev
+    keys from global position key_base on: `store`'s plan for this geometry
+    and table, or else a new one, which `store` then keeps."""
+    if store is not None:
+        key = (id(table), int(qpos[0]) - key_base, n_keys, cfg.bias_past, cfg.bias_future,
+               tuple((r0, r1, lo - key_base, hi - key_base) for r0, r1, lo, hi in groups))
+        plan = store.get(key)
+        if plan is not None:
+            return plan
     sp, sf = cfg.bias_past, cfg.bias_future
-    pairs = np.zeros(qpos.shape[0], dtype=np.int64)
+    pairs = 0
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for r0, r1, lo, hi in groups:
         if lo < key_base or hi - key_base + 1 > n_keys:
             raise SessionError(
                 f"attention cache does not cover keys [{lo},{hi}] (base {key_base})"
             )
-        pairs[r0 : r1 + 1] = hi - lo + 1
+        pairs += (r1 - r0 + 1) * (hi - lo + 1)
         by_shape.setdefault((r1 - r0 + 1, hi - lo + 1), []).append((r0, lo - key_base))
     batches = []
     for (n_r, n_k), same in by_shape.items():
         rows = np.array([g[0] for g in same])[:, None] + np.arange(n_r)  # (groups, n_r)
         keys = np.array([g[1] for g in same])[:, None] + np.arange(n_k)  # (groups, n_k)
         offs = qpos[rows][:, :, None] - (keys + key_base)[:, None, :]
-        # batch axis: head-major, then group
-        bias = table[:, np.clip(offs, -sf, sp) + sf].reshape(-1, n_r, n_k)
+        if (offs == offs[:1]).all():  # every group meets its keys at the same offsets
+            offs = offs[:1]
+        bias = table[:, np.clip(offs, -sf, sp) + sf]  # (heads, groups or 1, n_r, n_k)
+        bias.flags.writeable = False
         if len(same) == 1:
             [(r0, k0)] = same
             rows, keys = slice(r0, r0 + n_r), slice(k0, k0 + n_k)
+        else:
+            rows.flags.writeable = keys.flags.writeable = False
         batches.append((rows, keys, bias))
-    return AttentionPlan(key, table, batches, pairs)
+    plan = AttentionPlan(table, batches, pairs)
+    if store is not None:
+        store.put(key, plan)
+    return plan
 
 
 def _attend(
@@ -385,17 +443,20 @@ def _attend(
     scale = 1.0 / math.sqrt(dh)
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
     for rows, keys, bias in plan.batches:
-        n, n_r, n_k = bias.shape  # batch axis: head-major, then group
-        s = matmul64(qh[:, rows].reshape(n, n_r, dh),
-                     kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1))
-        # the softmax runs in place on the scores; each row's max, exp and
-        # sum run over its own keys, along the last axis
+        n_r, n_k = bias.shape[2:]
+        qg = qh[:, rows].reshape(-1, n_r, dh)  # batch axis: head-major, then group
+        n = qg.shape[0]
+        s = matmul64(qg, kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1))
+        # the softmax runs in place on the scores (heads, groups, rows, keys),
+        # where a bias of one group serves every group; each row's max, exp
+        # and sum run over its own keys, along the last axis
+        s = s.reshape(heads, -1, n_r, n_k)
         s *= scale
         s += bias
-        s -= s.max(axis=2, keepdims=True)
+        s -= s.max(axis=3, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=2, keepdims=True)
-        w = s.astype(np.float32)
+        s /= s.sum(axis=3, keepdims=True)
+        w = s.astype(np.float32).reshape(n, n_r, n_k)
         out = matmul64(w, vh[:, keys].reshape(n, n_k, dh)).astype(np.float32)
         # (groups, rows, heads, dh); a slice's target drops the leading 1
         ctx_out[rows] = out.reshape(heads, -1, n_r, dh).transpose(1, 2, 0, 3)
@@ -446,7 +507,7 @@ def _layer_window(
         _, per_row, conv = layer_macs_per_token(cfg)
         rec.add("ffn", x1q_win.shape[0] * per_row)
         rec.add("conv", x1q_win.shape[0] * conv)
-        rec.add("attention", 2 * d * int(plan.pairs.sum()))
+        rec.add("attention", 2 * d * plan.pairs)
     return out, g
 
 
@@ -594,9 +655,9 @@ def encode_step(
             new_x = np.zeros((0, d), dtype=np.float32)
             continue
         qpos = np.arange(q0, settle_to)
+        # a final step's plan is never reused, so the store does not keep it
         plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0,
-                              query_groups(ctx, qpos, n_in - 1), lc.plan)
-        lc.plan = None if final else plan  # a final step's plan is never reused
+                              query_groups(ctx, qpos, n_in - 1), None if final else w.plans)
         new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, rec)
         _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
     return new_x, state

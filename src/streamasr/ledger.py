@@ -28,9 +28,13 @@ spent on context regions that are discarded and computed again later.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
+from .errors import ArgumentError
+
 CATEGORIES = ("attention", "conv", "ffn", "downsampler", "decoder")
+_BOOKABLE = CATEGORIES + ("duplicate",)
 
 
 @dataclass
@@ -63,6 +67,13 @@ class ComputeLedger:
         return self.steps[-1]
 
     def add(self, category: str, macs: int) -> None:
+        """Book `macs`, a non-negative integer, to `category` of the current step."""
+        if category not in _BOOKABLE:
+            raise ArgumentError(f"no MAC category {category!r}; the ledger books "
+                                f"{', '.join(CATEGORIES)} and duplicate")
+        if type(macs) is not int and (isinstance(macs, bool)
+                                      or not isinstance(macs, numbers.Integral)) or macs < 0:
+            raise ArgumentError(f"MACs must be a non-negative integer, got {macs!r}")
         step = self.current
         setattr(step, category, getattr(step, category) + int(macs))
 

@@ -26,7 +26,7 @@ from streamasr import (
     Vocab,
     init_model,
 )
-from streamasr import features
+from streamasr import encoder, features
 from streamasr.context import ZERO
 from streamasr.encoder import encoder_weight_spec, init_tensors
 from streamasr.errors import ArgumentError, ConfigError, ShapeError, StreamAsrError
@@ -419,6 +419,20 @@ def count_feature_kernels(monkeypatch) -> list[str]:
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     monkeypatch.setattr(features, "matmul64", counting_matmul64)
     return calls
+
+
+def count_plans(monkeypatch) -> list:
+    """One entry per attention plan the encoder builds, appended to the
+    returned list while the monkeypatch holds."""
+    built = []
+
+    class Counted(encoder.AttentionPlan):
+        def __new__(cls, *args):
+            built.append(1)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(encoder, "AttentionPlan", Counted)
+    return built
 
 
 def traced_peak(fn):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from streamasr import (
     AttentionContext,
     ComputeLedger,
+    EncoderWeights,
     LayerCache,
     StreamState,
     attn_keep_rows,
@@ -210,11 +211,12 @@ def test_tensors_that_do_not_fit_the_encoder_are_state_error(mutate):
 
 
 def test_stream_state_holds_each_fact_once():
-    # per layer its rows and conv inputs (and a derived plan); one stream
-    # counter, no layer counter, and no decoder state
+    # per layer its rows and conv inputs, and no derived attention plan (the
+    # model's weights keep those); one stream counter, no layer counter, and
+    # no decoder state
     assert [f.name for f in dataclasses.fields(StreamState)] == [
         "layers", "ds_carry", "settle_delay", "tokens_in", "finished"]
-    assert [f.name for f in dataclasses.fields(LayerCache)] == ["rows", "conv", "plan"]
+    assert [f.name for f in dataclasses.fields(LayerCache)] == ["rows", "conv"]
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
@@ -225,7 +227,7 @@ def test_stream_state_holds_each_fact_once():
 
 
 def _rebuilt(state: StreamState) -> StreamState:
-    """A state made from copies of the stored arrays and counters alone, no plans."""
+    """A state made from copies of the stored arrays and counters alone."""
     return StreamState(
         layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in state.layers],
         ds_carry=[row.copy() for row in state.ds_carry],
@@ -248,8 +250,8 @@ REBUILD_CONTEXTS = {
 @pytest.mark.parametrize("cut", [4, 16], ids=["unsaturated", "saturated"])
 @pytest.mark.parametrize("regime", list(REBUILD_CONTEXTS))
 def test_state_rebuilt_from_its_arrays_resumes_bit_exact(regime, cut):
-    # the attention plan is derived data: a stream resumed on the stored
-    # arrays and counters alone steps to the same tokens and the same MACs
+    # a stream resumed on copies of the stored arrays and counters alone, on
+    # weights whose plan store is empty, steps to the same tokens and MACs
     ctx = REBUILD_CONTEXTS[regime]
     cfg = tiny_encoder_config(ctx)
     w = init_encoder_weights(cfg, seed=3)
@@ -260,19 +262,17 @@ def test_state_rebuilt_from_its_arrays_resumes_bit_exact(regime, cut):
         encode_step(mel[i : i + step], state, w, cfg)
     if ctx.settle_delay() > 0:
         assert all(n_in > n_out for n_in, n_out in map(state.counts, range(cfg.n_layers)))
-    # a layer holds a plan once it has settled a row, its first query
-    assert [lc.plan is not None for lc in state.layers] == \
-        [state.counts(i)[1] > 0 for i in range(cfg.n_layers)]
     rebuilt = _rebuilt(state)
 
-    def run(st):
+    def run(st, weights):
         rec = ComputeLedger()
-        outs = [encode_step(mel[i : i + step], st, w, cfg, rec)[0]
+        outs = [encode_step(mel[i : i + step], st, weights, cfg, rec)[0]
                 for i in range(4 * cut, 4 * (cut + 12), step)]
-        outs.append(encode_step(mel[4 * (cut + 12) :], st, w, cfg, rec, final=True)[0])
+        outs.append(encode_step(mel[4 * (cut + 12) :], st, weights, cfg, rec, final=True)[0])
         return np.concatenate(outs), rec.steps
 
-    (out, macs), (out_rebuilt, macs_rebuilt) = run(state), run(rebuilt)
+    fresh = EncoderWeights(w.tensors)
+    (out, macs), (out_rebuilt, macs_rebuilt) = run(state, w), run(rebuilt, fresh)
     assert out.shape[0] > 0 and np.array_equal(out_rebuilt, out)
     assert macs_rebuilt == macs
     # both streams end in equal states

@@ -133,3 +133,25 @@ def test_context_validation():
         AttentionContext("sliding")
     with pytest.raises(ConfigError):
         LatencyModel(frame_shift_ms=0, downsampling_rate=4, n_layers=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AttentionContext.chunked(1.5, 1),
+    lambda: AttentionContext.chunked(4, 1.0),
+    lambda: AttentionContext.chunked(True, 1),
+    lambda: AttentionContext.regular(True, 2),
+    lambda: AttentionContext.regular(1, 4.0),
+    lambda: AttentionContext.zero(left_context=False),
+    lambda: AttentionContext("chunk", chunk="4"),
+    lambda: AttentionContext("regular", m=None, left_context=4),
+], ids=["chunk-float", "left_chunks-float", "chunk-bool", "m-bool", "left_context-float",
+        "zero-left_context-bool", "chunk-str", "m-none"])
+def test_context_sizes_must_be_integers(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_context_sizes_are_stored_as_ints():
+    ctx = AttentionContext.chunked(np.int64(4), np.int32(2))
+    assert (type(ctx.chunk), type(ctx.left_chunks)) == (int, int)
+    assert ctx == AttentionContext.chunked(4, 2)

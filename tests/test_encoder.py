@@ -22,7 +22,7 @@ from streamasr import (
 from streamasr import encoder, numerics
 from streamasr.context import ZERO
 from streamasr.encoder import (
-    AttentionPlan,
+    PlanStore,
     _attend,
     _layer_arrival,
     attention_plan,
@@ -37,6 +37,7 @@ from streamasr.numerics import linear
 
 from helpers import (
     attend_per_head,
+    count_plans,
     build_mask,
     init_encoder_weights,
     masked_softmax,
@@ -717,6 +718,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_encoder_config(AttentionContext.zero(), downsampling_rate=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", "2"), ("n_layers", 2.0), ("d_model", 8.0), ("n_heads", True),
+        ("conv_kernel", 3.5), ("downsampling_rate", 4.0), ("ffn_expansion", False),
+        ("n_mels", "80"), ("bias_past", 1.5), ("bias_future", True), ("attention", "chunk"),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        fields = dict(n_layers=2, d_model=16, n_heads=2, conv_kernel=3, downsampling_rate=4,
+                      attention=AttentionContext.chunked(2, 1))
+        with pytest.raises(ConfigError):
+            EncoderConfig(**{**fields, field: value})
+
+    def test_sizes_are_stored_as_ints(self):
+        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), n_layers=np.int64(2),
+                                  d_model=np.int32(16), bias_future=np.int64(1))
+        assert (type(cfg.n_layers), type(cfg.d_model), type(cfg.bias_future)) == (int, int, int)
+        assert cfg == tiny_encoder_config(AttentionContext.chunked(2, 1), bias_future=1)
+
     def test_bias_span_defaults(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(4, 2))
         assert cfg.bias_past == 3 * 4 - 1
@@ -896,62 +914,136 @@ class TestKernelCalls:
 
 
 class TestAttentionPlans:
+    """Laws of the plan store: plans live with the weights, not the stream."""
+
     @staticmethod
-    def counting_plans(monkeypatch) -> list:
-        built = []
+    def recording_plans(monkeypatch) -> list:
+        """Per attention_plan call: its store and the plan it returned."""
+        calls, real = [], encoder.attention_plan
 
-        class Counted(AttentionPlan):
-            def __new__(cls, *args):
-                built.append(1)
-                return super().__new__(cls, *args)
+        def recording(*args):
+            plan = real(*args)
+            calls.append((args[-1], plan))
+            return plan
 
-        monkeypatch.setattr(encoder, "AttentionPlan", Counted)
-        return built
+        monkeypatch.setattr(encoder, "attention_plan", recording)
+        return calls
 
     @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 4),
                                      AttentionContext.chunked(1, 3)], ids=["regular", "chunk"])
     def test_a_long_stream_keeps_one_plan_per_layer(self, ctx, monkeypatch):
+        # a 1,000-step stream builds no plan after its warm-up: every steady
+        # step of a layer reads that layer's one stored plan
         cfg = tiny_encoder_config(ctx, n_layers=2, downsampling_rate=1)
         w = init_encoder_weights(cfg, seed=5)
         mel = random_mel(1000, cfg.n_mels, seed=6)
-        built = self.counting_plans(monkeypatch)
+        built = count_plans(monkeypatch)
+        calls = self.recording_plans(monkeypatch)
         state = init_state(cfg)
         for i in range(1000):  # one token per step
             encode_step(mel[i : i + 1], state, w, cfg)
             if i == 100:
-                warm = len(built)
-            # a layer holds a plan once it has settled a row, its first query
-            assert [isinstance(lc.plan, AttentionPlan) for lc in state.layers] == \
-                [state.counts(j)[1] > 0 for j in range(cfg.n_layers)]
-        assert warm <= 2 * 10 and len(built) == warm  # steady steps reuse their layer's plan
+                warm, n_calls = len(built), len(calls)
+        assert warm <= 2 * 10 and len(built) == warm
+        steady = [plan for _, plan in calls[n_calls:]]
+        assert {id(p) for p in steady[0::2]} == {id(steady[0])}
+        assert {id(p) for p in steady[1::2]} == {id(steady[1])} != {id(steady[0])}
+        assert len(w.plans._plans) == warm and 0 < w.plans.nbytes <= PlanStore._BOUND
+        # a second stream on the same weights builds none at all
+        state = init_state(cfg)
+        for i in range(1000):
+            encode_step(mel[i : i + 1], state, w, cfg)
+        assert len(built) == warm
 
     def test_changed_geometry_or_table_builds_a_new_plan(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-        lw = init_encoder_weights(cfg, seed=5).layer(0)
+        table = init_encoder_weights(cfg, seed=5).layer(0)["attn.bias64"]
+        store = PlanStore()
         qpos = np.arange(6, 8)
         groups = query_groups(cfg.attention, qpos, 7)
-        first = attention_plan(cfg, lw["attn.bias64"], qpos, 4, 4, groups)
-        plan = attention_plan(cfg, lw["attn.bias64"], qpos, 4, 4, groups, first)
-        assert plan is not first  # a plan built with no previous one is never reused
+        plan = attention_plan(cfg, table, qpos, 4, 4, groups, store)
+        assert attention_plan(cfg, table, qpos, 4, 4, groups, store) is plan
+        assert attention_plan(cfg, table, qpos, 4, 4, groups) is not plan  # no store
         shifted = qpos + 10  # the same geometry, ten keys on
-        assert attention_plan(cfg, lw["attn.bias64"], shifted, 4, 14,
-                              query_groups(cfg.attention, shifted, 17), plan) is plan
-        assert attention_plan(cfg, lw["attn.bias64"], qpos, 5, 3,
-                              query_groups(cfg.attention, qpos, 7), plan) is not plan
-        assert attention_plan(cfg, lw["attn.bias64"].copy(), qpos, 4, 4, groups, plan) is not plan
+        assert attention_plan(cfg, table, shifted, 4, 14,
+                              query_groups(cfg.attention, shifted, 17), store) is plan
+        assert attention_plan(cfg, table, qpos, 5, 3,
+                              query_groups(cfg.attention, qpos, 7), store) is not plan
+        # a copied bias table still gets a plan of its own, gathered from it
+        copied = table.copy()
+        copied[0, 0] += 1.0
+        other = attention_plan(cfg, copied, qpos, 4, 4, groups, store)
+        assert other is not plan and other.table is copied and plan.table is table
+        assert not np.array_equal(other.batches[0][2], plan.batches[0][2])
+        assert len(store._plans) == 3
+
+    def test_the_store_drops_the_least_recently_used_plans_first(self):
+        cfg = tiny_encoder_config(AttentionContext.zero())
+        table = init_encoder_weights(cfg, seed=5).layer(0)["attn.bias64"]
+        store = PlanStore()
+
+        def plan(q):  # query q over keys 0..q: a geometry no other q has
+            qpos = np.array([q])
+            return attention_plan(cfg, table, qpos, q + 1, 0,
+                                  query_groups(cfg.attention, qpos, q), store)
+
+        plans = [plan(q) for q in range(4)]
+        size = store.nbytes // 4
+        assert store.nbytes == 4 * size  # one group of one row: the same bytes each
+        assert plan(0) is plans[0]  # now the most recently used
+        with mock.patch.object(PlanStore, "_BOUND", 4 * size + size // 2):
+            plan(4)
+            assert len(store._plans) == 4 and store.nbytes <= PlanStore._BOUND
+            assert plan(1) is not plans[1]  # dropped, built again
+            assert plan(0) is plans[0] and plan(3) is plans[3]
+            assert plan(2) is not plans[2]
+        with mock.patch.object(PlanStore, "_BOUND", 1000):
+            store.put(("too", "large", ()), plans[0])  # larger than the bound alone
+        assert ("too", "large", ()) not in store._plans and len(store._plans) == 4
+
+    def test_stored_plans_are_read_only(self):
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 4))
+        w = init_encoder_weights(cfg, seed=5)
+        encode_step(random_mel(40, cfg.n_mels, seed=6), init_state(cfg), w, cfg)
+        arrays = [a for plan, _ in w.plans._plans.values() for batch in plan.batches
+                  for a in batch if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
     def test_final_steps_store_no_plan(self, monkeypatch):
         cfg = tiny_encoder_config(AttentionContext.regular(1, 4))
         w = init_encoder_weights(cfg, seed=5)
-        built = self.counting_plans(monkeypatch)
-        states = []
-        real = encoder.init_state
+        built = count_plans(monkeypatch)
+        calls = self.recording_plans(monkeypatch)
+        encode_full(random_mel(40, cfg.n_mels, seed=6), w, cfg)  # one final step
+        assert len(built) == cfg.n_layers and len(calls) == cfg.n_layers
+        assert all(store is None for store, _ in calls) and len(w.plans._plans) == 0
 
-        def recording(c):
-            states.append(real(c))
-            return states[-1]
+    def test_a_second_offline_pass_builds_only_its_final_steps_plans(self, monkeypatch):
+        # four blocks: three stored steps and a final one per layer
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 4), downsampling_rate=1)
+        w = init_encoder_weights(cfg, seed=5)
+        mel = random_mel(3 * encoder._BLOCK_TOKENS + 5, cfg.n_mels, seed=6)
+        built = count_plans(monkeypatch)
+        first = encode_full(mel, w, cfg)
+        n_first, stored = len(built), len(w.plans._plans)
+        assert stored >= 2 * cfg.n_layers and n_first == stored + cfg.n_layers
+        assert np.array_equal(encode_full(mel, w, cfg), first)
+        assert len(built) == n_first + cfg.n_layers and len(w.plans._plans) == stored
 
-        monkeypatch.setattr(encoder, "init_state", recording)
-        encode_full(random_mel(40, cfg.n_mels, seed=6), w, cfg)
-        assert len(states) == 1 and len(built) == cfg.n_layers
-        assert all(lc.plan is None for lc in states[0].layers)
+    @settings(max_examples=25, deadline=None)
+    @given(ctx=st.sampled_from([AttentionContext.zero(), AttentionContext.regular(1, 3),
+                                AttentionContext.chunked(2, 1)]),
+           steps=st.lists(st.integers(1, 12), min_size=1, max_size=30))
+    def test_random_chunk_sizes_never_take_the_store_past_its_bound(self, ctx, steps):
+        cfg = tiny_encoder_config(ctx, downsampling_rate=1)
+        w = init_encoder_weights(cfg, seed=5)
+        mel = random_mel(12 * 30 * 2, cfg.n_mels, seed=6)
+        unit = ctx.step_tokens()
+        with mock.patch.object(PlanStore, "_BOUND", 40_000):
+            for _ in range(2):
+                state, f0 = init_state(cfg), 0
+                for n in steps:
+                    encode_step(mel[f0 : f0 + n * unit], state, w, cfg)
+                    f0 += n * unit
+                    assert w.plans.nbytes <= 40_000
+                    assert w.plans.nbytes == sum(size for _, size in w.plans._plans.values())

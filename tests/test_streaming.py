@@ -43,6 +43,7 @@ from streamasr.streaming import _MelPieces
 
 from helpers import (
     count_feature_kernels,
+    count_plans,
     count_macs,
     offline_composition,
     reference_rnnt_greedy,
@@ -114,8 +115,8 @@ class TestStreamingVsOffline:
     @pytest.mark.parametrize("regime", sorted(SPLIT_CONTEXTS))
     def test_a_session_resumes_on_its_state_rebuilt_from_the_arrays(self, regime, decoder):
         # the encoder's part of a stream is its arrays and counters: a session
-        # whose state is swapped mid-stream for a copy of them, without the
-        # attention plans, ends in the same transcripts and ledger steps
+        # whose state is swapped mid-stream for a copy of them ends in the
+        # same transcripts and ledger steps
         model, vocab, _ = split_baseline(regime)
         half = len(SPLIT_AUDIO.samples) // 2
         whole = StreamingSession(model, vocab, decoder)
@@ -123,7 +124,7 @@ class TestStreamingVsOffline:
         cut = StreamingSession(model, vocab, decoder)
         cut.feed(SPLIT_AUDIO.samples[:half])
         old = cut.state
-        assert old.tokens_in > 0 and all(lc.plan is not None for lc in old.layers)
+        assert old.tokens_in > 0
         cut.state = StreamState(
             layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in old.layers],
             ds_carry=[row.copy() for row in old.ds_carry],
@@ -429,6 +430,95 @@ class TestOfflinePieces:
         assert info.value is err
         assert len(threads) == 4 and set(threads) == {threading.current_thread()}
         assert alive == [before, before] and threading.active_count() == before
+
+
+SHARED_AUDIO = synth_audio(3.0, seed=35)  # 300 frames: three offline blocks at rate 1
+
+
+class TestSharedPlans:
+    """The attention plans of non-final steps live with the model's weights,
+    so every stream on one model shares them."""
+
+    def test_a_second_session_and_offline_pass_build_no_plan(self, monkeypatch):
+        model, vocab = tiny_model(AttentionContext.regular(1, 4), seed=36, downsampling_rate=1)
+        n_layers = model.cfg.encoder.n_layers
+        built = count_plans(monkeypatch)
+        first = run_streaming(SHARED_AUDIO, model, vocab)
+        assert len(built) > n_layers
+        second = StreamingSession(model, vocab)
+        n = len(built)
+        second.feed(SHARED_AUDIO.samples)
+        assert len(built) == n  # every non-final step reads a stored plan
+        result = second.finish()
+        assert len(built) - n <= n_layers  # the final step's plans, never stored
+        assert [t.to_json() for t in result.transcripts.values()] == [
+            t.to_json() for t in first.transcripts.values()]
+        assert result.ledger.steps == first.ledger.steps
+        # a model under the same weights and mask shares the store
+        other = model.with_attention(AttentionContext.regular(1, 4))
+        assert other.encoder.plans is model.encoder.plans
+        n = len(built)
+        StreamingSession(other, vocab).feed(SHARED_AUDIO.samples)
+        assert len(built) == n
+        # three blocks: two stored steps and a final one per layer
+        n = len(built)
+        offline = run_offline(SHARED_AUDIO, model, vocab)
+        assert len(built) - n == 3 * n_layers
+        n = len(built)
+        again = run_offline(SHARED_AUDIO, model, vocab)
+        assert len(built) - n == n_layers
+        assert [t.to_json() for t in again.transcripts.values()] == [
+            t.to_json() for t in offline.transcripts.values()]
+
+    @pytest.mark.parametrize("ctx, bound", [
+        (AttentionContext.regular(1, 4), None),
+        (AttentionContext.chunked(2, 1), None),
+        # no geometry repeats, so the store drops plans all through the run
+        (AttentionContext.zero(), 30_000),
+    ], ids=["regular", "chunk", "zero-evicting"])
+    def test_sessions_in_threads_share_one_store_exactly(self, ctx, bound):
+        audio = synth_audio(2.0, seed=37)
+        model, vocab = tiny_model(ctx, seed=38)
+        alone, _ = tiny_model(ctx, seed=38)  # the same weights, its own store
+        want = run_streaming(audio, alone, vocab)
+        want_json = [t.to_json() for t in want.transcripts.values()]
+        limit = bound or encoder_module.PlanStore._BOUND
+        results, errors, over = [], [], []
+
+        def stream(packet):
+            try:
+                for _ in range(3):
+                    session = StreamingSession(model, vocab)
+                    for i in range(0, len(audio.samples), packet):
+                        session.feed(audio.samples[i : i + packet])
+                        if model.encoder.plans.nbytes > limit:
+                            over.append(model.encoder.plans.nbytes)
+                    results.append(session.finish())
+            except Exception as err:  # re-raised on the test's thread below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(encoder_module.PlanStore, "_BOUND", limit):
+                threads = [threading.Thread(target=stream, args=(p,), daemon=True)
+                           for p in (320, 160, 1000, 4000)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]
+        assert len(results) == 12 and not over
+        for got in results:
+            assert [t.to_json() for t in got.transcripts.values()] == want_json
+            assert got.ledger.steps == want.ledger.steps
+        store = model.encoder.plans
+        assert 0 < store.nbytes <= limit
+        assert store.nbytes == sum(size for _, size in store._plans.values())
 
 
 def held(a: np.ndarray) -> np.ndarray:

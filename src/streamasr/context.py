@@ -10,12 +10,17 @@ Three regimes limit what a token may attend to:
 All sizes are in post-downsampling tokens. This module is the only one that
 branches on the regime: the encoder, the caches and the session engine take
 every attention question to attend_interval or receptive_field_tokens.
+It also holds check_fields, the field-type rule every config dataclass applies.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -23,18 +28,36 @@ ZERO = "zero"
 REGULAR = "regular"
 CHUNK = "chunk"
 
+# int accepts any integral value and float any real number; a bool is neither
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}
+_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number", str: "a string",
+          type(None): "null"}
 
-def integer_fields(cfg, *names: str, optional: tuple[str, ...] = ()) -> None:
-    """Raise ConfigError unless each named field of the frozen dataclass cfg
-    is an integer (a bool is not), or None where `optional` names it; store
-    each integer as an int."""
-    for name in names + optional:
+
+@functools.cache
+def field_types(cls) -> dict[str, tuple[type, ...]]:
+    """Per field of the dataclass cls, the types its annotation accepts (an
+    `X | None` union accepts X and None)."""
+    hints = typing.get_type_hints(cls)
+    accepted = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        named = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+        accepted[f.name] = tuple(_ACCEPTS.get(t, t) for t in named)
+    return accepted
+
+
+def check_fields(cfg) -> None:
+    """Raise ConfigError unless each field of the frozen config dataclass cfg
+    holds a value of an annotated type; store each integer as an int and any
+    other value as given."""
+    for name, accepted in field_types(type(cfg)).items():
         v = getattr(cfg, name)
-        if v is None and name in optional:
-            continue
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ConfigError(f"{type(cfg).__name__}.{name} must be an integer, got {v!r}")
-        object.__setattr__(cfg, name, int(v))
+        if isinstance(v, bool) or not isinstance(v, accepted):
+            expected = " or ".join(_NAMES.get(t, f"an {t.__name__}") for t in accepted)
+            raise ConfigError(f"{type(cfg).__name__}.{name} must be {expected}, got {v!r}")
+        if numbers.Integral in accepted and v is not None:
+            object.__setattr__(cfg, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -46,7 +69,7 @@ class AttentionContext:
     left_chunks: int = 0
 
     def __post_init__(self):
-        integer_fields(self, "m", "chunk", "left_chunks", optional=("left_context",))
+        check_fields(self)
         if self.regime not in (ZERO, REGULAR, CHUNK):
             raise ConfigError(f"unknown attention regime {self.regime!r}")
         if self.regime == REGULAR:
@@ -119,8 +142,10 @@ class LatencyModel:
     n_layers: int
 
     def __post_init__(self):
-        if self.frame_shift_ms <= 0 or self.downsampling_rate < 1 or self.n_layers < 1:
-            raise ConfigError("LatencyModel fields must be positive")
+        check_fields(self)
+        if not 0 < self.frame_shift_ms < math.inf or min(self.downsampling_rate,
+                                                          self.n_layers) < 1:
+            raise ConfigError(f"LatencyModel fields must be positive and finite: {self}")
 
     @property
     def token_ms(self) -> float:

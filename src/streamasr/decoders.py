@@ -16,17 +16,20 @@ first use, so no output bit changes.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .context import check_fields
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
 from .losses import target_ids
 from .numerics import check_finite, float64_copy, linear, log_softmax, operand
 
 BLANK_TOKEN = "<blank>"
+_LINE_BREAK_OR_SURROGATE = re.compile("[\n\r\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,12 @@ class Vocab:
     blank_id: ClassVar[int] = 0  # line 0 is always BLANK_TOKEN
 
     def __post_init__(self):
+        if not isinstance(self.tokens, list):
+            raise FormatError(f"vocab tokens must be a list, got {self.tokens!r}")
+        for t in self.tokens:
+            # the file holds one UTF-8 line per token
+            if not isinstance(t, str) or not t or _LINE_BREAK_OR_SURROGATE.search(t):
+                raise FormatError(f"vocab token {t!r} is not one line of UTF-8 text")
         if not self.tokens or self.tokens[0] != BLANK_TOKEN:
             raise FormatError(f"vocab line 0 must be {BLANK_TOKEN!r}")
         if len(set(self.tokens)) != len(self.tokens):
@@ -73,9 +82,10 @@ class HeadConfig:
     d_joint: int = 64
 
     def __post_init__(self):
+        check_fields(self)
         if self.vocab_size < 2:
             raise ConfigError("vocab needs blank plus at least one label")
-        if min(self.d_pred, self.pred_layers, self.d_joint) < 1:
+        if min(self.d_model, self.d_pred, self.pred_layers, self.d_joint) < 1:
             raise ConfigError("head dims must be >= 1")
 
 

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .cache import LayerCache, StreamState, attn_keep_rows, cache_append
-from .context import AttentionContext, integer_fields
+from .context import AttentionContext, check_fields
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateError
 from .ledger import ComputeLedger
 from .numerics import (
@@ -70,11 +70,7 @@ class EncoderConfig:
     bias_future: int | None = None
 
     def __post_init__(self):
-        integer_fields(self, "n_layers", "d_model", "n_heads", "conv_kernel",
-                       "downsampling_rate", "ffn_expansion", "n_mels",
-                       optional=("bias_past", "bias_future"))
-        if not isinstance(self.attention, AttentionContext):
-            raise ConfigError(f"attention must be an AttentionContext, got {self.attention!r}")
+        check_fields(self)
         if min(self.n_layers, self.d_model, self.n_heads) < 1:
             raise ConfigError("n_layers, d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:

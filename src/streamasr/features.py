@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .context import check_fields
 from .errors import ConfigError, FormatError, InputFileError
 from .numerics import matmul64
 
@@ -44,8 +46,9 @@ class AudioBuffer:
     samples: np.ndarray  # int16, mono
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise FormatError(f"sample_rate={self.sample_rate} (must be > 0)")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
+            raise FormatError(f"sample_rate={rate!r} (must be an integer > 0)")
         self.samples = pcm16(self.samples)
 
     @property
@@ -61,6 +64,7 @@ class FeatureConfig:
     n_mels: int = 80
 
     def __post_init__(self):
+        check_fields(self)
         if not all(map(math.isfinite, (self.sample_rate, self.window_ms, self.frame_shift_ms))):
             raise ConfigError(f"feature config fields must be finite: {self}")
         if self.shift_samples < 1:

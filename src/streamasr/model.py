@@ -7,15 +7,13 @@ order; the same seed always produces a byte-identical file.
 
 from __future__ import annotations
 
-import functools
 import math
-import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .container import load_container, save_container
-from .context import AttentionContext, LatencyModel
+from .context import AttentionContext, LatencyModel, check_fields, field_types
 from .decoders import (
     CtcHead,
     HeadConfig,
@@ -43,12 +41,14 @@ class ModelConfig:
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
+        check_fields(self)
         if not all(map(math.isfinite, (self.hybrid_alpha, self.fastemit_lambda))):
             raise ConfigError(f"loss weights must be finite, got hybrid_alpha "
                               f"{self.hybrid_alpha} and fastemit_lambda {self.fastemit_lambda}")
-        # a frame shift the features or the latency arithmetic cannot use fails here
+        # a frame shift or size the features, the latency or the heads cannot use fails here
         self.feature_config()
         self.latency_model()
+        self.head_config()
 
     def head_config(self) -> HeadConfig:
         return HeadConfig(
@@ -95,53 +95,28 @@ class HybridModel:
         return replace(self, cfg=replace(self.cfg, encoder=encoder))
 
 
-_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
-
-
-@functools.cache
-def _config_fields(cls) -> dict[str, tuple[object, bool]]:
-    """Per field: its nested config class or its accepted types, and whether it is required."""
-    hints = typing.get_type_hints(cls)
-    spec = {}
-    for f in fields(cls):
-        tp = hints[f.name]
-        kind = tp if is_dataclass(tp) else typing.get_args(tp) or (tp,)
-        spec[f.name] = (kind, f.default is MISSING and f.default_factory is MISSING)
-    return spec
-
-
-def _accepts(tp: type, v) -> bool:
-    if isinstance(v, bool):
-        return tp is bool
-    return isinstance(v, (int, float) if tp is float else tp)
-
-
 def config_from_dict(cls, d):
     """Decode the JSON object `d` into the config dataclass `cls`.
 
-    Nested config fields decode recursively, and an absent field takes its
-    dataclass default. Raises ConfigError on a non-object, an unknown key, a
-    missing required key or a value of the wrong JSON type (a bool is not an
-    int; an int is accepted for a float). The dataclass validates the rest.
+    Nested config objects decode recursively, and an absent field takes its
+    dataclass default. Raises ConfigError on a non-object, an unknown key or
+    a missing required key; the dataclass checks the values, so a file and a
+    direct construction meet one rule.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {d!r}")
-    spec = _config_fields(cls)
-    unknown = sorted(set(d) - set(spec))
+    accepted = field_types(cls)
+    unknown = sorted(set(d) - set(accepted))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} config key(s): {', '.join(unknown)}")
-    missing = [name for name, (_, required) in spec.items() if required and name not in d]
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in d]
     if missing:
         raise ConfigError(f"{cls.__name__} config is missing {', '.join(missing)}")
-    kwargs = {}
+    kwargs = dict(d)
     for name, v in d.items():
-        kind = spec[name][0]
-        if not isinstance(kind, tuple):
-            v = config_from_dict(kind, v)
-        elif not any(_accepts(tp, v) for tp in kind):
-            expected = " or ".join(_JSON_NAMES[tp] for tp in kind)
-            raise ConfigError(f"{cls.__name__}.{name} must be {expected}, got {v!r}")
-        kwargs[name] = v
+        if isinstance(v, dict) and is_dataclass(nested := accepted[name][0]):
+            kwargs[name] = config_from_dict(nested, v)
     return cls(**kwargs)
 
 

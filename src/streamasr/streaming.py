@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .context import AttentionContext, LatencyModel, receptive_field_tokens
+from .context import AttentionContext, LatencyModel, check_fields, receptive_field_tokens
 from .decoders import (
     CtcIncrementalDecoder,
     RnntState,
@@ -97,6 +97,7 @@ class BufferedConfig:
     buffer_seconds: float = 4.0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.chunk_seconds <= self.buffer_seconds < math.inf:
             raise ConfigError(
                 f"buffered windows need 0 < chunk_seconds <= buffer_seconds < inf, got "

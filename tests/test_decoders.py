@@ -46,6 +46,26 @@ class TestVocab:
         assert back.tokens == v.tokens
         assert back.blank_id == 0
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\n\r"), min_size=1),
+                    unique=True).filter(lambda t: "<blank>" not in t))
+    def test_any_valid_vocab_survives_a_file_roundtrip(self, tmp_path_factory, labels):
+        v = Vocab(["<blank>"] + labels)
+        path = str(tmp_path_factory.mktemp("vocab") / "vocab.txt")
+        v.save(path)
+        assert Vocab.load(path).tokens == v.tokens
+
+    @pytest.mark.parametrize("tokens", [
+        ["<blank>", 1], ["<blank>", None], ["<blank>", "", "a"], ["<blank>", "a\nb"],
+        ["<blank>", "a\r"], ["<blank>", "\r\n"], ["<blank>", "\ud800"], ("<blank>", "a"),
+        "<blank>",
+    ], ids=["int", "None", "empty", "newline", "carriage-return", "crlf", "surrogate", "tuple",
+            "str"])
+    def test_a_token_the_file_cannot_hold_is_format_error(self, tokens):
+        with pytest.raises(FormatError):
+            Vocab(tokens)
+
     def test_missing_file_is_file_error(self, tmp_path):
         with pytest.raises(InputFileError):
             Vocab.load(str(tmp_path / "missing.txt"))

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from streamasr import (
     AttentionContext,
+    BufferedConfig,
     EncoderConfig,
+    FeatureConfig,
+    LatencyModel,
     ModelConfig,
     config_from_dict,
     init_model,
     load_model,
     save_model,
 )
+from streamasr.decoders import HeadConfig
 from streamasr.errors import ConfigError, FormatError
 
 from helpers import tiny_model, traced_peak
@@ -91,6 +95,74 @@ class TestConfigFromDict:
     def test_rejects(self, d):
         with pytest.raises(ConfigError):
             config_from_dict(AttentionContext, d)
+
+
+ENCODER = EncoderConfig(n_layers=2, d_model=16, n_heads=2, conv_kernel=3, downsampling_rate=4,
+                        attention=AttentionContext.chunked(2, 1))
+# a valid construction of every config class
+VALID = {
+    AttentionContext: {"regime": "chunk", "chunk": 2, "left_chunks": 1},
+    EncoderConfig: {f.name: getattr(ENCODER, f.name) for f in fields(ENCODER)},
+    ModelConfig: {"encoder": ENCODER, "vocab_size": 5},
+    HeadConfig: {"d_model": 16, "vocab_size": 5},
+    FeatureConfig: {},
+    LatencyModel: {"frame_shift_ms": 10.0, "downsampling_rate": 4, "n_layers": 2},
+    BufferedConfig: {},
+}
+# the config classes a model file's header holds
+DECODED = (AttentionContext, EncoderConfig, ModelConfig)
+
+
+def _wrong_values(cls):
+    """(field, value) pairs the field's annotation does not allow: a bool, a
+    dict, a str where no str belongs, a float where an int belongs and None
+    where the annotation has no None."""
+    for f in fields(cls):
+        annotation = f.type  # the source text, as the modules use postponed annotations
+        yield f, True
+        yield f, {}
+        if annotation != "str":
+            yield f, "x"
+        if "int" in annotation.split(" | "):
+            yield f, 2.5
+        if "None" not in annotation:
+            yield f, None
+
+
+WRONG = [(cls, f.name, v) for cls in VALID for f, v in _wrong_values(cls)]
+
+
+@pytest.mark.parametrize("cls, name, value", WRONG,
+                         ids=[f"{c.__name__}.{n}-{type(v).__name__}" for c, n, v in WRONG])
+def test_a_field_of_the_wrong_type_is_config_error(cls, name, value):
+    with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{name} must be .+, got ") as direct:
+        cls(**{**VALID[cls], name: value})
+    if cls not in DECODED or (isinstance(value, dict) and is_dataclass(VALID[cls].get(name))):
+        return  # a JSON object decodes into a nested config
+    d = {k: asdict(v) if is_dataclass(v) else v for k, v in VALID[cls].items()}
+    with pytest.raises(ConfigError) as decoded:
+        config_from_dict(cls, json.loads(json.dumps({**d, name: value})))
+    assert str(decoded.value) == str(direct.value)
+
+
+def test_integers_are_stored_as_ints_and_numbers_as_given():
+    lm = LatencyModel(np.float32(10.0), np.int64(4), np.int32(2))
+    assert (type(lm.frame_shift_ms), type(lm.downsampling_rate), type(lm.n_layers)) == (
+        np.float32, int, int)
+    assert type(ModelConfig(ENCODER, 5, frame_shift_ms=10).frame_shift_ms) is int
+    assert type(FeatureConfig(sample_rate=np.int16(8000)).sample_rate) is int
+
+
+@pytest.mark.parametrize("kw", [{"vocab_size": 1}, {"d_pred": 0}, {"pred_layers": 0},
+                                {"d_joint": 0}], ids=lambda kw: next(iter(kw)))
+def test_head_sizes_fail_at_model_config_construction(kw):
+    with pytest.raises(ConfigError):
+        ModelConfig(ENCODER, **{"vocab_size": 5, **kw})
+
+
+def test_head_width_must_be_positive():
+    with pytest.raises(ConfigError):
+        HeadConfig(0, 5)
 
 
 @pytest.mark.parametrize("shift", [0, 0.01, -1.0, float("nan"), float("inf"), 26.0])

@@ -186,6 +186,15 @@ class TestStreamingVsOffline:
         with pytest.raises(FormatError):
             AudioBuffer(16000, samples)
 
+    @pytest.mark.parametrize("rate", [True, 16000.5, 16000.0, "16000", None, 0, -8000],
+                             ids=["bool", "fraction", "float", "str", "None", "zero", "negative"])
+    def test_audio_sample_rate_must_be_a_positive_integer(self, rate):
+        with pytest.raises(FormatError, match="sample_rate="):
+            AudioBuffer(rate, np.zeros(160, np.int16))
+
+    def test_audio_takes_any_integer_sample_rate(self):
+        assert AudioBuffer(np.int32(16000), np.zeros(160, np.int16)).duration_s == 0.01
+
     def test_feed_takes_any_integer_array_within_int16(self):
         model, vocab = tiny_model(AttentionContext.chunked(2, 1), seed=38)
         audio = synth_audio(0.3, seed=39)

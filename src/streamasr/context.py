@@ -143,8 +143,8 @@ class LatencyModel:
 
     def __post_init__(self):
         check_fields(self)
-        if not 0 < self.frame_shift_ms < math.inf or min(self.downsampling_rate,
-                                                          self.n_layers) < 1:
+        finite_shift = 0 < self.frame_shift_ms < math.inf
+        if not finite_shift or min(self.downsampling_rate, self.n_layers) < 1:
             raise ConfigError(f"LatencyModel fields must be positive and finite: {self}")
 
     @property

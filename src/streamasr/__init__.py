@@ -26,7 +26,6 @@ from .decoders import (
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
-    downsample_segment,
     encode_full,
     encode_step,
     init_state,
@@ -42,12 +41,7 @@ from .ledger import ComputeLedger, StepMacs
 from .losses import ctc_loss, hybrid_loss, rnnt_loss, rnnt_loss_fastemit
 from .metrics import WerBreakdown, eil, wer
 from .model import HybridModel, ModelConfig, config_from_dict, init_model, load_model, save_model
-from .numerics import (
-    Rng,
-    depthwise_conv1d_causal,
-    layer_norm,
-    matmul,
-)
+from .numerics import Rng
 from .streaming import (
     BufferedConfig,
     StreamingSession,

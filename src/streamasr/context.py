@@ -49,8 +49,9 @@ def field_types(cls) -> dict[str, tuple[type, ...]]:
 
 def check_fields(cfg) -> None:
     """Raise ConfigError unless each field of the frozen config dataclass cfg
-    holds a value of an annotated type; store each integer as an int and any
-    other value as given."""
+    holds a value of an annotated type; store each integer as an int, a
+    number that is not a Python int or float as a float (so the model
+    file's JSON can hold it) and any other value as given."""
     for name, accepted in field_types(type(cfg)).items():
         v = getattr(cfg, name)
         if isinstance(v, bool) or not isinstance(v, accepted):
@@ -58,6 +59,8 @@ def check_fields(cfg) -> None:
             raise ConfigError(f"{type(cfg).__name__}.{name} must be {expected}, got {v!r}")
         if numbers.Integral in accepted and v is not None:
             object.__setattr__(cfg, name, int(v))
+        elif numbers.Real in accepted and v is not None and type(v) not in (int, float):
+            object.__setattr__(cfg, name, float(v))
 
 
 @dataclass(frozen=True)

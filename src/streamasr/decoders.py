@@ -26,7 +26,7 @@ from .context import check_fields
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
 from .losses import target_ids
-from .numerics import check_finite, float64_copy, linear, log_softmax, operand
+from .numerics import check_finite, check_tensors, float64_copy, linear, log_softmax, operand
 
 BLANK_TOKEN = "<blank>"
 _LINE_BREAK_OR_SURROGATE = re.compile("[\n\r\ud800-\udfff]")
@@ -117,9 +117,15 @@ def rnnt_weight_spec(hc: HeadConfig):
 
 @dataclass
 class CtcHead:
+    """The CTC projection; ShapeError when built unless `w` and `b` are
+    float32 in the shapes ctc_weight_spec gives."""
+
     hc: HeadConfig
     w: np.ndarray
     b: np.ndarray
+
+    def __post_init__(self):
+        check_tensors({"ctc.w": self.w, "ctc.b": self.b}, ctc_weight_spec(self.hc), "CTC head")
 
     @functools.cached_property
     def w64(self) -> np.ndarray:
@@ -132,10 +138,14 @@ class RnntHead:
     """The RNNT head's float32 tensors, and in `w64` the weights its products
     read (each cell's `w_in` and `w_h`, the joint's three) as read-only
     float64 copies, built on first use. The biases stay the live float32
-    tensors, because `linear` adds its bias in float32."""
+    tensors, because `linear` adds its bias in float32. ShapeError when built
+    unless every tensor rnnt_weight_spec names is float32 in its shape."""
 
     hc: HeadConfig
     tensors: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        check_tensors(self.tensors, rnnt_weight_spec(self.hc), "RNNT head")
 
     @functools.cached_property
     def w64(self) -> dict[str, np.ndarray]:
@@ -249,6 +259,22 @@ def rnnt_joint_logits(
     return logits
 
 
+def _check_rnnt_state(state, hc: HeadConfig) -> None:
+    """ArgumentError unless `state` is an RnntState of hc's layers; ShapeError
+    unless its rows are what the head makes: float32 (d_pred,) hidden rows
+    and a float64 (d_joint,) joint projection."""
+    if not (isinstance(state, RnntState) and isinstance(state.hidden, list)
+            and len(state.hidden) == hc.pred_layers):
+        raise ArgumentError(f"state must be an RnntState of {hc.pred_layers} layers")
+    rows = [(f"hidden row {i}", h, np.float32, hc.d_pred) for i, h in enumerate(state.hidden)]
+    rows.append(("joint_pred", state.joint_pred, np.float64, hc.d_joint))
+    for what, row, dtype, width in rows:
+        if not (isinstance(row, np.ndarray) and row.dtype == dtype and row.shape == (width,)):
+            got = f"{row.dtype} {row.shape}" if isinstance(row, np.ndarray) else type(row).__name__
+            raise ShapeError(f"RnntState {what} is {got}, the head needs "
+                             f"{np.dtype(dtype)} ({width},)")
+
+
 def rnnt_greedy_decode(
     enc: np.ndarray,
     head: RnntHead,
@@ -268,8 +294,8 @@ def rnnt_greedy_decode(
     enc = _encoder_rows(enc, head.hc)
     if state is None:
         state = rnnt_init_state(head, rec)
-    elif not isinstance(state, RnntState) or len(state.hidden) != head.hc.pred_layers:
-        raise ArgumentError(f"state must be an RnntState of {head.hc.pred_layers} layers")
+    else:
+        _check_rnnt_state(state, head.hc)
     enc_proj = _joint_projection(head, "enc", enc)
     if rec is not None:
         rec.add("decoder", enc.shape[0] * head.hc.d_model * head.hc.d_joint)

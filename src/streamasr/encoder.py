@@ -43,6 +43,7 @@ from .ledger import ComputeLedger
 from .numerics import (
     Rng,
     check_finite,
+    check_tensors,
     depthwise_conv1d_causal,
     float64_copy,
     glu,
@@ -179,11 +180,31 @@ class EncoderWeights:
     `matmul64` copies activations only. Every prepared array is read-only.
 
     `plans` keeps the attention plans of non-final steps for every stream
-    that runs on these weights (see PlanStore)."""
+    that runs on these weights (see PlanStore).
+
+    `check(cfg)` holds the tensors to cfg's spec once per weight signature;
+    encode_step calls it, so the kernels read only checked weights."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
         self.plans = PlanStore()
+        self._fits: set[tuple] = set()  # the weight signatures the tensors passed
+
+    def check(self, cfg: EncoderConfig) -> None:
+        """Raise ShapeError unless the tensors are the ones
+        encoder_weight_spec(cfg) names, each float32 and of its shape (a
+        tensor it does not name would join a layer). A signature that passed
+        costs one set lookup."""
+        # the fields encoder_weight_spec reads: all but the attention mask
+        sig = (cfg.n_layers, cfg.d_model, cfg.n_heads, cfg.conv_kernel, cfg.downsampling_rate,
+               cfg.ffn_expansion, cfg.n_mels, cfg.bias_past, cfg.bias_future)
+        if sig not in self._fits:
+            spec = encoder_weight_spec(cfg)
+            check_tensors(self.tensors, spec, "encoder")
+            extra = sorted(set(self.tensors) - {name for name, _, _ in spec})
+            if extra:
+                raise ShapeError(f"encoder tensor {extra[0]} is not one the config names")
+            self._fits.add(sig)
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
         return self._layers[i]
@@ -615,6 +636,7 @@ def encode_step(
     frames = operand(chunk, "mel").astype(np.float32, copy=False)
     if state.finished:
         raise SessionError("stream already finalized")
+    w.check(cfg)
     _check_state(state, cfg)
     if frames.ndim != 2 or frames.shape[1] != cfg.n_mels:
         raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")

@@ -9,6 +9,9 @@ lattice recursions cannot produce NaN.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ArgumentError, NumericsError
@@ -34,16 +37,38 @@ def target_ids(target, v: int, blank: int) -> list[int]:
     return [int(y) for y in ids]
 
 
+def _log_prob_grid(grid, ndim: int, blank) -> np.ndarray:
+    """`grid` in float64; ArgumentError unless it is a finite array of numbers
+    with `ndim` axes, each at least 1 long, whose rows over the last axis are
+    log-softmax normalized, and `blank` is one of their ids."""
+    try:
+        g = np.asarray(grid)
+    except (TypeError, ValueError):  # ragged nesting
+        g = np.asarray(None)
+    if g.dtype.kind not in "biuf" or g.ndim != ndim or 0 in g.shape:
+        raise ArgumentError(f"log-prob grid must be an array of numbers with {ndim} axes, "
+                            f"each at least 1 long, got {g.dtype} {g.shape}")
+    g = g.astype(np.float64, copy=False)
+    if not np.isfinite(g).all():
+        raise ArgumentError("log-prob grid holds NaN or infinite values")
+    if np.max(np.abs(logsumexp(g, axis=-1))) > 1e-4:
+        raise ArgumentError("log-prob grid rows are not log-softmax normalized")
+    if isinstance(blank, bool) or not isinstance(blank, (int, np.integer)) \
+            or not 0 <= blank < g.shape[-1]:
+        raise ArgumentError(f"blank {blank!r} is not an id of the grid's {g.shape[-1]}")
+    return g
+
+
 def ctc_loss(
     grid: np.ndarray, target: list[int], blank: int = 0
 ) -> tuple[float, np.ndarray]:
     """Negative log-probability of all blank-augmented paths collapsing to target.
 
-    grid: (T, V) log-probs. Returns (loss, dloss/dlogits). If no valid
-    alignment exists (too few frames for the target), loss is +inf and the
-    gradient is zeros.
+    grid: (T, V) log-softmax rows, T >= 1, all finite (ArgumentError
+    otherwise). Returns (loss, dloss/dlogits). If no valid alignment exists
+    (too few frames for the target), loss is +inf and the gradient is zeros.
     """
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _log_prob_grid(grid, 2, blank)
     t_len, v = grid.shape
     target = target_ids(target, v, blank)
     ext = [blank]
@@ -134,20 +159,17 @@ def rnnt_loss_fastemit(
     The loss value adds lam times the posterior-weighted negative log-prob of
     the label emissions; the gradient scales every label-transition
     contribution by (1 + lam), which is the usual practical formulation of
-    the regularizer. lam=0 is exactly the plain transducer loss.
+    the regularizer. lam=0 is exactly the plain transducer loss. `lp` is
+    the (T, U+1, V) grid of log-softmax rows, T >= 1, all finite, and lam a
+    finite number >= 0 (ArgumentError otherwise).
     """
-    if lam < 0:
-        raise ArgumentError("lambda must be >= 0")
-    lp = np.asarray(lp, dtype=np.float64)
-    if lp.ndim != 3:
-        raise ArgumentError(f"joint grid must be (T, U+1, V), got {lp.shape}")
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 <= lam < math.inf:
+        raise ArgumentError(f"lambda must be a finite number >= 0, got {lam!r}")
+    lp = _log_prob_grid(lp, 3, blank)
     t_len, u_len, v = lp.shape
     target = target_ids(target, v, blank)
     if len(target) != u_len - 1:
         raise ArgumentError(f"grid U+1={u_len} does not match target length {len(target)}")
-    norms = logsumexp(lp, axis=2)
-    if np.max(np.abs(norms)) > 1e-4:
-        raise ArgumentError("joint grid rows are not log-softmax normalized")
 
     alpha, beta, log_z = _rnnt_lattice(lp, target, blank)
     if log_z < _INFEASIBLE:

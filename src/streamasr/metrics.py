@@ -30,6 +30,9 @@ def wer(reference: str, hypothesis: str) -> WerBreakdown:
     Minimizes S+D+I; among minimal alignments prefers more substitutions,
     then more deletions (tracked as a lexicographic (cost, -S, -D) objective).
     """
+    if not (isinstance(reference, str) and isinstance(hypothesis, str)):
+        raise ArgumentError(f"wer compares two strings, got {type(reference).__name__} and "
+                            f"{type(hypothesis).__name__}")
     ref = reference.split()
     hyp = hypothesis.split()
     if not ref:

@@ -30,17 +30,21 @@ in the same order, so every output bit is the expression's. No kernel writes
 into an argument: `np.asarray(x, dtype=np.float64)` is `x` itself when `x`
 is float64.
 
-The kernels do not check their outputs for NaN or inf. Callers check once
-per encoder layer output and at each decoder's logits, with `check_finite`,
-and also wherever a saturating function (a sigmoid gate, a softmax, a tanh)
-would turn a non-finite input into a finite output.
+The kernels trust their operands: they check no rank, shape or dtype, and
+only the program calls them. Inputs are checked once where they enter it
+(`operand` for arrays, the weights at their first step or when a head is
+built), so a malformed input raises a StreamAsrError before it reaches a
+kernel. Nor do the kernels check their outputs for NaN or inf. Callers
+check once per encoder layer output and at each decoder's logits, with
+`check_finite`, and also wherever a saturating function (a sigmoid gate, a
+softmax, a tanh) would turn a non-finite input into a finite output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import NumericsError, ShapeError
 
 # Log-domain zero. Large negative sentinel instead of -inf so that lattice
 # recursions never produce NaN via inf - inf; exp() of it underflows to 0.0.
@@ -75,6 +79,18 @@ def float64_copy(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_tensors(tensors: dict[str, np.ndarray], spec, what: str) -> None:
+    """Raise ShapeError unless every tensor that `spec`, a list of (name,
+    shape, init), names is in `tensors`, float32 and of exactly its shape."""
+    for name, shape, _ in spec:
+        t = tensors.get(name)
+        if isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == shape:
+            continue
+        got = "missing" if t is None else (
+            f"{t.dtype} {t.shape}" if isinstance(t, np.ndarray) else f"a {type(t).__name__}")
+        raise ShapeError(f"{what} tensor {name} is {got}, the config needs float32 {shape}")
+
+
 def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product, float64 accumulation over k in ascending order.
 
@@ -98,19 +114,12 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       unit-scale operands), so `b` gets a zero column and the result is
       sliced back.
     """
-    a = operand(a, "matmul operand")
-    b = operand(b, "matmul operand")
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two 2-D or two 3-D operands, got {a.shape} and "
-                         f"{b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul dims disagree: {a.shape} x {b.shape}")
     a64 = np.ascontiguousarray(a, dtype=np.float64)
     n = b.shape[-1]
     if n == 1:
         b = np.concatenate([b, np.zeros_like(b)], axis=-1)
     b64 = np.ascontiguousarray(b, dtype=np.float64)
-    return np.einsum("ik,kj->ij" if a.ndim == 2 else "hik,hkj->hij", a64, b64)[..., :n]
+    return np.einsum("ik,kj->ij" if a64.ndim == 2 else "hik,hkj->hij", a64, b64)[..., :n]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,10 +131,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     """matmul plus optional bias row."""
     out = matmul(x, w)
     if b is not None:
-        b = np.asarray(b, dtype=np.float32)
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"bias shape {b.shape} does not match output dim {w.shape[1]}")
-        out += b  # matmul's output is a fresh array
+        out += b  # matmul's output is a fresh array; every bias is float32
     return out
 
 
@@ -135,14 +141,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     Statistics are taken over the last axis only, so each time step is
     normalized independently of every other step.
     """
-    x = operand(x, "layer_norm input")
-    gamma = operand(gamma, "gamma")
-    beta = operand(beta, "beta")
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"layer_norm needs rows of one value or more, got {x.shape}")
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"gamma/beta must have shape ({d},)")
     xc = x.astype(np.float64)  # a copy: centered, scaled and shifted in place
     # sum / d is what np.mean computes, and np.add.reduce the ufunc that
     # ndarray.sum calls: the same sums, without the wrappers' per-call overhead
@@ -167,19 +166,7 @@ def depthwise_conv1d_causal(
     `history` supplies the K-1 steps preceding x (zeros at the start of a
     stream, which equals left zero-padding).
     """
-    x, weights = operand(x, "conv input"), operand(weights, "depthwise weights")
-    bias, history = operand(bias, "conv bias"), operand(history, "conv history")
-    if weights.ndim != 2:
-        raise ShapeError(f"depthwise weights must be (D, K), got {weights.shape}")
     d, k = weights.shape
-    if k < 1:
-        raise ConfigError(f"kernel size must be >= 1, got {k}")
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"input {x.shape} does not match {d} channels")
-    if history.shape != (k - 1, d):
-        raise ShapeError(f"history must be ({k - 1}, {d}), got {history.shape}")
-    if bias.shape != (d,):
-        raise ShapeError(f"bias must be ({d},), got {bias.shape}")
     t = x.shape[0]
     xp = np.concatenate([history, x], axis=0).astype(np.float64)
     w64 = np.asarray(weights, dtype=np.float64)  # weights itself when float64
@@ -218,11 +205,7 @@ def swish(x: np.ndarray) -> np.ndarray:
 
 def glu(x: np.ndarray) -> np.ndarray:
     """Gated linear unit over the last axis: first half gated by sigmoid of second."""
-    x = np.asarray(x)
-    d2 = x.shape[-1]
-    if d2 % 2 != 0:
-        raise ShapeError(f"glu needs an even last axis, got {d2}")
-    h = d2 // 2
+    h = x.shape[-1] // 2
     out = x[..., :h].astype(np.float64)
     out *= sigmoid(x[..., h:])
     return out.astype(np.float32)

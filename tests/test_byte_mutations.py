@@ -7,6 +7,7 @@ into one `error:<code>:` line and exit status 1.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -66,7 +67,7 @@ def files(tmp_path_factory):
     save_model(model, paths["model"])
     vocab.save(paths["vocab"])
     write_wav(paths["wav"], synth_audio(0.3, seed=70).samples)
-    raw = {k: open(p, "rb").read() for k, p in paths.items()}
+    raw = {k: Path(p).read_bytes() for k, p in paths.items()}
     return paths, raw
 
 

@@ -16,11 +16,11 @@ from streamasr import (
     StreamState,
     attn_keep_rows,
     cache_append,
-    depthwise_conv1d_causal,
     encode_step,
     init_state,
 )
 from streamasr.errors import StateError
+from streamasr.numerics import depthwise_conv1d_causal
 
 from helpers import init_encoder_weights, random_mel, tiny_encoder_config
 

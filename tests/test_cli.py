@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -55,15 +56,15 @@ class TestInitModel:
         tmp_path, config_path, vocab_path, _ = workspace
         a = init_model_file(tmp_path, config_path, vocab_path, name="a.bin")
         b = init_model_file(tmp_path, config_path, vocab_path, name="b.bin")
-        ha = hashlib.sha256(open(a, "rb").read()).hexdigest()
-        hb = hashlib.sha256(open(b, "rb").read()).hexdigest()
+        ha = hashlib.sha256(Path(a).read_bytes()).hexdigest()
+        hb = hashlib.sha256(Path(b).read_bytes()).hexdigest()
         assert ha == hb
 
     def test_different_seed_differs(self, workspace):
         tmp_path, config_path, vocab_path, _ = workspace
         a = init_model_file(tmp_path, config_path, vocab_path, seed=1, name="a.bin")
         b = init_model_file(tmp_path, config_path, vocab_path, seed=2, name="b.bin")
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
     def test_invalid_downsampling_rate(self, workspace, capsys):
         tmp_path, config_path, vocab_path, _ = workspace
@@ -87,7 +88,7 @@ class TestInitModel:
         path = init_model_file(tmp_path, config_path, vocab_path)
         model = load_model(path)
         n_floats = sum(v.size for v in model.tensors.values())
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
         assert len(raw) == 12 + hlen + 4 * n_floats
 
@@ -99,7 +100,7 @@ class TestInitModel:
 
         path2 = str(tmp_path / "resaved.bin")
         save_model(model, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 class TestTranscribe:
@@ -252,7 +253,7 @@ class TestTranscribe:
             rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
                        "--wav", wav_path, "--decoder", "ctc", "--out", out])
             assert rc == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestSampleRate:
@@ -343,7 +344,7 @@ class TestCompare:
 
 
 def _rewrite_header(path, mutate):
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen])
     mutate(header)
@@ -423,7 +424,7 @@ class TestMalformedInputs:
         # JSONDecodeError; json.dumps cannot write them, so the text is edited
         tmp_path, config_path, vocab_path, wav_path = workspace
         model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
-        raw = open(model_path, "rb").read()
+        raw = Path(model_path).read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
         text = raw[12 : 12 + hlen].decode("utf-8")
         assert text.count(old) == 1

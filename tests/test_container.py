@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_float32_tensors_round_trip(tensors, tmp_path_factory):
     # what was read writes the same bytes
     path2 = path + ".2"
     save_container(path2, header, list(got.items()))
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def _write(path, header, body: bytes) -> None:

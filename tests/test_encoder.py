@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -707,6 +708,31 @@ class TestPreparedWeights:
         encode_full(mel, other.encoder, other.cfg.encoder)
         run_multi_lookahead(synth_audio(0.3, seed=65), model, vocab, [1, 2], decoder="ctc")
         assert len(built) == n_built
+
+    def test_checked_once_per_weights_and_signature(self, monkeypatch):
+        # a 1,000-step stream checks its weights at its first step only
+        cfg = tiny_encoder_config(AttentionContext.regular(1, 4), downsampling_rate=1)
+        w = init_encoder_weights(cfg, seed=66)
+        checked, real = [], encoder.encoder_weight_spec
+        monkeypatch.setattr(encoder, "encoder_weight_spec",
+                            lambda c: checked.append(c) or real(c))
+        mel = random_mel(1000, cfg.n_mels, seed=67)
+        state = init_state(cfg)
+        for i in range(1000):
+            encode_step(mel[i : i + 1], state, w, cfg)
+        assert checked == [cfg]
+        # another mask keeps the signature; other bias spans of the same
+        # table width are another one, which these tensors also fit
+        encode_full(mel[:40], w, dataclasses.replace(cfg, attention=AttentionContext.chunked(2, 1)))
+        assert checked == [cfg]
+        spans = dataclasses.replace(cfg, bias_past=cfg.bias_past + 1,
+                                    bias_future=cfg.bias_future - 1)
+        encode_full(mel[:40], w, spans)
+        encode_full(mel[:40], w, spans)
+        assert checked == [cfg, spans]
+        # new weights of the same tensors are checked again
+        encode_full(mel[:40], EncoderWeights(w.tensors), cfg)
+        assert checked == [cfg, spans, cfg]
 
 
 class TestConfigValidation:

@@ -105,6 +105,36 @@ class TestTargetIds:
             assert self.LOSSES[loss](ids)[0] == self.LOSSES[loss]([2])[0]
 
 
+# Malformed grids and weights; the loss entry points check them before the
+# lattice reads them.
+BAD_LOSS_CALLS = {
+    "ctc-one-axis": lambda: ctc_loss(np.zeros(5), [1]),
+    "ctc-text": lambda: ctc_loss("ab", [1]),
+    "ctc-ragged": lambda: ctc_loss([[0.0], [0.0, 0.0]], []),
+    "ctc-no-frames": lambda: ctc_loss(np.zeros((0, 5)), []),
+    "ctc-no-labels": lambda: ctc_loss(np.zeros((3, 0)), []),
+    "ctc-nan": lambda: ctc_loss(np.full((3, 4), np.nan), [1]),
+    "ctc-minus-inf": lambda: ctc_loss(np.where(np.eye(3, 4) > 0, 0.0, -np.inf), [1]),
+    "ctc-unnormalized": lambda: ctc_loss(random_ctc_grid(3, 4, 0)[0] + 0.01, [1]),
+    "ctc-blank-out-of-range": lambda: ctc_loss(random_ctc_grid(3, 4, 0)[0], [1], blank=4),
+    "rnnt-no-frames": lambda: rnnt_loss(np.zeros((0, 2, 4)), [1]),
+    "rnnt-two-axes": lambda: rnnt_loss(random_ctc_grid(3, 4, 0)[0], [1]),
+    "rnnt-inf": lambda: rnnt_loss(np.full((2, 2, 3), np.inf), [1]),
+    "fastemit-nan-lambda": lambda: rnnt_loss_fastemit(random_rnnt_grid(2, 1, 3, 0)[0], [1],
+                                                      lam=float("nan")),
+    "fastemit-inf-lambda": lambda: rnnt_loss_fastemit(random_rnnt_grid(2, 1, 3, 0)[0], [1],
+                                                      lam=float("inf")),
+    "fastemit-text-lambda": lambda: rnnt_loss_fastemit(random_rnnt_grid(2, 1, 3, 0)[0], [1],
+                                                       lam="0.1"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_LOSS_CALLS.values(), ids=BAD_LOSS_CALLS.keys())
+def test_a_malformed_loss_input_is_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
 class TestCtcGradient:
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_differences(self, seed):

@@ -44,6 +44,11 @@ class TestWer:
         with pytest.raises(ArgumentError):
             wer("", "a b")
 
+    @pytest.mark.parametrize("ref, hyp", [(None, "a"), ("a", None), ("a", ["a"]), (b"a", "a")])
+    def test_two_strings_or_argument_error(self, ref, hyp):
+        with pytest.raises(ArgumentError):
+            wer(ref, hyp)
+
     def test_case_sensitive(self):
         assert wer("A", "a").errors == 1
 

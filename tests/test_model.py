@@ -1,6 +1,8 @@
 import json
 import os
 from dataclasses import asdict, fields, is_dataclass
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,18 @@ from streamasr import (
     load_model,
     save_model,
 )
-from streamasr.decoders import HeadConfig
-from streamasr.errors import ConfigError, FormatError
+from streamasr.decoders import CtcHead, HeadConfig, RnntHead, RnntState, rnnt_greedy_decode
+from streamasr.encoder import EncoderWeights, encode_full
+from streamasr.errors import ConfigError, FormatError, ShapeError
 
-from helpers import tiny_model, traced_peak
+from helpers import (
+    init_encoder_weights,
+    random_head,
+    random_mel,
+    tiny_encoder_config,
+    tiny_model,
+    traced_peak,
+)
 
 contexts = st.one_of(
     st.builds(AttentionContext.zero, st.none() | st.integers(0, 12)),
@@ -74,7 +84,7 @@ class TestConfigRoundTrip:
         model = load_model(a)
         assert model.cfg == cfg
         save_model(model, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestConfigFromDict:
@@ -146,11 +156,31 @@ def test_a_field_of_the_wrong_type_is_config_error(cls, name, value):
 
 
 def test_integers_are_stored_as_ints_and_numbers_as_given():
-    lm = LatencyModel(np.float32(10.0), np.int64(4), np.int32(2))
+    lm = LatencyModel(10.5, np.int64(4), np.int32(2))
     assert (type(lm.frame_shift_ms), type(lm.downsampling_rate), type(lm.n_layers)) == (
-        np.float32, int, int)
+        float, int, int)
     assert type(ModelConfig(ENCODER, 5, frame_shift_ms=10).frame_shift_ms) is int
     assert type(FeatureConfig(sample_rate=np.int16(8000)).sample_rate) is int
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+@pytest.mark.parametrize("convert", [np.float32, lambda v: np.int64(round(v)),
+                                     lambda v: Fraction(v).limit_denominator(8)],
+                         ids=["float32", "int64", "Fraction"])
+def test_a_number_field_stores_other_real_types_as_floats(tmp_path, cls, name, convert):
+    # a numpy scalar or a Fraction is stored as a float, so a model file's
+    # JSON header can hold it and reads back equal
+    value = convert(getattr(cls(**VALID[cls]), name))
+    cfg = cls(**{**VALID[cls], name: value})
+    assert type(getattr(cfg, name)) is float and getattr(cfg, name) == float(value)
+    if cls is ModelConfig:
+        path = str(tmp_path / "m.bin")
+        save_model(init_model(cfg, 0), path)
+        assert load_model(path).cfg == cfg
 
 
 @pytest.mark.parametrize("kw", [{"vocab_size": 1}, {"d_pred": 0}, {"pred_layers": 0},
@@ -210,3 +240,54 @@ def test_load_model_peak_is_the_file_and_its_tensors(tmp_path):
     model, peak = traced_peak(lambda: load_model(path))
     assert all(t.base is None and t.flags.writeable for t in model.tensors.values())
     assert peak <= 2.2 * os.path.getsize(path)
+
+
+def _encode_edited(name, value):
+    """encode_full on the tiny encoder's weights with tensor `name` replaced
+    by `value`, or removed when it is None."""
+    cfg = tiny_encoder_config()
+    tensors = dict(init_encoder_weights(cfg, seed=1).tensors)
+    tensors[name] = value
+    if value is None:
+        del tensors[name]
+    encode_full(random_mel(16, cfg.n_mels, seed=2), EncoderWeights(tensors), cfg)
+
+
+def _decode_from(hidden, joint_pred):
+    _, rnnt = random_head()
+    rnnt_greedy_decode(np.ones((2, rnnt.hc.d_model)), rnnt, RnntState([hidden], joint_pred))
+
+
+def _rnnt_head_with(name, value):
+    _, rnnt = random_head()
+    RnntHead(rnnt.hc, {**rnnt.tensors, name: value})
+
+
+# Model objects the program did not build from one spec: each is checked
+# where it enters (the encoder's weights at their first step, the heads when
+# built, an RNNT state when passed), before a kernel reads it.
+MALFORMED_MODEL_OBJECTS = {
+    "weights-for-d_model-16-under-d_model-32": lambda: encode_full(
+        random_mel(16, 8, seed=2), init_encoder_weights(tiny_encoder_config(), seed=1),
+        tiny_encoder_config(d_model=32)),
+    "missing-conv-dw": lambda: _encode_edited("layers.0.conv.dw", None),
+    "tensor-the-spec-does-not-name": lambda: _encode_edited("layers.2.conv.dw",
+                                                            np.zeros((16, 3), np.float32)),
+    "product-weight": lambda: _encode_edited("layers.0.ffn1.w1", np.zeros((16, 63), np.float32)),
+    "norm-gain": lambda: _encode_edited("layers.1.attn.ln_g", np.ones(15, np.float32)),
+    "depthwise-weight": lambda: _encode_edited("layers.0.conv.dw", np.zeros((16, 2), np.float32)),
+    "float64-weight": lambda: _encode_edited("ds.proj.w", np.zeros((16, 16))),
+    "ctc-w": lambda: CtcHead(random_head()[0].hc, np.zeros((16, 4), np.float32),
+                             random_head()[0].b),
+    "ctc-b": lambda: CtcHead(random_head()[0].hc, random_head()[0].w, np.zeros(6, np.float32)),
+    "rnnt-joint-out-w": lambda: _rnnt_head_with("rnnt.joint_out.w", np.zeros((8, 4), np.float32)),
+    "rnnt-state-hidden-row": lambda: _decode_from(np.zeros(7, np.float32), np.zeros(8)),
+    "rnnt-state-joint-pred": lambda: _decode_from(np.zeros(8, np.float32), np.zeros(9)),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED_MODEL_OBJECTS.values(),
+                         ids=MALFORMED_MODEL_OBJECTS.keys())
+def test_a_malformed_model_object_is_shape_error(build):
+    with pytest.raises(ShapeError):
+        build()

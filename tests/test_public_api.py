@@ -59,3 +59,11 @@ def test_decoder_state_helpers_stay_in_decoders():
     # the run's decoders start the RNNT prediction net; no other module reads this
     assert "rnnt_init_state" not in streamasr.__all__
     assert not hasattr(streamasr, "rnnt_init_state")
+
+
+def test_kernels_are_not_exported():
+    # the kernels trust their operands, so only the program calls them;
+    # perfbench reads them as module attributes
+    for name in ("matmul", "layer_norm", "depthwise_conv1d_causal", "downsample_segment"):
+        assert name not in streamasr.__all__
+        assert not hasattr(streamasr, name)

@@ -6,9 +6,12 @@ enumeration, rational arithmetic. Oracles never call the code they check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +26,7 @@ from streamasr import (
     EncoderWeights,
     HeadConfig,
     ModelConfig,
+    StreamingSession,
     Vocab,
     init_model,
 )
@@ -433,6 +437,67 @@ def count_plans(monkeypatch) -> list:
 
     monkeypatch.setattr(encoder, "AttentionPlan", Counted)
     return built
+
+
+_SRC = os.path.dirname(encoder.__file__) + os.sep
+
+
+def src_calls(fn) -> tuple[collections.Counter, int]:
+    """Run fn() under sys.setprofile. Returns the Python calls of functions
+    defined in the streamasr package, by qualified name, and the number of
+    calls into C functions made from those functions' frames."""
+    python, c_calls = collections.Counter(), 0
+
+    def profile(frame, event, arg):
+        nonlocal c_calls
+        if event == "call" and frame.f_code.co_filename.startswith(_SRC):
+            python[frame.f_code.co_qualname] += 1
+        elif event == "c_call" and frame.f_code.co_filename.startswith(_SRC):
+            c_calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return python, c_calls
+
+
+def steady_step_calls(ctx: AttentionContext, decoder: str) -> tuple[collections.Counter, int, int]:
+    """What a steady streaming step calls in the streamasr package: a
+    StreamingSession on baseline_model(ctx) takes 20 ms packets of 4 s of
+    audio, and the count runs over the packets from 1.28 s to 3.84 s (past
+    the warm-up, whose steps build the plans and fill the caches), features
+    and decoding included. Returns src_calls' two counts over that span and
+    the steps it ran."""
+    model, vocab = baseline_model(ctx)
+    samples = synth_audio(4.0, seed=51).samples
+    session = StreamingSession(model, vocab, decoder=decoder)
+    packets = [samples[i : i + 320] for i in range(0, len(samples), 320)]
+    for p in packets[:64]:
+        session.feed(p)
+    n = len(session.ledger.steps)
+
+    def feed():
+        for p in packets[64:192]:
+            session.feed(p)
+
+    python, c_calls = src_calls(feed)
+    return python, c_calls, len(session.ledger.steps) - n
+
+
+def baseline_model(ctx):
+    """perfbench's baseline model (4 layers, d_model 64) and its vocabulary.
+
+    Its encoder's and heads' float64 weight copies are built here, not on
+    first use, so a traced window opened on the model measures the run alone
+    (TestPreparedWeights pins the encoder copies' bytes)."""
+    vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
+    enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
+                        downsampling_rate=4, attention=ctx, n_mels=80)
+    model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
+    model.encoder.layer(0), model.encoder.downsampler, model.ctc.w64, model.rnnt.w64
+    return model, vocab
 
 
 def traced_peak(fn):

@@ -38,6 +38,7 @@ from streamasr.numerics import linear
 
 from helpers import (
     attend_per_head,
+    steady_step_calls,
     count_plans,
     build_mask,
     init_encoder_weights,
@@ -937,6 +938,31 @@ class TestKernelCalls:
 
         ctx = AttentionContext.regular(1, 4)
         assert self._steady_layer_step(ctx, monkeypatch, counting_layer_norm) == 6
+
+
+class TestStepCalls:
+    """The counted law: calls into the package per steady streaming step of
+    perfbench's model, features and decoding included
+    (helpers.steady_step_calls). Counts are exact and repeat from run to run;
+    a change that cuts calls lowers its bound to the new figures."""
+
+    CONTEXTS = {"regular": AttentionContext.regular(1, 16), "chunk": AttentionContext.chunked(4, 4)}
+    STEPS = {"regular": 64, "chunk": 16}  # 40 ms and 160 ms steps over 2.56 s
+    # per steady step: Python calls of package functions, and C calls made from them
+    BOUNDS = {
+        ("regular", "ctc"): (424.0, 602.1875),
+        ("regular", "both"): (682.203125, 901.765625),
+        ("chunk", "ctc"): (466.0, 664.0),
+        ("chunk", "both"): (1478.0, 1838.0),
+    }
+
+    @pytest.mark.parametrize("regime,decoder", list(BOUNDS), ids="-".join)
+    def test_a_steady_step_makes_at_most_its_counted_calls(self, regime, decoder):
+        python, c_calls, steps = steady_step_calls(self.CONTEXTS[regime], decoder)
+        assert steps == self.STEPS[regime]
+        py_bound, c_bound = self.BOUNDS[regime, decoder]
+        assert sum(python.values()) / steps <= py_bound
+        assert c_calls / steps <= c_bound
 
 
 class TestAttentionPlans:

@@ -15,16 +15,13 @@ from streamasr import (
     AttentionContext,
     BufferedConfig,
     ComputeLedger,
-    EncoderConfig,
     FeatureConfig,
     LayerCache,
-    ModelConfig,
     StreamingSession,
     StreamState,
     Vocab,
     encode_full,
     features,
-    init_model,
     load_model,
     log_mel,
     run_buffered,
@@ -42,6 +39,7 @@ from streamasr.ledger import CATEGORIES
 from streamasr.streaming import _MelPieces
 
 from helpers import (
+    baseline_model,
     count_feature_kernels,
     count_plans,
     count_macs,
@@ -535,20 +533,6 @@ def held(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
-
-
-def baseline_model(ctx):
-    """perfbench's baseline model (4 layers, d_model 64) and its vocabulary.
-
-    Its encoder's and heads' float64 weight copies are built here, not on
-    first use, so a traced window opened on the model measures the run alone
-    (TestPreparedWeights pins the encoder copies' bytes)."""
-    vocab = Vocab.chars("abcdefghijklmnopqrstuvwxyz '")
-    enc = EncoderConfig(n_layers=4, d_model=64, n_heads=4, conv_kernel=9,
-                        downsampling_rate=4, attention=ctx, n_mels=80)
-    model = init_model(ModelConfig(encoder=enc, vocab_size=vocab.size), 7)
-    model.encoder.layer(0), model.encoder.downsampler, model.ctc.w64, model.rnnt.w64
-    return model, vocab
 
 
 @functools.cache

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -19,6 +20,15 @@ import numpy as np
 from .errors import FormatError, InputFileError
 
 MAGIC = b"SASR0001"
+
+
+def file_path(path) -> str | os.PathLike:
+    """`path` if it is a str or an os.PathLike; InputFileError for anything
+    else, before anything is opened (open() takes an int as a file
+    descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputFileError(f"a file path must be a str or os.PathLike, got {path!r}")
+    return path
 
 
 def save_container(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
@@ -37,7 +47,7 @@ def save_container(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]
     full_header = dict(header)
     full_header["tensors"] = index
     hjson = json.dumps(full_header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with open(file_path(path), "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(hjson)))
         f.write(hjson)
@@ -47,7 +57,7 @@ def save_container(path: str, header: dict, arrays: list[tuple[str, np.ndarray]]
 
 def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     try:
-        with open(path, "rb") as f:
+        with open(file_path(path), "rb") as f:
             raw = f.read()
     except OSError as ex:
         raise InputFileError(f"cannot read {path}: {ex}") from ex

@@ -22,6 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .container import file_path
 from .context import check_fields
 from .errors import ArgumentError, ConfigError, FormatError, InputFileError, ShapeError
 from .ledger import ComputeLedger
@@ -54,13 +55,13 @@ class Vocab:
         return len(self.tokens)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(file_path(path), "w", encoding="utf-8") as f:
             f.write("\n".join(self.tokens) + "\n")
 
     @staticmethod
     def load(path: str) -> "Vocab":
         try:
-            with open(path, "r", encoding="utf-8") as f:
+            with open(file_path(path), "r", encoding="utf-8") as f:
                 tokens = [line.rstrip("\n") for line in f if line.rstrip("\n") != ""]
         except OSError as ex:
             raise InputFileError(f"cannot read {path}: {ex}") from ex

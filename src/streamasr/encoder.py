@@ -349,14 +349,20 @@ class AttentionPlan(NamedTuple):
 
 
 class PlanStore:
-    """Attention plans by geometry, for every stream on one set of weights.
+    """Attention plans for every stream on one set of weights.
 
-    A key is a step's geometry relative to its first key (query start, key
-    count, bias spans and query groups) and the identity of its bias table,
-    which the stored plan keeps alive, so each layer and each copied table
-    gets plans of its own. The geometry fixes every array of a plan, so a
-    session, an offline block or a model under another mask (with_attention)
-    whose step has a stored geometry reads that plan, and builds none.
+    encode_step keys a plan by what fixes it before any of it is built: the
+    identity of the bias table, which the stored plan keeps alive (so each
+    layer and each copied table gets plans of its own), the attention mask,
+    the bias spans, and the step's geometry relative to its first key k0:
+    the offset of its first query q0 - k0, its query rows, its keys and its
+    last available key. k0 is the start of q0's key interval, so either it
+    is 0 and relative positions are absolute, or no interval the step reads
+    is clipped at 0 (and under a chunked mask k0 is a whole chunk); either
+    way the key fixes every query group and every array of the plan. So a
+    session, an offline block or a model under the same mask
+    (with_attention) whose step has a stored key reads that plan, and builds
+    neither the plan nor its query groups.
 
     The store counts its plans' bytes (arrays plus a fixed allowance per
     plan, batch and group for the Python objects) and drops the least
@@ -381,7 +387,9 @@ class PlanStore:
             return entry[0]
 
     def put(self, key: tuple, plan: AttentionPlan) -> None:
-        size = (2048 + 96 * len(key[-1]) + 512 * len(plan.batches)
+        groups = sum(rows.shape[0] if isinstance(rows, np.ndarray) else 1
+                     for rows, _, _ in plan.batches)
+        size = (2048 + 96 * groups + 512 * len(plan.batches)
                 + sum(a.nbytes for b in plan.batches for a in b if isinstance(a, np.ndarray)))
         with self._lock:
             if key in self._plans or size > self._BOUND:
@@ -399,17 +407,11 @@ def attention_plan(
     n_keys: int,
     key_base: int,
     groups: list[tuple[int, int, int, int]],
-    store: PlanStore | None = None,
 ) -> AttentionPlan:
-    """The plan for queries at consecutive global positions qpos over n_keys
-    keys from global position key_base on: `store`'s plan for this geometry
-    and table, or else a new one, which `store` then keeps."""
-    if store is not None:
-        key = (id(table), int(qpos[0]) - key_base, n_keys, cfg.bias_past, cfg.bias_future,
-               tuple((r0, r1, lo - key_base, hi - key_base) for r0, r1, lo, hi in groups))
-        plan = store.get(key)
-        if plan is not None:
-            return plan
+    """A new plan for queries at consecutive global positions qpos, in
+    `groups` (query_groups), over n_keys keys from global position key_base
+    on. encode_step looks a step's plan up in the weights' PlanStore first
+    and builds one only when the store has none."""
     sp, sf = cfg.bias_past, cfg.bias_future
     pairs = 0
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -435,10 +437,7 @@ def attention_plan(
         else:
             rows.flags.writeable = keys.flags.writeable = False
         batches.append((rows, keys, bias))
-    plan = AttentionPlan(table, batches, pairs)
-    if store is not None:
-        store.put(key, plan)
-    return plan
+    return AttentionPlan(table, batches, pairs)
 
 
 def _attend(
@@ -455,8 +454,9 @@ def _attend(
     """
     d, heads, dh = cfg.d_model, cfg.n_heads, cfg.d_head
     # per-head views (heads, rows, dh) of the queries, keys and values
-    qh, kh, vh = (x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
-                  for x in (q, kv[:, :d], kv[:, d:]))
+    qh = q.reshape(-1, heads, dh).transpose(1, 0, 2)
+    kh = kv[:, :d].reshape(-1, heads, dh).transpose(1, 0, 2)
+    vh = kv[:, d:].reshape(-1, heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
     ctx_out = np.zeros((q.shape[0], heads, dh), dtype=np.float32)
     for rows, keys, bias in plan.batches:
@@ -466,13 +466,14 @@ def _attend(
         s = matmul64(qg, kh[:, keys].reshape(n, n_k, dh).transpose(0, 2, 1))
         # the softmax runs in place on the scores (heads, groups, rows, keys),
         # where a bias of one group serves every group; each row's max, exp
-        # and sum run over its own keys, along the last axis
+        # and sum run over its own keys, along the last axis (the ufuncs'
+        # reduce is what ndarray.max and ndarray.sum call)
         s = s.reshape(heads, -1, n_r, n_k)
         s *= scale
         s += bias
-        s -= s.max(axis=3, keepdims=True)
+        s -= np.maximum.reduce(s, axis=3, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=3, keepdims=True)
+        s /= np.add.reduce(s, axis=3, keepdims=True)
         w = s.astype(np.float32).reshape(n, n_r, n_k)
         out = matmul64(w, vh[:, keys].reshape(n, n_k, dh)).astype(np.float32)
         # (groups, rows, heads, dh); a slice's target drops the leading 1
@@ -480,9 +481,7 @@ def _attend(
     return linear(ctx_out.reshape(-1, d), lw["attn.wo"], lw["attn.bo"])
 
 
-def _layer_arrival(
-    cfg: EncoderConfig, lw: dict, x_new: np.ndarray, rec: ComputeLedger | None
-) -> np.ndarray:
+def _layer_arrival(cfg: EncoderConfig, lw: dict, x_new: np.ndarray) -> np.ndarray:
     """Per-token work done once when an input token reaches this layer: its
     post-FFN1 row beside its query, key and value (x1|q|k|v, 4d wide)."""
     x1 = x_new + np.float32(0.5) * _ffn_module(lw, "ffn1", x_new)
@@ -490,8 +489,6 @@ def _layer_arrival(
     qkv = linear(a_in, lw["attn.wqkv"], lw["attn.bqkv"])
     # a -inf score gets softmax weight 0, which would hide a non-finite key
     check_finite(qkv, "attention Q|K|V projection")
-    if rec is not None:
-        rec.add("ffn", x_new.shape[0] * layer_macs_per_token(cfg)[0])
     return np.concatenate([x1, qkv], axis=1)
 
 
@@ -502,7 +499,6 @@ def _layer_window(
     kv: np.ndarray,
     plan: AttentionPlan,
     conv_hist: np.ndarray,
-    rec: ComputeLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rest of the layer for query rows x1q_win (post-FFN1 rows beside
     their projected queries, x1|q), which are consecutive keys of kv.
@@ -520,11 +516,6 @@ def _layer_window(
     out = x3 + np.float32(0.5) * _ffn_module(lw, "ffn2", x3)
     out = layer_norm(out, lw["out.ln_g"], lw["out.ln_b"])
     check_finite(out, "encoder layer")
-    if rec is not None:
-        _, per_row, conv = layer_macs_per_token(cfg)
-        rec.add("ffn", x1q_win.shape[0] * per_row)
-        rec.add("conv", x1q_win.shape[0] * conv)
-        rec.add("attention", 2 * d * plan.pairs)
     return out, g
 
 
@@ -591,10 +582,10 @@ def init_state(cfg: EncoderConfig) -> StreamState:
     )
 
 
-def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
+def _check_state(state: StreamState, cfg: EncoderConfig) -> list[tuple[int, int]]:
     """Raise StateError unless the state was built under cfg's settle delay,
     and every cached tensor is float32 in the shape cfg's encoder needs at
-    the state's counts."""
+    the state's counts. Returns each layer's counts (StreamState.counts)."""
     d, ctx = cfg.d_model, cfg.attention
     if len(state.layers) != cfg.n_layers:
         raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
@@ -604,15 +595,19 @@ def _check_state(state: StreamState, cfg: EncoderConfig) -> None:
     if len(state.ds_carry) != cfg.n_stages:
         raise StateError(f"state carries {len(state.ds_carry)} downsampler rows, the encoder "
                          f"has {cfg.n_stages} stages")
-    shapes = [(f"ds_carry{s}", row, 1, width)
-              for s, (row, width) in enumerate(zip(state.ds_carry, cfg.ds_carry_widths))]
-    for i, lc in enumerate(state.layers):
-        shapes += [(f"layer{i}.rows", lc.rows, attn_keep_rows(ctx, *state.counts(i)), 4 * d),
-                   (f"layer{i}.conv", lc.conv, cfg.conv_kernel - 1, d)]
-    for name, arr, rows, cols in shapes:
+    counts = [state.counts(i) for i in range(cfg.n_layers)]
+    # (array, rows, cols): each carried row, then each layer's rows and conv
+    arrays = [(row, 1, width) for row, width in zip(state.ds_carry, cfg.ds_carry_widths)]
+    for lc, (n_in, n_out) in zip(state.layers, counts):
+        arrays += [(lc.rows, attn_keep_rows(ctx, n_in, n_out), 4 * d),
+                   (lc.conv, cfg.conv_kernel - 1, d)]
+    for j, (arr, rows, cols) in enumerate(arrays):
         if arr.shape != (rows, cols) or arr.dtype != np.float32:
+            i, part = divmod(j - cfg.n_stages, 2)
+            name = f"ds_carry{j}" if j < cfg.n_stages else f"layer{i}.{('rows', 'conv')[part]}"
             raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {rows} "
                              f"float32 rows of {cols}")
+    return counts
 
 
 def encode_step(
@@ -637,7 +632,7 @@ def encode_step(
     if state.finished:
         raise SessionError("stream already finalized")
     w.check(cfg)
-    _check_state(state, cfg)
+    counts = _check_state(state, cfg)  # each layer's, before this step
     if frames.ndim != 2 or frames.shape[1] != cfg.n_mels:
         raise ShapeError(f"mel is {frames.shape}, the encoder reads (frames, {cfg.n_mels})")
     dr = cfg.downsampling_rate
@@ -652,30 +647,44 @@ def encode_step(
             f"attention context expects multiples of {ctx.step_tokens()} tokens per step, "
             f"got {n_new}"
         )
-    n_out = [state.counts(i)[1] for i in range(cfg.n_layers)]  # settled before this step
     state.tokens_in += n_new
     state.finished = final
 
     new_x, state.ds_carry = downsample_segment(w, cfg, frames, state.ds_carry)
-    if rec is not None and n_new > 0:
-        rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
-
     d = cfg.d_model
+    arrived = settled = pairs = 0  # the step's MACs, booked once per category below
     for i, lc in enumerate(state.layers):
         lw = w.layer(i)
-        new_rows = _layer_arrival(cfg, lw, new_x, rec)
+        arrived += new_x.shape[0]
+        new_rows = _layer_arrival(cfg, lw, new_x)
         n_in, settle_to = state.counts(i)
         window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, n_in, settle_to))
-        q0, k0 = n_out[i], n_in - window.shape[0]
+        q0, k0 = counts[i][1], n_in - window.shape[0]
         # queries: the x1|q of the rows this step settles; keys: every row's K|V
         x1q_win, kv = window[q0 - k0 : settle_to - k0, : 2 * d], window[:, 2 * d :]
         if x1q_win.shape[0] == 0:
             new_x = np.zeros((0, d), dtype=np.float32)
             continue
-        qpos = np.arange(q0, settle_to)
-        # a final step's plan is never reused, so the store does not keep it
-        plan = attention_plan(cfg, lw["attn.bias64"], qpos, kv.shape[0], k0,
-                              query_groups(ctx, qpos, n_in - 1), None if final else w.plans)
-        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv, rec)
+        table = lw["attn.bias64"]
+        # what fixes the plan (PlanStore); a final step's plan is never
+        # reused, so the store neither reads nor keeps it
+        key = (id(table), ctx, cfg.bias_past, cfg.bias_future, q0 - k0, x1q_win.shape[0],
+               kv.shape[0], n_in - 1 - k0)
+        plan = None if final else w.plans.get(key)
+        if plan is None:
+            qpos = np.arange(q0, settle_to)
+            plan = attention_plan(cfg, table, qpos, kv.shape[0], k0,
+                                  query_groups(ctx, qpos, n_in - 1))
+            if not final:
+                w.plans.put(key, plan)
+        settled += x1q_win.shape[0]
+        pairs += plan.pairs
+        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv)
         _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
+    if rec is not None:
+        on_arrival, per_row, conv = layer_macs_per_token(cfg)
+        rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))
+        rec.add("ffn", arrived * on_arrival + settled * per_row)
+        rec.add("conv", settled * conv)
+        rec.add("attention", 2 * d * pairs)
     return new_x, state

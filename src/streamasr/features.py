@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import file_path
 from .context import check_fields
 from .errors import ConfigError, FormatError, InputFileError
 from .numerics import matmul64
@@ -90,7 +91,7 @@ class FeatureConfig:
 def read_wav(path: str) -> AudioBuffer:
     """Parse a RIFF/WAVE file; PCM16 mono little-endian only."""
     try:
-        with open(path, "rb") as f:
+        with open(file_path(path), "rb") as f:
             raw = f.read()
     except OSError as ex:
         raise InputFileError(f"cannot read {path}: {ex}") from ex

@@ -205,9 +205,11 @@ def rnnt_loss(lp: np.ndarray, target: list[int], blank: int = 0) -> tuple[float,
 
 
 def hybrid_loss(l_ctc: float, l_rnnt: float, alpha: float) -> float:
-    """Weighted sum alpha * ctc + rnnt used to train the two heads jointly."""
+    """Weighted sum alpha * ctc + rnnt used to train the two heads jointly:
+    finite real losses and a finite real alpha >= 0 (ArgumentError otherwise)."""
+    for name, v in (("alpha", alpha), ("CTC loss", l_ctc), ("RNNT loss", l_rnnt)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ArgumentError(f"{name} must be a finite number, got {v!r}")
     if alpha < 0:
-        raise ArgumentError("alpha must be >= 0")
-    if not (np.isfinite(l_ctc) and np.isfinite(l_rnnt)):
-        raise ArgumentError("losses must be finite")
+        raise ArgumentError(f"alpha must be >= 0, got {alpha!r}")
     return alpha * l_ctc + l_rnnt

@@ -164,7 +164,11 @@ def load_model(path: str) -> HybridModel:
     if n_layers > len(tensors):
         raise FormatError(f"{path}: the config has {n_layers} layers, the file "
                           f"{len(tensors)} tensors")
-    for name, shape, _ in _full_spec(cfg):
+    spec = _full_spec(cfg)
+    extra = sorted(set(tensors) - {name for name, _, _ in spec})
+    if extra:
+        raise FormatError(f"{path}: tensor {extra[0]} is not one the config names")
+    for name, shape, _ in spec:
         if name not in tensors or tensors[name].shape != shape:
             raise FormatError(f"{path}: tensor {name} missing or not of shape {shape}")
         if not np.isfinite(tensors[name]).all():

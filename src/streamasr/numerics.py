@@ -115,11 +115,12 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       sliced back.
     """
     a64 = np.ascontiguousarray(a, dtype=np.float64)
-    n = b.shape[-1]
-    if n == 1:
+    padded = b.shape[-1] == 1
+    if padded:
         b = np.concatenate([b, np.zeros_like(b)], axis=-1)
     b64 = np.ascontiguousarray(b, dtype=np.float64)
-    return np.einsum("ik,kj->ij" if a64.ndim == 2 else "hik,hkj->hij", a64, b64)[..., :n]
+    out = np.einsum("ik,kj->ij" if a64.ndim == 2 else "hik,hkj->hij", a64, b64)
+    return out[..., :1] if padded else out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import streamasr
 from streamasr import StreamingSession, Vocab, load_model, read_wav
 from streamasr.cli import main
+from streamasr.container import load_container, save_container
 from streamasr.errors import FormatError
 
 from helpers import synth_audio, write_wav
@@ -414,6 +416,22 @@ class TestMalformedInputs:
                    "--wav", wav_path])
         err = capsys.readouterr().err
         assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err)
+
+    @pytest.mark.parametrize("name", ["enc.layers.5.junk", "rnnt.junk"])
+    def test_a_tensor_the_spec_does_not_name_is_format_error(self, workspace, capsys, name):
+        # an encoder tensor would fail at the first step, a head tensor would
+        # be dropped by save_model: both are refused where the file enters
+        tmp_path, config_path, vocab_path, wav_path = workspace
+        model_path = init_model_file(tmp_path, config_path, vocab_path, capsys=capsys)
+        header, tensors = load_container(model_path)
+        tensors[name] = np.ones(3, dtype=np.float32)
+        save_container(model_path, header, list(tensors.items()))
+        with pytest.raises(FormatError, match=re.escape(name)):
+            load_model(model_path)
+        rc = main(["transcribe", "--model", model_path, "--vocab", vocab_path,
+                   "--wav", wav_path])
+        err = capsys.readouterr().err
+        assert rc == 1 and re.fullmatch(r"error:format: [^\n]*\n", err) and name in err
 
     @pytest.mark.parametrize("old, new", [
         ('"n_layers":2', '"n_layers":' + "9" * 5000),

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamasr
+from streamasr import Vocab
 from streamasr.container import MAGIC, load_container, save_container
-from streamasr.errors import FormatError
+from streamasr.errors import FormatError, InputFileError
+
+from helpers import tiny_model
 
 SHAPES = st.lists(st.integers(0, 4), min_size=0, max_size=3)
 TENSORS = st.lists(
@@ -115,3 +119,18 @@ def test_saving_a_non_float32_tensor_is_format_error(dtype, tmp_path):
     with pytest.raises(FormatError):
         save_container(str(path), {}, [("a", np.zeros(2, np.float32)), ("b", np.zeros(2, dtype))])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("path", [-1, 1, True, False, 2.5, None, b"model.bin"])
+def test_a_path_argument_that_is_not_a_path_is_input_file_error(path, monkeypatch):
+    # open() would take an int or a bool as a file descriptor: nothing may reach it
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"open{args} reached")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    model, vocab = tiny_model()
+    for call in (lambda: streamasr.read_wav(path), lambda: streamasr.load_model(path),
+                 lambda: streamasr.save_model(model, path), lambda: Vocab.load(path),
+                 lambda: vocab.save(path)):
+        with pytest.raises(InputFileError):
+            call()

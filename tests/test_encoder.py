@@ -485,10 +485,10 @@ class TestAttentionInternals:
         x = np.random.default_rng(24).standard_normal((12, cfg.d_model)).astype(np.float32)
         x[:, 0] = 0.0
         x[4, 0] = 8.0  # token 4's normalized first component is > 2: its key overflows
-        rows = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0), None)
+        rows = _layer_arrival(cfg, lw, np.delete(x, 4, axis=0))
         assert np.isfinite(rows[:, 2 * cfg.d_model :]).all()  # the other K|V rows stay finite
         with pytest.raises(NumericsError):
-            _layer_arrival(cfg, lw, x, None)
+            _layer_arrival(cfg, lw, x)
 
     @pytest.mark.parametrize("ctx", REGIMES)
     @pytest.mark.parametrize("q0,n", [(0, 12), (5, 1), (5, 9), (11, 6)])
@@ -950,10 +950,10 @@ class TestStepCalls:
     STEPS = {"regular": 64, "chunk": 16}  # 40 ms and 160 ms steps over 2.56 s
     # per steady step: Python calls of package functions, and C calls made from them
     BOUNDS = {
-        ("regular", "ctc"): (424.0, 602.1875),
-        ("regular", "both"): (682.203125, 901.765625),
-        ("chunk", "ctc"): (466.0, 664.0),
-        ("chunk", "both"): (1478.0, 1838.0),
+        ("regular", "ctc"): (344.0, 552.1875),
+        ("regular", "both"): (602.203125, 851.765625),
+        ("chunk", "ctc"): (374.0, 590.0),
+        ("chunk", "both"): (1386.0, 1764.0),
     }
 
     @pytest.mark.parametrize("regime,decoder", list(BOUNDS), ids="-".join)
@@ -963,6 +963,13 @@ class TestStepCalls:
         py_bound, c_bound = self.BOUNDS[regime, decoder]
         assert sum(python.values()) / steps <= py_bound
         assert c_calls / steps <= c_bound
+        # a stored step builds no query groups, and asks the mask only for
+        # each layer's kept rows, before and after the step
+        assert python["query_groups"] == python["attention_plan"] == 0
+        assert python["AttentionContext.attend_interval"] == python["attn_keep_rows"]
+        assert python["attn_keep_rows"] == 2 * 4 * steps
+        if decoder == "ctc":  # four encoder categories and the CTC head, once each
+            assert python["ComputeLedger.add"] == 5 * steps
 
 
 class TestAttentionPlans:
@@ -970,15 +977,20 @@ class TestAttentionPlans:
 
     @staticmethod
     def recording_plans(monkeypatch) -> list:
-        """Per attention_plan call: its store and the plan it returned."""
-        calls, real = [], encoder.attention_plan
+        """Per PlanStore.get or put call: its name and the plan it returned or stored."""
+        calls, get, put = [], PlanStore.get, PlanStore.put
 
-        def recording(*args):
-            plan = real(*args)
-            calls.append((args[-1], plan))
+        def recording_get(store, key):
+            plan = get(store, key)
+            calls.append(("get", plan))
             return plan
 
-        monkeypatch.setattr(encoder, "attention_plan", recording)
+        def recording_put(store, key, plan):
+            calls.append(("put", plan))
+            put(store, key, plan)
+
+        monkeypatch.setattr(PlanStore, "get", recording_get)
+        monkeypatch.setattr(PlanStore, "put", recording_put)
         return calls
 
     @pytest.mark.parametrize("ctx", [AttentionContext.regular(1, 4),
@@ -998,6 +1010,7 @@ class TestAttentionPlans:
                 warm, n_calls = len(built), len(calls)
         assert warm <= 2 * 10 and len(built) == warm
         steady = [plan for _, plan in calls[n_calls:]]
+        assert all(name == "get" for name, _ in calls[n_calls:])
         assert {id(p) for p in steady[0::2]} == {id(steady[0])}
         assert {id(p) for p in steady[1::2]} == {id(steady[1])} != {id(steady[0])}
         assert len(w.plans._plans) == warm and 0 < w.plans.nbytes <= PlanStore._BOUND
@@ -1007,27 +1020,42 @@ class TestAttentionPlans:
             encode_step(mel[i : i + 1], state, w, cfg)
         assert len(built) == warm
 
-    def test_changed_geometry_or_table_builds_a_new_plan(self):
-        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1))
-        table = init_encoder_weights(cfg, seed=5).layer(0)["attn.bias64"]
-        store = PlanStore()
-        qpos = np.arange(6, 8)
-        groups = query_groups(cfg.attention, qpos, 7)
-        plan = attention_plan(cfg, table, qpos, 4, 4, groups, store)
-        assert attention_plan(cfg, table, qpos, 4, 4, groups, store) is plan
-        assert attention_plan(cfg, table, qpos, 4, 4, groups) is not plan  # no store
-        shifted = qpos + 10  # the same geometry, ten keys on
-        assert attention_plan(cfg, table, shifted, 4, 14,
-                              query_groups(cfg.attention, shifted, 17), store) is plan
-        assert attention_plan(cfg, table, qpos, 5, 3,
-                              query_groups(cfg.attention, qpos, 7), store) is not plan
-        # a copied bias table still gets a plan of its own, gathered from it
-        copied = table.copy()
-        copied[0, 0] += 1.0
-        other = attention_plan(cfg, copied, qpos, 4, 4, groups, store)
-        assert other is not plan and other.table is copied and plan.table is table
-        assert not np.array_equal(other.batches[0][2], plan.batches[0][2])
-        assert len(store._plans) == 3
+    def test_changed_geometry_or_table_builds_a_new_plan(self, monkeypatch):
+        # chunk(2, 1), one chunk per step: from the second step on every step
+        # has one geometry relative to its first key, two keys on per step
+        cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), n_layers=1,
+                                  downsampling_rate=1)
+        w = init_encoder_weights(cfg, seed=5)
+        mel = random_mel(20, cfg.n_mels, seed=6)
+        calls = self.recording_plans(monkeypatch)
+
+        def stream(weights):
+            state, read = init_state(cfg), []
+            for i in range(0, 20, 2):
+                n = len(calls)
+                encode_step(mel[i : i + 2], state, weights, cfg)
+                read.append([plan for name, plan in calls[n:] if name == "get"])
+            return read
+
+        first = stream(w)
+        assert all(len(r) == 1 for r in first)
+        hits = [r[0] for r in first]
+        assert hits[:2] == [None] * 2  # the first step has fewer keys: its own plan
+        plan = hits[2]
+        assert plan is not None and all(p is plan for p in hits[2:])  # ten keys on too
+        assert len(w.plans._plans) == 2
+        # a copied, edited bias table in one store gets plans of its own, gathered from it
+        tensors = dict(w.tensors)
+        tensors["layers.0.attn.bias"] = w.tensors["layers.0.attn.bias"].copy()
+        tensors["layers.0.attn.bias"][0, 0] += 1.0
+        other = EncoderWeights(tensors)
+        other.plans = w.plans
+        read = stream(other)
+        assert read[2][0] is not None and read[2][0] is not plan
+        copied = other.layer(0)["attn.bias64"]
+        assert read[2][0].table is copied and plan.table is w.layer(0)["attn.bias64"]
+        assert not np.array_equal(read[2][0].batches[0][2], plan.batches[0][2])
+        assert len(w.plans._plans) == 4
 
     def test_the_store_drops_the_least_recently_used_plans_first(self):
         cfg = tiny_encoder_config(AttentionContext.zero())
@@ -1035,9 +1063,13 @@ class TestAttentionPlans:
         store = PlanStore()
 
         def plan(q):  # query q over keys 0..q: a geometry no other q has
-            qpos = np.array([q])
-            return attention_plan(cfg, table, qpos, q + 1, 0,
-                                  query_groups(cfg.attention, qpos, q), store)
+            found = store.get(("q", q))
+            if found is None:
+                qpos = np.array([q])
+                found = attention_plan(cfg, table, qpos, q + 1, 0,
+                                       query_groups(cfg.attention, qpos, q))
+                store.put(("q", q), found)
+            return found
 
         plans = [plan(q) for q in range(4)]
         size = store.nbytes // 4
@@ -1050,8 +1082,8 @@ class TestAttentionPlans:
             assert plan(0) is plans[0] and plan(3) is plans[3]
             assert plan(2) is not plans[2]
         with mock.patch.object(PlanStore, "_BOUND", 1000):
-            store.put(("too", "large", ()), plans[0])  # larger than the bound alone
-        assert ("too", "large", ()) not in store._plans and len(store._plans) == 4
+            store.put(("too", "large"), plans[0])  # larger than the bound alone
+        assert ("too", "large") not in store._plans and len(store._plans) == 4
 
     def test_stored_plans_are_read_only(self):
         cfg = tiny_encoder_config(AttentionContext.regular(1, 4))
@@ -1067,8 +1099,8 @@ class TestAttentionPlans:
         built = count_plans(monkeypatch)
         calls = self.recording_plans(monkeypatch)
         encode_full(random_mel(40, cfg.n_mels, seed=6), w, cfg)  # one final step
-        assert len(built) == cfg.n_layers and len(calls) == cfg.n_layers
-        assert all(store is None for store, _ in calls) and len(w.plans._plans) == 0
+        assert len(built) == cfg.n_layers
+        assert calls == [] and len(w.plans._plans) == 0  # the store is neither read nor written
 
     def test_a_second_offline_pass_builds_only_its_final_steps_plans(self, monkeypatch):
         # four blocks: three stored steps and a final one per layer
@@ -1081,6 +1113,55 @@ class TestAttentionPlans:
         assert stored >= 2 * cfg.n_layers and n_first == stored + cfg.n_layers
         assert np.array_equal(encode_full(mel, w, cfg), first)
         assert len(built) == n_first + cfg.n_layers and len(w.plans._plans) == stored
+
+    @settings(max_examples=30, deadline=None)
+    @given(masks=st.lists(CONTEXTS, min_size=2, max_size=2),
+           extra_past=st.integers(0, 4), extra_future=st.integers(0, 2),
+           steps=st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    def test_every_stored_plan_a_step_reads_is_the_plan_it_would_build(
+            self, masks, extra_past, extra_future, steps):
+        # two masks on one set of weights share one store; every plan a step
+        # reads from it equals the plan built from scratch at the step's
+        # absolute positions
+        future = max(m.future_span() for m in masks) + extra_future
+        cfg0 = tiny_encoder_config(masks[0], downsampling_rate=1,
+                                   bias_past=max(0, masks[0].past_span() - 2) + extra_past,
+                                   bias_future=future)
+        w = init_encoder_weights(cfg0, seed=5)
+        mel = random_mel(4 * 5 * 12, cfg0.n_mels, seed=6)
+        reads = []
+        get = PlanStore.get
+
+        def recording_get(store, key):
+            plan = get(store, key)
+            reads.append(plan)
+            return plan
+
+        layer_of = {id(w.layer(i)["attn.bias64"]): i for i in range(cfg0.n_layers)}
+        with mock.patch.object(PlanStore, "get", recording_get):
+            for ctx in masks + masks:
+                cfg = dataclasses.replace(cfg0, attention=ctx)
+                state, f0 = init_state(cfg), 0
+                for n in steps:
+                    before = [state.counts(i)[1] for i in range(cfg.n_layers)]
+                    del reads[:]
+                    encode_step(mel[f0 : f0 + n * ctx.step_tokens()], state, w, cfg)
+                    f0 += n * ctx.step_tokens()
+                    for plan in reads:
+                        if plan is None:
+                            continue
+                        i = layer_of[id(plan.table)]
+                        q0, (n_in, settle_to) = before[i], state.counts(i)
+                        k0 = ctx.attend_interval(q0)[0]
+                        qpos = np.arange(q0, settle_to)
+                        fresh = attention_plan(cfg, plan.table, qpos, n_in - k0, k0,
+                                               query_groups(ctx, qpos, n_in - 1))
+                        assert plan.pairs == fresh.pairs
+                        assert len(plan.batches) == len(fresh.batches)
+                        for got, want in zip(plan.batches, fresh.batches):
+                            for a, b in zip(got, want):
+                                assert type(a) is type(b)
+                                assert a == b if isinstance(a, slice) else np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None)
     @given(ctx=st.sampled_from([AttentionContext.zero(), AttentionContext.regular(1, 3),

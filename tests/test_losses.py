@@ -294,3 +294,12 @@ class TestHybridLoss:
             hybrid_loss(1.0, 2.0, -0.1)
         with pytest.raises(ArgumentError):
             hybrid_loss(float("inf"), 2.0, 0.3)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 2.0, float("nan")), (1.0, 2.0, float("inf")), (1.0, 2.0, "0.3"),
+        (1.0, 2.0, True), (1.0, 2.0, None), ("a", 1.0, 0.3), (1.0, float("nan"), 0.3),
+        (1.0, [2.0], 0.3),
+    ])
+    def test_a_number_that_is_not_finite_and_real_is_argument_error(self, args):
+        with pytest.raises(ArgumentError):
+            hybrid_loss(*args)

@@ -18,7 +18,8 @@ The MAC model is token-level and counts the products that run:
 Each product is booked once, at the step where it runs
 (encoder.layer_macs_per_token): FFN1 and Q, K, V when a token reaches a
 layer, the rest per query row, and each downsampler stage row once per
-stream. Normalizations and elementwise activations carry no MACs. A
+stream; encode_step sums a step's encoder MACs and books each category
+once per step. Normalizations and elementwise activations carry no MACs. A
 streaming step runs only the query rows it settles, so in every streaming
 regime each product runs once, the duplicate counter stays at zero, and
 per-step totals sum to exactly the single-pass total. The counter tracks the

@@ -2,7 +2,7 @@
 inference reproduces its single-pass output exactly, with CTC/RNNT decoding,
 alignment losses, and compute/latency accounting."""
 
-from .cache import LayerCache, StreamState, attn_keep_rows, cache_append
+from .cache import StreamState, attn_keep_rows, cache_append
 from .context import (
     AttentionContext,
     LatencyBounds,

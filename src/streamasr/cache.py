@@ -1,32 +1,34 @@
 """Streaming caches: what a session carries between chunks.
 
-Per encoder layer, each cache holds the newest rows of one operand:
-  rows      - each input's post-first-FFN value, then its query, key and
-              value (x1|q|k|v, 4 * d_model wide), computed once, when it
+A stream's state is a dict of named float32 tensors, which
+encoder.state_spec names and shapes at the stream's counts, as
+encoder_weight_spec does the weights. Per encoder layer i:
+  layers.{i}.rows - each input's post-first-FFN value, then its query, key
+              and value (x1|q|k|v, 4 * d_model wide), computed once, when it
               arrives: the rows of every input whose output is not yet
               settled (the regular regime's next queries), plus those of
               the settled inputs still within the left context of the next
               query: attn_keep_rows. Starts empty and grows until it
               saturates.
-  conv      - the last kernel-1 settled inputs of the causal depthwise
+  layers.{i}.conv - the last kernel-1 settled inputs of the causal depthwise
               convolution, zero-filled at session start so the first chunk
               sees the same operands as the left-padded single-pass
               computation.
+Per downsampler stage s, ds.carry{s} is the last input row the stage has
+read (1, width), a zero row at the start of a stream.
 
 The stream stores one counter, tokens_in: the tokens layer 0 has read. Each
 layer settles all but the last settle_delay inputs it has seen, and passes
 them up, so each layer's inputs seen and outputs settled follow from
 tokens_in alone (StreamState.counts); the top layer's settled outputs are the
-stream's tokens. Plus one carried input row per downsampler stage (the last
-row the stage has read, a zero row at the start of a stream). That is the
-encoder's state alone: decoding state belongs to the run's decoders. The
-layer caches and the downsampler rows change by one rule, cache_append: this
+stream's tokens. That is the encoder's state alone: decoding state belongs
+to the run's decoders. Every tensor changes by one rule, cache_append: this
 step's window is the cache followed by the new rows, and the cache keeps the
 window's newest rows. encode_step applies it to each of them once per step;
 an offline pass is the same stream from init_state, taken in steps of up to
 128 tokens.
 
-A stream's state is these arrays and tokens_in alone. The attention plans
+A stream's state is these tensors and tokens_in alone. The attention plans
 its steps read are derived data that depend only on the model and the step's
 geometry, so they live with the model's weights (encoder.PlanStore), where
 every stream on the same weights reuses them.
@@ -72,18 +74,8 @@ def cache_append(
 
 
 @dataclass
-class LayerCache:
-    rows: np.ndarray  # (w, 4d) x1|q|k|v rows, see attn_keep_rows
-    conv: np.ndarray  # (kernel-1, d) settled conv inputs
-
-    def float_count(self) -> int:
-        return self.rows.size + self.conv.size
-
-
-@dataclass
 class StreamState:
-    layers: list[LayerCache]
-    ds_carry: list[np.ndarray]  # per downsampler stage, its last input row (1, width)
+    tensors: dict[str, np.ndarray]  # by encoder.state_spec name, see above
     settle_delay: int  # the attention context's settle_delay() the stream runs under
     tokens_in: int = 0  # tokens read by layer 0
     finished: bool = False
@@ -97,8 +89,8 @@ class StreamState:
 
     @property
     def tokens_emitted(self) -> int:
-        """Encoder tokens settled at the top."""
-        return self.counts(len(self.layers) - 1)[1]
+        """Encoder tokens settled at the top; the state holds one `rows` per layer."""
+        return self.counts(sum(name.endswith(".rows") for name in self.tensors) - 1)[1]
 
     def float_count(self) -> int:
-        return sum(c.size for c in self.ds_carry) + sum(lc.float_count() for lc in self.layers)
+        return sum(t.size for t in self.tensors.values())

@@ -22,7 +22,7 @@ import types
 import typing
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ArgumentError, ConfigError
 
 ZERO = "zero"
 REGULAR = "regular"
@@ -155,8 +155,23 @@ class LatencyModel:
         return self.frame_shift_ms * self.downsampling_rate
 
 
+def check_instance(value, cls: type, what: str) -> None:
+    """ArgumentError unless `value`, the argument `what`, is a `cls`."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{what} must be of type {cls.__name__}, got {value!r}")
+
+
+def check_integers(**values) -> None:
+    """ArgumentError unless each value is an integer (a numpy one too, a bool not)."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ArgumentError(f"{name} must be an integer, got {v!r}")
+
+
 def effective_lookahead(ctx: AttentionContext, n_layers: int) -> int:
     """Maximum future dependency of any output token, in tokens."""
+    check_instance(ctx, AttentionContext, "ctx")
+    check_integers(n_layers=n_layers)
     if n_layers < 1:
         raise ConfigError("n_layers must be >= 1")
     if ctx.regime == ZERO:
@@ -179,6 +194,7 @@ def latency_ms(ctx: AttentionContext, lm: LatencyModel) -> LatencyBounds:
     [0, chunk-1], and the same halved-maximum convention is applied to the
     constant regular look-ahead.
     """
+    check_instance(lm, LatencyModel, "lm")
     la = effective_lookahead(ctx, lm.n_layers)
     max_ms = la * lm.token_ms
     return LatencyBounds(max_ms=max_ms, avg_ms=max_ms / 2.0)
@@ -186,6 +202,8 @@ def latency_ms(ctx: AttentionContext, lm: LatencyModel) -> LatencyBounds:
 
 def feasible_regular_latencies(lm: LatencyModel, m_max: int) -> list[float]:
     """Latencies reachable with regular look-ahead: multiples of n_layers*token_ms."""
+    check_instance(lm, LatencyModel, "lm")
+    check_integers(m_max=m_max)
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
     return [m * lm.n_layers * lm.token_ms for m in range(m_max + 1)]
@@ -199,8 +217,14 @@ def receptive_field_tokens(
     Walks the per-block extension backward: a block output reads the causal
     conv window (conv_kernel-1 past steps) of attention outputs, whose own
     inputs follow the regime's interval; so the conv widening applies before
-    the attention widening. Clipped to [0, total-1].
+    the attention widening. Clipped to [0, total-1]. ArgumentError unless
+    n_layers and conv_kernel are at least 1 and 0 <= pos < total.
     """
+    check_instance(ctx, AttentionContext, "ctx")
+    check_integers(n_layers=n_layers, conv_kernel=conv_kernel, pos=pos, total=total)
+    if min(n_layers, conv_kernel) < 1 or not 0 <= pos < total:
+        raise ArgumentError(f"receptive field needs n_layers, conv_kernel >= 1 and 0 <= pos < "
+                            f"total, got {n_layers}, {conv_kernel}, {pos}, {total}")
     lo = hi = pos
     for _ in range(n_layers):
         lo = ctx.attend_interval(max(0, lo - (conv_kernel - 1)))[0]
@@ -221,7 +245,12 @@ def receptive_field_frames(
 
     A downsampled token j covers frames [j*D - (D-1), j*D + (D-1)] where D is
     the downsampling rate: its own frame group plus D-1 past frames.
+    ArgumentError unless, beside those, D and total_frames are at least 1.
     """
+    check_integers(downsampling_rate=downsampling_rate, total_frames=total_frames)
+    if min(downsampling_rate, total_frames) < 1:
+        raise ArgumentError(f"downsampling_rate and total_frames must be >= 1, got "
+                            f"{downsampling_rate}, {total_frames}")
     lo_t, hi_t = receptive_field_tokens(ctx, n_layers, conv_kernel, pos, total_tokens)
     d = downsampling_rate
     lo_f = max(0, lo_t * d - (d - 1))

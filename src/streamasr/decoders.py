@@ -140,7 +140,8 @@ class RnntHead:
     read (each cell's `w_in` and `w_h`, the joint's three) as read-only
     float64 copies, built on first use. The biases stay the live float32
     tensors, because `linear` adds its bias in float32. ShapeError when built
-    unless every tensor rnnt_weight_spec names is float32 in its shape."""
+    unless the tensors are exactly the ones rnnt_weight_spec names, each
+    float32 in its shape."""
 
     hc: HeadConfig
     tensors: dict[str, np.ndarray]

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cache import LayerCache, StreamState, attn_keep_rows, cache_append
+from .cache import StreamState, attn_keep_rows, cache_append
 from .context import AttentionContext, check_fields
 from .errors import ChunkingError, ConfigError, SessionError, ShapeError, StateError
 from .ledger import ComputeLedger
@@ -103,11 +103,6 @@ class EncoderConfig:
     @property
     def n_stages(self) -> int:
         return int(math.log2(self.downsampling_rate))
-
-    @property
-    def ds_carry_widths(self) -> list[int]:
-        """Per downsampler stage, the width of the input row it carries between chunks."""
-        return ([self.n_mels] + [self.d_model] * self.n_stages)[: self.n_stages]
 
 
 def encoder_weight_spec(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], object]]:
@@ -199,11 +194,7 @@ class EncoderWeights:
         sig = (cfg.n_layers, cfg.d_model, cfg.n_heads, cfg.conv_kernel, cfg.downsampling_rate,
                cfg.ffn_expansion, cfg.n_mels, cfg.bias_past, cfg.bias_future)
         if sig not in self._fits:
-            spec = encoder_weight_spec(cfg)
-            check_tensors(self.tensors, spec, "encoder")
-            extra = sorted(set(self.tensors) - {name for name, _, _ in spec})
-            if extra:
-                raise ShapeError(f"encoder tensor {extra[0]} is not one the config names")
+            check_tensors(self.tensors, encoder_weight_spec(cfg), "encoder")
             self._fits.add(sig)
 
     def layer(self, i: int) -> dict[str, np.ndarray]:
@@ -234,7 +225,7 @@ class EncoderWeights:
 
 
 def init_tensors(
-    spec: list[tuple[str, tuple[int, ...], object]], rng: Rng
+    spec: list[tuple[str, tuple[int, ...], object]], rng: Rng | None  # None: no fan-in init
 ) -> dict[str, np.ndarray]:
     out = {}
     for name, shape, init in spec:
@@ -255,22 +246,21 @@ def downsample_segment(
     w: EncoderWeights,
     cfg: EncoderConfig,
     frames: np.ndarray,
-    carry: list[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Downsampler outputs for the whole frame groups in `frames`, and the
-    rows to carry into the next call.
+    tensors: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Downsampler outputs for the whole frame groups in `frames`; each
+    stage's row to carry into the next call replaces its state tensor.
 
-    carry[s] is the last input row stage s has read: a zero row at the start
-    of a stream, where index -1 is padding. Stage output i reads inputs
-    2i-1 .. 2i+1, so the carried row and the new inputs are exactly the
-    operands of the new outputs, and every stage row is computed once per
-    stream. A trailing partial frame group is not read.
+    tensors[f"ds.carry{s}"] is the last input row stage s has read: a zero
+    row at the start of a stream, where index -1 is padding. Stage output i
+    reads inputs 2i-1 .. 2i+1, so the carried row and the new inputs are
+    exactly the operands of the new outputs, and every stage row is computed
+    once per stream. A trailing partial frame group is not read.
     """
     cur = frames[: frames.shape[0] // cfg.downsampling_rate * cfg.downsampling_rate]
-    ds, kept = w.downsampler, []
-    for s, row in enumerate(carry):
-        window, last = cache_append(row, cur, 1)
-        kept.append(last)
+    ds = w.downsampler
+    for s in range(cfg.n_stages):
+        window, tensors[f"ds.carry{s}"] = cache_append(tensors[f"ds.carry{s}"], cur, 1)
         n_out = cur.shape[0] // 2
         ws = ds[f"stage{s}.w"]
         acc = np.zeros((n_out, cfg.d_model), dtype=np.float64)
@@ -278,7 +268,7 @@ def downsample_segment(
             acc += matmul64(window[r : r + 2 * n_out : 2], ws[r])
         acc += ds[f"stage{s}.b"]
         cur = swish(acc.astype(np.float32))
-    return linear(cur, ds["proj.w"], ds["proj.b"]), kept
+    return linear(cur, ds["proj.w"], ds["proj.b"])
 
 
 def downsampler_macs_per_token(cfg: EncoderConfig) -> int:
@@ -566,47 +556,40 @@ def encode_full(
     return out
 
 
+def state_spec(
+    cfg: EncoderConfig, counts: list[tuple[int, int]]
+) -> list[tuple[str, tuple[int, ...], object]]:
+    """A stream state's tensors in encoder_weight_spec's form, every init
+    zeros, with layer i at counts[i], its (inputs seen, outputs settled):
+    per downsampler stage its carried input row (a mel frame, then a stage
+    output), and per layer its x1|q|k|v rows and its conv inputs (cache.py)."""
+    d, ctx = cfg.d_model, cfg.attention
+    spec: list[tuple[str, tuple[int, ...], object]] = []
+    c_in = cfg.n_mels
+    for s in range(cfg.n_stages):
+        spec += [(f"ds.carry{s}", (1, c_in), None)]
+        c_in = d
+    for i, (n_in, n_out) in enumerate(counts):
+        spec += [(f"layers.{i}.rows", (attn_keep_rows(ctx, n_in, n_out), 4 * d), None),
+                 (f"layers.{i}.conv", (cfg.conv_kernel - 1, d), None)]
+    return spec
+
+
 def init_state(cfg: EncoderConfig) -> StreamState:
-    d = cfg.d_model
-    layers = [
-        LayerCache(
-            rows=np.zeros((0, 4 * d), dtype=np.float32),
-            conv=np.zeros((cfg.conv_kernel - 1, d), dtype=np.float32),
-        )
-        for _ in range(cfg.n_layers)
-    ]
-    return StreamState(
-        layers=layers,
-        ds_carry=[np.zeros((1, width), dtype=np.float32) for width in cfg.ds_carry_widths],
-        settle_delay=cfg.attention.settle_delay(),
-    )
+    return StreamState(init_tensors(state_spec(cfg, [(0, 0)] * cfg.n_layers), None),
+                       settle_delay=cfg.attention.settle_delay())
 
 
 def _check_state(state: StreamState, cfg: EncoderConfig) -> list[tuple[int, int]]:
-    """Raise StateError unless the state was built under cfg's settle delay,
-    and every cached tensor is float32 in the shape cfg's encoder needs at
-    the state's counts. Returns each layer's counts (StreamState.counts)."""
-    d, ctx = cfg.d_model, cfg.attention
-    if len(state.layers) != cfg.n_layers:
-        raise StateError(f"state has {len(state.layers)} layers, the encoder {cfg.n_layers}")
+    """Raise StateError unless the state was built under cfg's settle delay
+    and holds exactly the tensors state_spec names at its counts. Returns
+    each layer's counts (StreamState.counts)."""
+    ctx = cfg.attention
     if state.settle_delay != ctx.settle_delay():
         raise StateError(f"state has settle delay {state.settle_delay}, the encoder's "
                          f"attention context {ctx.settle_delay()}")
-    if len(state.ds_carry) != cfg.n_stages:
-        raise StateError(f"state carries {len(state.ds_carry)} downsampler rows, the encoder "
-                         f"has {cfg.n_stages} stages")
     counts = [state.counts(i) for i in range(cfg.n_layers)]
-    # (array, rows, cols): each carried row, then each layer's rows and conv
-    arrays = [(row, 1, width) for row, width in zip(state.ds_carry, cfg.ds_carry_widths)]
-    for lc, (n_in, n_out) in zip(state.layers, counts):
-        arrays += [(lc.rows, attn_keep_rows(ctx, n_in, n_out), 4 * d),
-                   (lc.conv, cfg.conv_kernel - 1, d)]
-    for j, (arr, rows, cols) in enumerate(arrays):
-        if arr.shape != (rows, cols) or arr.dtype != np.float32:
-            i, part = divmod(j - cfg.n_stages, 2)
-            name = f"ds_carry{j}" if j < cfg.n_stages else f"layer{i}.{('rows', 'conv')[part]}"
-            raise StateError(f"{name} is {arr.dtype} {arr.shape}, the encoder needs {rows} "
-                             f"float32 rows of {cols}")
+    check_tensors(state.tensors, state_spec(cfg, counts), "state", StateError)
     return counts
 
 
@@ -650,15 +633,17 @@ def encode_step(
     state.tokens_in += n_new
     state.finished = final
 
-    new_x, state.ds_carry = downsample_segment(w, cfg, frames, state.ds_carry)
+    tensors = state.tensors
+    new_x = downsample_segment(w, cfg, frames, tensors)
     d = cfg.d_model
     arrived = settled = pairs = 0  # the step's MACs, booked once per category below
-    for i, lc in enumerate(state.layers):
-        lw = w.layer(i)
+    for i in range(cfg.n_layers):
+        lw, rows_key, conv_key = w.layer(i), f"layers.{i}.rows", f"layers.{i}.conv"
         arrived += new_x.shape[0]
         new_rows = _layer_arrival(cfg, lw, new_x)
         n_in, settle_to = state.counts(i)
-        window, lc.rows = cache_append(lc.rows, new_rows, attn_keep_rows(ctx, n_in, settle_to))
+        window, tensors[rows_key] = cache_append(tensors[rows_key], new_rows,
+                                                 attn_keep_rows(ctx, n_in, settle_to))
         q0, k0 = counts[i][1], n_in - window.shape[0]
         # queries: the x1|q of the rows this step settles; keys: every row's K|V
         x1q_win, kv = window[q0 - k0 : settle_to - k0, : 2 * d], window[:, 2 * d :]
@@ -679,8 +664,8 @@ def encode_step(
                 w.plans.put(key, plan)
         settled += x1q_win.shape[0]
         pairs += plan.pairs
-        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, lc.conv)
-        _, lc.conv = cache_append(lc.conv, g, cfg.conv_kernel - 1)
+        new_x, g = _layer_window(cfg, lw, x1q_win, kv, plan, tensors[conv_key])
+        _, tensors[conv_key] = cache_append(tensors[conv_key], g, cfg.conv_kernel - 1)
     if rec is not None:
         on_arrival, per_row, conv = layer_macs_per_token(cfg)
         rec.add("downsampler", n_new * downsampler_macs_per_token(cfg))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import LatencyModel
+import numpy as np
+
+from .context import LatencyModel, check_instance, check_integers
 from .errors import ArgumentError
 
 
@@ -69,11 +71,27 @@ def eil(
     For each emitted token: the encoder frame at which its needed look-ahead
     is complete, minus the frame where its audio ends, converted at
     frame_shift * downsampling ms per encoder frame. Inference time is not
-    part of this measure.
+    part of this measure. ArgumentError unless both are sequences of
+    integer frames (numpy ones too, a bool not; an array of an integer
+    dtype) of one length, and lm is a LatencyModel.
     """
-    if len(token_emit_frames) != len(token_ready_frames):
+    emit, ready = _frames(token_emit_frames, "emit"), _frames(token_ready_frames, "ready")
+    check_instance(lm, LatencyModel, "lm")
+    if len(emit) != len(ready):
         raise ArgumentError("emit/ready frame lists differ in length")
-    if not token_emit_frames:
+    if not emit:
         return 0.0
-    waits = [e - r for e, r in zip(token_emit_frames, token_ready_frames)]
+    waits = [e - r for e, r in zip(emit, ready)]
     return sum(waits) / len(waits) * lm.token_ms
+
+
+def _frames(frames, what: str) -> list[int]:
+    """`frames` as a list of Python ints, or ArgumentError."""
+    try:
+        out = list(frames)
+    except TypeError:
+        raise ArgumentError(f"{what} frames must be a sequence, got {frames!r}") from None
+    if isinstance(frames, np.ndarray) and frames.dtype.kind not in "iu":
+        raise ArgumentError(f"{what} frames must be integers, got a {frames.dtype} array")
+    check_integers(**{f"{what} frame {i}": f for i, f in enumerate(out)})
+    return [int(f) for f in out]

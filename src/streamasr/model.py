@@ -24,7 +24,7 @@ from .decoders import (
 from .encoder import EncoderConfig, EncoderWeights, encoder_weight_spec, init_tensors
 from .errors import ConfigError, FormatError
 from .features import FeatureConfig
-from .numerics import Rng
+from .numerics import Rng, check_tensors
 
 MODEL_VERSION = 1
 
@@ -164,13 +164,8 @@ def load_model(path: str) -> HybridModel:
     if n_layers > len(tensors):
         raise FormatError(f"{path}: the config has {n_layers} layers, the file "
                           f"{len(tensors)} tensors")
-    spec = _full_spec(cfg)
-    extra = sorted(set(tensors) - {name for name, _, _ in spec})
-    if extra:
-        raise FormatError(f"{path}: tensor {extra[0]} is not one the config names")
-    for name, shape, _ in spec:
-        if name not in tensors or tensors[name].shape != shape:
-            raise FormatError(f"{path}: tensor {name} missing or not of shape {shape}")
-        if not np.isfinite(tensors[name]).all():
+    check_tensors(tensors, _full_spec(cfg), f"{path}:", FormatError)
+    for name, t in tensors.items():
+        if not np.isfinite(t).all():
             raise FormatError(f"{path}: tensor {name} holds NaN or infinite values")
     return _assemble(cfg, tensors)

@@ -79,16 +79,23 @@ def float64_copy(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_tensors(tensors: dict[str, np.ndarray], spec, what: str) -> None:
-    """Raise ShapeError unless every tensor that `spec`, a list of (name,
-    shape, init), names is in `tensors`, float32 and of exactly its shape."""
+def check_tensors(tensors: dict[str, np.ndarray], spec, what: str, error=ShapeError) -> None:
+    """Raise `error` unless `tensors` is a dict of exactly the tensors `spec`,
+    a list of (name, shape, init), names, each a float32 array of its shape.
+    Per tensor, passing calls no dict.get or isinstance: each step checks its state."""
+    if not isinstance(tensors, dict):
+        raise error(f"{what} tensors are a {type(tensors).__name__}, not a dict")
     for name, shape, _ in spec:
-        t = tensors.get(name)
-        if isinstance(t, np.ndarray) and t.dtype == np.float32 and t.shape == shape:
+        t = tensors[name] if name in tensors else None
+        if ((type(t) is np.ndarray or isinstance(t, np.ndarray)) and t.dtype == np.float32
+                and t.shape == shape):
             continue
-        got = "missing" if t is None else (
+        got = "missing" if t is None else "is " + (
             f"{t.dtype} {t.shape}" if isinstance(t, np.ndarray) else f"a {type(t).__name__}")
-        raise ShapeError(f"{what} tensor {name} is {got}, the config needs float32 {shape}")
+        raise error(f"{what} tensor {name} {got}, the config needs float32 {shape}")
+    if len(tensors) != len(spec):  # every name the spec gives is there, so more are
+        extra = sorted(set(tensors) - {name for name, _, _ in spec})
+        raise error(f"{what} tensor {extra[0]} is not one the config names")
 
 
 def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from streamasr import (
     AttentionContext,
     ComputeLedger,
     EncoderWeights,
-    LayerCache,
     StreamState,
     attn_keep_rows,
     cache_append,
     encode_step,
     init_state,
 )
+from streamasr.encoder import state_spec
 from streamasr.errors import StateError
 from streamasr.numerics import depthwise_conv1d_causal
 
@@ -60,7 +61,7 @@ class TestConvCache:
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), conv_kernel=4)
         w = init_encoder_weights(cfg, seed=3)
         state = init_state(cfg)
-        state.layers[1].conv = state.layers[1].conv[1:]
+        state.tensors["layers.1.conv"] = state.tensors["layers.1.conv"][1:]
         with pytest.raises(StateError):
             encode_step(random_mel(8, cfg.n_mels, seed=4), state, w, cfg)
 
@@ -112,7 +113,14 @@ class TestAttnCache:
 
 
 def _layer_widths(state: StreamState) -> list[tuple[int, int]]:
-    return [(lc.rows.shape[0], lc.conv.shape[0]) for lc in state.layers]
+    n_layers = sum(name.endswith(".rows") for name in state.tensors)
+    return [(state.tensors[f"layers.{i}.rows"].shape[0], state.tensors[f"layers.{i}.conv"].shape[0])
+            for i in range(n_layers)]
+
+
+def _carry_widths(cfg) -> int:
+    """The floats of the carried downsampler rows: a mel frame, then stage outputs."""
+    return cfg.n_mels + cfg.d_model * (cfg.n_stages - 1) if cfg.n_stages else 0
 
 
 class TestCacheWidthLaws:
@@ -145,7 +153,7 @@ class TestCacheWidthLaws:
             expected = (
                 n * d * (k - 1)
                 + n * l_c * 4 * d  # x1|q|k|v rows
-                + sum(cfg.ds_carry_widths)  # one carried row per downsampler stage
+                + _carry_widths(cfg)  # one carried row per downsampler stage
             )
             assert state.float_count() == expected
             assert _layer_widths(state) == [(l_c, k - 1)] * n
@@ -168,31 +176,45 @@ class TestCacheWidthLaws:
             widths = [(min(lcx, o) + i - o, k - 1) for i, o in zip(n_in, n_out)]
             assert _layer_widths(state) == widths
             assert state.float_count() == (
-                d * sum(4 * r + c for r, c in widths) + sum(cfg.ds_carry_widths)
+                d * sum(4 * r + c for r, c in widths) + _carry_widths(cfg)
             )
         encode_step(mel[:0], state, w, cfg, final=True)
         assert _layer_widths(state) == [(lcx, k - 1)] * cfg.n_layers
 
 
+def _set(name: str, edit):
+    """Replace the state's tensor `name` by edit(tensor)."""
+    return lambda st: st.tensors.__setitem__(name, edit(st.tensors[name]))
+
+
+def _drop(prefix: str):
+    """Remove every state tensor whose name starts with `prefix`."""
+    def mutate(st):
+        for name in [n for n in st.tensors if n.startswith(prefix)]:
+            del st.tensors[name]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
-    lambda st: setattr(st.layers[0], "rows", np.zeros((st.layers[0].rows.shape[0], 5), np.float32)),
-    lambda st: setattr(st.layers[1], "rows", np.zeros((2, 17), np.float32)),
-    lambda st: setattr(st.layers[1], "rows", np.zeros(64, np.float32)),
-    lambda st: setattr(st.layers[1], "rows", st.layers[1].rows[:, 32:].copy()),
-    lambda st: setattr(st.layers[0], "conv", np.zeros((3, 16), np.float32)),
-    lambda st: setattr(st.layers[1], "conv", np.zeros((2, 8), np.float32)),
-    lambda st: st.ds_carry.__setitem__(0, np.zeros((1, 9), np.float32)),
-    lambda st: st.ds_carry.__setitem__(1, np.zeros((2, 16), np.float32)),
-    lambda st: st.ds_carry.__setitem__(1, np.zeros((0, 16), np.float32)),
-    lambda st: st.ds_carry.pop(),
-    lambda st: st.layers.pop(),
-    lambda st: setattr(st.layers[0], "rows", st.layers[0].rows.astype(np.int64)),
-    lambda st: setattr(st.layers[1], "rows", st.layers[1].rows.astype(np.float64)),
-    lambda st: st.layers.clear(),
-    lambda st: st.layers.append(copy.deepcopy(st.layers[-1])),
-    lambda st: st.ds_carry.clear(),
-    lambda st: setattr(st.layers[0], "conv", st.layers[0].conv.astype(np.float64)),
-    lambda st: st.ds_carry.__setitem__(1, st.ds_carry[1].astype(np.int32)),
+    _set("layers.0.rows", lambda a: np.zeros((a.shape[0], 5), np.float32)),
+    _set("layers.1.rows", lambda a: np.zeros((2, 17), np.float32)),
+    _set("layers.1.rows", lambda a: np.zeros(64, np.float32)),
+    _set("layers.1.rows", lambda a: a[:, 32:].copy()),
+    _set("layers.0.conv", lambda a: np.zeros((3, 16), np.float32)),
+    _set("layers.1.conv", lambda a: np.zeros((2, 8), np.float32)),
+    _set("ds.carry0", lambda a: np.zeros((1, 9), np.float32)),
+    _set("ds.carry1", lambda a: np.zeros((2, 16), np.float32)),
+    _set("ds.carry1", lambda a: np.zeros((0, 16), np.float32)),
+    _drop("ds.carry1"),
+    _drop("layers.1."),
+    _set("layers.0.rows", lambda a: a.astype(np.int64)),
+    _set("layers.1.rows", lambda a: a.astype(np.float64)),
+    _drop("layers."),
+    lambda st: st.tensors.update({f"layers.2.{f}": st.tensors[f"layers.1.{f}"].copy()
+                                  for f in ("rows", "conv")}),
+    _drop("ds."),
+    _set("layers.0.conv", lambda a: a.astype(np.float64)),
+    _set("ds.carry1", lambda a: a.astype(np.int32)),
 ], ids=["rows-columns", "rows-shape", "rows-1d", "rows-kv-only",
         "conv-rows", "conv-columns", "ds_carry0-columns", "ds_carry1-two-rows",
         "ds_carry1-no-row", "ds_carry-one-stage-short", "layer-count", "rows-int64",
@@ -210,32 +232,48 @@ def test_tensors_that_do_not_fit_the_encoder_are_state_error(mutate):
         encode_step(mel[16:20], state, w, cfg)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda st: st.tensors.__setitem__("layers.0.junk", np.zeros((1, 4), np.float32)),
+    lambda st: st.tensors.__setitem__("ds.carry2", np.zeros((1, 16), np.float32)),
+    lambda st: setattr(st, "tensors", list(st.tensors.values())),
+    lambda st: setattr(st, "tensors", None),
+    lambda st: setattr(st, "tensors", tuple(st.tensors.items())),
+], ids=["layers.0.junk", "ds.carry2-past-the-stages", "list", "none", "tuple-of-items"])
+def test_a_tensor_the_spec_does_not_name_or_no_dict_is_state_error(mutate):
+    # the state holds exactly the spec's names, in a dict
+    cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
+    w = init_encoder_weights(cfg, seed=3)
+    mel = random_mel(20, cfg.n_mels, seed=4)
+    state = init_state(cfg)
+    for i in range(0, 16, 4):
+        encode_step(mel[i : i + 4], state, w, cfg)
+    encode_step(mel[16:20], copy.deepcopy(state), w, cfg)  # an unedited copy resumes
+    mutate(state)
+    with pytest.raises(StateError):
+        encode_step(mel[16:20], state, w, cfg)
+
+
 def test_stream_state_holds_each_fact_once():
     # per layer its rows and conv inputs, and no derived attention plan (the
     # model's weights keep those); one stream counter, no layer counter, and
     # no decoder state
     assert [f.name for f in dataclasses.fields(StreamState)] == [
-        "layers", "ds_carry", "settle_delay", "tokens_in", "finished"]
-    assert [f.name for f in dataclasses.fields(LayerCache)] == ["rows", "conv"]
+        "tensors", "settle_delay", "tokens_in", "finished"]
     cfg = tiny_encoder_config(AttentionContext.regular(1, 3))
     w = init_encoder_weights(cfg, seed=3)
     state = init_state(cfg)
     encode_step(random_mel(16, cfg.n_mels, seed=4), state, w, cfg)
-    assert (len(state.layers), len(state.ds_carry)) == (cfg.n_layers, cfg.n_stages)
-    assert state.layers[0].rows.shape[1] == 4 * cfg.d_model
+    assert list(state.tensors) == [f"ds.carry{s}" for s in range(cfg.n_stages)] + [
+        f"layers.{i}.{f}" for i in range(cfg.n_layers) for f in ("rows", "conv")]
+    assert state.tensors["layers.0.rows"].shape[1] == 4 * cfg.d_model
     assert (state.tokens_in, state.settle_delay) == (4, 1)
 
 
 def _rebuilt(state: StreamState) -> StreamState:
     """A state made from copies of the stored arrays and counters alone."""
     return StreamState(
-        layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in state.layers],
-        ds_carry=[row.copy() for row in state.ds_carry],
+        tensors={name: t.copy() for name, t in state.tensors.items()},
         settle_delay=state.settle_delay, tokens_in=state.tokens_in, finished=state.finished)
-
-
-def _arrays(state: StreamState) -> list[np.ndarray]:
-    return [*state.ds_carry, *(a for lc in state.layers for a in (lc.rows, lc.conv))]
 
 
 REBUILD_CONTEXTS = {
@@ -277,8 +315,9 @@ def test_state_rebuilt_from_its_arrays_resumes_bit_exact(regime, cut):
     assert macs_rebuilt == macs
     # both streams end in equal states
     assert (rebuilt.tokens_in, rebuilt.finished) == (state.tokens_in, state.finished)
-    for a, b in zip(_arrays(rebuilt), _arrays(state), strict=True):
-        assert np.array_equal(a, b)
+    assert list(rebuilt.tensors) == list(state.tensors)
+    for name, t in state.tensors.items():
+        assert np.array_equal(rebuilt.tensors[name], t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,16 +336,12 @@ def test_a_reshaped_or_retyped_state_tensor_steps_only_if_unchanged(ctx, which, 
     state = init_state(cfg)
     for i in range(0, 16, step):
         encode_step(mel[i : i + step], state, w, cfg)
-    slots = [(lc, f) for lc in state.layers for f in ("rows", "conv")]
-    slots += [(state.ds_carry, s) for s in range(len(state.ds_carry))]
-    owner, key = slots[which]
-    arr = owner[key] if isinstance(owner, list) else getattr(owner, key)
+    slots = [f"layers.{i}.{f}" for i in range(cfg.n_layers) for f in ("rows", "conv")]
+    slots += [f"ds.carry{s}" for s in range(cfg.n_stages)]
+    arr = state.tensors[slots[which]]
     rows, cols = max(0, arr.shape[0] + d_rows), max(0, arr.shape[1] + d_cols)
     edited = np.resize(arr, (rows, cols)).astype(dtype)
-    if isinstance(owner, list):
-        owner[key] = edited
-    else:
-        setattr(owner, key, edited)
+    state.tensors[slots[which]] = edited
     if edited.shape == arr.shape and edited.dtype == np.float32:
         encode_step(mel[16 : 16 + step], state, w, cfg)
     else:
@@ -325,11 +360,8 @@ def test_tokens_emitted_reads_the_top_layer():
 
 
 def _extra_row(field: str, layer: int):
-    def mutate(st):
-        arr = getattr(st.layers[layer], field)
-        setattr(st.layers[layer], field,
-                np.concatenate([arr, np.zeros((1, arr.shape[1]), np.float32)]))
-    return mutate
+    return _set(f"layers.{layer}.{field}",
+                lambda a: np.concatenate([a, np.zeros((1, a.shape[1]), np.float32)]))
 
 
 def _add(field: str, by: int):
@@ -375,7 +407,8 @@ def test_no_tokens_in_edit_keeps_the_rows_under_the_left_context():
     # left context, every other tokens_in gives some layer another row count
     for n_layers, m, left in itertools.product(range(1, 5), range(4), range(6)):
         ctx = AttentionContext.regular(m, left)
-        state = StreamState(layers=[None] * n_layers, ds_carry=[], settle_delay=m)
+        state = StreamState(tensors={f"layers.{i}.rows": None for i in range(n_layers)},
+                            settle_delay=m)
 
         def rows(t):
             state.tokens_in = t
@@ -437,3 +470,35 @@ def test_counts_follow_the_layer_recurrence(ctx, rate, n_layers, steps, tail):
             new, n_out[i] = settle_to - n_out[i], settle_to
         assert [state.counts(i) for i in range(n_layers)] == list(zip(n_in, n_out))
         assert state.tokens_emitted == emitted == n_out[-1]
+
+
+def _fits_spec(state: StreamState, spec) -> bool:
+    """The state's tensors are the spec's names in its order, each float32 of its shape."""
+    return [(n, t.shape, t.dtype) for n, t in state.tensors.items()] == [
+        (n, shape, np.float32) for n, shape, _ in spec]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ctx=DERIVATION_CONTEXTS, rate=st.sampled_from([1, 2, 4, 8]),
+       n_layers=st.integers(1, 3), kernel=st.integers(1, 4),
+       steps=st.lists(st.integers(0, 3), max_size=6),
+       tail=st.one_of(st.none(), st.integers(0, 9)))
+def test_the_state_is_its_spec_after_every_step(ctx, rate, n_layers, kernel, steps, tail):
+    # init_state is the spec's zeros at counts 0, and after every step,
+    # final or not, the state holds exactly state_spec at its counts
+    cfg = tiny_encoder_config(ctx, n_layers=n_layers, conv_kernel=kernel, downsampling_rate=rate)
+    w = init_encoder_weights(cfg, seed=5)
+    state = init_state(cfg)
+    spec = state_spec(cfg, [(0, 0)] * n_layers)
+    assert _fits_spec(state, spec) and all(not t.any() for t in state.tensors.values())
+    assert state.float_count() == sum(math.prod(shape) for _, shape, _ in spec)
+    pieces = [(k * ctx.step_tokens() * rate, False) for k in steps]
+    pieces += [] if tail is None else [(tail, True)]
+    mel = random_mel(sum(n for n, _ in pieces), cfg.n_mels, seed=6)
+    lo = 0
+    for n_frames, final in pieces:
+        encode_step(mel[lo : lo + n_frames], state, w, cfg, final=final)
+        lo += n_frames
+        spec = state_spec(cfg, [state.counts(i) for i in range(n_layers)])
+        assert _fits_spec(state, spec)
+        assert state.float_count() == sum(math.prod(shape) for _, shape, _ in spec)

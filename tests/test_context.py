@@ -7,8 +7,10 @@ from streamasr import (
     effective_lookahead,
     feasible_regular_latencies,
     latency_ms,
+    receptive_field_frames,
+    receptive_field_tokens,
 )
-from streamasr.errors import ConfigError
+from streamasr.errors import ArgumentError, ConfigError
 
 from helpers import build_mask
 
@@ -161,3 +163,65 @@ def test_context_sizes_are_stored_as_ints():
     ctx = AttentionContext.chunked(np.int64(4), np.int32(2))
     assert (type(ctx.chunk), type(ctx.left_chunks)) == (int, int)
     assert ctx == AttentionContext.chunked(4, 2)
+
+
+class TestLatencyArguments:
+    """The latency arithmetic refuses what it cannot mean with ArgumentError
+    (ConfigError where a count below one was one before): integer counts of
+    at least one, 0 <= pos < total, a context and a LatencyModel."""
+
+    CTX = AttentionContext.regular(1, 16)
+    LM = LatencyModel(frame_shift_ms=10, downsampling_rate=4, n_layers=4)
+
+    @pytest.mark.parametrize("args", [
+        (-1, 9, 5, 100), (0, 9, 5, 100), (4, 0, 5, 100), (4, 9, 500, 100), (4, 9, 100, 100),
+        (4, 9, -1, 100), (4, 9, 0, 0), (None, 9, 5, 100), (2.5, 9, 5, 100),
+        (True, 9, 5, 100), (4, None, 5, 100), (4, 9, None, 100), (4, 9, "5", 100),
+        (4, 9, 5, None), (4, 9, 5.0, 100),
+    ], ids=["layers-minus-one", "layers-zero", "kernel-zero", "pos-past-end", "pos-at-end",
+            "pos-negative", "total-zero", "layers-none", "layers-float", "layers-bool",
+            "kernel-none", "pos-none", "pos-str", "total-none", "pos-float"])
+    def test_receptive_field_tokens(self, args):
+        with pytest.raises(ArgumentError):
+            receptive_field_tokens(self.CTX, *args)
+
+    @pytest.mark.parametrize("args", [
+        (4, 9, 0, 5, 100, 400), (4, 9, -4, 5, 100, 400), (4, 9, None, 5, 100, 400),
+        (4, 9, 4.0, 5, 100, 400), (4, 9, 4, 5, 100, 0), (4, 9, 4, 5, 100, None),
+        (4, 9, 4, 100, 100, 400), (None, 9, 4, 5, 100, 400),
+    ], ids=["rate-zero", "rate-negative", "rate-none", "rate-float", "frames-zero",
+            "frames-none", "pos-at-end", "layers-none"])
+    def test_receptive_field_frames(self, args):
+        with pytest.raises(ArgumentError):
+            receptive_field_frames(self.CTX, *args)
+
+    @pytest.mark.parametrize("ctx, n_layers", [
+        (CTX, 2.5), (CTX, True), (CTX, None), (CTX, "4"), (None, 4), ("regular", 4),
+    ], ids=["float", "bool", "none", "str", "ctx-none", "ctx-str"])
+    def test_effective_lookahead(self, ctx, n_layers):
+        with pytest.raises(ArgumentError):
+            effective_lookahead(ctx, n_layers)
+
+    @pytest.mark.parametrize("lm, m_max", [(LM, None), (LM, 2.0), (LM, False), (None, 3)],
+                             ids=["none", "float", "bool", "lm-none"])
+    def test_feasible_regular_latencies(self, lm, m_max):
+        with pytest.raises(ArgumentError):
+            feasible_regular_latencies(lm, m_max)
+
+    @pytest.mark.parametrize("ctx, lm", [(CTX, None), (CTX, 4), (None, LM)],
+                             ids=["lm-none", "lm-int", "ctx-none"])
+    def test_latency_ms(self, ctx, lm):
+        with pytest.raises(ArgumentError):
+            latency_ms(ctx, lm)
+
+    def test_counts_below_one_stay_config_error(self):
+        with pytest.raises(ConfigError):
+            effective_lookahead(self.CTX, 0)
+        with pytest.raises(ConfigError):
+            feasible_regular_latencies(self.LM, -1)
+
+    def test_numpy_integers_equal_python_ones(self):
+        assert receptive_field_tokens(self.CTX, np.int64(4), np.int32(9), np.int64(5),
+                                      np.int64(100)) == receptive_field_tokens(self.CTX, 4, 9,
+                                                                               5, 100)
+        assert effective_lookahead(self.CTX, np.int64(4)) == effective_lookahead(self.CTX, 4)

@@ -258,16 +258,18 @@ class TestDownsampler:
     def test_carried_row_widths(self, dr, expected):
         # each stage carries one input row: a mel frame, then a stage output
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=dr)
-        assert cfg.ds_carry_widths == expected
-        assert [c.shape for c in init_state(cfg).ds_carry] == [(1, n) for n in expected]
-        assert all(np.all(c == 0.0) for c in init_state(cfg).ds_carry)
+        carry = {n: t for n, t in init_state(cfg).tensors.items() if n.startswith("ds.")}
+        assert [(n, c.shape) for n, c in carry.items()] == [
+            (f"ds.carry{s}", (1, n)) for s, n in enumerate(expected)]
+        assert all(np.all(c == 0.0) for c in carry.values())
 
     def test_rate_one_is_projection(self):
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=1)
         w = init_encoder_weights(cfg, seed=15)
         mel = random_mel(10, cfg.n_mels, seed=16)
-        tokens, carry = downsample_segment(w, cfg, mel, [])
-        assert carry == []
+        carry = {}
+        tokens = downsample_segment(w, cfg, mel, carry)
+        assert carry == {}
         assert np.array_equal(
             tokens, linear(mel, w.tensors["ds.proj.w"], w.tensors["ds.proj.b"])
         )
@@ -277,22 +279,21 @@ class TestDownsampler:
         cfg = tiny_encoder_config(AttentionContext.chunked(4, 1), downsampling_rate=dr)
         w = init_encoder_weights(cfg, seed=17)
         mel = random_mel(8 * dr, cfg.n_mels, seed=18)
-        whole, _ = downsample_segment(w, cfg, mel, init_state(cfg).ds_carry)
-        carry, parts = init_state(cfg).ds_carry, []
+        whole = downsample_segment(w, cfg, mel, init_state(cfg).tensors)
+        carry, parts = init_state(cfg).tensors, []
         for lo, hi in ((0, dr), (dr, 4 * dr), (4 * dr, 4 * dr), (4 * dr, 8 * dr)):
-            part, carry = downsample_segment(w, cfg, mel[lo:hi], carry)
-            parts.append(part)
+            parts.append(downsample_segment(w, cfg, mel[lo:hi], carry))
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_partial_group_is_not_read(self):
         cfg = tiny_encoder_config(AttentionContext.zero(), downsampling_rate=4)
         w = init_encoder_weights(cfg, seed=19)
         mel = random_mel(11, cfg.n_mels, seed=0)
-        carry = init_state(cfg).ds_carry
-        tokens, kept = downsample_segment(w, cfg, mel, carry)
-        whole, whole_kept = downsample_segment(w, cfg, mel[:8], carry)
+        kept, whole_kept = init_state(cfg).tensors, init_state(cfg).tensors
+        tokens = downsample_segment(w, cfg, mel, kept)
+        whole = downsample_segment(w, cfg, mel[:8], whole_kept)
         assert tokens.shape[0] == 2 and np.array_equal(tokens, whole)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, whole_kept, strict=True))
+        assert all(np.array_equal(kept[n], whole_kept[n]) for n in kept)
 
     @pytest.mark.parametrize("ctx", [AttentionContext.zero(left_context=3),
                                      AttentionContext.regular(1, 4),
@@ -549,10 +550,11 @@ class TestAttentionInternals:
 class TestEncodeStepContracts:
     def test_initial_caches(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), conv_kernel=5)
-        state = init_state(cfg)
-        assert all(lc.rows.shape == (0, 4 * cfg.d_model) for lc in state.layers)
-        assert all(lc.conv.shape[0] == 4 for lc in state.layers)
-        assert all(np.all(lc.conv == 0.0) for lc in state.layers)
+        tensors = init_state(cfg).tensors
+        layers = range(cfg.n_layers)
+        assert all(tensors[f"layers.{i}.rows"].shape == (0, 4 * cfg.d_model) for i in layers)
+        assert all(tensors[f"layers.{i}.conv"].shape[0] == 4 for i in layers)
+        assert all(np.all(tensors[f"layers.{i}.conv"] == 0.0) for i in layers)
 
     def test_non_multiple_chunk_rejected(self):
         cfg = tiny_encoder_config(AttentionContext.chunked(2, 1), downsampling_rate=4)
@@ -950,10 +952,10 @@ class TestStepCalls:
     STEPS = {"regular": 64, "chunk": 16}  # 40 ms and 160 ms steps over 2.56 s
     # per steady step: Python calls of package functions, and C calls made from them
     BOUNDS = {
-        ("regular", "ctc"): (344.0, 552.1875),
-        ("regular", "both"): (602.203125, 851.765625),
-        ("chunk", "ctc"): (374.0, 590.0),
-        ("chunk", "both"): (1386.0, 1764.0),
+        ("regular", "ctc"): (343.0, 550.1875),
+        ("regular", "both"): (601.203125, 849.765625),
+        ("chunk", "ctc"): (373.0, 588.0),
+        ("chunk", "both"): (1385.0, 1762.0),
     }
 
     @pytest.mark.parametrize("regime,decoder", list(BOUNDS), ids="-".join)

@@ -77,3 +77,22 @@ class TestEil:
     def test_length_mismatch(self):
         with pytest.raises(ArgumentError):
             eil([1, 2], [1], self.lm())
+
+    @pytest.mark.parametrize("emit, ready, lm", [
+        ([None], [1], True), (["3"], [1], True), ([1], [2.0], True), ([True], [1], True),
+        (None, [1], True), (3, [1], True), ("12", "12", True),
+        (np.array([]), np.array([]), True), (np.array([1.0]), np.array([1.0]), True),
+        ([1], [1], None), ([1], [1], 4),
+    ], ids=["none-frame", "str-frame", "float-frame", "bool-frame", "none-list", "int-list",
+            "strings", "empty-float-arrays", "float-arrays", "lm-none", "lm-int"])
+    def test_what_is_not_integer_frames_or_a_latency_model_is_argument_error(self, emit, ready,
+                                                                          lm):
+        with pytest.raises(ArgumentError):
+            eil(emit, ready, self.lm() if lm is True else lm)
+
+    def test_numpy_integer_frames_equal_python_ones(self):
+        emit, ready = [3, 7, 9], [1, 7, 8]
+        want = eil(emit, ready, self.lm())
+        assert eil(np.array(emit), np.array(ready, np.int32), self.lm()) == want
+        assert eil([np.int64(f) for f in emit], ready, self.lm()) == want
+        assert eil(np.array([], np.int64), np.array([], np.int64), self.lm()) == 0.0

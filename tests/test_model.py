@@ -281,6 +281,8 @@ MALFORMED_MODEL_OBJECTS = {
                              random_head()[0].b),
     "ctc-b": lambda: CtcHead(random_head()[0].hc, random_head()[0].w, np.zeros(6, np.float32)),
     "rnnt-joint-out-w": lambda: _rnnt_head_with("rnnt.joint_out.w", np.zeros((8, 4), np.float32)),
+    "rnnt-tensor-the-spec-does-not-name": lambda: _rnnt_head_with("rnnt.junk",
+                                                                  np.zeros(3, np.float32)),
     "rnnt-state-hidden-row": lambda: _decode_from(np.zeros(7, np.float32), np.zeros(8)),
     "rnnt-state-joint-pred": lambda: _decode_from(np.zeros(8, np.float32), np.zeros(9)),
 }

@@ -16,7 +16,6 @@ from streamasr import (
     BufferedConfig,
     ComputeLedger,
     FeatureConfig,
-    LayerCache,
     StreamingSession,
     StreamState,
     Vocab,
@@ -124,8 +123,7 @@ class TestStreamingVsOffline:
         old = cut.state
         assert old.tokens_in > 0
         cut.state = StreamState(
-            layers=[LayerCache(lc.rows.copy(), lc.conv.copy()) for lc in old.layers],
-            ds_carry=[row.copy() for row in old.ds_carry],
+            tensors={name: t.copy() for name, t in old.tensors.items()},
             settle_delay=old.settle_delay, tokens_in=old.tokens_in)
         cut.feed(SPLIT_AUDIO.samples[half:])
         a, b = whole.finish(), cut.finish()
